@@ -301,3 +301,112 @@ func TestAppendAcrossLatticeRowCap(t *testing.T) {
 		crossCheckAgainstFresh(t, st)
 	}
 }
+
+// TestAppendExistingClassesAllocsIndependentOfBatch is the ingestion
+// allocation guard: arrivals whose signature classes already exist —
+// informative ones and settled ones alike — register through reused
+// scratch, so an Append batch allocates only amortized slice growth
+// (the instance arrays and the returned newly-implied list), never per
+// tuple.
+func TestAppendExistingClassesAllocsIndependentOfBatch(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const n = 6
+	serial := 0
+	rel := relation.New(relation.MustSchema(attrNames(n)...))
+	for _, tu := range randomTuples(r, n, 400, &serial) {
+		rel.MustAppend(tu)
+	}
+	st, err := NewState(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := partition.Uniform(r, n)
+	for k := 0; k < 3; k++ {
+		labelRandomInformative(t, r, st, goal)
+	}
+	// Batches copy existing tuples, so every arrival lands in a class
+	// that is already registered; some of those classes are settled.
+	batch := func(size int) []relation.Tuple {
+		out := make([]relation.Tuple, size)
+		for i := range out {
+			out[i] = st.Relation().Tuple(r.Intn(st.BaseLen())).Clone()
+		}
+		return out
+	}
+	small, large := batch(8), batch(1024)
+	classes := len(st.Groups())
+	allocs := func(b []relation.Tuple) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := st.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	aSmall, aLarge := allocs(small), allocs(large)
+	if len(st.Groups()) != classes {
+		t.Fatalf("arrivals created %d new classes", len(st.Groups())-classes)
+	}
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("allocs per Append: %.1f for %d tuples, %.1f for %d tuples", aSmall, len(small), aLarge, len(large))
+	// Growth of per-class index lists is amortized across runs but
+	// scales with the class count, so the bound is a fixed budget far
+	// below one allocation per arrival.
+	if aSmall > 48 || aLarge > 48 {
+		t.Fatalf("Append allocates %.1f times for %d tuples, %.1f for %d: allocation grows with batch size",
+			aLarge, len(large), aSmall, len(small))
+	}
+}
+
+// TestCheckInvariantsCoversSig corrupts what Sig(i) depends on and
+// requires CheckInvariants to notice: the class table is the only
+// record of a tuple's signature, so the invariants check class
+// membership both ways and recompute each signature from the tuple's
+// values.
+func TestCheckInvariantsCoversSig(t *testing.T) {
+	fresh := func() *State {
+		r := rand.New(rand.NewSource(3))
+		serial := 0
+		rel := relation.New(relation.MustSchema(attrNames(5)...))
+		for _, tu := range randomTuples(r, 5, 60, &serial) {
+			rel.MustAppend(tu)
+		}
+		st, err := NewState(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Groups()) < 2 {
+			t.Fatal("instance has one class; cannot mis-map a tuple")
+		}
+		return st
+	}
+
+	// A tuple mapped to another class.
+	st := fresh()
+	i := st.Groups()[0].Indices[0]
+	st.groupOf[i] = 1
+	if err := st.CheckInvariants(); err == nil {
+		t.Fatalf("CheckInvariants accepted tuple %d mapped to the wrong class", i)
+	}
+
+	// A tuple whose values no longer carry its class's signature.
+	st = fresh()
+	for _, g := range st.Groups() {
+		if g.Sig.IsTop() {
+			continue
+		}
+		tu := st.Relation().Tuple(g.Indices[0])
+		for c := range tu {
+			tu[c] = tu[0]
+		}
+		if err := st.CheckInvariants(); err == nil {
+			t.Fatalf("CheckInvariants accepted tuple %d with values %v under signature %v", g.Indices[0], tu, g.Sig)
+		}
+		return
+	}
+	t.Fatal("every class is Top; cannot change a signature")
+}

@@ -46,7 +46,7 @@ func (st *State) Explain(i int) (Explanation, error) {
 		e.Kind = ExplainImpliedPositive
 	case ImpliedNegative:
 		e.Kind = ExplainImpliedNegative
-		sig := st.sigs[i]
+		sig := st.Sig(i)
 		m := st.mp.Meet(sig)
 		for _, neg := range st.negs {
 			if m.LessEq(neg) {
@@ -63,7 +63,7 @@ func (st *State) Explain(i int) (Explanation, error) {
 // signature equals neg, or -1.
 func (st *State) explicitNegativeWith(neg partition.P) int {
 	for i, l := range st.labels {
-		if l == Negative && st.sigs[i].Equal(neg) {
+		if l == Negative && st.Sig(i).Equal(neg) {
 			return i
 		}
 	}

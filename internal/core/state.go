@@ -34,17 +34,24 @@ type SigGroup struct {
 // the maximal antichain of negative signatures.
 type State struct {
 	rel    *relation.Relation
-	n      int           // number of attributes
-	sigs   []partition.P // Eq signature per tuple
+	n      int // number of attributes
 	labels []Label
 
 	mp   partition.P   // meet of positive signatures; Top initially
 	negs []partition.P // ≤-maximal negative signatures (antichain)
 
 	groups  []*SigGroup
-	groupOf []int          // tuple index -> group position
+	groupOf []int          // tuple index -> group position; Sig(i) is its class's Sig
 	byKey   map[string]int // signature key -> group position
 	counts  [5]int
+
+	// Ingestion scratch, reused so that registering a tuple whose class
+	// already exists allocates nothing: its signature's canonical labels
+	// and key (register), and a per-class stamp marking the classes an
+	// Append batch has already classified (classifyArrivals).
+	sigLabels   []int
+	sigKey      []byte
+	arrivalMark []int
 
 	// Incrementally maintained scoring state (see lattice.go): the
 	// per-class unlabeled counts, the positions of classes that still
@@ -73,11 +80,12 @@ func NewState(rel *relation.Relation) (*State, error) {
 		return nil, fmt.Errorf("core: instance needs at least one attribute")
 	}
 	st := &State{
-		rel:   rel,
-		n:     n,
-		mp:    partition.Top(n).Cached(),
-		byKey: make(map[string]int),
-		base:  rel.Len(),
+		rel:       rel,
+		n:         n,
+		mp:        partition.Top(n).Cached(),
+		byKey:     make(map[string]int),
+		base:      rel.Len(),
+		sigLabels: make([]int, n),
 	}
 	for i := 0; i < rel.Len(); i++ {
 		st.register(rel.Tuple(i))
@@ -137,13 +145,18 @@ func (st *State) Append(tuples []relation.Tuple) (newlyImplied []int, err error)
 func (st *State) classifyArrivals(firstNew, prevClasses int) []int {
 	var newly []int
 	var reenter []int // sorted class positions to add to infGroups
-	seen := make(map[int]bool)
+	// Append bumps StructureVersion once per batch after this call, so
+	// the post-batch version stamps each class at most once per batch.
+	mark := st.structureVersion + 1
+	for len(st.arrivalMark) < len(st.groups) {
+		st.arrivalMark = append(st.arrivalMark, 0)
+	}
 	for i := firstNew; i < len(st.labels); i++ {
 		gi := st.groupOf[i]
-		if seen[gi] {
+		if st.arrivalMark[gi] == mark {
 			continue
 		}
-		seen[gi] = true
+		st.arrivalMark[gi] = mark
 		inIndex := gi < prevClasses && st.inInformativeIndex(gi)
 		if inIndex {
 			continue // informative class stays informative; counts already updated
@@ -197,20 +210,23 @@ func mergeSorted(a, b []int) []int {
 // Unlabeled; classification against the hypothesis is the caller's job
 // (propagate at NewState, classifyArrivals at Append). It returns the
 // class position.
+//
+// The signature is computed into State-owned scratch and looked up by
+// its key bytes (the map index converts without allocating), so a
+// tuple landing in an existing class costs only amortized slice
+// growth; a partition is built only when the class is new.
 func (st *State) register(t relation.Tuple) int {
 	i := len(st.labels)
-	sig := partition.FromEqual(st.n, func(a, b int) bool { return t[a].Equal(t[b]) })
-	key := sig.Key()
-	gi, ok := st.byKey[key]
+	eq := func(a, b int) bool { return t[a].Equal(t[b]) }
+	partition.EqualLabels(st.sigLabels, eq)
+	st.sigKey = partition.AppendKey(st.sigKey[:0], st.sigLabels)
+	gi, ok := st.byKey[string(st.sigKey)]
 	if !ok {
 		gi = len(st.groups)
-		st.byKey[key] = gi
-		st.groups = append(st.groups, &SigGroup{Sig: sig.Cached(), Pos: gi})
+		st.byKey[string(st.sigKey)] = gi
+		st.groups = append(st.groups, &SigGroup{Sig: partition.FromEqual(st.n, eq).Cached(), Pos: gi})
 		st.groupUnlabeled = append(st.groupUnlabeled, 0)
 	}
-	// Tuples share their class's cached signature, so every later
-	// lattice question about this tuple hits the memoized bitset.
-	st.sigs = append(st.sigs, st.groups[gi].Sig)
 	st.groups[gi].Indices = append(st.groups[gi].Indices, i)
 	st.groupOf = append(st.groupOf, gi)
 	st.labels = append(st.labels, Unlabeled)
@@ -225,8 +241,10 @@ func (st *State) Relation() *relation.Relation { return st.rel }
 // AttrCount returns the number of attributes.
 func (st *State) AttrCount() int { return st.n }
 
-// Sig returns the Eq signature of tuple i.
-func (st *State) Sig(i int) partition.P { return st.sigs[i] }
+// Sig returns the Eq signature of tuple i: its class's cached
+// signature, so every lattice question about the tuple hits the
+// memoized bitset.
+func (st *State) Sig(i int) partition.P { return st.groups[st.groupOf[i]].Sig }
 
 // Label returns the current label of tuple i.
 func (st *State) Label(i int) Label { return st.labels[i] }
@@ -367,7 +385,7 @@ func (st *State) Apply(i int, l Label) (newlyImplied []int, err error) {
 	if st.labels[i].IsExplicit() {
 		return nil, fmt.Errorf("%w: tuple %d is %v", ErrAlreadyLabeled, i, st.labels[i])
 	}
-	sig := st.sigs[i]
+	sig := st.Sig(i)
 	// Contradiction checks (state not yet mutated).
 	if l == Positive && st.impliedNegative(sig) {
 		return nil, fmt.Errorf("%w: tuple %d labeled +, but no consistent query selects it", ErrInconsistent, i)
@@ -654,10 +672,23 @@ func (st *State) CheckInvariants() error {
 			}
 		}
 	}
+	// Registration arrays must cover the (possibly grown) instance, and
+	// every tuple's class must carry the tuple's own Eq signature.
+	if len(st.labels) != st.rel.Len() || len(st.groupOf) != st.rel.Len() {
+		return fmt.Errorf("core: registration arrays (%d labels, %d groupOf) drifted from instance size %d",
+			len(st.labels), len(st.groupOf), st.rel.Len())
+	}
 	var counts [5]int
 	for i, l := range st.labels {
 		counts[l]++
-		sig := st.sigs[i]
+		if gi := st.groupOf[i]; gi < 0 || gi >= len(st.groups) {
+			return fmt.Errorf("core: tuple %d mapped to class %d of %d", i, gi, len(st.groups))
+		}
+		t := st.rel.Tuple(i)
+		sig := st.Sig(i)
+		if want := partition.FromEqual(st.n, func(a, b int) bool { return t[a].Equal(t[b]) }); !sig.Equal(want) {
+			return fmt.Errorf("core: tuple %d has signature %v, its class carries %v", i, want, sig)
+		}
 		switch l {
 		case Unlabeled:
 			if implied := st.ImpliedLabel(sig); implied != Unlabeled {
@@ -676,12 +707,6 @@ func (st *State) CheckInvariants() error {
 	}
 	if counts != st.counts {
 		return fmt.Errorf("core: label counts %v drifted from cache %v", counts, st.counts)
-	}
-	// Registration arrays must cover the (possibly grown) instance and
-	// agree with the class table.
-	if len(st.labels) != st.rel.Len() || len(st.sigs) != st.rel.Len() || len(st.groupOf) != st.rel.Len() {
-		return fmt.Errorf("core: registration arrays (%d labels, %d sigs, %d groupOf) drifted from instance size %d",
-			len(st.labels), len(st.sigs), len(st.groupOf), st.rel.Len())
 	}
 	if len(st.lat.sigs) != len(st.groups) {
 		return fmt.Errorf("core: lattice tracks %d classes, state has %d", len(st.lat.sigs), len(st.groups))
@@ -711,12 +736,17 @@ func (st *State) CheckInvariants() error {
 		}
 		prev = gi
 	}
+	members := 0
 	for gi, g := range st.groups {
 		if g.Pos != gi {
 			return fmt.Errorf("core: class %d carries Pos %d", gi, g.Pos)
 		}
+		members += len(g.Indices)
 		n := 0
 		for _, i := range g.Indices {
+			if st.groupOf[i] != gi {
+				return fmt.Errorf("core: class %d lists tuple %d, which maps to class %d", gi, i, st.groupOf[i])
+			}
 			if st.labels[i] == Unlabeled {
 				n++
 			}
@@ -730,6 +760,9 @@ func (st *State) CheckInvariants() error {
 		if got, want := st.lat.impliedGroup(gi), st.ImpliedLabel(g.Sig); got != want {
 			return fmt.Errorf("core: class %d lattice implied %v, definitional %v", gi, got, want)
 		}
+	}
+	if members != len(st.labels) {
+		return fmt.Errorf("core: classes list %d tuples, instance has %d", members, len(st.labels))
 	}
 	return nil
 }

@@ -21,6 +21,7 @@ package partition
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -132,8 +133,18 @@ func FromPairs(n int, pairs [][2]int) (P, error) {
 // equivalence relation on {0..n-1} (value equality does).
 func FromEqual(n int, eq func(i, j int) bool) P {
 	labels := make([]int, n)
+	return P{labels: labels, blocks: EqualLabels(labels, eq)}
+}
+
+// EqualLabels is the allocation-free core of FromEqual: it writes the
+// canonical block labels of the partition eq induces on
+// {0..len(labels)-1} into labels and returns the block count. Callers
+// classifying many tuples reuse one labels buffer, look the signature
+// up by AppendKey, and build a P (FromEqual) only for signatures they
+// have not seen before.
+func EqualLabels(labels []int, eq func(i, j int) bool) int {
 	blocks := 0
-	for i := 0; i < n; i++ {
+	for i := range labels {
 		labels[i] = -1
 		for j := 0; j < i; j++ {
 			if eq(j, i) {
@@ -146,7 +157,7 @@ func FromEqual(n int, eq func(i, j int) bool) P {
 			blocks++
 		}
 	}
-	return P{labels: labels, blocks: blocks}
+	return blocks
 }
 
 // N returns the number of elements partitioned.
@@ -354,16 +365,24 @@ func (p P) buildKey() string {
 	if len(p.labels) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	b.Grow(len(p.labels) * 2)
-	for _, l := range p.labels {
+	var buf [64]byte
+	return string(AppendKey(buf[:0], p.labels))
+}
+
+// AppendKey appends the Key of the partition with the given canonical
+// labels (as EqualLabels writes them) to dst and returns the extended
+// slice.
+func AppendKey(dst []byte, labels []int) []byte {
+	for _, l := range labels {
 		if l < 26 {
-			b.WriteByte(byte('a' + l))
+			dst = append(dst, byte('a'+l))
 		} else {
-			fmt.Fprintf(&b, "<%d>", l)
+			dst = append(dst, '<')
+			dst = strconv.AppendInt(dst, int64(l), 10)
+			dst = append(dst, '>')
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // String renders the partition with numeric elements, e.g.

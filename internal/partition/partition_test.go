@@ -93,6 +93,44 @@ func TestFromEqual(t *testing.T) {
 	}
 }
 
+// TestEqualLabelsKeyMatchesFromEqual holds the allocation-free
+// signature path (EqualLabels into a reused buffer, AppendKey into a
+// reused key) to FromEqual's partition and Key, including the "<27>"
+// labels of partitions with more than 26 blocks, and checks that the
+// reused path allocates nothing.
+func TestEqualLabelsKeyMatchesFromEqual(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var labels []int
+	var key []byte
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(40)
+		vals := make([]int, n)
+		for i := range vals {
+			vals[i] = r.Intn(1 + r.Intn(n))
+		}
+		eq := func(i, j int) bool { return vals[i] == vals[j] }
+		want := FromEqual(n, eq)
+		labels = append(labels[:0], make([]int, n)...)
+		blocks := EqualLabels(labels, eq)
+		key = AppendKey(key[:0], labels)
+		if got := New(labels); !got.Equal(want) || blocks != want.BlockCount() {
+			t.Fatalf("EqualLabels(%v) = %v (%d blocks), FromEqual = %v", vals, labels, blocks, want)
+		}
+		if string(key) != want.Key() {
+			t.Fatalf("AppendKey(%v) = %q, Key = %q", labels, key, want.Key())
+		}
+	}
+	vals := []int{1, 2, 1, 3, 2, 4}
+	labels = make([]int, len(vals))
+	key = make([]byte, 0, 16)
+	if n := testing.AllocsPerRun(100, func() {
+		EqualLabels(labels, func(i, j int) bool { return vals[i] == vals[j] })
+		key = AppendKey(key[:0], labels)
+	}); n != 0 {
+		t.Errorf("EqualLabels + AppendKey allocate %.1f times per call, want 0", n)
+	}
+}
+
 func TestBlocksAndSizes(t *testing.T) {
 	p := mustBlocks(t, 5, [][]int{{1, 3}, {2, 4}})
 	blocks := p.Blocks()

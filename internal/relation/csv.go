@@ -127,6 +127,10 @@ func ReadCSVTyped(r io.Reader, opts CSVOptions) (*Relation, *Typing, error) {
 		cr.Comma = opts.Comma
 	}
 	cr.FieldsPerRecord = -1 // validated manually for better errors
+	// Every record is parsed into fresh values before the next read, so
+	// the reader may reuse its record slice; the cell strings it hands
+	// out are not reused.
+	cr.ReuseRecord = true
 
 	var (
 		schema *Schema

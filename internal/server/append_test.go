@@ -340,3 +340,46 @@ func TestAppendIgnoresArrivalHeaderTyping(t *testing.T) {
 		}
 	}
 }
+
+// TestWireAppendAllocs is the server-side ingestion allocation guard: a
+// 940-row wire append (the size of one bulk arrival batch) on a
+// mem-store server builds no WAL event — nothing would store it — and
+// parses and registers the rows without per-row allocation, so the
+// whole request stays within a small fixed budget.
+func TestWireAppendAllocs(t *testing.T) {
+	const baseRows, batchRows = 60, 940
+	rel, _, err := workload.Instance("synthetic", workload.InstanceConfig{Tuples: baseRows + batchRows, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base strings.Builder
+	base.WriteString(strings.Join(rel.Schema().Names(), ",") + "\n")
+	rows := make([][]string, 0, batchRows)
+	for i := 0; i < rel.Len(); i++ {
+		row := make([]string, rel.Schema().Len())
+		for c, v := range rel.Tuple(i) {
+			row[c] = relation.EncodeCell(v)
+		}
+		if i < baseRows {
+			base.WriteString(strings.Join(row, ",") + "\n")
+		} else {
+			rows = append(rows, row)
+		}
+	}
+	srv := server.New()
+	id, err := srv.WireCreate(base.String(), "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first (unmeasured) run registers the batch's new signature
+	// classes; the measured runs land in existing ones.
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := srv.WireAppend(id, rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per %d-row wire append", allocs, len(rows))
+	if allocs > 64 {
+		t.Fatalf("%d-row wire append made %.1f allocations, want <= 64", len(rows), allocs)
+	}
+}

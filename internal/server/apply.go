@@ -52,7 +52,7 @@ func (s *Server) register(ls *liveSession) (string, sessionSummary, error) {
 			Message: fmt.Sprintf("%v (%d active, max %d)", err, s.sessions.active.Load(), s.cfg.MaxSessions),
 		}
 	}
-	if s.durable || s.shipperFor() != nil {
+	if s.persists() {
 		if err := s.snapshotSession(id, ls); err != nil {
 			// A session the store cannot hold must not exist: undo the
 			// insert (rollback, so a failed create never reads as
@@ -145,14 +145,18 @@ func (s *Server) rankK(ls *liveSession, k int) ([]int, error) {
 
 // applyAppend streams parsed arrival tuples into the session and
 // persists the batch. The caller holds the session's write lock and
-// has already validated len(tuples) > 0.
+// has already validated len(tuples) > 0. The batch's event — every
+// cell tagged — is built only when something stores it: a mem-store
+// node without a follower builds none.
 func (s *Server) applyAppend(id string, ls *liveSession, tuples []jim.Tuple) ([]int, error) {
 	newly, err := ls.sess.Append(tuples)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.persistEvent(id, ls, appendEvent(tuples)); err != nil {
-		return nil, err
+	if s.persists() {
+		if err := s.persistEvent(id, ls, appendEvent(tuples)); err != nil {
+			return nil, err
+		}
 	}
 	s.metrics.appends.Add(1)
 	s.metrics.tuplesAppended.Add(int64(len(tuples)))
@@ -174,7 +178,7 @@ func (s *Server) deleteSession(id string) error {
 		// to purge. The result stays not_found — the session was
 		// already unreachable — and purge failures surface via
 		// persist_errors.
-		if s.durable || s.shipperFor() != nil {
+		if s.persists() {
 			switch {
 			case ok:
 				// get saw it but a sweep raced the delete; we still

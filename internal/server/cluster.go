@@ -1257,14 +1257,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			RejectedMessages: c.rejected.Load(),
 		}
 		if c.shipper != nil {
-			st := c.shipper.Stats()
-			rh.Ship = &st
 			if r.URL.Query().Get("sync") != "" {
 				ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 				defer cancel()
 				ok := c.shipper.Sync(ctx) == nil
 				rh.Synced = &ok
 			}
+			// Read the counters after the barrier: a synced reply must
+			// report the lag it left behind, not the lag it waited out.
+			st := c.shipper.Stats()
+			rh.Ship = &st
 		}
 		resp.Replication = rh
 	}

@@ -528,3 +528,26 @@ func TestHealthzClusterRoles(t *testing.T) {
 		t.Fatalf("cluster view = %+v", cl)
 	}
 }
+
+// TestHealthzSyncReportsDrainedQueue pins the replication barrier's
+// single contract: a /healthz?sync=1 reply that says synced reports
+// zero queued events. Each round ships a burst of append events and
+// hits the barrier at once, while the pump is still draining the
+// burst — the window in which counters read before the barrier
+// reported the lag it was about to wait out.
+func TestHealthzSyncReportsDrainedQueue(t *testing.T) {
+	nodes := startCluster(t, "nA", "nB")
+	owner := nodes["nA"]
+	var s summary
+	doJSON(t, "POST", owner.base()+"/sessions",
+		map[string]any{"csv": travelCSV, "strategy": "local-most-specific"}, http.StatusCreated, &s)
+	row := [][]string{{"Oslo", "Rome", "SK", "Rome", "SK"}}
+	for round := 0; round < 200; round++ {
+		for k := 0; k < 16; k++ {
+			if _, err := owner.srv.WireAppend(s.ID, row); err != nil {
+				t.Fatalf("round %d: append: %v", round, err)
+			}
+		}
+		quiesce(t, owner)
+	}
+}

@@ -29,6 +29,11 @@ import (
 // not new traffic (the ingest counters would otherwise double-count
 // every restart and eviction round-trip).
 
+// persists reports whether mutating events have a consumer: a durable
+// store that logs them or a follower they are shipped to. Without one,
+// persistence is a no-op and callers need not build the event at all.
+func (s *Server) persists() bool { return s.durable || s.shipperFor() != nil }
+
 // persistEvent durably logs one mutating event for a session. The
 // caller holds the session's write lock, which makes the (in-memory
 // apply, AppendEvent) pair atomic with respect to snapshots: a
@@ -42,8 +47,7 @@ import (
 // handlers map the error through writeTypedError, the wire handler
 // through its error frame.
 func (s *Server) persistEvent(id string, ls *liveSession, ev store.Event) error {
-	ship := s.shipperFor()
-	if !s.durable && ship == nil {
+	if !s.persists() {
 		return nil
 	}
 	if ls.deleted {
@@ -79,7 +83,7 @@ func (s *Server) persistEvent(id string, ls *liveSession, ev store.Event) error 
 			}
 		}
 	}
-	if ship != nil {
+	if ship := s.shipperFor(); ship != nil {
 		// Ship after the durable append so the follower can never hold
 		// an event its owner lost. The caller's locks (write lock, or
 		// read lock + pickMu on the clear path) serialize this per
@@ -111,13 +115,35 @@ func clearEvent() store.Event {
 }
 
 // appendEvent builds the WAL record of one arrival batch, cells in
-// tagged-value encoding so replay parses them exactly.
+// tagged-value encoding so replay parses them exactly. The whole batch
+// is tagged into one string, which every cell slices, and the rows
+// slice one cell array, so the allocation count does not grow with the
+// number of cells.
 func appendEvent(tuples []jim.Tuple) store.Event {
+	ncells := 0
+	for _, t := range tuples {
+		ncells += len(t)
+	}
+	buf := make([]byte, 0, 8*ncells)
+	ends := make([]int, ncells)
+	k := 0
+	for _, t := range tuples {
+		for _, v := range t {
+			buf = values.AppendTag(buf, v)
+			ends[k] = len(buf)
+			k++
+		}
+	}
+	tags := string(buf)
+	cells := make([]string, ncells)
 	rows := make([][]string, len(tuples))
+	start, k := 0, 0
 	for i, t := range tuples {
-		row := make([]string, len(t))
-		for c, v := range t {
-			row[c] = v.Tag()
+		row := cells[k : k+len(t) : k+len(t)]
+		for c := range row {
+			row[c] = tags[start:ends[k]]
+			start = ends[k]
+			k++
 		}
 		rows[i] = row
 	}
@@ -154,8 +180,7 @@ func buildSnapshot(ls *liveSession) (store.Snapshot, error) {
 // snapshot re-creating the directory. Failures are counted for
 // /stats. ls may be nil when only the on-disk copy exists.
 func (s *Server) purge(id string, ls *liveSession) error {
-	ship := s.shipperFor()
-	if !s.durable && ship == nil {
+	if !s.persists() {
 		return nil
 	}
 	if ls != nil {
@@ -163,7 +188,7 @@ func (s *Server) purge(id string, ls *liveSession) error {
 		ls.deleted = true
 		ls.mu.Unlock()
 	}
-	if ship != nil {
+	if ship := s.shipperFor(); ship != nil {
 		ship.ShipDrop(id)
 	}
 	if !s.durable {

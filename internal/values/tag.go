@@ -11,17 +11,24 @@ import (
 // decoding a tag never re-infers the kind, so tagged round trips
 // preserve Eq signatures exactly — session files rely on this.
 func (v Value) Tag() string {
+	var buf [32]byte
+	return string(AppendTag(buf[:0], v))
+}
+
+// AppendTag appends the Tag encoding of v to dst and returns the
+// extended slice, so a caller tagging many values fills one buffer.
+func AppendTag(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
-		return "n:"
+		return append(dst, "n:"...)
 	case KindBool:
-		return "b:" + strconv.FormatBool(v.b)
+		return strconv.AppendBool(append(dst, "b:"...), v.b)
 	case KindInt:
-		return "i:" + strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(append(dst, "i:"...), v.i, 10)
 	case KindFloat:
-		return "f:" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "f:"...), v.f, 'g', -1, 64)
 	default:
-		return "s:" + v.s
+		return append(append(dst, "s:"...), v.s...)
 	}
 }
 

@@ -1,7 +1,10 @@
 package values
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -73,5 +76,47 @@ func TestTagDisambiguatesKinds(t *testing.T) {
 	}
 	if ra.Equal(rb) {
 		t.Error("tagged round trip merged string \"1\" with int 1")
+	}
+}
+
+// legacyTag is the reference tag encoding — one string concatenation
+// per value — that the buffer-appending encoder must reproduce byte
+// for byte: WALs and replication streams already hold these bytes.
+func legacyTag(v Value) string {
+	switch v.kind {
+	case KindNull:
+		return "n:"
+	case KindBool:
+		return "b:" + strconv.FormatBool(v.b)
+	case KindInt:
+		return "i:" + strconv.FormatInt(v.i, 10)
+	case KindFloat:
+		return "f:" + strconv.FormatFloat(v.f, 'g', -1, 64)
+	default:
+		return "s:" + v.s
+	}
+}
+
+func TestAppendTagMatchesLegacyTag(t *testing.T) {
+	edge := []Value{
+		Null(), Bool(true), Bool(false), Int(0), Int(math.MinInt64), Int(math.MaxInt64),
+		Float(math.Copysign(0, -1)), Float(math.NaN()), Float(math.Inf(-1)), Float(1e-300), Float(1 << 53),
+		Str(""), Str("a,b\n\"c\""), Str("ünïcödé ✓"), Str(strings.Repeat("long", 40)),
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		edge = append(edge, randomValue(r), Int(r.Int63()-r.Int63()), Float(r.NormFloat64()*1e6))
+	}
+	var buf []byte
+	for _, v := range edge {
+		want := legacyTag(v)
+		if got := v.Tag(); got != want {
+			t.Errorf("%#v.Tag() = %q, want %q", v, got, want)
+		}
+		prefix := len(buf)
+		buf = AppendTag(buf, v)
+		if got := string(buf[prefix:]); got != want {
+			t.Errorf("AppendTag(%#v) appended %q, want %q", v, got, want)
+		}
 	}
 }

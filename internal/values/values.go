@@ -9,6 +9,7 @@ package values
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -115,14 +116,16 @@ func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 
 // Equal reports SQL-style equality: NULL equals nothing (not even NULL),
 // and integers compare numerically equal to floats with the same value.
+// Numeric equality is exact — two distinct 64-bit integers are never
+// equal, even where float64 cannot tell them apart — and NaN equals
+// NaN, so Equal is an equivalence relation on non-NULL values (Eq
+// signatures rely on that) and agrees with Compare.
 func (v Value) Equal(u Value) bool {
 	if v.kind == KindNull || u.kind == KindNull {
 		return false
 	}
 	if isNumeric(v.kind) && isNumeric(u.kind) {
-		vf, _ := v.AsFloat()
-		uf, _ := u.AsFloat()
-		return vf == uf
+		return cmpNumeric(v, u) == 0
 	}
 	if v.kind != u.kind {
 		return false
@@ -144,9 +147,10 @@ func (v Value) Identical(u Value) bool { return v == u }
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
 
 // Compare returns -1, 0, or +1 ordering v relative to u under the total
-// order NULL < bool < numeric < string, with false < true, numeric
-// cross-kind comparison, and lexicographic strings. Within the numeric
-// band an int and a float with equal numeric value compare equal.
+// order NULL < bool < numeric < string, with false < true, exact
+// numeric cross-kind comparison (NaN sorts above every other number),
+// and lexicographic strings. For non-NULL values Compare returns 0
+// exactly when Equal reports true.
 func (v Value) Compare(u Value) int {
 	vr, ur := rank(v.kind), rank(u.kind)
 	if vr != ur {
@@ -158,15 +162,47 @@ func (v Value) Compare(u Value) int {
 	case v.kind == KindBool:
 		return cmpBool(v.b, u.b)
 	case vr == 2: // numeric band
-		vf, _ := v.AsFloat()
-		uf, _ := u.AsFloat()
-		if vf == uf && v.kind == KindInt && u.kind == KindInt {
-			return cmp(v.i, u.i)
-		}
-		return cmpFloat(vf, uf)
+		return cmpNumeric(v, u)
 	default:
 		return strings.Compare(v.s, u.s)
 	}
+}
+
+// cmpNumeric orders two numeric values exactly: ints against ints as
+// integers, never through float64, which cannot hold every int64.
+func cmpNumeric(v, u Value) int {
+	switch {
+	case v.kind == KindInt && u.kind == KindInt:
+		return cmp(v.i, u.i)
+	case v.kind == KindFloat && u.kind == KindFloat:
+		return cmpFloat(v.f, u.f)
+	case v.kind == KindInt:
+		return -cmpFloatInt(u.f, v.i)
+	default:
+		return cmpFloatInt(v.f, u.i)
+	}
+}
+
+// two63 is 2^63, the first float64 above every int64.
+const two63 = float64(1 << 63)
+
+// cmpFloatInt orders a float against an int exactly.
+func cmpFloatInt(f float64, i int64) int {
+	switch {
+	case f != f:
+		return 1 // NaN
+	case f < -two63:
+		return -1
+	case f >= two63:
+		return 1
+	}
+	// f lies in [-2^63, 2^63), so its integer part converts exactly;
+	// when the integer parts tie, the fraction decides.
+	t := math.Trunc(f)
+	if c := cmp(int64(t), i); c != 0 {
+		return c
+	}
+	return cmpFloat(f, t)
 }
 
 func rank(k Kind) int {
@@ -192,14 +228,24 @@ func cmp[T int | int64](a, b T) int {
 	return 0
 }
 
+// cmpFloat orders floats with NaN equal to itself and above every
+// other float, so the order stays total.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
+	case a == b:
+		return 0
 	}
-	return 0
+	switch an, bn := a != a, b != b; {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	}
+	return -1
 }
 
 func cmpBool(a, b bool) int {

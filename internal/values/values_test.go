@@ -1,6 +1,8 @@
 package values
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -275,13 +277,15 @@ func TestPropertyCompareTransitive(t *testing.T) {
 }
 
 func TestPropertyEqualImpliesCompareZero(t *testing.T) {
+	// For non-NULL values the converse holds too: Compare is 0 exactly
+	// when Equal is true.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomValue(r), randomValue(r)
-		if a.Equal(b) {
-			return a.Compare(b) == 0
+		if a.IsNull() || b.IsNull() {
+			return !a.Equal(b)
 		}
-		return true
+		return a.Equal(b) == (a.Compare(b) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -304,6 +308,84 @@ func TestPropertyParseRoundTripNonString(t *testing.T) {
 		return got.Identical(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// bigEdgeValue draws a number near ±2^53 (where float64 stops holding
+// every integer) or ±2^63 (the int64 range), as an int or a float, with
+// the occasional infinity or NaN.
+func bigEdgeValue(r *rand.Rand) Value {
+	bases := []int64{1 << 53, -(1 << 53), math.MaxInt64, math.MinInt64, 0}
+	i := bases[r.Intn(len(bases))] + int64(r.Intn(9)-4)
+	switch r.Intn(8) {
+	case 0, 1, 2:
+		return Int(i)
+	case 3:
+		return Float(float64(i))
+	case 4:
+		return Float(math.Nextafter(float64(i), math.Inf(2*r.Intn(2)-1)))
+	case 5:
+		return Float(float64(i) + 0.5*float64(2*r.Intn(2)-1))
+	case 6:
+		return Float([]float64{two63, -two63, math.Inf(1), math.Inf(-1)}[r.Intn(4)])
+	default:
+		return Float(math.NaN())
+	}
+}
+
+// exactCmp is the reference order of two numeric values, computed in
+// arbitrary precision (NaN equal to itself and above every number).
+func exactCmp(a, b Value) int {
+	isNaN := func(v Value) bool { f, _ := v.AsFloat(); return v.Kind() == KindFloat && math.IsNaN(f) }
+	switch an, bn := isNaN(a), isNaN(b); {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	case bn:
+		return -1
+	}
+	toBig := func(v Value) *big.Float {
+		if i, ok := v.AsInt(); ok {
+			return new(big.Float).SetInt64(i)
+		}
+		f, _ := v.AsFloat()
+		return big.NewFloat(f)
+	}
+	return toBig(a).Cmp(toBig(b))
+}
+
+// TestPropertyNumericEqualityExact holds Equal and Compare to exact
+// arithmetic where float64 rounding used to merge distinct numbers:
+// Int(2^53) and Int(2^53+1) must differ, so two 64-bit ids never share
+// an Eq signature, and Compare is 0 exactly when Equal is true.
+func TestPropertyNumericEqualityExact(t *testing.T) {
+	if Int(1 << 53).Equal(Int(1<<53 + 1)) {
+		t.Fatal("Int(2^53) equals Int(2^53+1)")
+	}
+	if Int(math.MaxInt64).Equal(Float(two63)) {
+		t.Fatal("Int(MaxInt64) equals Float(2^63)")
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, b, c := bigEdgeValue(r), bigEdgeValue(r), bigEdgeValue(r)
+		want := exactCmp(a, b)
+		if got := a.Compare(b); got != want {
+			t.Logf("%#v.Compare(%#v) = %d, exact %d", a, b, got, want)
+			return false
+		}
+		if a.Equal(b) != (want == 0) || b.Equal(a) != (want == 0) {
+			t.Logf("%#v.Equal(%#v) = %v, exact order %d", a, b, a.Equal(b), want)
+			return false
+		}
+		if a.Compare(b) <= 0 && b.Compare(c) <= 0 && a.Compare(c) > 0 {
+			t.Logf("order not transitive over %#v, %#v, %#v", a, b, c)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)
 	}
 }

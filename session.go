@@ -221,15 +221,21 @@ func (s *Session) Append(tuples []Tuple) (newlyImplied []int, err error) {
 // pinned typing, without touching the state: the decode half of a
 // streaming append. Rows whose cell count does not match the schema
 // fail with CodeSchemaMismatch; unparsable cells with CodeBadInput.
+//
+// The batch's cells share one backing array; each tuple is sliced at
+// full capacity, so appending to one tuple copies it instead of
+// overwriting its neighbour.
 func (s *Session) ParseRows(rows [][]string) ([]Tuple, error) {
 	schema := s.Relation().Schema()
-	tuples := make([]Tuple, 0, len(rows))
+	width := schema.Len()
+	cells := make([]Value, len(rows)*width)
+	tuples := make([]Tuple, len(rows))
 	for ri, row := range rows {
-		if len(row) != schema.Len() {
+		if len(row) != width {
 			return nil, newError(CodeSchemaMismatch, nil,
-				"arrival row %d has %d cells, session schema %v has %d", ri, len(row), schema, schema.Len())
+				"arrival row %d has %d cells, session schema %v has %d", ri, len(row), schema, width)
 		}
-		t := make(Tuple, len(row))
+		t := Tuple(cells[ri*width : (ri+1)*width : (ri+1)*width])
 		for ci, cell := range row {
 			v, err := s.typing.ParseCell(ci, cell)
 			if err != nil {
@@ -237,7 +243,7 @@ func (s *Session) ParseRows(rows [][]string) ([]Tuple, error) {
 			}
 			t[ci] = v
 		}
-		tuples = append(tuples, t)
+		tuples[ri] = t
 	}
 	return tuples, nil
 }

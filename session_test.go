@@ -166,6 +166,40 @@ func TestSessionErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestParseRowsTuplesIndependent pins the aliasing contract of
+// ParseRows: the tuples of a batch share one backing array, sliced at
+// full capacity.
+func TestParseRowsTuplesIndependent(t *testing.T) {
+	s := travelSession(t)
+	rows := [][]string{
+		{"Lyon", "Nice", "AF", "Nice", "AF"},
+		{"Oslo", "Rome", "SK", "Rome", "SK"},
+		{"Kiev", "Riga", "PS", "Riga", "BT"},
+	}
+	tuples, err := s.ParseRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]jim.Tuple, len(tuples))
+	for i, tu := range tuples {
+		want[i] = tu.Clone()
+	}
+	// The tuples share one backing array; growing one must copy it, not
+	// spill into the next tuple's cells.
+	grown := append(tuples[0], jim.Value{})
+	grown[0] = jim.Value{}
+	for i, tu := range tuples {
+		for c := range tu {
+			if !tu[c].Identical(want[i][c]) {
+				t.Fatalf("appending to tuple 0 changed tuple %d column %d: %#v, want %#v", i, c, tu[c], want[i][c])
+			}
+		}
+		if cap(tu) != len(tu) {
+			t.Errorf("tuple %d has spare capacity %d", i, cap(tu)-len(tu))
+		}
+	}
+}
+
 // TestSessionSkipAndAppend exercises skip routing and streaming
 // arrivals through the facade, including the parse helpers.
 func TestSessionSkipAndAppend(t *testing.T) {

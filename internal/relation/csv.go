@@ -112,7 +112,8 @@ func InferenceTyping(n int) *Typing {
 // ReadCSV reads a relation from CSV. A header cell may be annotated
 // with a kind, e.g. "price:float" — annotated columns are parsed
 // strictly with values.ParseAs, other columns use values.Parse type
-// inference per cell. Empty cells become NULL.
+// inference per cell. Empty and "NULL"/"null" cells become NULL in
+// every column.
 func ReadCSV(r io.Reader, opts CSVOptions) (*Relation, error) {
 	rel, _, err := ReadCSVTyped(r, opts)
 	return rel, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/values"
 )
 
 // TestTypingAnnotationsRoundTrip: the serializable form the durable
@@ -46,6 +47,54 @@ func TestTypingAnnotationsRoundTrip(t *testing.T) {
 	// A typed column must stay strict after the round trip.
 	if _, err := back.ParseCell(1, "not-a-float"); err == nil {
 		t.Error("restored typing lost strict float parsing")
+	}
+}
+
+// TestTypedNullRoundTrip: EncodeCell spells NULL as "NULL", and every
+// typed column must read that back as NULL — not as a parse error (int,
+// float, bool) or as the string "NULL" (string) — like the other NULL
+// spellings inference accepts. A typed WriteCSV → ReadCSV round trip
+// therefore keeps its NULLs.
+func TestTypedNullRoundTrip(t *testing.T) {
+	kinds := []string{"int", "float", "bool", "string", "null"}
+	ty, err := relation.TypingFromAnnotations(kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for col, k := range kinds {
+		for _, cell := range []string{relation.EncodeCell(values.Null()), "null", ""} {
+			v, err := ty.ParseCell(col, cell)
+			if err != nil || !v.IsNull() {
+				t.Errorf("%s column: %q parsed as %#v, %v; want NULL", k, cell, v, err)
+			}
+		}
+	}
+
+	in := "a:int,b:float,c:bool,d:string,e:null\n" +
+		"1,2.5,true,x,\n" +
+		",,,,\n" +
+		"3,,false,,\n"
+	rel, ty, err := relation.ReadCSVTyped(strings.NewReader(in), relation.CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := relation.WriteCSV(&out, rel); err != nil {
+		t.Fatal(err)
+	}
+	back, err := relation.ReadCSV(strings.NewReader(out.String()), relation.CSVOptions{Typing: ty})
+	if err != nil {
+		t.Fatalf("re-reading %q: %v", out.String(), err)
+	}
+	if back.Len() != rel.Len() {
+		t.Fatalf("round trip kept %d of %d tuples", back.Len(), rel.Len())
+	}
+	for i := 0; i < rel.Len(); i++ {
+		for c, v := range rel.Tuple(i) {
+			if got := back.Tuple(i)[c]; !got.Identical(v) {
+				t.Errorf("tuple %d column %d: %#v after the round trip, want %#v", i, c, got, v)
+			}
+		}
 	}
 }
 

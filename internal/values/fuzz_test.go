@@ -2,8 +2,58 @@ package values
 
 import (
 	"math"
+	"strconv"
 	"testing"
 )
+
+// referenceParse is Parse as it was before the hand-written decimal
+// scan and the early string exit: strconv decides everything that is
+// not a NULL or bool literal.
+func referenceParse(s string) Value {
+	switch s {
+	case "", "NULL", "null":
+		return Null()
+	case "true", "TRUE", "True":
+		return Bool(true)
+	case "false", "FALSE", "False":
+		return Bool(false)
+	}
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return Int(i)
+	}
+	if f, err := strconv.ParseFloat(s, 64); err == nil {
+		return Float(f)
+	}
+	return String_(s)
+}
+
+// FuzzParseMatchesReference holds Parse to referenceParse: the same
+// kind and payload for every input, NaN matching NaN.
+func FuzzParseMatchesReference(f *testing.F) {
+	for _, s := range []string{
+		"+", "-", "-0", "+7", "007", "0", "42", "Paris",
+		"123456789012345678", "-123456789012345678", "+123456789012345678",
+		"1234567890123456789", "-1234567890123456789",
+		"9223372036854775807", "-9223372036854775808", "9223372036854775808",
+		"1_000", "0x1p-2", "0x10", "Inf", "+Inf", "-inf", "infinity", "nan", "NaN",
+		"١٢", "e5", ".5", "5.", "1e3", "-2.5e-3", "+-1", "--1", "1 ", " 1",
+		"NULL", "null", "", "true", "False",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := Parse(s), referenceParse(s)
+		if got.Identical(want) {
+			return
+		}
+		gf, _ := got.AsFloat()
+		wf, _ := want.AsFloat()
+		if got.Kind() == KindFloat && want.Kind() == KindFloat && math.IsNaN(gf) && math.IsNaN(wf) {
+			return
+		}
+		t.Fatalf("Parse(%q) = %#v (%v), reference %#v (%v)", s, got, got.Kind(), want, want.Kind())
+	})
+}
 
 func FuzzParseNeverPanics(f *testing.F) {
 	f.Add("42")

@@ -121,6 +121,9 @@ func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 // NaN, so Equal is an equivalence relation on non-NULL values (Eq
 // signatures rely on that) and agrees with Compare.
 func (v Value) Equal(u Value) bool {
+	if v.kind == KindInt && u.kind == KindInt {
+		return v.i == u.i
+	}
 	if v.kind == KindNull || u.kind == KindNull {
 		return false
 	}
@@ -299,6 +302,12 @@ func Parse(s string) Value {
 	case "false", "FALSE", "False":
 		return Bool(false)
 	}
+	if i, ok := parseDecimal(s); ok {
+		return Int(i)
+	}
+	if !numberStart(s[0]) {
+		return String_(s)
+	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return Int(i)
 	}
@@ -308,10 +317,51 @@ func Parse(s string) Value {
 	return String_(s)
 }
 
+// parseDecimal reads s as [+-]?[0-9]{1,18}, the integers that always
+// fit in an int64, with the result strconv.ParseInt(s, 10, 64) gives.
+// Anything else reports false and is left to strconv.
+func parseDecimal(s string) (int64, bool) {
+	digits := s
+	if s[0] == '+' || s[0] == '-' {
+		digits = s[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(digits); i++ {
+		d := digits[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(d)
+	}
+	if s[0] == '-' {
+		n = -n
+	}
+	return n, true
+}
+
+// numberStart reports whether c can begin a literal that
+// strconv.ParseInt or strconv.ParseFloat accepts: a digit, a sign, a
+// decimal point, or the first letter of "inf"/"infinity"/"nan".
+func numberStart(c byte) bool {
+	switch {
+	case '0' <= c && c <= '9':
+		return true
+	case c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
+}
+
 // ParseAs parses text as a specific kind, as directed by a typed CSV
-// header. Empty text is NULL for every kind.
+// header. Empty text and the NULL literals Parse accepts ("NULL",
+// "null") are NULL for every kind, so a cell encoded by
+// relation.EncodeCell reads back under any typing.
 func ParseAs(s string, k Kind) (Value, error) {
-	if s == "" {
+	switch s {
+	case "", "NULL", "null":
 		return Null(), nil
 	}
 	switch k {

@@ -17,7 +17,7 @@ import (
 // and decodes requests into a caller-held Request whose slices are
 // reused; a Writer assembles each payload in one reusable scratch
 // slice. Strings that cross a call boundary (strategy, CSV, append
-// cells, error messages) are copied out of the frame buffer; hot-path
+// rows, error messages) are copied out of the frame buffer; hot-path
 // fields (session id, answers, proposals) never are. DESIGN.md §9
 // documents the ownership contract.
 
@@ -32,6 +32,9 @@ type Reader struct {
 	br  *bufio.Reader
 	max int
 	buf []byte
+	// spans is append-decode scratch: per row, its cell count followed
+	// by each cell's [start, end) offsets in the frame.
+	spans []int
 }
 
 // NewReader wraps r with a frame cap (<= 0 means DefaultMaxFrame).
@@ -80,7 +83,9 @@ func (r *Reader) frame() ([]byte, error) {
 // across ReadRequest calls: ID aliases the frame buffer and Answers
 // reuses its backing array, so both are valid only until the next
 // read. Cold-path fields (Strategy, CSV, Rows) are copied and safe to
-// keep.
+// keep. The cells of a row are substrings of one string per row, as
+// encoding/csv hands out a record's fields: a kept cell pins its row,
+// never the whole frame.
 type Request struct {
 	Op Op
 	// ID is the session id — a view into the frame buffer.
@@ -154,27 +159,9 @@ func (r *Reader) ReadRequest(req *Request) error {
 		if req.ID, err = c.Bytes(); err != nil {
 			return err
 		}
-		nrows, err := c.Count(1)
-		if err != nil {
+		if req.Rows, err = r.rows(b, &c); err != nil {
 			return err
 		}
-		rows := make([][]string, 0, nrows)
-		for i := 0; i < nrows; i++ {
-			ncells, err := c.Count(1)
-			if err != nil {
-				return err
-			}
-			row := make([]string, 0, ncells)
-			for j := 0; j < ncells; j++ {
-				cell, err := c.Str()
-				if err != nil {
-					return err
-				}
-				row = append(row, cell)
-			}
-			rows = append(rows, row)
-		}
-		req.Rows = rows
 	case OpResult, OpDelete:
 		if req.ID, err = c.Bytes(); err != nil {
 			return err
@@ -183,6 +170,62 @@ func (r *Reader) ReadRequest(req *Request) error {
 		return fmt.Errorf("%w: unknown op %d", ErrMalformed, byte(req.Op))
 	}
 	return c.Done()
+}
+
+// rows decodes an append frame's row list from c, a cursor over frame
+// b. The first pass only validates and records each row's cell count
+// and each cell's frame offsets in r.spans; the second copies each
+// row's byte range into one string and slices the cells out of it, so
+// a frame costs one string per row plus one flat cell slice and one
+// row slice. Rows are cut from the flat slice at full capacity, so
+// appending to one copies it instead of overwriting its neighbour.
+func (r *Reader) rows(b []byte, c *codec.Cursor) ([][]string, error) {
+	nrows, err := c.Count(1)
+	if err != nil {
+		return nil, err
+	}
+	spans := r.spans[:0]
+	ncells := 0
+	for i := 0; i < nrows; i++ {
+		n, err := c.Count(1)
+		if err != nil {
+			return nil, err
+		}
+		spans = append(spans, n)
+		for j := 0; j < n; j++ {
+			cell, err := c.Bytes()
+			if err != nil {
+				return nil, err
+			}
+			end := len(b) - len(c.B)
+			spans = append(spans, end-len(cell), end)
+		}
+		ncells += n
+	}
+	// Keep the scratch for the next frame only while it has at most one
+	// entry per two frame-buffer bytes, so a frame of tiny cells cannot
+	// leave the connection holding a scratch far larger than its buffer.
+	if cap(spans) <= cap(r.buf)/2 {
+		r.spans = spans
+	}
+	flat := make([]string, ncells)
+	rows := make([][]string, nrows)
+	for i := range rows {
+		n := spans[0]
+		cells := spans[1 : 1+2*n]
+		spans = spans[1+2*n:]
+		row := flat[:n:n]
+		flat = flat[n:]
+		if n > 0 {
+			lo := cells[0]
+			s := string(b[lo:cells[2*n-1]])
+			for j := range row {
+				row[j] = s[cells[2*j]-lo : cells[2*j+1]-lo]
+			}
+		}
+		rows[i] = row
+	}
+	return rows, nil
 }
 
 // Writer encodes frames onto a byte stream. Not safe for concurrent

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	jim "repro"
+	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 // encodeFrames runs fn against a Writer and returns the bytes it
@@ -334,6 +337,128 @@ func TestZeroAllocCodec(t *testing.T) {
 			t.Errorf("step response decode: %.1f allocs/frame, want 0", allocs)
 		}
 	})
+}
+
+// syntheticRows encodes n rows of the synthetic benchmark instance the
+// way clients stream arrivals: relation.EncodeCell per cell.
+func syntheticRows(t testing.TB, n int) [][]string {
+	t.Helper()
+	rel, _, err := workload.Instance("synthetic", workload.InstanceConfig{Tuples: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]string, rel.Len())
+	for i := range rows {
+		row := make([]string, rel.Schema().Len())
+		for c, v := range rel.Tuple(i) {
+			row[c] = relation.EncodeCell(v)
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// TestAppendRowsMatchReference: decoded rows equal both the rows
+// encoded and the cell-by-cell Str decode of the same frame, across
+// empty cells, empty rows, multi-byte text and long cells.
+func TestAppendRowsMatchReference(t *testing.T) {
+	long := strings.Repeat("ab", 200)
+	cases := [][][]string{
+		{},
+		{{}},
+		{{""}},
+		{{"", ""}, {}, {"x"}},
+		{{"Paris", "Lille", "AF"}, {"١٢", "", long}, {long, "NULL", "-12"}},
+		syntheticRows(t, 50),
+	}
+	for i, rows := range cases {
+		data := encodeFrames(t, func(w *Writer) error { return w.WriteAppend("s0001", rows) })
+		var req Request
+		if err := NewReader(bytes.NewReader(data), 0).ReadRequest(&req); err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceRows(payloads(data)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(req.Rows, want) || !reflect.DeepEqual(req.Rows, rows) {
+			t.Errorf("case %d: decoded %q, reference %q, sent %q", i, req.Rows, want, rows)
+		}
+	}
+}
+
+// TestAppendRowsIndependent: the rows of one frame share one cell
+// slice, cut at full capacity, so appending to a row copies it rather
+// than overwriting the next row.
+func TestAppendRowsIndependent(t *testing.T) {
+	data := encodeFrames(t, func(w *Writer) error {
+		return w.WriteAppend("s0001", [][]string{{"a", "b"}, {"c", "d"}, {"e", "f"}})
+	})
+	var req Request
+	if err := NewReader(bytes.NewReader(data), 0).ReadRequest(&req); err != nil {
+		t.Fatal(err)
+	}
+	rows := req.Rows
+	rows[0] = append(rows[0], "x")
+	rows[1] = append(rows[1][:1], "y")
+	want := [][]string{{"a", "b", "x"}, {"c", "y"}, {"e", "f"}}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows after appends %q, want %q", rows, want)
+	}
+}
+
+// TestAppendRowsOutliveNextRead: rows are copied out of the frame
+// buffer, so the next ReadRequest on the same Reader — which overwrites
+// that buffer — leaves them intact.
+func TestAppendRowsOutliveNextRead(t *testing.T) {
+	first := [][]string{{"Paris", "Lille"}, {"NYC", "AA"}}
+	second := [][]string{{"XXXXX", "YYYYY"}, {"ZZZ", "WW"}}
+	data := encodeFrames(t, func(w *Writer) error {
+		if err := w.WriteAppend("s0001", first); err != nil {
+			return err
+		}
+		return w.WriteAppend("s0001", second)
+	})
+	r := NewReader(bytes.NewReader(data), 0)
+	var req Request
+	if err := r.ReadRequest(&req); err != nil {
+		t.Fatal(err)
+	}
+	kept := req.Rows
+	if err := r.ReadRequest(&req); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(kept, first) {
+		t.Errorf("first frame's rows became %q after the next read, want %q", kept, first)
+	}
+	if !reflect.DeepEqual(req.Rows, second) {
+		t.Errorf("second frame's rows %q, want %q", req.Rows, second)
+	}
+}
+
+// TestAppendDecodeAllocs pins the append decode at one string per row
+// plus a constant: a 940×6 synthetic frame (6,600 allocations when
+// every cell was its own string).
+func TestAppendDecodeAllocs(t *testing.T) {
+	const batchRows = 940
+	rows := syntheticRows(t, batchRows)
+	data := encodeFrames(t, func(w *Writer) error { return w.WriteAppend("s0001", rows) })
+	r := NewReader(&loopReader{data: data}, 0)
+	var req Request
+	for i := 0; i < 4; i++ { // warm the frame buffer and offset scratch
+		if err := r.ReadRequest(&req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := r.ReadRequest(&req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per %d-row append frame", allocs, batchRows)
+	if allocs > batchRows+8 {
+		t.Fatalf("%d-row append decode made %.1f allocations, want <= %d", batchRows, allocs, batchRows+8)
+	}
 }
 
 // BenchmarkCodecStepFrame measures one full step frame round trip

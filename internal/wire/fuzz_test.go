@@ -2,11 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	jim "repro"
+	"repro/internal/codec"
 )
 
 // protocolErr reports whether err is one of the typed decode errors —
@@ -17,13 +20,58 @@ func protocolErr(err error) bool {
 		errors.Is(err, ErrFrameTooLarge)
 }
 
+// payloads splits a request stream into its frame payloads, stopping at
+// the first frame that is cut short.
+func payloads(data []byte) [][]byte {
+	var out [][]byte
+	for {
+		n, w := binary.Uvarint(data)
+		if w <= 0 || n > uint64(len(data)-w) {
+			return out
+		}
+		out = append(out, data[w:w+int(n)])
+		data = data[w+int(n):]
+	}
+}
+
+// referenceRows decodes the row list of an append payload the plain
+// way, one Str copy per cell — what ReadRequest must agree with.
+func referenceRows(payload []byte) ([][]string, error) {
+	c := codec.Cursor{B: payload[1:]}
+	if _, err := c.Bytes(); err != nil {
+		return nil, err
+	}
+	nrows, err := c.Count(1)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]string, 0, nrows)
+	for i := 0; i < nrows; i++ {
+		n, err := c.Count(1)
+		if err != nil {
+			return nil, err
+		}
+		row := make([]string, 0, n)
+		for j := 0; j < n; j++ {
+			cell, err := c.Str()
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, cell)
+		}
+		rows = append(rows, row)
+	}
+	return rows, c.Done()
+}
+
 // FuzzDecodeRequest feeds arbitrary bytes to the request decoder. The
 // contract under attack: any input yields io.EOF (clean end) or a
 // typed protocol error — never a panic — and no declared length is
 // trusted beyond the bytes actually present, so a handful of input
-// bytes can never drive a large allocation. The committed corpus in
-// testdata/fuzz seeds one valid frame per op plus the interesting
-// malformed shapes; CI runs a short -fuzz smoke on top.
+// bytes can never drive a large allocation. Every decoded append must
+// carry exactly the rows referenceRows reads from the same frame. The
+// committed corpus in testdata/fuzz seeds one valid frame per op plus
+// the interesting malformed shapes; CI runs a short -fuzz smoke on top.
 func FuzzDecodeRequest(f *testing.F) {
 	// One valid frame per op.
 	seed := func(fn func(w *Writer) error) {
@@ -70,14 +118,24 @@ func FuzzDecodeRequest(f *testing.F) {
 		// doubles as the over-allocation guard: nothing decoded from a
 		// frame may exceed the frame's own length.
 		r := NewReader(bytes.NewReader(data), 1<<16)
+		frames := payloads(data)
 		var req Request
-		for {
+		for k := 0; ; k++ {
 			err := r.ReadRequest(&req)
 			if err == nil {
 				if len(req.Rows) > len(data) || len(req.Answers) > len(data) ||
 					len(req.CSV) > len(data) || len(req.Strategy) > len(data) {
 					t.Fatalf("decoded more than the input holds: %d rows, %d answers from %d bytes",
 						len(req.Rows), len(req.Answers), len(data))
+				}
+				if req.Op == OpAppend {
+					want, err := referenceRows(frames[k])
+					if err != nil {
+						t.Fatalf("frame %d decoded, reference decode failed: %v", k, err)
+					}
+					if !reflect.DeepEqual(req.Rows, want) {
+						t.Fatalf("frame %d rows %q, reference %q", k, req.Rows, want)
+					}
 				}
 				continue
 			}

@@ -30,9 +30,9 @@
 //	          -cluster-peers 'n1=host1:8080||host1:7080,n2=host2:8080||host2:7080'
 //
 // The API is versioned under /v1 with a structured error envelope
-// {"error":{"code","message"}}; the unversioned routes of earlier
-// releases still answer, marked with a Deprecation header. Endpoints
-// (see API.md for the full contract):
+// {"error":{"code","message"}}; apart from the GET /healthz probe,
+// unversioned paths answer 404. Endpoints (see API.md for the full
+// contract):
 //
 //	POST   /v1/sessions              {"csv": "...", "strategy": "lookahead-maxmin"}
 //	GET    /v1/sessions              paginated session list (?limit=, ?offset=)

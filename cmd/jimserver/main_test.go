@@ -130,7 +130,7 @@ func TestNewServerAppliesConfig(t *testing.T) {
 	csv := "A,B\n1,1\n1,2\n"
 	post := func() int {
 		data, _ := json.Marshal(map[string]any{"csv": csv})
-		resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(data))
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}

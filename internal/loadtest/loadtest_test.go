@@ -65,7 +65,7 @@ func TestRunAgainstCountsServerSide(t *testing.T) {
 	if rep.Completed != 4 {
 		t.Fatalf("completed=%d: %s", rep.Completed, rep.FirstError)
 	}
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

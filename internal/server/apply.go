@@ -3,18 +3,60 @@ package server
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	jim "repro"
+	"repro/internal/relation"
+	"repro/internal/sqlgen"
+	"repro/internal/wire"
 )
 
 // This file is the transport-agnostic session-apply layer: every
-// mutation and proposal the service performs, expressed as methods
-// returning typed errors from the jim taxonomy. The /v1 HTTP handlers
-// and the binary wire protocol (internal/wire) are both thin wrappers
-// over these — one code path, two encodings — so the transports cannot
-// drift: the differential tests hold them tuple-for-tuple equal, and
-// this layer is why that holds by construction for everything below
-// the codec.
+// dialogue rule the service enforces — session policy, the proposal
+// switch, answers, the empty-append rule, the result SQL — expressed
+// once as methods returning typed errors from the jim taxonomy. The /v1
+// HTTP handlers and the binary wire protocol (internal/wire) only
+// decode, call one of these, and encode — one code path, two encodings
+// — so the transports cannot drift: the differential tests hold them
+// tuple-for-tuple equal, and this layer is why that holds by
+// construction for everything below the codec.
+
+// sessionOptions is the service's session policy, shared by every way
+// a session comes to life (create, import, restore): the default
+// strategy, the strategy seed, the pinned arrival typing (nil means
+// per-cell inference), and unlimited re-offers — an interactive client
+// explicitly skipped and can only be asked again.
+func sessionOptions(strategyName string, seed int64, typing *relation.Typing) []jim.SessionOption {
+	if strategyName == "" {
+		strategyName = jim.DefaultStrategy
+	}
+	return []jim.SessionOption{
+		jim.WithStrategy(strategyName),
+		jim.WithSeed(seed),
+		jim.WithTyping(typing),
+		jim.WithRedeferLimit(-1),
+	}
+}
+
+// create opens a session over a CSV instance and registers it. The
+// creation typing is always pinned — an all-inference typing included —
+// so arrival parsing never honors an append body's own header
+// annotations: the same cells parse the same way whatever encoding or
+// header they arrive with.
+func (s *Server) create(csv, strategyName string, seed int64) (string, sessionSummary, error) {
+	if strings.TrimSpace(csv) == "" {
+		return "", sessionSummary{}, &jim.Error{Code: jim.CodeBadInput, Message: "server: empty csv"}
+	}
+	rel, typing, err := relation.ReadCSVTyped(strings.NewReader(csv), relation.CSVOptions{})
+	if err != nil {
+		return "", sessionSummary{}, &jim.Error{Code: jim.CodeBadInput, Message: err.Error()}
+	}
+	sess, err := jim.NewSession(rel, sessionOptions(strategyName, seed, typing)...)
+	if err != nil {
+		return "", sessionSummary{}, err
+	}
+	return s.register(&liveSession{sess: sess, createdAt: s.now(), seed: seed})
+}
 
 // lookup resolves a session id and touches its idle clock. The error
 // is CodeNotFound.
@@ -74,28 +116,20 @@ func (s *Server) register(ls *liveSession) (string, sessionSummary, error) {
 
 // applyAnswer applies one answer or skip to the session and persists
 // its event — the shared apply step of POST /label, POST /step, and
-// the wire step op. It returns the newly implied tuple indices (nil
-// for a skip). The caller holds the session's write lock.
-func (s *Server) applyAnswer(id string, ls *liveSession, index int, label string) ([]int, error) {
-	var l jim.Label
-	switch label {
-	case "+", "yes", "y":
-		l = jim.Positive
-	case "-", "no", "n":
-		l = jim.Negative
-	case "skip", "s", "?":
+// the wire step op. label is a defined wire.Label: the HTTP codec
+// (parseLabel) and the wire decoder reject anything else. It returns
+// the newly implied tuple indices (nil for a skip). The caller holds
+// the session's write lock.
+func (s *Server) applyAnswer(id string, ls *liveSession, index int, label wire.Label) ([]int, error) {
+	if label == wire.Skip {
 		if err := ls.sess.Skip(index); err != nil {
 			return nil, err
 		}
-		if err := s.persistEvent(id, ls, skipEvent(index)); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	default:
-		return nil, &jim.Error{
-			Code:    jim.CodeBadInput,
-			Message: fmt.Sprintf("unknown label %q (want +, -, or skip)", label),
-		}
+		return nil, s.persistEvent(id, ls, skipEvent(index))
+	}
+	l := jim.Negative
+	if label == wire.Positive {
+		l = jim.Positive
 	}
 	out, err := ls.sess.Answer(index, l)
 	if err != nil {
@@ -106,6 +140,25 @@ func (s *Server) applyAnswer(id string, ls *liveSession, index int, label string
 	}
 	s.metrics.labels.Add(1)
 	return out.NewlyImplied, nil
+}
+
+// propose is the proposal half of every dialogue step, appending to
+// dst: k = 0 proposes nothing, k = 1 the single proposal routed around
+// skipped classes (proposeOne), k > 1 the ranked batch (rankK). The
+// caller holds ls.mu in either mode.
+func (s *Server) propose(id string, ls *liveSession, k int, dst []int) ([]int, error) {
+	switch {
+	case k == 1:
+		i, ok, err := s.proposeOne(id, ls)
+		if ok {
+			dst = append(dst, i)
+		}
+		return dst, err
+	case k > 1:
+		indices, err := s.rankK(ls, k)
+		return append(dst, indices...), err
+	}
+	return dst, nil
 }
 
 // proposeOne picks the next tuple to ask about, routing around skipped
@@ -144,11 +197,15 @@ func (s *Server) rankK(ls *liveSession, k int) ([]int, error) {
 }
 
 // applyAppend streams parsed arrival tuples into the session and
-// persists the batch. The caller holds the session's write lock and
-// has already validated len(tuples) > 0. The batch's event — every
-// cell tagged — is built only when something stores it: a mem-store
-// node without a follower builds none.
+// persists the batch. The caller holds the session's write lock. An
+// empty batch (a header-only CSV, an empty row list) carries no
+// arrivals and fails without metric, skip-state or WAL side effects.
+// The batch's event — every cell tagged — is built only when something
+// stores it: a mem-store node without a follower builds none.
 func (s *Server) applyAppend(id string, ls *liveSession, tuples []jim.Tuple) ([]int, error) {
+	if len(tuples) == 0 {
+		return nil, &jim.Error{Code: jim.CodeBadInput, Message: "empty append: no tuples in body"}
+	}
 	newly, err := ls.sess.Append(tuples)
 	if err != nil {
 		return nil, err
@@ -161,6 +218,18 @@ func (s *Server) applyAppend(id string, ls *liveSession, tuples []jim.Tuple) ([]
 	s.metrics.appends.Add(1)
 	s.metrics.tuplesAppended.Add(int64(len(tuples)))
 	return newly, nil
+}
+
+// result reads the inferred query: the predicate and its SQL. The
+// HTTP codec adds atoms and the certainty panel from the returned
+// predicate. The caller holds ls.mu in either mode.
+func result(ls *liveSession) (wire.ResultData, jim.Predicate, error) {
+	q := ls.sess.Result()
+	sql, err := sqlgen.SelectSQL("instance", ls.sess.Relation().Schema(), q)
+	if err != nil {
+		return wire.ResultData{}, q, &jim.Error{Code: jim.CodeInternal, Message: err.Error()}
+	}
+	return wire.ResultData{Done: ls.sess.Done(), Predicate: q.String(), SQL: sql}, q, nil
 }
 
 // deleteSession drops a session and discards its durable copy. The

@@ -9,11 +9,14 @@
 // The contract is versioned: every endpoint lives under /v1/ and
 // failures are a structured envelope {"error":{"code","message"}}
 // whose codes come from the public jim error taxonomy (jim.ErrorCode).
-// The original unversioned routes remain as aliases of the /v1
-// handlers; they answer identically but carry a Deprecation header and
-// a Link to their successor. See API.md for the endpoint reference —
-// docs_test.go holds that document and the route table (Routes) to
-// exact agreement.
+// The only unversioned path is the GET /healthz probe; the
+// pre-versioning aliases are gone and answer 404. See API.md for the
+// endpoint reference — docs_test.go holds that document and the route
+// table (Routes) to exact agreement. The binary wire protocol
+// (internal/wire) is a second codec over the same apply layer
+// (apply.go): HTTP handlers and Wire* methods both decode, call one
+// apply function, and encode, so the two transports share every
+// dialogue rule.
 //
 // # Layering
 //

@@ -365,22 +365,11 @@ func (s *Server) rebuild(sv store.Saved) (*liveSession, error) {
 	if name == "" {
 		name = meta.Strategy
 	}
-	if name == "" {
-		name = jim.DefaultStrategy
-	}
-	opts := []jim.SessionOption{
-		jim.WithStrategy(name),
-		jim.WithSeed(sv.Snapshot.Seed),
-		jim.WithRedeferLimit(-1),
-	}
 	ty, err := relation.TypingFromAnnotations(sv.Snapshot.Typing)
 	if err != nil {
 		return nil, fmt.Errorf("restoring typing: %w", err)
 	}
-	if ty != nil {
-		opts = append(opts, jim.WithTyping(ty))
-	}
-	sess, err := jim.ResumeSession(st, opts...)
+	sess, err := jim.ResumeSession(st, sessionOptions(name, sv.Snapshot.Seed, ty)...)
 	if err != nil {
 		return nil, err
 	}

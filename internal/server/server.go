@@ -8,17 +8,15 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	jim "repro"
-	"repro/internal/relation"
 	"repro/internal/session"
-	"repro/internal/sqlgen"
 	"repro/internal/store"
 	"repro/internal/strategy"
+	"repro/internal/wire"
 )
 
 // APIVersion is the version segment of the current wire contract.
@@ -179,39 +177,12 @@ func NewWith(cfg Config) *Server {
 	}
 }
 
-// Handler returns the HTTP API. Versioned routes:
-//
-//	POST   /v1/sessions              create from {"csv": ..., "strategy": ...}
-//	GET    /v1/sessions              list session summaries (?limit=, ?offset=)
-//	POST   /v1/sessions/import       create from an exported session file
-//	GET    /v1/strategies            available strategies and the default
-//	GET    /v1/sessions/{id}         session summary
-//	DELETE /v1/sessions/{id}         drop the session
-//	GET    /v1/sessions/{id}/next    next proposed tuple (or done)
-//	GET    /v1/sessions/{id}/topk    k most informative tuples (?k=3)
-//	POST   /v1/sessions/{id}/label   {"index": i, "label": "+"|"-"|"skip"}
-//	POST   /v1/sessions/{id}/tuples  stream new tuples into the instance
-//	GET    /v1/sessions/{id}/result  inferred predicate, SQL, certainty
-//	GET    /v1/sessions/{id}/export  persistable session file
-//	GET    /v1/stats                 service counters and latency quantiles
-//	GET    /v1/cluster               cluster membership view (cluster mode)
-//	GET    /v1/cluster/probe         second-opinion liveness probe of a peer
-//	POST   /v1/cluster/promote       mark a peer failed, adopt its replicas
-//	POST   /v1/cluster/rejoin        hand a restarted peer its range back
-//	POST   /v1/cluster/rebalance     ship misplaced ranges after a peer-set change
-//	POST   /v1/cluster/drain         snapshot + sync everything to the follower
-//
-// Every pre-versioning route (the same paths without the /v1 prefix)
-// still answers, delegating to the same handler, with a
-// "Deprecation: true" header and a Link to the /v1 successor.
-// GET /v1/strategies is new in v1 and has no legacy alias.
+// Handler returns the HTTP API: every routes() entry under /v1, plus
+// GET /healthz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
 		mux.HandleFunc(rt.method+" /"+APIVersion+rt.path, rt.handler)
-		if !rt.v1Only {
-			mux.HandleFunc(rt.method+" "+rt.path, deprecated(rt.handler))
-		}
 	}
 	// The liveness/role probe lives outside the versioned API on
 	// purpose: load balancers and failover detectors probe a fixed,
@@ -220,16 +191,13 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// route is one entry of the wire contract: a versioned endpoint and
-// whether its pre-versioning alias still answers.
+// route is one entry of the wire contract: a versioned endpoint.
 type route struct {
 	method string
 	// path is the route pattern without the version prefix, e.g.
 	// "/sessions/{id}/next".
 	path    string
 	handler http.HandlerFunc
-	// v1Only marks endpoints added after versioning: no legacy alias.
-	v1Only bool
 }
 
 // routes is the single registration table Handler builds the mux from
@@ -238,26 +206,26 @@ type route struct {
 // code.
 func (s *Server) routes() []route {
 	return []route{
-		{"POST", "/sessions", s.handleCreate, false},
-		{"GET", "/sessions", s.handleList, false},
-		{"POST", "/sessions/import", s.handleImport, false},
-		{"GET", "/stats", s.handleStats, false},
-		{"GET", "/sessions/{id}", s.readSession(s.handleSummary), false},
-		{"DELETE", "/sessions/{id}", s.handleDelete, false},
-		{"GET", "/sessions/{id}/next", s.readSession(s.handleNext), false},
-		{"GET", "/sessions/{id}/topk", s.readSession(s.handleTopK), false},
-		{"POST", "/sessions/{id}/label", s.writeSession(s.handleLabel), false},
-		{"POST", "/sessions/{id}/step", s.writeSession(s.handleStep), true},
-		{"POST", "/sessions/{id}/tuples", s.writeSession(s.handleAppend), false},
-		{"GET", "/sessions/{id}/result", s.readSession(s.handleResult), false},
-		{"GET", "/sessions/{id}/export", s.readSession(s.handleExport), false},
-		{"GET", "/strategies", s.handleStrategies, true},
-		{"GET", "/cluster", s.handleCluster, true},
-		{"GET", "/cluster/probe", s.handleClusterProbe, true},
-		{"POST", "/cluster/promote", s.handlePromote, true},
-		{"POST", "/cluster/rejoin", s.handleRejoin, true},
-		{"POST", "/cluster/rebalance", s.handleRebalance, true},
-		{"POST", "/cluster/drain", s.handleDrain, true},
+		{"POST", "/sessions", s.handleCreate},
+		{"GET", "/sessions", s.handleList},
+		{"POST", "/sessions/import", s.handleImport},
+		{"GET", "/stats", s.handleStats},
+		{"GET", "/sessions/{id}", s.readSession(s.handleSummary)},
+		{"DELETE", "/sessions/{id}", s.handleDelete},
+		{"GET", "/sessions/{id}/next", s.readSession(s.handleNext)},
+		{"GET", "/sessions/{id}/topk", s.readSession(s.handleTopK)},
+		{"POST", "/sessions/{id}/label", s.writeSession(s.handleLabel)},
+		{"POST", "/sessions/{id}/step", s.writeSession(s.handleStep)},
+		{"POST", "/sessions/{id}/tuples", s.writeSession(s.handleAppend)},
+		{"GET", "/sessions/{id}/result", s.readSession(s.handleResult)},
+		{"GET", "/sessions/{id}/export", s.readSession(s.handleExport)},
+		{"GET", "/strategies", s.handleStrategies},
+		{"GET", "/cluster", s.handleCluster},
+		{"GET", "/cluster/probe", s.handleClusterProbe},
+		{"POST", "/cluster/promote", s.handlePromote},
+		{"POST", "/cluster/rejoin", s.handleRejoin},
+		{"POST", "/cluster/rebalance", s.handleRebalance},
+		{"POST", "/cluster/drain", s.handleDrain},
 	}
 }
 
@@ -271,16 +239,6 @@ func (s *Server) Routes() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// deprecated marks a legacy unversioned route: same behavior, plus the
-// Deprecation header (RFC 8594 style) and a pointer to the successor.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</%s%s>; rel=\"successor-version\"", APIVersion, r.URL.Path))
-		h(w, r)
-	}
 }
 
 // limitBody applies Config.MaxBodyBytes to an ingestion request. The
@@ -334,28 +292,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	if req.Strategy == "" {
-		req.Strategy = jim.DefaultStrategy
-	}
-	rel, typing, err := readCSVStringTyped(req.CSV)
-	if err != nil {
-		writeError(w, jim.CodeBadInput, "%v", err)
-		return
-	}
-	// The creation typing is always retained — an all-inference typing
-	// included — so arrival parsing never honors an append body's own
-	// header annotations; the same cells must parse the same way
-	// whatever encoding or header they arrive with.
-	sess, err := jim.NewSession(rel,
-		jim.WithStrategy(req.Strategy),
-		jim.WithSeed(req.Seed),
-		jim.WithTyping(typing),
-		jim.WithRedeferLimit(-1))
+	_, summary, err := s.create(req.CSV, req.Strategy, req.Seed)
 	if err != nil {
 		writeTypedError(w, err)
 		return
 	}
-	s.create(w, &liveSession{sess: sess, createdAt: s.now(), seed: req.Seed})
+	writeJSON(w, http.StatusCreated, summary)
 }
 
 // handleImport restores a session from an exported file. Session
@@ -370,24 +312,12 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, err)
 		return
 	}
-	name := meta.Strategy
-	if name == "" {
-		name = jim.DefaultStrategy
-	}
-	sess, err := jim.ResumeSession(st,
-		jim.WithStrategy(name),
-		jim.WithRedeferLimit(-1))
+	sess, err := jim.ResumeSession(st, sessionOptions(meta.Strategy, 0, nil)...)
 	if err != nil {
 		writeTypedError(w, err)
 		return
 	}
-	s.create(w, &liveSession{sess: sess, createdAt: s.now()})
-}
-
-// create registers a fresh session through the shared apply layer
-// (register in apply.go) and writes the HTTP envelope.
-func (s *Server) create(w http.ResponseWriter, ls *liveSession) {
-	_, summary, err := s.register(ls)
+	_, summary, err := s.register(&liveSession{sess: sess, createdAt: s.now()})
 	if err != nil {
 		writeTypedError(w, err)
 		return
@@ -581,23 +511,8 @@ func viewTuple(ls *liveSession, i int) tupleView {
 	return tupleView{Index: i, Values: vals}
 }
 
-type nextResponse struct {
-	Done  bool       `json:"done"`
-	Tuple *tupleView `json:"tuple,omitempty"`
-}
-
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
-	i, ok, err := s.proposeOne(id, ls)
-	if err != nil {
-		writeTypedError(w, err)
-		return
-	}
-	if !ok {
-		writeJSON(w, http.StatusOK, nextResponse{Done: ls.sess.Done()})
-		return
-	}
-	tv := viewTuple(ls, i)
-	writeJSON(w, http.StatusOK, nextResponse{Done: false, Tuple: &tv})
+	s.writeStep(w, id, ls, nil, 1)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
@@ -653,24 +568,41 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request, id string, 
 		writeError(w, jim.CodeBadInput, "decoding request: %v", err)
 		return
 	}
-	resp, ok := s.applyLabel(w, id, ls, req.Index, req.Label)
-	if !ok {
+	resp, err := s.applyLabel(id, ls, req.Index, req.Label)
+	if err != nil {
+		writeTypedError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// applyLabel is the HTTP wrapper over applyAnswer (apply.go): same
-// apply-and-persist step, envelope written on failure. ok=false means
-// the error envelope has already been written. The caller holds the
-// session's write lock.
-func (s *Server) applyLabel(w http.ResponseWriter, id string, ls *liveSession, index int, label string) (labelResponse, bool) {
-	newly, err := s.applyAnswer(id, ls, index, label)
-	if err != nil {
-		writeTypedError(w, err)
-		return labelResponse{}, false
+// parseLabel reads the /v1 label spellings into the label the apply
+// layer takes.
+func parseLabel(label string) (wire.Label, error) {
+	switch label {
+	case "+", "yes", "y":
+		return wire.Positive, nil
+	case "-", "no", "n":
+		return wire.Negative, nil
+	case "skip", "s", "?":
+		return wire.Skip, nil
 	}
-	return ls.labelResponse(newly), true
+	return 0, &jim.Error{Code: jim.CodeBadInput, Message: fmt.Sprintf("unknown label %q (want +, -, or skip)", label)}
+}
+
+// applyLabel is the HTTP codec of one answer: the label parsed, then
+// applyAnswer (apply.go). The caller holds the session's write lock.
+func (s *Server) applyLabel(id string, ls *liveSession, index int, label string) (*labelResponse, error) {
+	l, err := parseLabel(label)
+	if err != nil {
+		return nil, err
+	}
+	newly, err := s.applyAnswer(id, ls, index, l)
+	if err != nil {
+		return nil, err
+	}
+	resp := ls.labelResponse(newly)
+	return &resp, nil
 }
 
 // stepRequest drives one full dialogue step in a single round trip:
@@ -684,10 +616,11 @@ type stepRequest struct {
 	K     int    `json:"k,omitempty"`     // proposals wanted; 0 or 1 = single
 }
 
-// stepResponse is the combined answer/proposal result. applied is
-// absent on a propose-only call; tuple carries the single next
-// proposal, tuples the ranked batch when k > 1. done=true with no
-// proposal means the answer converged the session.
+// stepResponse is the combined answer/proposal result of POST /step,
+// and of GET /next, which never carries applied. applied is absent on
+// a propose-only call; tuple carries the single next proposal, tuples
+// the ranked batch when k > 1. done=true with no proposal means the
+// answer converged the session.
 type stepResponse struct {
 	Applied *labelResponse `json:"applied,omitempty"`
 	Done    bool           `json:"done"`
@@ -700,10 +633,9 @@ type stepResponse struct {
 // (or /topk). The whole step runs under the session's write lock, so
 // the proposal is ranked against exactly the state the answer left
 // behind; an answer that fails leaves the session unchanged and
-// returns the same error envelope POST /label would. With k > 1 the
-// batch comes from the ranking path (like GET /topk, skips are not
-// routed around); the default single proposal routes around skipped
-// classes exactly like GET /next.
+// returns the same error envelope POST /label would. k = 0 or 1 asks
+// for the single routed proposal, k > 1 for the ranked batch (see
+// propose).
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
 	var req stepRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -723,38 +655,35 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id string, l
 		writeError(w, jim.CodeBadInput, "index %d without a label", *req.Index)
 		return
 	case req.Label != "":
-		resp, ok := s.applyLabel(w, id, ls, *req.Index, req.Label)
-		if !ok {
-			return
-		}
-		applied = &resp
-	}
-	if req.K > 1 {
-		indices, err := s.rankK(ls, req.K)
-		if err != nil {
+		var err error
+		if applied, err = s.applyLabel(id, ls, *req.Index, req.Label); err != nil {
 			writeTypedError(w, err)
 			return
 		}
-		out := make([]tupleView, 0, len(indices))
-		for _, i := range indices {
-			out = append(out, viewTuple(ls, i))
-		}
-		writeJSON(w, http.StatusOK, stepResponse{Applied: applied, Done: ls.sess.Done(), Tuples: out})
-		return
 	}
-	// Single proposal: same skip-routing and clear-event persistence as
-	// GET /next (see proposeOne for why the clear must reach the WAL).
-	i, ok, err := s.proposeOne(id, ls)
+	s.writeStep(w, id, ls, applied, max(req.K, 1))
+}
+
+// writeStep renders the proposal half of GET /next and POST /step:
+// propose's k-way switch, after whatever answer was applied.
+func (s *Server) writeStep(w http.ResponseWriter, id string, ls *liveSession, applied *labelResponse, k int) {
+	var buf [1]int
+	indices, err := s.propose(id, ls, k, buf[:0])
 	if err != nil {
 		writeTypedError(w, err)
 		return
 	}
-	if !ok {
-		writeJSON(w, http.StatusOK, stepResponse{Applied: applied, Done: ls.sess.Done()})
-		return
+	resp := stepResponse{Applied: applied, Done: ls.sess.Done()}
+	if k > 1 {
+		resp.Tuples = make([]tupleView, 0, len(indices))
+		for _, i := range indices {
+			resp.Tuples = append(resp.Tuples, viewTuple(ls, i))
+		}
+	} else if len(indices) == 1 {
+		tv := viewTuple(ls, indices[0])
+		resp.Tuple = &tv
 	}
-	tv := viewTuple(ls, i)
-	writeJSON(w, http.StatusOK, stepResponse{Applied: applied, Done: false, Tuple: &tv})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // appendRequest carries arrival tuples in one of two encodings:
@@ -796,7 +725,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, id string,
 		return
 	case req.CSV != "":
 		tuples, err = ls.sess.ParseCSV(req.CSV)
-	case len(req.Rows) > 0:
+	case req.Rows != nil:
 		tuples, err = ls.sess.ParseRows(req.Rows)
 	default:
 		writeError(w, jim.CodeBadInput, "empty append: pass csv or rows")
@@ -804,12 +733,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, id string,
 	}
 	if err != nil {
 		writeTypedError(w, err)
-		return
-	}
-	if len(tuples) == 0 {
-		// A header-only CSV carries no arrivals: same contract as an
-		// empty rows list, and no metric or skip-state side effects.
-		writeError(w, jim.CodeBadInput, "empty append: no tuples in body")
 		return
 	}
 	newly, err := s.applyAppend(id, ls, tuples)
@@ -842,19 +765,18 @@ type resultResponse struct {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
-	st := ls.sess.State()
-	names := st.Relation().Schema().Names()
-	q := ls.sess.Result()
-	sql, err := sqlgen.SelectSQL("instance", st.Relation().Schema(), q)
+	res, q, err := result(ls)
 	if err != nil {
-		writeError(w, jim.CodeInternal, "%v", err)
+		writeTypedError(w, err)
 		return
 	}
+	st := ls.sess.State()
+	names := st.Relation().Schema().Names()
 	resp := resultResponse{
-		Done:      ls.sess.Done(),
-		Predicate: q.String(),
+		Done:      res.Done,
+		Predicate: res.Predicate,
 		Atoms:     q.FormatAtoms(names),
-		SQL:       sql,
+		SQL:       res.SQL,
 	}
 	// Certainty panel for demo-scale instances only.
 	if vs, err := st.VersionSpace(100_000); err == nil {
@@ -878,15 +800,6 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request, id string,
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = buf.WriteTo(w)
-}
-
-// readCSVStringTyped parses the create-time CSV payload, returning the
-// header's typing for the session to pin.
-func readCSVStringTyped(csv string) (*relation.Relation, *relation.Typing, error) {
-	if strings.TrimSpace(csv) == "" {
-		return nil, nil, fmt.Errorf("server: empty csv")
-	}
-	return relation.ReadCSVTyped(strings.NewReader(csv), relation.CSVOptions{})
 }
 
 // wireError is the structured error envelope of the versioned API:

@@ -2,8 +2,13 @@ package server_test
 
 import (
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // stepResp mirrors the POST /step response shape.
@@ -165,5 +170,46 @@ func TestStepValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unversioned /step answered %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestHugeKOnOptimalSession pins that a proposal batch is bounded by
+// the instance, not by the client: an optimal session asked for 4e9
+// proposals over GET /topk or POST /step — or for the largest k a wire
+// step frame can carry — answers with at most one tuple per
+// informative class instead of reserving k slots and taking the whole
+// node down.
+func TestHugeKOnOptimalSession(t *testing.T) {
+	const hugeK = 4_000_000_000
+	srv := server.New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	s := createSession(t, ts, "optimal")
+	base := ts.URL + "/v1/sessions/" + s.ID
+
+	var topk stepResp
+	doJSON(t, "GET", fmt.Sprintf("%s/topk?k=%d", base, hugeK), nil, http.StatusOK, &topk)
+	var sr stepResp
+	doJSON(t, "POST", base+"/step", map[string]any{"k": hugeK}, http.StatusOK, &sr)
+	if len(topk.Tuples) == 0 || len(topk.Tuples) > s.Informative || len(sr.Tuples) != len(topk.Tuples) {
+		t.Fatalf("topk %d tuples, step %d, for %d informative tuples", len(topk.Tuples), len(sr.Tuples), s.Informative)
+	}
+
+	_, addr := startWire(t, srv)
+	c, err := wire.Dial(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	wid, err := c.Create(travelCSV, "optimal", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Step(wid, nil, math.MaxInt32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Proposals) != len(topk.Tuples) {
+		t.Fatalf("wire step proposed %d tuples, HTTP %d", len(res.Proposals), len(topk.Tuples))
 	}
 }

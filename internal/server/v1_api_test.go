@@ -1,15 +1,13 @@
 package server_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	jim "repro"
+	"repro/internal/server"
 	"repro/internal/strategy"
 )
 
@@ -97,77 +95,44 @@ func TestV1Strategies(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases checks every pre-versioning route still answers
-// with the same body as its /v1 successor plus the deprecation
-// headers, and that /v1 routes carry no deprecation marker.
-func TestLegacyAliases(t *testing.T) {
-	ts := newTestServer(t)
-	s := createSession(t, ts, "lookahead-maxmin")
+// TestUnversionedRoutesGone checks that /v1 is the only API surface:
+// for every registered route, the same path without the version prefix
+// answers 404 and carries no deprecation marker, while GET /healthz —
+// unversioned on purpose — still answers.
+func TestUnversionedRoutesGone(t *testing.T) {
+	srv := server.New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	s := createSession(t, ts, "")
 
-	get := func(url string) (*http.Response, string) {
-		t.Helper()
-		resp, err := http.Get(url)
+	for _, rt := range srv.Routes() {
+		method, path, _ := strings.Cut(rt, " ")
+		path = strings.ReplaceAll(strings.TrimPrefix(path, "/v1"), "{id}", s.ID)
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := io.ReadAll(resp.Body)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", method, path, resp.StatusCode)
 		}
-		return resp, string(body)
-	}
-
-	paths := []string{
-		"/sessions",
-		"/sessions/" + s.ID,
-		"/sessions/" + s.ID + "/next",
-		"/sessions/" + s.ID + "/topk?k=2",
-		"/sessions/" + s.ID + "/result",
-		"/sessions/" + s.ID + "/export",
-		"/sessions/zzz", // error envelope must alias too
-		"/stats",
-	}
-	for _, p := range paths {
-		legacy, legacyBody := get(ts.URL + p)
-		v1, v1Body := get(ts.URL + "/v1" + p)
-		if legacy.StatusCode != v1.StatusCode {
-			t.Errorf("%s: legacy status %d, v1 %d", p, legacy.StatusCode, v1.StatusCode)
-		}
-		if p != "/stats" && legacyBody != v1Body {
-			t.Errorf("%s: legacy body differs from v1:\n%s\nvs\n%s", p, legacyBody, v1Body)
-		}
-		if dep := legacy.Header.Get("Deprecation"); dep != "true" {
-			t.Errorf("%s: legacy Deprecation header = %q, want \"true\"", p, dep)
-		}
-		wantLink := fmt.Sprintf("</v1%s>; rel=\"successor-version\"", strings.SplitN(p, "?", 2)[0])
-		if link := legacy.Header.Get("Link"); link != wantLink {
-			t.Errorf("%s: legacy Link = %q, want %q", p, link, wantLink)
-		}
-		if dep := v1.Header.Get("Deprecation"); dep != "" {
-			t.Errorf("%s: /v1 route carries Deprecation header %q", p, dep)
+		for _, h := range []string{"Deprecation", "Link"} {
+			if v := resp.Header.Get(h); v != "" {
+				t.Errorf("%s %s: %s header %q", method, path, h, v)
+			}
 		}
 	}
-
-	// Legacy writes answer identically too.
-	var legacyLR, v1LR labelResp
-	doJSON(t, "POST", ts.URL+"/sessions/"+s.ID+"/label",
-		map[string]any{"index": 0, "label": "skip"}, http.StatusOK, &legacyLR)
-	doJSON(t, "POST", ts.URL+"/v1/sessions/"+s.ID+"/label",
-		map[string]any{"index": 1, "label": "skip"}, http.StatusOK, &v1LR)
-	if legacyLR.Informative != v1LR.Informative {
-		t.Errorf("legacy label response %+v, v1 %+v", legacyLR, v1LR)
+	// Nothing above reached a handler: the session is untouched.
+	var got summary
+	doJSON(t, "GET", ts.URL+"/v1/sessions/"+s.ID, nil, http.StatusOK, &got)
+	if got.Labels != 0 {
+		t.Errorf("session changed by unversioned requests: %+v", got)
 	}
-	// Legacy create still works and carries the deprecation marker.
-	data, _ := json.Marshal(map[string]any{"csv": travelCSV})
-	resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated || resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("legacy create: status %d, Deprecation %q", resp.StatusCode, resp.Header.Get("Deprecation"))
-	}
+	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, nil)
 }
 
 // TestErrorEnvelopeShape pins the wire shape of failures across

@@ -1,41 +1,30 @@
 package server
 
 import (
-	"fmt"
 	"time"
 
-	jim "repro"
-	"repro/internal/sqlgen"
 	"repro/internal/wire"
 )
 
-// This file implements wire.Backend on *Server: the binary wire
-// listener drives the exact same apply layer (apply.go) as the /v1
-// HTTP handlers — same session table, same locks, same WAL events —
-// so the two transports are tuple-for-tuple equivalent by
-// construction. The differential tests in wire_test.go hold that
-// equivalence across all 8 strategies anyway.
+// This file implements wire.Backend on *Server: each method is an
+// owner check, a lookup, the session lock, and one call into the apply
+// layer (apply.go) that the /v1 HTTP handlers call too — same session
+// table, same locks, same WAL events — so the two transports are
+// tuple-for-tuple equivalent by construction. The differential tests in
+// wire_test.go hold that equivalence across all 8 strategies anyway.
+
+// wireSession resolves a wire request's session: NOT_OWNER when the
+// ring places it on another node, NOT_FOUND when it names nothing.
+func (s *Server) wireSession(id string) (*liveSession, error) {
+	if err := s.checkWireOwner(id); err != nil {
+		return nil, err
+	}
+	return s.lookup(id)
+}
 
 // WireCreate implements wire.Backend: POST /v1/sessions semantics.
 func (s *Server) WireCreate(csv, strategyName string, seed int64) (string, error) {
-	if strategyName == "" {
-		strategyName = jim.DefaultStrategy
-	}
-	rel, typing, err := readCSVStringTyped(csv)
-	if err != nil {
-		return "", &jim.Error{Code: jim.CodeBadInput, Message: err.Error()}
-	}
-	// Same typing pin as HTTP create: arrival parsing never honors an
-	// append body's own annotations.
-	sess, err := jim.NewSession(rel,
-		jim.WithStrategy(strategyName),
-		jim.WithSeed(seed),
-		jim.WithTyping(typing),
-		jim.WithRedeferLimit(-1))
-	if err != nil {
-		return "", err
-	}
-	id, _, err := s.register(&liveSession{sess: sess, createdAt: s.now(), seed: seed})
+	id, _, err := s.create(csv, strategyName, seed)
 	return id, err
 }
 
@@ -43,14 +32,9 @@ func (s *Server) WireCreate(csv, strategyName string, seed int64) (string, error
 // the whole answer batch plus the follow-up proposal under one write
 // lock. An answer that fails stops the batch — earlier answers stand,
 // exactly as if they had arrived in separate frames; the error frame
-// reports the first failure. k = 0 applies answers only (POST /label
-// semantics), k = 1 takes the routed single-proposal path (GET /next),
-// k > 1 the ranked batch (GET /topk).
+// reports the first failure. k selects the proposal (see propose).
 func (s *Server) WireStep(id string, answers []wire.Answer, k int, out *wire.StepResult) error {
-	if err := s.checkWireOwner(id); err != nil {
-		return err
-	}
-	ls, err := s.lookup(id)
+	ls, err := s.wireSession(id)
 	if err != nil {
 		return err
 	}
@@ -60,31 +44,17 @@ func (s *Server) WireStep(id string, answers []wire.Answer, k int, out *wire.Ste
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	for _, a := range answers {
-		newly, err := s.applyAnswer(id, ls, a.Index, a.Label.APIString())
+		newly, err := s.applyAnswer(id, ls, a.Index, a.Label)
 		if err != nil {
 			return err
 		}
-		p := ls.sess.Progress()
 		out.Applied = append(out.Applied, wire.AnswerOutcome{
 			NewlyImplied: len(newly),
-			Informative:  p.Informative,
+			Informative:  ls.sess.Progress().Informative,
 		})
 	}
-	switch {
-	case k > 1:
-		indices, err := s.rankK(ls, k)
-		if err != nil {
-			return err
-		}
-		out.Proposals = append(out.Proposals, indices...)
-	case k == 1:
-		i, ok, err := s.proposeOne(id, ls)
-		if err != nil {
-			return err
-		}
-		if ok {
-			out.Proposals = append(out.Proposals, i)
-		}
+	if out.Proposals, err = s.propose(id, ls, k, out.Proposals); err != nil {
+		return err
 	}
 	out.Done = ls.sess.Done()
 	return nil
@@ -93,34 +63,24 @@ func (s *Server) WireStep(id string, answers []wire.Answer, k int, out *wire.Ste
 // WireAppend implements wire.Backend: POST /tuples semantics with the
 // rows encoding (cells parsed under the session's pinned typing).
 func (s *Server) WireAppend(id string, rows [][]string) (wire.AppendResult, error) {
-	if err := s.checkWireOwner(id); err != nil {
-		return wire.AppendResult{}, err
-	}
-	ls, err := s.lookup(id)
+	ls, err := s.wireSession(id)
 	if err != nil {
 		return wire.AppendResult{}, err
 	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if len(rows) == 0 {
-		return wire.AppendResult{}, &jim.Error{Code: jim.CodeBadInput, Message: "empty append: no rows in frame"}
-	}
 	tuples, err := ls.sess.ParseRows(rows)
 	if err != nil {
 		return wire.AppendResult{}, err
-	}
-	if len(tuples) == 0 {
-		return wire.AppendResult{}, &jim.Error{Code: jim.CodeBadInput, Message: "empty append: no tuples in frame"}
 	}
 	newly, err := s.applyAppend(id, ls, tuples)
 	if err != nil {
 		return wire.AppendResult{}, err
 	}
-	p := ls.sess.Progress()
 	return wire.AppendResult{
 		Appended:     len(tuples),
 		NewlyImplied: len(newly),
-		Informative:  p.Informative,
+		Informative:  ls.sess.Progress().Informative,
 		Done:         ls.sess.Done(),
 	}, nil
 }
@@ -128,25 +88,14 @@ func (s *Server) WireAppend(id string, rows [][]string) (wire.AppendResult, erro
 // WireResult implements wire.Backend: the hot-path subset of GET
 // /result (predicate + SQL; the demo certainty panel stays HTTP-only).
 func (s *Server) WireResult(id string) (wire.ResultData, error) {
-	if err := s.checkWireOwner(id); err != nil {
-		return wire.ResultData{}, err
-	}
-	ls, err := s.lookup(id)
+	ls, err := s.wireSession(id)
 	if err != nil {
 		return wire.ResultData{}, err
 	}
 	ls.mu.RLock()
 	defer ls.mu.RUnlock()
-	q := ls.sess.Result()
-	sql, err := sqlgen.SelectSQL("instance", ls.sess.State().Relation().Schema(), q)
-	if err != nil {
-		return wire.ResultData{}, &jim.Error{Code: jim.CodeInternal, Message: fmt.Sprintf("%v", err)}
-	}
-	return wire.ResultData{
-		Done:      ls.sess.Done(),
-		Predicate: q.String(),
-		SQL:       sql,
-	}, nil
+	res, _, err := result(ls)
+	return res, err
 }
 
 // WireDelete implements wire.Backend: DELETE /sessions/{id} semantics.

@@ -3,12 +3,14 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	jim "repro"
 	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -384,6 +386,104 @@ func TestWireFusedStepMatchesHTTPStep(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/v1/sessions/"+s.ID+"/result", nil, http.StatusOK, &hres)
 	if wres.Predicate != hres.Predicate {
 		t.Errorf("M_P on wire = %s, over HTTP = %s", wres.Predicate, hres.Predicate)
+	}
+}
+
+// TestWireErrorsMatchHTTP is the failure half of transport parity:
+// the same failing request, sent over HTTP and over the wire against
+// twin sessions created from the same CSV, strategy and seed, must
+// fail with the same jim.ErrorCode and the same message. Both
+// transports call the one apply layer, so only the framing differs.
+func TestWireErrorsMatchHTTP(t *testing.T) {
+	srv := server.NewWith(server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	_, addr := startWire(t, srv)
+	c, err := wire.Dial(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	twins := func(csv string) (string, string) {
+		var s summary
+		doJSON(t, "POST", ts.URL+"/v1/sessions",
+			map[string]any{"csv": csv, "strategy": "lookahead-maxmin", "seed": 7},
+			http.StatusCreated, &s)
+		wid, err := c.Create(csv, "lookahead-maxmin", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.ID, wid
+	}
+	hid, wid := twins(travelCSV)
+	doneHID, doneWID := twins("a,b\n1,1\n") // converged at creation
+	answer := func(id string, index int, l wire.Label) func() error {
+		return func() error {
+			_, err := c.Step(id, []wire.Answer{{Index: index, Label: l}}, 0)
+			return err
+		}
+	}
+	appendRows := func(rows [][]string) func() error {
+		return func() error {
+			_, err := c.Append(wid, rows)
+			return err
+		}
+	}
+	// (12)+ implies (3)+: afterwards (3)- is inconsistent and (12) is
+	// explicitly labeled.
+	doJSON(t, "POST", ts.URL+"/v1/sessions/"+hid+"/label",
+		map[string]any{"index": 11, "label": "+"}, http.StatusOK, nil)
+	if err := answer(wid, 11, wire.Positive)(); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name string
+		code jim.ErrorCode
+		// path is the HTTP request path below /v1/sessions/.
+		path string
+		body any
+		wire func() error
+	}{
+		{"out of range", jim.CodeOutOfRange, hid + "/label",
+			map[string]any{"index": 99, "label": "+"}, answer(wid, 99, wire.Positive)},
+		{"already labeled", jim.CodeAlreadyLabeled, hid + "/label",
+			map[string]any{"index": 11, "label": "-"}, answer(wid, 11, wire.Negative)},
+		{"inconsistent label", jim.CodeInconsistent, hid + "/label",
+			map[string]any{"index": 2, "label": "-"}, answer(wid, 2, wire.Negative)},
+		{"skip after done", jim.CodeSessionDone, doneHID + "/label",
+			map[string]any{"index": 0, "label": "skip"}, answer(doneWID, 0, wire.Skip)},
+		{"empty append", jim.CodeBadInput, hid + "/tuples",
+			map[string]any{"rows": [][]string{}}, appendRows([][]string{})},
+		{"empty append, header-only csv", jim.CodeBadInput, hid + "/tuples",
+			map[string]any{"csv": "From,To,Airline,City,Discount\n"}, appendRows([][]string{})},
+		{"append row of the wrong arity", jim.CodeSchemaMismatch, hid + "/tuples",
+			map[string]any{"rows": [][]string{{"just", "two"}}}, appendRows([][]string{{"just", "two"}})},
+		{"unknown session", jim.CodeNotFound, "nope/step",
+			map[string]any{"k": 1}, func() error { _, err := c.Step("nope", nil, 1); return err }},
+	}
+	for _, tc := range cases {
+		var je *jim.Error
+		if err := tc.wire(); !errors.As(err, &je) || je.Code != tc.code {
+			t.Errorf("%s: wire error %v, want code %s", tc.name, err, tc.code)
+			continue
+		}
+		var e errBody
+		doJSON(t, "POST", ts.URL+"/v1/sessions/"+tc.path, tc.body, je.Code.HTTPStatus(), &e)
+		if e.Error.Code != string(je.Code) || e.Error.Message != je.Message {
+			t.Errorf("%s: HTTP %s %q, wire %s %q", tc.name, e.Error.Code, e.Error.Message, je.Code, je.Message)
+		}
+	}
+
+	// The failures changed neither twin: both still propose alike.
+	var n next
+	doJSON(t, "GET", ts.URL+"/v1/sessions/"+hid+"/next", nil, http.StatusOK, &n)
+	res, err := c.Step(wid, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Tuple == nil || len(res.Proposals) != 1 || res.Proposals[0] != n.Tuple.Index {
+		t.Errorf("twins diverged after failures: HTTP %+v, wire %v", n, res.Proposals)
 	}
 }
 

@@ -138,7 +138,7 @@ func (s *naiveRanked) PickK(st *core.State, k int) []int {
 	for gi, g := range groups {
 		scores[gi] = s.score(st, g)
 	}
-	out := make([]int, 0, max(k, 0))
+	out := make([]int, 0, min(max(k, 0), len(groups)))
 	used := make([]bool, len(groups))
 	for len(out) < k {
 		best := -1

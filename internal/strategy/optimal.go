@@ -172,7 +172,9 @@ func (o *OptimalStrategy) PickK(st *core.State, k int) []int {
 		costs = append(costs, gc{gi: gi, cost: cost})
 	}
 	sort.SliceStable(costs, func(a, b int) bool { return costs[a].cost < costs[b].cost })
-	out := make([]int, 0, k)
+	// k arrives unbounded from clients; one tuple per class is the most
+	// the ranking can return, so that bounds the allocation.
+	out := make([]int, 0, min(k, len(costs)))
 	for _, c := range costs {
 		if len(out) == k {
 			break

@@ -123,3 +123,39 @@ func TestPickKAfterLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestPickKHugeK pins the allocation bound of every ranker: k arrives
+// unbounded from clients (GET /topk?k=, POST /step, wire step frames),
+// so a huge k must return at most one tuple per informative class
+// rather than reserve k slots up front and exhaust memory.
+func TestPickKHugeK(t *testing.T) {
+	const hugeK = 4_000_000_000
+	st, err := core.NewState(workload.Travel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pickers := map[string]core.KPicker{}
+	for _, name := range Names() {
+		p, err := ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pickers[name] = p
+	}
+	for _, name := range HeuristicNames() {
+		pickers["naive "+name] = MustNaive(name, 1)
+	}
+	for name, p := range pickers {
+		got := p.PickK(st, hugeK)
+		if len(got) == 0 || len(got) > st.InformativeGroupCount() {
+			t.Errorf("%s: %d tuples for %d informative classes", name, len(got), st.InformativeGroupCount())
+		}
+		seen := map[*core.SigGroup]bool{}
+		for _, i := range got {
+			if st.Label(i) != core.Unlabeled || seen[st.GroupOf(i)] {
+				t.Errorf("%s: tuple %d is labeled or repeats a class in %v", name, i, got)
+			}
+			seen[st.GroupOf(i)] = true
+		}
+	}
+}

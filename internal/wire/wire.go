@@ -120,20 +120,6 @@ const (
 	Skip Label = 2
 )
 
-// APIString returns the /v1 label spelling ("-", "+", "skip") the
-// shared session-apply layer accepts. Constant strings: no alloc.
-func (l Label) APIString() string {
-	switch l {
-	case Negative:
-		return "-"
-	case Positive:
-		return "+"
-	case Skip:
-		return "skip"
-	}
-	return ""
-}
-
 // Valid reports whether the byte is a defined label.
 func (l Label) Valid() bool { return l <= Skip }
 

@@ -102,7 +102,7 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.maxSessions, "max-sessions", 0, "max live sessions; creates beyond this get 429 (0 = unlimited)")
 	fs.DurationVar(&cfg.sessionTTL, "session-ttl", 0, "evict sessions idle for this long (0 = never)")
 	fs.DurationVar(&cfg.sweepEvery, "sweep-every", time.Minute, "how often the janitor scans for expired sessions")
-	fs.Int64Var(&cfg.maxBodyBytes, "max-body-bytes", 32<<20, "cap on create/import/append request bodies; larger get 413 (0 = unlimited)")
+	fs.Int64Var(&cfg.maxBodyBytes, "max-body-bytes", 32<<20, "cap on create/import/append/label/step request bodies; larger get 413 (0 = unlimited)")
 	fs.DurationVar(&cfg.readTimeout, "read-timeout", 30*time.Second, "max duration for reading an entire request, body included (0 = unlimited)")
 	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "max duration for writing a response (0 = unlimited)")
 	fs.DurationVar(&cfg.idleTimeout, "idle-timeout", 2*time.Minute, "max keep-alive idle time before a connection is closed (0 = unlimited)")

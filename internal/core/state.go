@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -648,14 +649,32 @@ func (st *State) Progress() Progress {
 
 // String renders progress as a one-line summary.
 func (p Progress) String() string {
+	var buf [96]byte
+	return string(p.AppendString(buf[:0]))
+}
+
+// AppendString appends the String summary to dst and returns the
+// extended slice: "3/12 labeled (25.0%), 5 implied (41.7%), 4
+// informative remain", percentages to one decimal.
+func (p Progress) AppendString(dst []byte) []byte {
 	pct := func(k int) float64 {
 		if p.Total == 0 {
 			return 0
 		}
 		return 100 * float64(k) / float64(p.Total)
 	}
-	return fmt.Sprintf("%d/%d labeled (%.1f%%), %d implied (%.1f%%), %d informative remain",
-		p.Explicit, p.Total, pct(p.Explicit), p.Implied, pct(p.Implied), p.Informative)
+	dst = strconv.AppendInt(dst, int64(p.Explicit), 10)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(p.Total), 10)
+	dst = append(dst, " labeled ("...)
+	dst = strconv.AppendFloat(dst, pct(p.Explicit), 'f', 1, 64)
+	dst = append(dst, "%), "...)
+	dst = strconv.AppendInt(dst, int64(p.Implied), 10)
+	dst = append(dst, " implied ("...)
+	dst = strconv.AppendFloat(dst, pct(p.Implied), 'f', 1, 64)
+	dst = append(dst, "%), "...)
+	dst = strconv.AppendInt(dst, int64(p.Informative), 10)
+	return append(dst, " informative remain"...)
 }
 
 // CheckInvariants verifies internal consistency; used by tests and

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -287,6 +288,34 @@ func TestProgressAccounting(t *testing.T) {
 	}
 	if p.String() == "" {
 		t.Error("Progress.String empty")
+	}
+}
+
+// TestProgressStringMatchesFormat holds the append-built summary to the
+// fmt verbs it replaced, rounding included.
+func TestProgressStringMatchesFormat(t *testing.T) {
+	for _, p := range []core.Progress{
+		{},
+		{Total: 12, Explicit: 1, Implied: 3, Informative: 8},
+		{Total: 3, Explicit: 1, Implied: 1, Informative: 1},
+		{Total: 8, Explicit: 1, Implied: 7},
+		{Total: 2000, Explicit: 1, Implied: 1999},
+		{Total: 1 << 40, Explicit: 1<<40 - 1, Implied: 1, Informative: 0},
+	} {
+		pct := func(k int) float64 {
+			if p.Total == 0 {
+				return 0
+			}
+			return 100 * float64(k) / float64(p.Total)
+		}
+		want := fmt.Sprintf("%d/%d labeled (%.1f%%), %d implied (%.1f%%), %d informative remain",
+			p.Explicit, p.Total, pct(p.Explicit), p.Implied, pct(p.Implied), p.Informative)
+		if got := p.String(); got != want {
+			t.Errorf("%+v: String() = %q, want %q", p, got, want)
+		}
+		if got := string(p.AppendString([]byte("x"))); got != "x"+want {
+			t.Errorf("%+v: AppendString = %q, want %q", p, got, "x"+want)
+		}
 	}
 }
 

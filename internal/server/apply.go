@@ -55,7 +55,7 @@ func (s *Server) create(csv, strategyName string, seed int64) (string, sessionSu
 	if err != nil {
 		return "", sessionSummary{}, err
 	}
-	return s.register(&liveSession{sess: sess, createdAt: s.now(), seed: seed})
+	return s.register(newLiveSession(sess, s.now(), seed))
 }
 
 // lookup resolves a session id and touches its idle clock. The error

@@ -19,7 +19,7 @@ import (
 // the next tuple for a live session — over HTTP+JSON and over the
 // binary wire protocol, so `go test -bench Propose -benchmem` shows
 // what each request costs server-side on either path. The HTTP path
-// rides the pooled JSON encode buffers in writeJSON; the wire path the
+// rides the hand-written reply codec (httpcodec.go); the wire path the
 // zero-alloc codec.
 
 func benchHTTPSession(b *testing.B, ts *httptest.Server) string {
@@ -46,7 +46,7 @@ func benchHTTPSession(b *testing.B, ts *httptest.Server) string {
 }
 
 // BenchmarkHTTPStepPropose is one POST /step propose-only round trip:
-// routing, session lock, proposal, pooled JSON encode, full HTTP stack.
+// routing, session lock, proposal, reply encode, full HTTP stack.
 func BenchmarkHTTPStepPropose(b *testing.B) {
 	ts := httptest.NewServer(server.New().Handler())
 	defer ts.Close()
@@ -65,6 +65,24 @@ func BenchmarkHTTPStepPropose(b *testing.B) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("step: status %d", resp.StatusCode)
+		}
+	}
+}
+
+// BenchmarkHTTPStepHandler is BenchmarkHTTPStepPropose without the
+// socket: the same propose-only POST /step served by calling the
+// handler directly with a prebuilt request, so the figure is routing,
+// instrumentation, session lock, proposal, and the reply codec only.
+func BenchmarkHTTPStepHandler(b *testing.B) {
+	h := server.NewWith(server.Config{MaxBodyBytes: 1 << 20}).Handler()
+	rr := newReplayRequest("POST", "/v1/sessions/"+handlerSession(b, h)+"/step", "{}")
+	w := &nopResponseWriter{h: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rr.serve(h, w)
+		if w.status != http.StatusOK {
+			b.Fatalf("step: status %d", w.status)
 		}
 	}
 }
@@ -124,4 +142,60 @@ func BenchmarkHTTPSummary(b *testing.B) {
 			b.Fatalf("summary: status %d", resp.StatusCode)
 		}
 	}
+}
+
+// nopResponseWriter discards the reply, so a handler measurement sees
+// the server's own work and none of a socket's.
+type nopResponseWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *nopResponseWriter) Header() http.Header         { return w.h }
+func (w *nopResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *nopResponseWriter) WriteHeader(code int)        { w.status = code }
+
+// replayRequest is a prebuilt request that can be served again and
+// again: serve rewinds its body, so no request is built per call.
+type replayRequest struct {
+	req  *http.Request
+	rd   *bytes.Reader
+	body io.ReadCloser
+	src  []byte
+}
+
+func newReplayRequest(method, url, body string) *replayRequest {
+	rr := &replayRequest{src: []byte(body), rd: bytes.NewReader(nil)}
+	rr.body = io.NopCloser(rr.rd)
+	rr.req = httptest.NewRequest(method, url, nil)
+	rr.req.ContentLength = int64(len(body))
+	return rr
+}
+
+func (rr *replayRequest) serve(h http.Handler, w *nopResponseWriter) {
+	rr.rd.Reset(rr.src)
+	rr.req.Body = rr.body
+	w.status = http.StatusOK
+	h.ServeHTTP(w, rr.req)
+}
+
+// handlerSession creates a travel session through h and returns its id.
+func handlerSession(tb testing.TB, h http.Handler) string {
+	tb.Helper()
+	body, err := json.Marshal(map[string]any{"csv": travelCSV, "strategy": "lookahead-maxmin"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", bytes.NewReader(body)))
+	if rec.Code != http.StatusCreated {
+		tb.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	var s struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
+		tb.Fatal(err)
+	}
+	return s.ID
 }

@@ -426,7 +426,7 @@ func (s *Server) absorbSession(id string, ls *liveSession) {
 		}
 	}
 	c.promoted.Add(1)
-	if s.durable || c.shipper != nil {
+	if s.persists() {
 		if err := s.snapshotSession(id, ls); err != nil {
 			s.persist.errors.Add(1)
 		}
@@ -614,7 +614,7 @@ func (s *Server) adoptReplicas(m *cluster.Membership) int {
 		}
 	}
 	c.promoted.Add(int64(len(adopt)))
-	if s.durable || c.shipper != nil {
+	if s.persists() {
 		for _, a := range adopt {
 			if err := s.snapshotSession(a.id, a.ls); err != nil {
 				s.persist.errors.Add(1)

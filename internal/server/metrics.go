@@ -136,18 +136,27 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// recorderPool recycles statusRecorders: a handler never keeps its
+// ResponseWriter past its return, so one recorder serves request after
+// request instead of one allocation each.
+var recorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
+
 // instrument wraps the mux, recording count, errors, and latency per
 // matched route pattern (r.Pattern is set by ServeMux on match).
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := s.now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := recorderPool.Get().(*statusRecorder)
+		rec.ResponseWriter, rec.status = w, http.StatusOK
 		next.ServeHTTP(rec, r)
+		status := rec.status
+		rec.ResponseWriter = nil
+		recorderPool.Put(rec)
 		pattern := r.Pattern
 		if pattern == "" {
 			pattern = "unmatched"
 		}
-		s.metrics.record(pattern, s.now().Sub(start), rec.status >= 400)
+		s.metrics.record(pattern, s.now().Sub(start), status >= 400)
 	})
 }
 

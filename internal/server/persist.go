@@ -390,7 +390,7 @@ func (s *Server) rebuild(sv store.Saved) (*liveSession, error) {
 	if createdAt.IsZero() {
 		createdAt = s.now()
 	}
-	ls := &liveSession{sess: sess, createdAt: createdAt, seed: sv.Snapshot.Seed}
+	ls := newLiveSession(sess, createdAt, sv.Snapshot.Seed)
 	ls.walEvents.Store(int64(len(sv.Events)))
 	if len(sv.Events) == 0 {
 		ls.lastSnapshot.Store(s.now().UnixNano())

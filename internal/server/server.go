@@ -38,10 +38,10 @@ type Config struct {
 	// IdleTTL evicts sessions not accessed for this long. <= 0 disables
 	// eviction.
 	IdleTTL time.Duration
-	// MaxBodyBytes caps the request body of the ingestion endpoints
-	// (create, import, append); larger bodies fail with 413 Request
-	// Entity Too Large instead of buffering an arbitrarily large
-	// CSV/JSON payload in memory. <= 0 means unlimited.
+	// MaxBodyBytes caps the request body of every endpoint that reads
+	// one (create, import, append, label, step); larger bodies fail with
+	// 413 Request Entity Too Large instead of buffering an arbitrarily
+	// large payload in memory. <= 0 means unlimited.
 	MaxBodyBytes int64
 	// Store persists sessions across restarts. nil (and store.NewMem())
 	// means no durability — the pre-durability in-RAM behavior. With a
@@ -141,12 +141,21 @@ type liveSession struct {
 	// before DELETE removed it must not re-create on-disk state the
 	// delete just compacted away.
 	deleted bool
+	// cols is the schema's column positions sorted by name, the order
+	// a proposed tuple's values are encoded in (httpcodec.go); the
+	// schema never changes, so it is computed once.
+	cols []int
 	// replSeq numbers this session's replication stream (cluster mode):
 	// every shipped event carries replSeq+1, every shipped snapshot the
 	// current value, and the follower dedups resync replays against it.
 	// It is a separate numbering space from the durable store's own
 	// sequence, which the store assigns internally.
 	replSeq atomic.Uint64
+}
+
+// newLiveSession wraps a session with the service's bookkeeping.
+func newLiveSession(sess *jim.Session, createdAt time.Time, seed int64) *liveSession {
+	return &liveSession{sess: sess, createdAt: createdAt, seed: seed, cols: sortedColumns(sess.Relation().Schema())}
 }
 
 // New returns an empty server with demo defaults (no cap, no TTL, no
@@ -241,7 +250,7 @@ func (s *Server) Routes() []string {
 	return out
 }
 
-// limitBody applies Config.MaxBodyBytes to an ingestion request. The
+// limitBody applies Config.MaxBodyBytes to a request body. The
 // returned reader fails with *http.MaxBytesError once the cap is hit;
 // bodyError maps that onto 413.
 func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
@@ -317,7 +326,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		writeTypedError(w, err)
 		return
 	}
-	_, summary, err := s.register(&liveSession{sess: sess, createdAt: s.now()})
+	_, summary, err := s.register(newLiveSession(sess, s.now(), 0))
 	if err != nil {
 		writeTypedError(w, err)
 		return
@@ -497,22 +506,10 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request, id string
 	writeJSON(w, http.StatusOK, summarize(id, ls))
 }
 
-type tupleView struct {
-	Index  int               `json:"index"`
-	Values map[string]string `json:"values"`
-}
-
-func viewTuple(ls *liveSession, i int) tupleView {
-	rel := ls.sess.Relation()
-	vals := make(map[string]string, rel.Schema().Len())
-	for c, name := range rel.Schema().Names() {
-		vals[name] = rel.Tuple(i)[c].String()
-	}
-	return tupleView{Index: i, Values: vals}
-}
-
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
-	s.writeStep(w, id, ls, nil, 1)
+	hb := getHTTPBuf()
+	defer hb.release()
+	s.writeStep(w, hb, id, ls, nil, 1)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
@@ -530,11 +527,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, id string, l
 		writeTypedError(w, err)
 		return
 	}
-	out := make([]tupleView, 0, len(indices))
-	for _, i := range indices {
-		out = append(out, viewTuple(ls, i))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"tuples": out, "done": ls.sess.Done()})
+	hb := getHTTPBuf()
+	defer hb.release()
+	enc := hb.encoder()
+	enc.topKReply(ls.sess.Done(), ls.sess.Relation(), ls.cols, indices)
+	hb.send(w, &enc)
 }
 
 type labelRequest struct {
@@ -542,38 +539,23 @@ type labelRequest struct {
 	Label string `json:"label"` // "+", "-", or "skip"
 }
 
-type labelResponse struct {
-	NewlyImplied []int  `json:"newly_implied"`
-	Informative  int    `json:"informative"`
-	Done         bool   `json:"done"`
-	Progress     string `json:"progress"`
-}
-
-func (ls *liveSession) labelResponse(newly []int) labelResponse {
-	if newly == nil {
-		newly = []int{}
-	}
-	p := ls.sess.Progress()
-	return labelResponse{
-		NewlyImplied: newly,
-		Informative:  p.Informative,
-		Done:         ls.sess.Done(),
-		Progress:     p.String(),
-	}
-}
-
 func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
+	hb := getHTTPBuf()
+	defer hb.release()
+	s.limitBody(w, r)
 	var req labelRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, jim.CodeBadInput, "decoding request: %v", err)
+	if err := hb.decodeLabel(r.Body, &req); err != nil {
+		bodyError(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	resp, err := s.applyLabel(id, ls, req.Index, req.Label)
+	a, err := s.applyLabel(id, ls, req.Index, req.Label)
 	if err != nil {
 		writeTypedError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	enc := hb.encoder()
+	enc.answered(&a)
+	hb.send(w, &enc)
 }
 
 // parseLabel reads the /v1 label spellings into the label the apply
@@ -592,17 +574,16 @@ func parseLabel(label string) (wire.Label, error) {
 
 // applyLabel is the HTTP codec of one answer: the label parsed, then
 // applyAnswer (apply.go). The caller holds the session's write lock.
-func (s *Server) applyLabel(id string, ls *liveSession, index int, label string) (*labelResponse, error) {
+func (s *Server) applyLabel(id string, ls *liveSession, index int, label string) (answered, error) {
 	l, err := parseLabel(label)
 	if err != nil {
-		return nil, err
+		return answered{}, err
 	}
 	newly, err := s.applyAnswer(id, ls, index, l)
 	if err != nil {
-		return nil, err
+		return answered{}, err
 	}
-	resp := ls.labelResponse(newly)
-	return &resp, nil
+	return answered{newly: newly, progress: ls.sess.Progress(), done: ls.sess.Done()}, nil
 }
 
 // stepRequest drives one full dialogue step in a single round trip:
@@ -616,18 +597,6 @@ type stepRequest struct {
 	K     int    `json:"k,omitempty"`     // proposals wanted; 0 or 1 = single
 }
 
-// stepResponse is the combined answer/proposal result of POST /step,
-// and of GET /next, which never carries applied. applied is absent on
-// a propose-only call; tuple carries the single next proposal, tuples
-// the ranked batch when k > 1. done=true with no proposal means the
-// answer converged the session.
-type stepResponse struct {
-	Applied *labelResponse `json:"applied,omitempty"`
-	Done    bool           `json:"done"`
-	Tuple   *tupleView     `json:"tuple,omitempty"`
-	Tuples  []tupleView    `json:"tuples,omitempty"`
-}
-
 // handleStep atomically applies an answer and proposes what to ask
 // next — the one-round-trip form of POST /label followed by GET /next
 // (or /topk). The whole step runs under the session's write lock, so
@@ -637,16 +606,19 @@ type stepResponse struct {
 // for the single routed proposal, k > 1 for the ranked batch (see
 // propose).
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
+	hb := getHTTPBuf()
+	defer hb.release()
+	s.limitBody(w, r)
 	var req stepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, jim.CodeBadInput, "decoding request: %v", err)
+	if err := hb.decodeStep(r.Body, &req); err != nil {
+		bodyError(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.K < 0 {
 		writeError(w, jim.CodeBadInput, "bad k %d", req.K)
 		return
 	}
-	var applied *labelResponse
+	var applied *answered
 	switch {
 	case req.Label != "" && req.Index == nil:
 		writeError(w, jim.CodeBadInput, "label %q without an index", req.Label)
@@ -655,35 +627,28 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id string, l
 		writeError(w, jim.CodeBadInput, "index %d without a label", *req.Index)
 		return
 	case req.Label != "":
-		var err error
-		if applied, err = s.applyLabel(id, ls, *req.Index, req.Label); err != nil {
+		a, err := s.applyLabel(id, ls, *req.Index, req.Label)
+		if err != nil {
 			writeTypedError(w, err)
 			return
 		}
+		applied = &a
 	}
-	s.writeStep(w, id, ls, applied, max(req.K, 1))
+	s.writeStep(w, hb, id, ls, applied, max(req.K, 1))
 }
 
 // writeStep renders the proposal half of GET /next and POST /step:
 // propose's k-way switch, after whatever answer was applied.
-func (s *Server) writeStep(w http.ResponseWriter, id string, ls *liveSession, applied *labelResponse, k int) {
+func (s *Server) writeStep(w http.ResponseWriter, hb *httpBuf, id string, ls *liveSession, applied *answered, k int) {
 	var buf [1]int
 	indices, err := s.propose(id, ls, k, buf[:0])
 	if err != nil {
 		writeTypedError(w, err)
 		return
 	}
-	resp := stepResponse{Applied: applied, Done: ls.sess.Done()}
-	if k > 1 {
-		resp.Tuples = make([]tupleView, 0, len(indices))
-		for _, i := range indices {
-			resp.Tuples = append(resp.Tuples, viewTuple(ls, i))
-		}
-	} else if len(indices) == 1 {
-		tv := viewTuple(ls, indices[0])
-		resp.Tuple = &tv
-	}
-	writeJSON(w, http.StatusOK, resp)
+	enc := hb.encoder()
+	enc.stepReply(applied, ls.sess.Done(), ls.sess.Relation(), ls.cols, indices, k)
+	hb.send(w, &enc)
 }
 
 // appendRequest carries arrival tuples in one of two encodings:
@@ -693,15 +658,6 @@ func (s *Server) writeStep(w http.ResponseWriter, id string, ls *liveSession, ap
 type appendRequest struct {
 	CSV  string     `json:"csv,omitempty"`
 	Rows [][]string `json:"rows,omitempty"`
-}
-
-type appendResponse struct {
-	Appended     int    `json:"appended"`
-	Tuples       int    `json:"tuples"`
-	NewlyImplied []int  `json:"newly_implied"`
-	Informative  int    `json:"informative"`
-	Done         bool   `json:"done"`
-	Progress     string `json:"progress"`
 }
 
 // handleAppend streams new tuples into a live session — the write-path
@@ -740,18 +696,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, id string,
 		writeTypedError(w, err)
 		return
 	}
-	if newly == nil {
-		newly = []int{}
-	}
 	p := ls.sess.Progress()
-	writeJSON(w, http.StatusOK, appendResponse{
-		Appended:     len(tuples),
-		Tuples:       p.Total,
-		NewlyImplied: newly,
-		Informative:  p.Informative,
-		Done:         ls.sess.Done(),
-		Progress:     p.String(),
-	})
+	hb := getHTTPBuf()
+	defer hb.release()
+	enc := hb.encoder()
+	enc.appendReply(len(tuples), newly, p, ls.sess.Done())
+	hb.send(w, &enc)
 }
 
 type resultResponse struct {

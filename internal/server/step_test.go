@@ -1,10 +1,13 @@
 package server_test
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/server"
@@ -211,5 +214,143 @@ func TestHugeKOnOptimalSession(t *testing.T) {
 	}
 	if len(res.Proposals) != len(topk.Tuples) {
 		t.Fatalf("wire step proposed %d tuples, HTTP %d", len(res.Proposals), len(topk.Tuples))
+	}
+}
+
+// postRaw POSTs body verbatim and returns the status and the decoded
+// error envelope (zero on success).
+func postRaw(t *testing.T, url, body string) (int, errBody) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errBody
+	if resp.StatusCode >= 400 {
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatalf("POST %s: decoding error envelope %s: %v", url, data, err)
+		}
+	}
+	return resp.StatusCode, e
+}
+
+// untouched requires a session with no labels whose next proposal is
+// still want: rejected requests must leave the dialogue where it was.
+func untouched(t *testing.T, ts *httptest.Server, id string, want int) {
+	t.Helper()
+	var sum summary
+	doJSON(t, "GET", ts.URL+"/v1/sessions/"+id, nil, http.StatusOK, &sum)
+	var n next
+	doJSON(t, "GET", ts.URL+"/v1/sessions/"+id+"/next", nil, http.StatusOK, &n)
+	if sum.Labels != 0 || sum.Implied != 0 || n.Tuple == nil || n.Tuple.Index != want {
+		t.Fatalf("session changed: summary %+v, next %+v, want no labels and proposal %d", sum, n.Tuple, want)
+	}
+}
+
+// TestStepBodyLimit applies Config.MaxBodyBytes to the dialogue
+// bodies: an oversized /step or /label body — here one long label
+// string — gets 413 body_too_large and leaves the session untouched.
+func TestStepBodyLimit(t *testing.T) {
+	ts := httptest.NewServer(server.NewWith(server.Config{MaxBodyBytes: 4096}).Handler())
+	t.Cleanup(ts.Close)
+	s := createSession(t, ts, "lookahead-maxmin")
+	var first next
+	doJSON(t, "GET", ts.URL+"/v1/sessions/"+s.ID+"/next", nil, http.StatusOK, &first)
+	big := fmt.Sprintf(`{"index":%d,"label":"+%s"}`, first.Tuple.Index, strings.Repeat(" ", 8192))
+	for _, ep := range []string{"/step", "/label"} {
+		status, e := postRaw(t, ts.URL+"/v1/sessions/"+s.ID+ep, big)
+		if status != http.StatusRequestEntityTooLarge || e.Error.Code != "body_too_large" {
+			t.Fatalf("oversized %s body: status %d, envelope %+v; want 413 body_too_large", ep, status, e)
+		}
+	}
+	untouched(t, ts, s.ID, first.Tuple.Index)
+
+	// Within-limit answers still land.
+	var sr stepResp
+	doJSON(t, "POST", ts.URL+"/v1/sessions/"+s.ID+"/step",
+		map[string]any{"index": first.Tuple.Index, "label": "+"}, http.StatusOK, &sr)
+	if sr.Applied == nil {
+		t.Fatalf("within-limit step = %+v", sr)
+	}
+}
+
+// TestStepRejectsTrailingData holds /step and /label bodies to exactly
+// one JSON value, as json.Unmarshal does: a second answer appended to
+// the first is bad_input, not a silently dropped answer after a 200.
+func TestStepRejectsTrailingData(t *testing.T) {
+	ts := newTestServer(t)
+	s := createSession(t, ts, "lookahead-maxmin")
+	var first next
+	doJSON(t, "GET", ts.URL+"/v1/sessions/"+s.ID+"/next", nil, http.StatusOK, &first)
+	i := first.Tuple.Index
+	for _, ep := range []string{"/step", "/label"} {
+		for _, body := range []string{
+			fmt.Sprintf(`{"index":%d,"label":"+"}{"index":%d,"label":"-"}`, i, (i+1)%12),
+			fmt.Sprintf(`{"index":%d,"label":"+"} x`, i),
+		} {
+			status, e := postRaw(t, ts.URL+"/v1/sessions/"+s.ID+ep, body)
+			if status != http.StatusBadRequest || e.Error.Code != "bad_input" ||
+				!strings.Contains(e.Error.Message, "after top-level value") {
+				t.Fatalf("%s %s: status %d, envelope %+v; want 400 bad_input", ep, body, status, e)
+			}
+		}
+		// An empty body reads as json.Unmarshal reports it.
+		status, e := postRaw(t, ts.URL+"/v1/sessions/"+s.ID+ep, "")
+		if status != http.StatusBadRequest || e.Error.Message != "decoding request: unexpected end of JSON input" {
+			t.Fatalf("%s empty body: status %d, envelope %+v", ep, status, e)
+		}
+	}
+	untouched(t, ts, s.ID, i)
+}
+
+// TestHTTPStepAllocs pins the allocations of one server-side POST /step
+// that answers a tuple and proposes the next: routing, instrumentation,
+// the capped body read and decode, the answer, the proposal, and the
+// reply encode, served through Handler with prebuilt requests and a
+// discarding ResponseWriter. Every measured run answers the same first
+// proposal on its own fresh, identically warmed session, so each run
+// does the same work.
+func TestHTTPStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	const runs = 20
+	h := server.NewWith(server.Config{MaxBodyBytes: 1 << 20}).Handler()
+	reqs := make([]*replayRequest, runs+1) // AllocsPerRun adds one warm-up run
+	w := &nopResponseWriter{h: make(http.Header)}
+	for i := range reqs {
+		id := handlerSession(t, h)
+		// Warm the session: the first proposal builds the strategy's
+		// caches, which a long dialogue pays once, not per step.
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sessions/"+id+"/next", nil))
+		var n struct {
+			Tuple struct {
+				Index int `json:"index"`
+			} `json:"tuple"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &n); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("next: status %d, %v: %s", rec.Code, err, rec.Body)
+		}
+		body := fmt.Sprintf(`{"index":%d,"label":"-"}`, n.Tuple.Index)
+		reqs[i] = newReplayRequest("POST", "/v1/sessions/"+id+"/step", body)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		reqs[next].serve(h, w)
+		next++
+		if w.status != http.StatusOK {
+			t.Fatalf("step: status %d", w.status)
+		}
+	})
+	t.Logf("%.1f allocations per answered /step", allocs)
+	const bound = 11
+	if allocs > bound {
+		t.Fatalf("answered /step made %.1f allocations, want <= %d", allocs, bound)
 	}
 }

@@ -279,6 +279,23 @@ func (v Value) String() string {
 	}
 }
 
+// AppendString appends the String rendering of v to dst and returns
+// the extended slice, so a caller rendering many cells fills one buffer.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		return dst
+	case KindBool:
+		return strconv.AppendBool(dst, v.b)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	default:
+		return append(dst, v.s...)
+	}
+}
+
 // GoString renders v unambiguously for debugging.
 func (v Value) GoString() string {
 	switch v.kind {

@@ -161,9 +161,18 @@ func TestStringRendering(t *testing.T) {
 		{Int(42), "42"},
 		{Float(2.5), "2.5"},
 		{Str("hello"), "hello"},
+		{Bool(false), "false"},
+		{Int(-9223372036854775808), "-9223372036854775808"},
+		{Float(1e21), "1e+21"},
+		{Float(math.Inf(-1)), "-Inf"},
+		{Float(math.NaN()), "NaN"},
+		{Str(""), ""},
 	} {
 		if got := tc.v.String(); got != tc.want {
 			t.Errorf("%#v.String() = %q, want %q", tc.v, got, tc.want)
+		}
+		if got := string(tc.v.AppendString([]byte("x"))); got != "x"+tc.want {
+			t.Errorf("%#v.AppendString = %q, want %q", tc.v, got, "x"+tc.want)
 		}
 	}
 	if got := Str("x").GoString(); got != `"x"` {

@@ -218,14 +218,13 @@ func mergeSorted(a, b []int) []int {
 // growth; a partition is built only when the class is new.
 func (st *State) register(t relation.Tuple) int {
 	i := len(st.labels)
-	eq := func(a, b int) bool { return t[a].Equal(t[b]) }
-	partition.EqualLabels(st.sigLabels, eq)
+	eqLabels(st.sigLabels, t)
 	st.sigKey = partition.AppendKey(st.sigKey[:0], st.sigLabels)
 	gi, ok := st.byKey[string(st.sigKey)]
 	if !ok {
 		gi = len(st.groups)
 		st.byKey[string(st.sigKey)] = gi
-		st.groups = append(st.groups, &SigGroup{Sig: partition.FromEqual(st.n, eq).Cached(), Pos: gi})
+		st.groups = append(st.groups, &SigGroup{Sig: partition.New(st.sigLabels).Cached(), Pos: gi})
 		st.groupUnlabeled = append(st.groupUnlabeled, 0)
 	}
 	st.groups[gi].Indices = append(st.groups[gi].Indices, i)
@@ -234,6 +233,28 @@ func (st *State) register(t relation.Tuple) int {
 	st.counts[Unlabeled]++
 	st.groupUnlabeled[gi]++
 	return gi
+}
+
+// eqLabels writes the canonical block labels of t's Eq signature into
+// labels (cells i and j share a block iff t[i].Equal(t[j])): the
+// partition.EqualLabels loop with value equality called directly
+// instead of through a closure per cell pair.
+func eqLabels(labels []int, t relation.Tuple) {
+	blocks := 0
+	for i := range labels {
+		l := -1
+		for j := 0; j < i; j++ {
+			if t[j].Equal(t[i]) {
+				l = labels[j]
+				break
+			}
+		}
+		if l < 0 {
+			l = blocks
+			blocks++
+		}
+		labels[i] = l
+	}
 }
 
 // Relation returns the instance being labeled.

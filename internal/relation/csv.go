@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/values"
 )
@@ -121,26 +123,132 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Relation, error) {
 
 // ReadCSVTyped is ReadCSV returning also the per-column parsing rules
 // in effect, so callers that later append tuples to the relation can
-// parse arrivals under the same rules.
+// parse arrivals under the same rules. It reads r to the end and
+// parses what it read with ReadCSVString.
 func ReadCSVTyped(r io.Reader, opts CSVOptions) (*Relation, *Typing, error) {
-	cr := csv.NewReader(r)
-	if opts.Comma != 0 {
-		cr.Comma = opts.Comma
+	var b strings.Builder
+	if _, err := io.Copy(&b, r); err != nil {
+		return nil, nil, fmt.Errorf("relation: reading CSV: %w", err)
 	}
+	return ReadCSVString(b.String(), opts)
+}
+
+// ReadCSVString is ReadCSVTyped over an input already held in memory.
+//
+// Input with no '"' and no '\r' under a single-byte separator — the
+// shape generated and exported instances have — is split in place:
+// for it encoding/csv reduces to "skip empty lines, split on '\n' and
+// the separator", which lineScanner does without copying. Any other
+// input (quoted fields, CRLF line ends, a multi-byte or invalid
+// separator) goes through encoding/csv. Both feed the same record
+// loop, so the accepted inputs, errors and values are identical.
+//
+// On the scanner path the relation's tuples are cut from one Value
+// slab, each at full capacity so appending to one tuple copies it
+// instead of overwriting its neighbour. Nothing kept points into s: schema names are cloned,
+// and a row's string cells share one fresh string holding only their
+// bytes, so a large request body is not pinned by the session it
+// creates.
+func ReadCSVString(s string, opts CSVOptions) (*Relation, *Typing, error) {
+	comma := opts.Comma
+	if comma == 0 {
+		comma = ','
+	}
+	if comma < utf8.RuneSelf && validDelim(comma) &&
+		strings.IndexByte(s, '"') < 0 && strings.IndexByte(s, '\r') < 0 {
+		sc := &lineScanner{rest: s, comma: byte(comma)}
+		return readRecords(sc, opts, countLines(s))
+	}
+	cr := csv.NewReader(strings.NewReader(s))
+	cr.Comma = comma
 	cr.FieldsPerRecord = -1 // validated manually for better errors
 	// Every record is parsed into fresh values before the next read, so
-	// the reader may reuse its record slice; the cell strings it hands
-	// out are not reused.
+	// the reader may reuse its record slice.
 	cr.ReuseRecord = true
+	return readRecords(cr, opts, -1)
+}
 
+// validDelim is encoding/csv's rule for a usable separator; the
+// scanner takes only separators encoding/csv would accept, so an
+// invalid one fails there with encoding/csv's error.
+func validDelim(r rune) bool {
+	return r != 0 && r != '"' && r != '\r' && r != '\n' && utf8.ValidRune(r) && r != utf8.RuneError
+}
+
+// recordReader is the record source of readRecords: *csv.Reader with
+// ReuseRecord set, or a lineScanner.
+type recordReader interface {
+	Read() ([]string, error)
+}
+
+// lineScanner yields the records of an input holding no '"' and no
+// '\r': its non-empty lines, split on the separator. Fields are
+// substrings of the input, and the record slice is reused.
+type lineScanner struct {
+	rest  string
+	comma byte
+	rec   []string
+}
+
+func (sc *lineScanner) Read() ([]string, error) {
+	for sc.rest != "" {
+		line := sc.rest
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line, sc.rest = line[:i], line[i+1:]
+		} else {
+			sc.rest = ""
+		}
+		if line == "" {
+			continue // encoding/csv skips empty lines
+		}
+		rec := sc.rec[:0]
+		for {
+			i := strings.IndexByte(line, sc.comma)
+			if i < 0 {
+				break
+			}
+			rec = append(rec, line[:i])
+			line = line[i+1:]
+		}
+		sc.rec = append(rec, line)
+		return sc.rec, nil
+	}
+	return nil, io.EOF
+}
+
+// countLines counts the non-empty lines of s: the records lineScanner
+// will yield.
+func countLines(s string) int {
+	n := 0
+	for s != "" {
+		i := strings.IndexByte(s, '\n')
+		if i < 0 {
+			return n + 1
+		}
+		if i > 0 {
+			n++
+		}
+		s = s[i+1:]
+	}
+	return n
+}
+
+// readRecords builds the relation from rr's records: the header (unless
+// opts.NoHeader), then one tuple per record. records, when known (not
+// -1), is the total record count, and sizes the Value slab exactly;
+// otherwise each tuple is allocated on its own.
+func readRecords(rr recordReader, opts CSVOptions, records int) (*Relation, *Typing, error) {
 	var (
 		schema *Schema
 		ty     *Typing
 		rel    *Relation
+		slab   []values.Value
+		width  int
+		infer  bool // no column is typed: every cell goes to values.Parse
 		row    = 0
 	)
 	for {
-		rec, err := cr.Read()
+		rec, err := rr.Read()
 		if err == io.EOF {
 			break
 		}
@@ -149,68 +257,137 @@ func ReadCSVTyped(r io.Reader, opts CSVOptions) (*Relation, *Typing, error) {
 		}
 		row++
 		if schema == nil {
-			if opts.NoHeader {
-				names := make([]string, len(rec))
-				for i := range names {
-					names[i] = fmt.Sprintf("c%d", i)
-				}
-				schema, err = NewSchema(names...)
-				if err != nil {
-					return nil, nil, err
-				}
-				ty = &Typing{kinds: make([]values.Kind, len(rec)), typed: make([]bool, len(rec))}
-				rel = New(schema)
-				// fall through: rec is data
-			} else {
-				names := make([]string, len(rec))
-				ty = &Typing{kinds: make([]values.Kind, len(rec)), typed: make([]bool, len(rec))}
-				for i, h := range rec {
-					name, kindStr, found := strings.Cut(h, ":")
-					names[i] = strings.TrimSpace(name)
-					if found {
-						k, err := values.KindFromString(kindStr)
-						if err != nil {
-							return nil, nil, fmt.Errorf("relation: header %q: %w", h, err)
-						}
-						ty.kinds[i] = k
-						ty.typed[i] = true
-					}
-				}
-				schema, err = NewSchema(names...)
-				if err != nil {
-					return nil, nil, err
-				}
-				rel = New(schema)
+			if schema, ty, err = header(rec, opts); err != nil {
+				return nil, nil, err
 			}
-			// The caller's typing, when given, overrides the header's.
-			if opts.Typing != nil {
-				if len(opts.Typing.typed) != schema.Len() {
-					return nil, nil, fmt.Errorf("%w: typing covers %d columns, CSV has %d",
-						ErrTypingMismatch, len(opts.Typing.typed), schema.Len())
+			width, infer = schema.Len(), ty.Empty()
+			rel = New(schema)
+			if records >= 0 {
+				rows := records
+				if !opts.NoHeader {
+					rows--
 				}
-				ty = opts.Typing
+				slab = make([]values.Value, rows*width)
+				rel.tuples = make([]Tuple, 0, rows)
 			}
 			if !opts.NoHeader {
 				continue
 			}
 		}
-		if len(rec) != schema.Len() {
-			return nil, nil, fmt.Errorf("relation: CSV record %d has %d fields, want %d", row, len(rec), schema.Len())
+		if len(rec) != width {
+			return nil, nil, fmt.Errorf("relation: CSV record %d has %d fields, want %d", row, len(rec), width)
 		}
-		t := make(Tuple, len(rec))
-		for i, cell := range rec {
-			v, err := ty.ParseCell(i, cell)
-			if err != nil {
-				return nil, nil, fmt.Errorf("relation: CSV record %d column %q: %w", row, schema.Name(i), err)
+		var t Tuple
+		if len(slab) >= width {
+			t, slab = Tuple(slab[:width:width]), slab[width:]
+		} else {
+			t = make(Tuple, width)
+		}
+		if infer {
+			for i, cell := range rec {
+				t[i] = values.Parse(cell)
 			}
-			t[i] = v
+		} else {
+			for i, cell := range rec {
+				v, err := ty.ParseCell(i, cell)
+				if err != nil {
+					return nil, nil, fmt.Errorf("relation: CSV record %d column %q: %w", row, schema.Name(i), err)
+				}
+				t[i] = v
+			}
 		}
+		ownStrings(t)
 		rel.tuples = append(rel.tuples, t)
 	}
 	if schema == nil {
 		return nil, nil, fmt.Errorf("relation: empty CSV input")
 	}
 	return rel, ty, nil
+}
+
+// header builds the schema and typing from the first record: its cells
+// are the attribute names, each optionally annotated with a kind, or,
+// under opts.NoHeader, only its width counts and the names are c0,
+// c1, .... A typing forced through opts overrides the header's.
+func header(rec []string, opts CSVOptions) (*Schema, *Typing, error) {
+	names := make([]string, len(rec))
+	ty := &Typing{kinds: make([]values.Kind, len(rec)), typed: make([]bool, len(rec))}
+	for i, h := range rec {
+		if opts.NoHeader {
+			names[i] = "c" + strconv.Itoa(i)
+			continue
+		}
+		name, kindStr, found := strings.Cut(h, ":")
+		names[i] = strings.TrimSpace(name)
+		if found {
+			k, err := values.KindFromString(kindStr)
+			if err != nil {
+				return nil, nil, fmt.Errorf("relation: header %q: %w", h, err)
+			}
+			ty.kinds[i] = k
+			ty.typed[i] = true
+		}
+	}
+	cloneJoined(names)
+	schema, err := NewSchema(names...)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.Typing != nil {
+		if len(opts.Typing.typed) != schema.Len() {
+			return nil, nil, fmt.Errorf("%w: typing covers %d columns, CSV has %d",
+				ErrTypingMismatch, len(opts.Typing.typed), schema.Len())
+		}
+		ty = opts.Typing
+	}
+	return schema, ty, nil
+}
+
+// cloneJoined re-points every string of parts into one fresh string
+// holding their bytes back to back.
+func cloneJoined(parts []string) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, p := range parts {
+		b.WriteString(p)
+	}
+	all := b.String()
+	for i, p := range parts {
+		parts[i], all = all[:len(p)], all[len(p):]
+	}
+}
+
+// ownStrings re-points the string cells of t into one fresh string
+// holding only their bytes, so t keeps nothing of the input its cells
+// were parsed from. A tuple without string cells is left as is.
+func ownStrings(t Tuple) {
+	n, strs := 0, 0
+	for _, v := range t {
+		if s, ok := v.AsString(); ok {
+			n += len(s)
+			strs++
+		}
+	}
+	if strs == 0 {
+		return
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, v := range t {
+		if s, ok := v.AsString(); ok {
+			b.WriteString(s)
+		}
+	}
+	all := b.String()
+	for i, v := range t {
+		if s, ok := v.AsString(); ok {
+			t[i], all = values.String_(all[:len(s)]), all[len(s):]
+		}
+	}
 }
 
 // EncodeCell renders one cell the way WriteCSV does: the literal

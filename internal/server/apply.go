@@ -47,7 +47,7 @@ func (s *Server) create(csv, strategyName string, seed int64) (string, sessionSu
 	if strings.TrimSpace(csv) == "" {
 		return "", sessionSummary{}, &jim.Error{Code: jim.CodeBadInput, Message: "server: empty csv"}
 	}
-	rel, typing, err := relation.ReadCSVTyped(strings.NewReader(csv), relation.CSVOptions{})
+	rel, typing, err := relation.ReadCSVString(csv, relation.CSVOptions{})
 	if err != nil {
 		return "", sessionSummary{}, &jim.Error{Code: jim.CodeBadInput, Message: err.Error()}
 	}

@@ -357,7 +357,7 @@ func (s *Server) rebuild(sv store.Saved) (*liveSession, error) {
 	if sv.Snapshot == nil {
 		return nil, fmt.Errorf("no snapshot on disk (wal-only remnant)")
 	}
-	st, meta, err := session.Load(bytes.NewReader(sv.Snapshot.Session))
+	st, meta, err := session.LoadBytes(sv.Snapshot.Session)
 	if err != nil {
 		return nil, err
 	}

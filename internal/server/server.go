@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -259,6 +260,21 @@ func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// decodeBody reads the capped request body whole and decodes it with
+// json.Unmarshal, so a body holding anything after its one JSON value
+// is an error rather than silently truncated.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	s.limitBody(w, r)
+	b, err := io.ReadAll(r.Body)
+	if err == nil {
+		err = json.Unmarshal(b, v)
+	}
+	if err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	return nil
+}
+
 // bodyError writes the right envelope for a request-body read failure:
 // body_too_large (413) when the cap was exceeded, bad_input (400) with
 // the error otherwise. It is the single classification site for
@@ -295,10 +311,9 @@ type sessionSummary struct {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	s.limitBody(w, r)
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		bodyError(w, fmt.Errorf("decoding request: %w", err))
+	if err := s.decodeBody(w, r, &req); err != nil {
+		bodyError(w, err)
 		return
 	}
 	_, summary, err := s.create(req.CSV, req.Strategy, req.Seed)
@@ -665,10 +680,9 @@ type appendRequest struct {
 // Arrivals whose schema does not match the session's fail with 409
 // Conflict and leave the session untouched.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
-	s.limitBody(w, r)
 	var req appendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		bodyError(w, fmt.Errorf("decoding request: %w", err))
+	if err := s.decodeBody(w, r, &req); err != nil {
+		bodyError(w, err)
 		return
 	}
 	var (

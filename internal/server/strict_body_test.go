@@ -1,0 +1,111 @@
+package server_test
+
+import (
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// strictBodyCase is one body of a strict-decoding table test: the
+// status it must get and, for a rejection, a fragment of the message.
+type strictBodyCase struct {
+	name    string
+	body    string
+	status  int
+	message string
+}
+
+// strictBodyCases appends json.Unmarshal's trailing-data and empty-body
+// rejections to valid, a body the endpoint accepts with status ok.
+func strictBodyCases(valid string, ok int) []strictBodyCase {
+	return []strictBodyCase{
+		{"one value", valid, ok, ""},
+		{"trailing whitespace", valid + "\n \t\n", ok, ""},
+		{"second value", valid + valid, http.StatusBadRequest, "invalid character '{' after top-level value"},
+		{"trailing junk", valid + " x", http.StatusBadRequest, "invalid character 'x' after top-level value"},
+		{"empty", "", http.StatusBadRequest, "decoding request: unexpected end of JSON input"},
+	}
+}
+
+// sessionCount reads the number of live sessions.
+func sessionCount(t *testing.T, ts *httptest.Server) int {
+	t.Helper()
+	var l struct {
+		Total int `json:"total"`
+	}
+	doJSON(t, "GET", ts.URL+"/v1/sessions", nil, http.StatusOK, &l)
+	return l.Total
+}
+
+// runStrictBody posts each case to url and checks status and envelope;
+// effect reports how many sessions or tuples the request added, which
+// must be 0 for every rejected body.
+func runStrictBody(t *testing.T, url string, cases []strictBodyCase, effect func() int) {
+	t.Helper()
+	for _, c := range cases {
+		before := effect()
+		status, e := postRaw(t, url, c.body)
+		if status != c.status {
+			t.Fatalf("%s: status %d, envelope %+v; want %d", c.name, status, e, c.status)
+		}
+		if c.status >= 400 {
+			if e.Error.Code != "bad_input" || !strings.Contains(e.Error.Message, c.message) {
+				t.Fatalf("%s: envelope %+v; want bad_input with %q", c.name, e, c.message)
+			}
+			if after := effect(); after != before {
+				t.Fatalf("%s: rejected body changed the server: %d -> %d", c.name, before, after)
+			}
+		}
+	}
+}
+
+// TestCreateRejectsTrailingData holds the POST /v1/sessions body to
+// exactly one JSON value: a second value or junk after the first is
+// bad_input and creates nothing.
+func TestCreateRejectsTrailingData(t *testing.T) {
+	ts := newTestServer(t)
+	valid, err := json.Marshal(map[string]any{"csv": travelCSV, "strategy": "lookahead-maxmin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runStrictBody(t, ts.URL+"/v1/sessions", strictBodyCases(string(valid), http.StatusCreated),
+		func() int { return sessionCount(t, ts) })
+}
+
+// TestAppendRejectsTrailingData holds the POST /tuples body to exactly
+// one JSON value: a batch followed by another batch or junk is
+// bad_input and appends nothing.
+func TestAppendRejectsTrailingData(t *testing.T) {
+	ts := newTestServer(t)
+	s := createSession(t, ts, "lookahead-maxmin")
+	tuples := func() int {
+		var sum summary
+		doJSON(t, "GET", ts.URL+"/v1/sessions/"+s.ID, nil, http.StatusOK, &sum)
+		return sum.Tuples
+	}
+	runStrictBody(t, ts.URL+"/v1/sessions/"+s.ID+"/tuples",
+		strictBodyCases(`{"rows":[["Rome","Oslo","AZ","Rome","AZ"]]}`, http.StatusOK), tuples)
+}
+
+// TestImportRejectsTrailingData holds the POST /v1/sessions/import
+// body — an exported session file — to exactly one JSON value.
+func TestImportRejectsTrailingData(t *testing.T) {
+	ts := newTestServer(t)
+	s := createSession(t, ts, "lookahead-maxmin")
+	resp, err := http.Get(ts.URL + "/v1/sessions/" + s.ID + "/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := strictBodyCases(strings.TrimSpace(string(exported)), http.StatusCreated)
+	// session.Load wraps the decode error in its own prefix.
+	cases[len(cases)-1].message = "session: decoding: unexpected end of JSON input"
+	runStrictBody(t, ts.URL+"/v1/sessions/import", cases, func() int { return sessionCount(t, ts) })
+}

@@ -94,14 +94,24 @@ func Save(w io.Writer, st *core.State, meta Meta) error {
 	return nil
 }
 
-// Load reads a session file (format v1 or v2) and reconstructs the
-// inference state: the creation-time prefix rebuilds through NewState,
-// rows that arrived later stream back in through State.Append, and the
-// explicit labels replay on top.
+// Load reads a session file (format v1 or v2) to its end and
+// reconstructs the inference state with LoadBytes.
 func Load(r io.Reader) (*core.State, Meta, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, Meta{}, fmt.Errorf("session: reading: %w", err)
+	}
+	return LoadBytes(b)
+}
+
+// LoadBytes reconstructs the inference state from a session file held
+// in memory: the creation-time prefix rebuilds through NewState, rows
+// that arrived later stream back in through State.Append, and the
+// explicit labels replay on top. The file must hold exactly one JSON
+// value, as json.Unmarshal requires; trailing data is an error.
+func LoadBytes(b []byte) (*core.State, Meta, error) {
 	var f File
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
+	if err := json.Unmarshal(b, &f); err != nil {
 		return nil, Meta{}, fmt.Errorf("session: decoding: %w", err)
 	}
 	if f.Version < minFormatVersion || f.Version > FormatVersion {

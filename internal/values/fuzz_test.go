@@ -36,6 +36,7 @@ func FuzzParseMatchesReference(f *testing.F) {
 		"1234567890123456789", "-1234567890123456789",
 		"9223372036854775807", "-9223372036854775808", "9223372036854775808",
 		"1_000", "0x1p-2", "0x10", "Inf", "+Inf", "-inf", "infinity", "nan", "NaN",
+		"INFINITY", "iNf", "infin", "nano", "None", "NYC", "i", "N",
 		"١٢", "e5", ".5", "5.", "1e3", "-2.5e-3", "+-1", "--1", "1 ", " 1",
 		"NULL", "null", "", "true", "False",
 	} {

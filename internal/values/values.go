@@ -122,8 +122,13 @@ func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 // signatures rely on that) and agrees with Compare.
 func (v Value) Equal(u Value) bool {
 	if v.kind == KindInt && u.kind == KindInt {
-		return v.i == u.i
+		return v.i == u.i // inlined at the caller: the common case
 	}
+	return v.equalSlow(u)
+}
+
+// equalSlow is Equal for every pair that is not int against int.
+func (v Value) equalSlow(u Value) bool {
 	if v.kind == KindNull || u.kind == KindNull {
 		return false
 	}
@@ -322,7 +327,7 @@ func Parse(s string) Value {
 	if i, ok := parseDecimal(s); ok {
 		return Int(i)
 	}
-	if !numberStart(s[0]) {
+	if !mayBeNumber(s) {
 		return String_(s)
 	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
@@ -359,15 +364,20 @@ func parseDecimal(s string) (int64, bool) {
 	return n, true
 }
 
-// numberStart reports whether c can begin a literal that
-// strconv.ParseInt or strconv.ParseFloat accepts: a digit, a sign, a
-// decimal point, or the first letter of "inf"/"infinity"/"nan".
-func numberStart(c byte) bool {
-	switch {
+// mayBeNumber reports whether s (non-empty) can be a literal that
+// strconv.ParseInt or strconv.ParseFloat accepts: it starts with a
+// digit, a sign or a decimal point, or it is one of the unsigned
+// special floats "inf", "infinity" and "nan" in any case. Words like
+// "NYC" or "None" are thus strings without a failed strconv call,
+// whose error allocates.
+func mayBeNumber(s string) bool {
+	switch c := s[0]; {
 	case '0' <= c && c <= '9':
 		return true
-	case c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+	case c == '+', c == '-', c == '.':
 		return true
+	case c == 'i', c == 'I', c == 'n', c == 'N':
+		return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
 	}
 	return false
 }

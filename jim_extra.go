@@ -69,7 +69,8 @@ func SaveSession(w io.Writer, st *State, meta SessionMeta) error {
 }
 
 // LoadSession reconstructs an inference state from a session file by
-// replaying its explicit labels.
+// replaying its explicit labels. The file must hold exactly one JSON
+// value; trailing data is an error.
 func LoadSession(r io.Reader) (*State, SessionMeta, error) {
 	return session.Load(r)
 }

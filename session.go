@@ -256,7 +256,7 @@ func (s *Session) ParseCSV(csv string) ([]Tuple, error) {
 	if strings.TrimSpace(csv) == "" {
 		return nil, newError(CodeBadInput, nil, "empty csv")
 	}
-	arrivals, _, err := relation.ReadCSVTyped(strings.NewReader(csv), relation.CSVOptions{Typing: s.typing})
+	arrivals, _, err := relation.ReadCSVString(csv, relation.CSVOptions{Typing: s.typing})
 	if errors.Is(err, relation.ErrTypingMismatch) {
 		// Column-count drift from the session schema: same contract as
 		// any other schema mismatch.

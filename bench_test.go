@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's figures (E1–E5) and the
 // evaluation experiments (E6–E11), one bench per artifact, plus
 // micro-benchmarks for the performance design choices documented in
-// DESIGN.md §5. The HTTP service has its own load benchmark:
-// `go run ./cmd/jimbench -server` (see internal/loadtest).
+// DESIGN.md §5. The HTTP and wire service has its own benchmark:
+// `bash perfbench/run.sh` (see perfbench/METRICS.md).
 // Run: go test -bench=. -benchmem
 package jim_test
 

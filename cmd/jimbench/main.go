@@ -1,6 +1,5 @@
 // Command jimbench regenerates the paper's figures and the companion
-// experiments as text tables and ASCII charts, load-tests the HTTP
-// service with concurrent simulated users, and benchmarks the
+// experiments as text tables and ASCII charts, and benchmarks the
 // inference core's pick latency on large instances.
 //
 // Usage:
@@ -8,27 +7,12 @@
 //	jimbench -list
 //	jimbench -exp fig4 [-seed 7] [-trials 50]
 //	jimbench -all [-quick]
-//	jimbench -server [-users 64] [-sessions 1] [-workloads travel,synthetic,zipf] [-stream 6] [-out BENCH_server.json]
 //	jimbench -core [-tuples 10000] [-workloads zipf,synthetic,star] [-runs 4] [-stream 16] [-out BENCH_core.json]
-//	jimbench -cluster [-users 64] [-restart-sessions 1024] [-out BENCH_cluster.json]
 //
-// -server also runs streaming variants (users label while the
-// instance arrives in -stream append batches) for zipf and star,
-// binary wire-protocol variants (persistent pipelined connections,
-// fused answer+proposal frames) for travel and zipf with a
-// step-vs-wire transport comparison, durability-on variants (disk
-// session store with fsynced WAL) for travel and zipf, and a
-// crash-recovery scenario (label, kill, recover, verify proposals
-// resume identically); -core times every
-// State.Append against the rebuild-from-scratch alternative.
-// -stream -1 disables the streaming variants, -no-disk the
-// durability ones.
-//
-// -cluster runs the 3-node failover scenario: sessions spread across
-// an in-process cluster, one node killed mid-dialogue, its follower
-// promoted, and every lost session verified proposal-for-proposal
-// against an uninterrupted control. The run fails unless 100% of the
-// killed node's sessions recover with zero mismatches.
+// -core times every strategy pick of complete oracle-answered sessions
+// against the naive from-scratch reference, and every State.Append
+// against the rebuild-from-scratch alternative. Service latency and
+// recovery are measured by perfbench (see perfbench/METRICS.md).
 package main
 
 import (
@@ -42,7 +26,6 @@ import (
 
 	"repro/internal/corebench"
 	"repro/internal/experiments"
-	"repro/internal/loadtest"
 )
 
 // options gathers everything main parses; run is kept effect-free for
@@ -53,22 +36,14 @@ type options struct {
 	all     bool
 	expOpts experiments.Options
 
-	server          bool
-	cluster         bool
-	users           int
-	sessions        int
-	restartSessions int
-	workloads       string
-	strategy        string
-	out             string
-
 	core       bool
+	workloads  string
+	out        string
 	tuples     int
 	runs       int
 	strategies string
 	noBaseline bool
 	stream     int
-	noDisk     bool
 	procs      []int
 }
 
@@ -80,22 +55,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	trials := flag.Int("trials", 0, "trials per randomized measurement (0 = default)")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-	flag.BoolVar(&o.server, "server", false, "load-test the HTTP service instead of running experiments")
-	flag.BoolVar(&o.cluster, "cluster", false, "run the 3-node kill-one failover scenario instead of experiments")
-	flag.IntVar(&o.users, "users", 64, "concurrent simulated users (with -server)")
-	flag.IntVar(&o.sessions, "sessions", 1, "sessions each user completes (with -server)")
-	flag.IntVar(&o.restartSessions, "restart-sessions", 1024, "session fleet of the crash-recovery scenario and the restore microbench; -users bounds its concurrency (with -server)")
-	flag.StringVar(&o.workloads, "workloads", "", "comma-separated workloads (default travel,synthetic,zipf with -server; zipf,synthetic,star with -core)")
-	flag.StringVar(&o.strategy, "strategy", "lookahead-maxmin", "question strategy (with -server)")
-	flag.StringVar(&o.out, "out", "", "machine-readable output file (default BENCH_server.json / BENCH_core.json)")
+	flag.StringVar(&o.workloads, "workloads", "zipf,synthetic,star", "comma-separated workloads (with -core)")
+	flag.StringVar(&o.out, "out", "BENCH_core.json", "machine-readable output file, - for stdout (with -core)")
 	flag.BoolVar(&o.core, "core", false, "benchmark the inference core's pick latency instead of running experiments")
 	flag.IntVar(&o.tuples, "tuples", 10000, "instance size (with -core)")
 	flag.IntVar(&o.runs, "runs", 4, "measured sessions per strategy (with -core)")
 	flag.StringVar(&o.strategies, "strategies", "", "comma-separated strategies (with -core; default the lookahead family)")
 	flag.BoolVar(&o.noBaseline, "no-baseline", false, "skip the naive reference measurement (with -core)")
-	flag.IntVar(&o.stream, "stream", 0, "streaming-ingestion batches: 0 = mode default (16 with -core; 6 with -server), negative disables")
-	flag.BoolVar(&o.noDisk, "no-disk", false, "skip the durability-on (disk store) runs and the restart scenario (with -server)")
-	procs := flag.String("procs", "auto", "GOMAXPROCS sweep for the scaling entries: comma-separated counts, auto = 1, half, and all cores, empty disables (with -core and -server)")
+	flag.IntVar(&o.stream, "stream", 0, "streaming-ingestion batches: 0 = default (16), negative disables (with -core)")
+	procs := flag.String("procs", "auto", "GOMAXPROCS sweep for the scaling entries: comma-separated counts, auto = 1, half, and all cores, empty disables (with -core)")
 	flag.Parse()
 	var err error
 	if o.procs, err = parseProcs(*procs); err != nil {
@@ -103,23 +71,6 @@ func main() {
 		os.Exit(2)
 	}
 	o.expOpts = experiments.Options{Seed: *seed, Trials: *trials, Quick: *quick}
-	if o.workloads == "" {
-		if o.core {
-			o.workloads = "zipf,synthetic,star"
-		} else {
-			o.workloads = "travel,synthetic,zipf"
-		}
-	}
-	if o.out == "" {
-		switch {
-		case o.core:
-			o.out = "BENCH_core.json"
-		case o.cluster:
-			o.out = "BENCH_cluster.json"
-		default:
-			o.out = "BENCH_server.json"
-		}
-	}
 
 	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "jimbench:", err)
@@ -131,10 +82,6 @@ func run(w io.Writer, o options) error {
 	switch {
 	case o.core:
 		return runCoreBench(w, o)
-	case o.cluster:
-		return runClusterBench(w, o)
-	case o.server:
-		return runServerBench(w, o)
 	case o.list:
 		for _, id := range experiments.IDs() {
 			title, err := experiments.Title(id)
@@ -153,342 +100,8 @@ func run(w io.Writer, o options) error {
 		}
 		return res.Render(w)
 	default:
-		return fmt.Errorf("nothing to do: pass -list, -exp <id>, -all, or -server")
+		return fmt.Errorf("nothing to do: pass -list, -exp <id>, -all, or -core")
 	}
-}
-
-// serverBench is the BENCH_server.json payload: one loadtest report
-// per workload (including durability-on disk-store runs) plus the
-// crash-recovery scenario and run-wide totals, for the perf
-// trajectory.
-type serverBench struct {
-	Benchmark       string             `json:"benchmark"`
-	GoVersion       string             `json:"go_version"`
-	MaxProcs        int                `json:"gomaxprocs"`
-	Users           int                `json:"users"`
-	SessionsPerUser int                `json:"sessions_per_user"`
-	Strategy        string             `json:"strategy"`
-	Workloads       []*loadtest.Report `json:"workloads"`
-	// Restart is the kill/recover scenario: labeled work before the
-	// kill, recovery wall time, WAL bytes per event (v2 vs v1), and
-	// the proposal-verification outcome.
-	Restart *loadtest.RestartReport `json:"restart,omitempty"`
-	// RestoreBench times store-layer recovery (LoadAll) over the same
-	// logical content written in both on-disk formats.
-	RestoreBench *restoreBench `json:"restore_bench,omitempty"`
-	// StepVsWire compares the one-round-trip HTTP /step dialogue
-	// against the binary wire protocol on the same workload — the
-	// transport speedup the wire codec exists to buy.
-	StepVsWire *stepVsWire `json:"step_vs_wire,omitempty"`
-	// ProcsSweep re-runs the one-round-trip /step scenario at each
-	// requested GOMAXPROCS — the service-layer scaling curve.
-	ProcsSweep []serverProcsRun `json:"procs_sweep,omitempty"`
-	Totals     benchTotals      `json:"totals"`
-}
-
-// serverProcsRun is one point of the server-side GOMAXPROCS sweep.
-type serverProcsRun struct {
-	Procs  int              `json:"procs"`
-	Report *loadtest.Report `json:"report"`
-}
-
-// stepVsWire is the HTTP-vs-wire transport comparison, derived from
-// the matching workload entries of the same bench run.
-type stepVsWire struct {
-	Workload           string  `json:"workload"`
-	StepSessionsPerSec float64 `json:"step_sessions_per_sec"`
-	WireSessionsPerSec float64 `json:"wire_sessions_per_sec"`
-	StepP99MS          float64 `json:"step_p99_ms"`
-	WireP99MS          float64 `json:"wire_p99_ms"`
-	Speedup            float64 `json:"speedup"`
-}
-
-type benchTotals struct {
-	Sessions       int     `json:"sessions"`
-	Completed      int     `json:"completed"`
-	Requests       int     `json:"requests"`
-	Errors         int     `json:"errors"`
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-}
-
-func runServerBench(w io.Writer, o options) error {
-	bench := &serverBench{
-		Benchmark:       "jim-server-loadtest",
-		GoVersion:       runtime.Version(),
-		MaxProcs:        runtime.GOMAXPROCS(0),
-		Users:           o.users,
-		SessionsPerUser: o.sessions,
-		Strategy:        o.strategy,
-	}
-	// One classic run per workload, plus streaming runs (users label
-	// while the instance grows in append batches) for the generators
-	// that scale, plus durability-on runs (disk store, fsynced WAL) so
-	// the trajectory tracks what crash safety costs.
-	type benchRun struct {
-		workload string
-		stream   int
-		store    string
-		fsync    bool
-		step     bool
-		wire     bool
-	}
-	classic := splitList(o.workloads)
-	if len(classic) == 0 {
-		return fmt.Errorf("no workloads selected")
-	}
-	var runs []benchRun
-	for _, wl := range classic {
-		runs = append(runs, benchRun{workload: wl})
-	}
-	// One-round-trip /step variants: same dialogues, half the requests
-	// per question — the report tracks what the combined endpoint buys.
-	for _, wl := range []string{"travel", "zipf"} {
-		runs = append(runs, benchRun{workload: wl, step: true})
-	}
-	// Binary wire protocol variants: the same fused dialogue turn as
-	// /step, framed as varint-prefixed binary on persistent pipelined
-	// connections instead of HTTP+JSON.
-	for _, wl := range []string{"travel", "zipf"} {
-		runs = append(runs, benchRun{workload: wl, wire: true})
-	}
-	if stream := o.stream; stream >= 0 {
-		if stream == 0 {
-			stream = 6
-		}
-		for _, wl := range []string{"zipf", "star"} {
-			runs = append(runs, benchRun{workload: wl, stream: stream})
-		}
-	}
-	if !o.noDisk {
-		// Durability on: the disk store's WAL rides the OS page cache,
-		// which is what the kill/recover scenario exercises (a process
-		// crash loses nothing). The fsync variant additionally waits for
-		// stable storage per event — machine-crash durability — and is
-		// reported separately because its cost is the disk's flush
-		// latency, not the store's.
-		for _, wl := range []string{"travel", "zipf"} {
-			runs = append(runs, benchRun{workload: wl, store: "disk"})
-		}
-		runs = append(runs, benchRun{workload: "travel", store: "disk", fsync: true})
-		// Wire over the durable backend: the p99 target the protocol is
-		// held to includes the WAL on the write path.
-		runs = append(runs, benchRun{workload: "travel", store: "disk", wire: true})
-	}
-	for _, br := range runs {
-		rep, err := loadtest.Run(loadtest.Config{
-			Users:           o.users,
-			SessionsPerUser: o.sessions,
-			Workload:        br.workload,
-			Strategy:        o.strategy,
-			StreamBatches:   br.stream,
-			Store:           br.store,
-			Fsync:           br.fsync,
-			UseStep:         br.step,
-			UseWire:         br.wire,
-			Seed:            o.expOpts.Seed,
-		})
-		if err != nil {
-			return err
-		}
-		bench.Workloads = append(bench.Workloads, rep)
-		bench.Totals.Sessions += rep.Sessions
-		bench.Totals.Completed += rep.Completed
-		bench.Totals.Requests += rep.Requests
-		bench.Totals.Errors += rep.Errors
-		bench.Totals.ElapsedSeconds += rep.ElapsedSeconds
-		name := br.workload
-		if br.stream > 0 {
-			name = fmt.Sprintf("%s+stream%d", br.workload, br.stream)
-		}
-		if br.step {
-			name += "+step"
-		}
-		if br.wire {
-			name += "+wire"
-		}
-		if br.store != "" {
-			name = fmt.Sprintf("%s+%s", name, br.store)
-			if br.fsync {
-				name += "+fsync"
-			}
-		}
-		fmt.Fprintf(w, "%-14s %4d/%d sessions  %8.1f req/s  %7.1f sessions/s  p50 %.2fms  p95 %.2fms  p99 %.2fms\n",
-			name, rep.Completed, rep.Sessions, rep.RequestsPerSec, rep.SessionsPerSec,
-			rep.Latency.P50, rep.Latency.P95, rep.Latency.P99)
-	}
-	// Derive the transport comparison from the matching travel entries:
-	// same workload, same users, memory store — only the transport
-	// differs between the two reports.
-	var stepRep, wireRep *loadtest.Report
-	for _, rep := range bench.Workloads {
-		if rep.Workload != "travel" || rep.StreamBatches != 0 || rep.Store != "" {
-			continue
-		}
-		if rep.UseStep {
-			stepRep = rep
-		}
-		if rep.UseWire {
-			wireRep = rep
-		}
-	}
-	if stepRep != nil && wireRep != nil {
-		svw := &stepVsWire{
-			Workload:           "travel",
-			StepSessionsPerSec: stepRep.SessionsPerSec,
-			WireSessionsPerSec: wireRep.SessionsPerSec,
-			StepP99MS:          stepRep.Latency.P99,
-			WireP99MS:          wireRep.Latency.P99,
-		}
-		if stepRep.SessionsPerSec > 0 {
-			svw.Speedup = wireRep.SessionsPerSec / stepRep.SessionsPerSec
-		}
-		bench.StepVsWire = svw
-		fmt.Fprintf(w, "%-14s wire %.1f sessions/s vs /step %.1f — %.2fx\n",
-			"step_vs_wire", svw.WireSessionsPerSec, svw.StepSessionsPerSec, svw.Speedup)
-	}
-	if !o.noDisk {
-		rr, err := loadtest.RunRestart(loadtest.Config{
-			Users:           o.users,
-			RestartSessions: o.restartSessions,
-			Workload:        "travel",
-			Strategy:        o.strategy,
-			Fsync:           true,
-			Seed:            o.expOpts.Seed,
-		})
-		if err != nil {
-			return err
-		}
-		if rr.Mismatches > 0 || rr.RecoveredSessions != rr.Sessions {
-			return fmt.Errorf("restart scenario: recovered %d/%d sessions, %d proposal mismatches (%s)",
-				rr.RecoveredSessions, rr.Sessions, rr.Mismatches, rr.FirstError)
-		}
-		bench.Restart = rr
-		fmt.Fprintf(w, "%-14s %4d/%d recovered in %.1fms  %d labels preserved  %d/%d proposals verified  %.1f B/event (v1 %.1f)\n",
-			"restart", rr.RecoveredSessions, rr.Sessions, rr.RecoveryMS,
-			rr.LabelsBeforeKill, rr.VerifiedProposals-rr.Mismatches, rr.VerifiedProposals,
-			rr.WALBytesPerEvent, rr.WALBytesPerEventV1)
-		rb, err := runRestoreBench(o.restartSessions, 32)
-		if err != nil {
-			return err
-		}
-		bench.RestoreBench = rb
-		fmt.Fprintf(w, "%-14s %d sessions x %d events: v2 %.1fms / %d B, v1 %.1fms / %d B — %.2fx\n",
-			"restore", rb.Sessions, rb.EventsPerSession,
-			rb.V2.LoadMS, rb.V2.WALBytes, rb.V1.LoadMS, rb.V1.WALBytes, rb.Speedup)
-	}
-	// GOMAXPROCS sweep over the /step scenario: the same one-round-trip
-	// dialogue load at each processor count, so the artifact records how
-	// the service scales with cores on this machine.
-	if len(o.procs) > 0 {
-		prev := runtime.GOMAXPROCS(0)
-		for _, p := range o.procs {
-			runtime.GOMAXPROCS(p)
-			rep, err := loadtest.Run(loadtest.Config{
-				Users:           o.users,
-				SessionsPerUser: o.sessions,
-				Workload:        "travel",
-				Strategy:        o.strategy,
-				UseStep:         true,
-				Seed:            o.expOpts.Seed,
-			})
-			if err != nil {
-				runtime.GOMAXPROCS(prev)
-				return err
-			}
-			bench.ProcsSweep = append(bench.ProcsSweep, serverProcsRun{Procs: p, Report: rep})
-			fmt.Fprintf(w, "%-14s %4d/%d sessions  %8.1f req/s  %7.1f sessions/s  p50 %.2fms  p95 %.2fms  p99 %.2fms\n",
-				fmt.Sprintf("procs=%d+step", p), rep.Completed, rep.Sessions, rep.RequestsPerSec, rep.SessionsPerSec,
-				rep.Latency.P50, rep.Latency.P95, rep.Latency.P99)
-		}
-		runtime.GOMAXPROCS(prev)
-	}
-	if len(bench.Workloads) == 0 {
-		return fmt.Errorf("no workloads selected")
-	}
-	if bench.Totals.Errors > 0 {
-		for _, rep := range bench.Workloads {
-			if rep.FirstError != "" {
-				return fmt.Errorf("%d sessions failed, first: %s", bench.Totals.Errors, rep.FirstError)
-			}
-		}
-	}
-	if done, err := writeReport(w, o.out, bench); done || err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s: %d sessions (%d completed), %d requests in %.2fs\n",
-		o.out, bench.Totals.Sessions, bench.Totals.Completed,
-		bench.Totals.Requests, bench.Totals.ElapsedSeconds)
-	return nil
-}
-
-// clusterBench is the BENCH_cluster.json payload: the failover
-// scenario's report plus run identity, for the perf trajectory.
-type clusterBench struct {
-	Benchmark string                  `json:"benchmark"`
-	GoVersion string                  `json:"go_version"`
-	MaxProcs  int                     `json:"gomaxprocs"`
-	Strategy  string                  `json:"strategy"`
-	Failover  *loadtest.ClusterReport `json:"failover"`
-	// AutoFailover is the same kill-one scenario with the lease
-	// failure detector promoting instead of an operator.
-	AutoFailover *loadtest.ClusterReport `json:"auto_failover"`
-}
-
-// runClusterBench runs the 3-node kill-one scenario and holds it to
-// the failover contract: every session the killed node owned recovers
-// on the follower, proposal-for-proposal.
-func runClusterBench(w io.Writer, o options) error {
-	run := func(auto bool) (*loadtest.ClusterReport, error) {
-		rep, err := loadtest.RunCluster(loadtest.Config{
-			Users:           o.users,
-			RestartSessions: o.restartSessions,
-			Workload:        "travel",
-			Strategy:        o.strategy,
-			Seed:            o.expOpts.Seed,
-			AutoFailover:    auto,
-		})
-		if err != nil {
-			return nil, err
-		}
-		mode := "operator"
-		if auto {
-			mode = "auto"
-		}
-		if rep.RecoveredSessions != rep.SessionsOnKilled || rep.Mismatches != 0 {
-			return nil, fmt.Errorf("cluster scenario (%s): recovered %d/%d killed-node sessions, %d proposal mismatches (%s)",
-				mode, rep.RecoveredSessions, rep.SessionsOnKilled, rep.Mismatches, rep.FirstError)
-		}
-		fmt.Fprintf(w, "%-14s %d nodes, %d sessions (%d on %s): adopted %d, recovered %d/%d, %d/%d proposals verified\n",
-			"cluster/"+mode, rep.Nodes, rep.Sessions, rep.SessionsOnKilled, rep.KilledNode,
-			rep.AdoptedSessions, rep.RecoveredSessions, rep.SessionsOnKilled,
-			rep.VerifiedProposals-rep.Mismatches, rep.VerifiedProposals)
-		fmt.Fprintf(w, "%-14s lag %d events at kill, detect %.1fms, promote %.1fms, p99 %.2fms\n",
-			"failover", rep.ReplLagAtKill, rep.DetectMS, rep.PromotionMS, rep.Latency.P99)
-		return rep, nil
-	}
-	operator, err := run(false)
-	if err != nil {
-		return err
-	}
-	auto, err := run(true)
-	if err != nil {
-		return err
-	}
-	bench := &clusterBench{
-		Benchmark:    "jim-cluster-failover",
-		GoVersion:    runtime.Version(),
-		MaxProcs:     runtime.GOMAXPROCS(0),
-		Strategy:     o.strategy,
-		Failover:     operator,
-		AutoFailover: auto,
-	}
-	if done, err := writeReport(w, o.out, bench); done || err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s: %d sessions failed over in %.2fs (operator), %d in %.2fs (auto)\n",
-		o.out, operator.SessionsOnKilled, operator.ElapsedSeconds,
-		auto.SessionsOnKilled, auto.ElapsedSeconds)
-	return nil
 }
 
 // runCoreBench measures strategy pick latency and session throughput

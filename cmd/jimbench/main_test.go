@@ -47,92 +47,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&buf, options{}); err == nil {
 		t.Error("no-op invocation accepted")
 	}
-	if err := run(&buf, options{server: true, users: 1, workloads: "bogus", out: "-"}); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	if err := run(&buf, options{server: true, users: 1, workloads: "", out: "-"}); err == nil {
-		t.Error("empty workload list accepted")
-	}
-}
-
-func TestRunServerBench(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_server.json")
-	var buf bytes.Buffer
-	o := options{
-		server:    true,
-		users:     8,
-		sessions:  1,
-		workloads: "travel,zipf",
-		strategy:  "lookahead-maxmin",
-		stream:    -1, // classic runs only; streaming covered separately
-		noDisk:    true,
-		procs:     []int{1},
-		out:       out,
-		expOpts:   quickOpts(),
-	}
-	if err := run(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bench serverBench
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("decoding %s: %v", out, err)
-	}
-	if bench.Benchmark != "jim-server-loadtest" || bench.Users != 8 {
-		t.Errorf("bench header = %+v", bench)
-	}
-	// travel + zipf classic, plus the /step and wire variants of both.
-	if len(bench.Workloads) != 6 {
-		t.Fatalf("workloads = %d, want 6", len(bench.Workloads))
-	}
-	stepRuns, wireRuns := 0, 0
-	for _, rep := range bench.Workloads {
-		if rep.UseStep {
-			stepRuns++
-			if rep.Errors != 0 {
-				t.Errorf("%s step run errors: %s", rep.Workload, rep.FirstError)
-			}
-		}
-		if rep.UseWire {
-			wireRuns++
-			if rep.Errors != 0 {
-				t.Errorf("%s wire run errors: %s", rep.Workload, rep.FirstError)
-			}
-			if rep.ConnsOpened != bench.Users {
-				t.Errorf("%s wire run opened %d conns, want one per user (%d)",
-					rep.Workload, rep.ConnsOpened, bench.Users)
-			}
-		}
-	}
-	if stepRuns != 2 || wireRuns != 2 {
-		t.Fatalf("step entries = %d, wire entries = %d, want 2 each", stepRuns, wireRuns)
-	}
-	svw := bench.StepVsWire
-	if svw == nil || svw.Workload != "travel" ||
-		svw.StepSessionsPerSec <= 0 || svw.WireSessionsPerSec <= 0 || svw.Speedup <= 0 {
-		t.Fatalf("step_vs_wire = %+v, want a populated travel comparison", svw)
-	}
-	if len(bench.ProcsSweep) != 1 || bench.ProcsSweep[0].Procs != 1 ||
-		bench.ProcsSweep[0].Report == nil || !bench.ProcsSweep[0].Report.UseStep {
-		t.Fatalf("procs sweep = %+v, want one 1-proc /step entry", bench.ProcsSweep)
-	}
-	if bench.Totals.Sessions != 48 || bench.Totals.Completed != 48 || bench.Totals.Errors != 0 {
-		t.Errorf("totals = %+v", bench.Totals)
-	}
-	for _, rep := range bench.Workloads {
-		if rep.Latency.P95 < rep.Latency.P50 || rep.Latency.P50 <= 0 {
-			t.Errorf("%s latency = %+v", rep.Workload, rep.Latency)
-		}
-		if rep.SessionsPerSec <= 0 {
-			t.Errorf("%s throughput missing", rep.Workload)
-		}
-	}
-	if !strings.Contains(buf.String(), "wrote "+out) {
-		t.Errorf("summary line missing: %s", buf.String())
-	}
 }
 
 func TestRunCoreBench(t *testing.T) {
@@ -189,6 +103,16 @@ func TestRunCoreBench(t *testing.T) {
 		t.Errorf("summary line missing: %s", buf.String())
 	}
 
+	// -out - writes the report to stdout instead.
+	buf.Reset()
+	o = options{core: true, tuples: 60, runs: 1, workloads: "star", strategies: "lookahead-maxmin", noBaseline: true, stream: -1, out: "-"}
+	if err := run(&buf, o); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"benchmark": "jim-core-pick"`) {
+		t.Errorf("stdout mode missing JSON payload:\n%s", buf.String())
+	}
+
 	// Unknown workloads and strategies must fail loudly.
 	if err := run(&buf, options{core: true, tuples: 50, runs: 1, workloads: "bogus", out: "-"}); err == nil {
 		t.Error("unknown core workload accepted")
@@ -198,122 +122,5 @@ func TestRunCoreBench(t *testing.T) {
 	}
 	if err := run(&buf, options{core: true, tuples: 50, runs: 1, workloads: "", out: "-"}); err == nil {
 		t.Error("empty core workload list accepted")
-	}
-}
-
-func TestRunServerBenchStdout(t *testing.T) {
-	var buf bytes.Buffer
-	o := options{server: true, users: 2, sessions: 1, workloads: "travel", stream: -1, noDisk: true, out: "-"}
-	if err := run(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"benchmark": "jim-server-loadtest"`) {
-		t.Errorf("stdout mode missing JSON payload:\n%s", buf.String())
-	}
-}
-
-// TestRunServerBenchStreaming: the default -server run appends
-// streaming variants (users label while the instance grows) for the
-// scaling generators, tagged by stream_batches in the report.
-func TestRunServerBenchStreaming(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_server.json")
-	var buf bytes.Buffer
-	o := options{
-		server:    true,
-		users:     2,
-		sessions:  1,
-		workloads: "travel",
-		strategy:  "lookahead-maxmin",
-		stream:    3,
-		noDisk:    true,
-		out:       out,
-		expOpts:   quickOpts(),
-	}
-	if err := run(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bench serverBench
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatal(err)
-	}
-	if len(bench.Workloads) != 7 { // travel classic + travel/zipf step + travel/zipf wire + zipf/star streaming
-		t.Fatalf("workloads = %d, want 7", len(bench.Workloads))
-	}
-	streaming := 0
-	for _, rep := range bench.Workloads {
-		if rep.StreamBatches > 0 {
-			streaming++
-			if rep.StreamBatches != 3 || rep.Appends == 0 {
-				t.Errorf("%s streaming report incomplete: %+v", rep.Workload, rep)
-			}
-		}
-	}
-	if streaming != 2 {
-		t.Fatalf("streaming entries = %d, want 2", streaming)
-	}
-	if bench.Totals.Errors != 0 {
-		t.Errorf("streaming bench errors: %+v", bench.Totals)
-	}
-}
-
-// TestRunServerBenchDurability: the default -server run appends
-// durability-on entries (disk store, fsynced WAL) and the restart
-// scenario, so BENCH_server.json tracks what crash safety costs and
-// proves recovery is exact under load.
-func TestRunServerBenchDurability(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_server.json")
-	var buf bytes.Buffer
-	o := options{
-		server:    true,
-		users:     2,
-		sessions:  1,
-		workloads: "travel",
-		strategy:  "lookahead-maxmin",
-		stream:    -1,
-		out:       out,
-		expOpts:   quickOpts(),
-	}
-	if err := run(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bench serverBench
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatal(err)
-	}
-	disk, fsynced, diskWire := 0, 0, 0
-	for _, rep := range bench.Workloads {
-		if rep.Store == "disk" {
-			disk++
-			if rep.Fsync {
-				fsynced++
-			}
-			if rep.UseWire {
-				diskWire++
-			}
-			if rep.Errors != 0 {
-				t.Errorf("%s disk run errors: %s", rep.Workload, rep.FirstError)
-			}
-		}
-	}
-	if disk != 4 || fsynced != 1 || diskWire != 1 {
-		t.Fatalf("disk entries = %d (%d fsynced, %d wire), want 4 with 1 fsynced and 1 wire", disk, fsynced, diskWire)
-	}
-	rr := bench.Restart
-	if rr == nil {
-		t.Fatal("restart scenario missing from BENCH_server.json")
-	}
-	if rr.RecoveredSessions != rr.Sessions || rr.Mismatches != 0 {
-		t.Fatalf("restart = %+v", rr)
-	}
-	if rr.LabelsBeforeKill == 0 || rr.Completed != rr.Sessions {
-		t.Fatalf("restart did not preserve and finish work: %+v", rr)
 	}
 }

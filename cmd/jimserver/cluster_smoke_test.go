@@ -7,7 +7,7 @@ package main
 // — on the survivor. This is the only test that exercises the flag
 // wiring, the replication listener, and the promotion API end to end
 // across real process boundaries; everything in-process lives in
-// internal/server and internal/loadtest.
+// internal/server and internal/cluster/chaostest.
 
 import (
 	"bytes"

@@ -4,10 +4,9 @@
 // complete oracle-answered sessions, timing every strategy pick, for
 // both the incremental scorer and the from-scratch naive reference
 // (strategy.Naive), and reports the speedup between them. cmd/jimbench
-// -core wires it to BENCH_core.json, the companion artifact to the
-// load harness's BENCH_server.json: one proves the inference core
-// scales to 10k-tuple instances at interactive latency, the other that
-// the service layer preserves it under concurrent traffic.
+// -core wires it to BENCH_core.json, the evidence that the inference
+// core scales to 10k-tuple instances at interactive latency; perfbench
+// measures what the service layer adds on top.
 package corebench
 
 import (

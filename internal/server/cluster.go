@@ -504,9 +504,8 @@ type promoteResponse struct {
 
 // handlePromote marks a peer failed in this node's membership view
 // and adopts every replica the new view assigns to us — the failover
-// step an operator (or the loadtest harness) drives on each survivor
-// after detecting a death. Idempotent: re-promoting an already-failed
-// node adopts nothing new.
+// step an operator drives on each survivor after detecting a death.
+// Idempotent: re-promoting an already-failed node adopts nothing new.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	c := s.cluster
 	if c == nil {
@@ -514,8 +513,8 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req promoteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, jim.CodeBadInput, "decoding request: %v", err)
+	if err := s.decodeBody(w, r, &req); err != nil {
+		bodyError(w, err)
 		return
 	}
 	if req.Node == "" {
@@ -783,8 +782,8 @@ func (s *Server) handleRejoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req rejoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, jim.CodeBadInput, "decoding request: %v", err)
+	if err := s.decodeBody(w, r, &req); err != nil {
+		bodyError(w, err)
 		return
 	}
 	if req.Node == "" {
@@ -1229,8 +1228,8 @@ type replHealth struct {
 
 // handleHealthz serves the liveness/role probe. ?sync=1 additionally
 // runs a replication barrier: the response reports whether the
-// follower acknowledged the whole stream (the loadtest uses this to
-// bound replication lag before killing a node).
+// follower acknowledged the whole stream (the failover tests use this
+// to bound replication lag before killing a node).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthResponse{
 		Status:     "ok",

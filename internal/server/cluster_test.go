@@ -36,7 +36,7 @@ type clusterNode struct {
 
 func (n *clusterNode) base() string { return n.ts.URL + "/v1" }
 
-// kill is the loadtest-style SIGKILL: stop serving HTTP, tear down the
+// kill is a SIGKILL-style stop: stop serving HTTP, tear down the
 // replication listener, stop shipping. No drain, no snapshot-all.
 func (n *clusterNode) kill() {
 	if n.dead {
@@ -52,10 +52,16 @@ func (n *clusterNode) kill() {
 // real HTTP listeners, real replication streams, shared peer table.
 func startCluster(t *testing.T, ids ...string) map[string]*clusterNode {
 	t.Helper()
+	return startClusterWith(t, server.Config{}, ids...)
+}
+
+// startClusterWith is startCluster with every node built from cfg.
+func startClusterWith(t *testing.T, cfg server.Config, ids ...string) map[string]*clusterNode {
+	t.Helper()
 	nodes := make(map[string]*clusterNode, len(ids))
 	var peers []cluster.Node
 	for _, id := range ids {
-		srv := server.New()
+		srv := server.NewWith(cfg)
 		ts := httptest.NewServer(srv.Handler())
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -306,28 +306,22 @@ func (s *Server) Restore() (int, error) {
 		}
 		rebuilt[i], rebuildErrs[i] = s.rebuild(sv)
 	}
-	if workers := min(len(saved), runtime.GOMAXPROCS(0)); workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(saved) {
-						return
-					}
-					rebuildOne(i)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(len(saved), runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(saved) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range saved {
-			rebuildOne(i)
-		}
+				rebuildOne(i)
+			}
+		}()
 	}
+	wg.Wait()
 	restored := 0
 	maxID := int64(0)
 	for i, sv := range saved {

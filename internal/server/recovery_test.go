@@ -627,3 +627,103 @@ func TestRecoveryPreservesSkipClearRounds(t *testing.T) {
 		t.Fatal("reference did not converge with the recovered session")
 	}
 }
+
+// TestRestoreManySessionsDifferential is the fleet-sized recovery
+// test: a dozen disk-backed sessions over every instance family and
+// heuristic strategy are each labeled part way over HTTP, the server
+// is killed without a graceful shutdown, and a fresh server restores
+// the fleet from the same data directory on its worker pool. Every
+// session must come back, standing exactly where a never-interrupted
+// control server that saw the same requests stands: same progress,
+// same running result, same next proposal.
+func TestRestoreManySessionsDifferential(t *testing.T) {
+	const n = 12
+	families := workload.InstanceNames()
+	strategies := strategy.Names()
+	strategies = strategies[:len(strategies)-1] // all but the exponential optimal
+
+	dir := t.TempDir()
+	cfg, ds := diskConfig(t, dir)
+	ts := httptest.NewServer(server.NewWith(cfg).Handler())
+	control := newTestServer(t)
+
+	ids := make([]string, n)
+	for i := range ids {
+		rel, goal, err := workload.Instance(families[i%len(families)], workload.InstanceConfig{Seed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var csv bytes.Buffer
+		if err := relation.WriteCSV(&csv, rel); err != nil {
+			t.Fatal(err)
+		}
+		create := map[string]any{"csv": csv.String(), "strategy": strategies[i%len(strategies)], "seed": i}
+		var s, c summary
+		doJSON(t, "POST", ts.URL+"/v1/sessions", create, http.StatusCreated, &s)
+		doJSON(t, "POST", control.URL+"/v1/sessions", create, http.StatusCreated, &c)
+		if s.ID != c.ID {
+			t.Fatalf("session %d: id %s on disk, %s on the control", i, s.ID, c.ID)
+		}
+		ids[i] = s.ID
+		// 1–4 answers each, the third a skip, so the fleet crashes with
+		// snapshots, WAL suffixes and active skips all in play.
+		for q := 0; q <= i%4; q++ {
+			var nd, nc next
+			doJSON(t, "GET", ts.URL+"/v1/sessions/"+s.ID+"/next", nil, http.StatusOK, &nd)
+			doJSON(t, "GET", control.URL+"/v1/sessions/"+s.ID+"/next", nil, http.StatusOK, &nc)
+			if nd.Done || nc.Done || nd.Tuple.Index != nc.Tuple.Index {
+				t.Fatalf("session %s q%d: proposal %+v on disk, %+v on the control", s.ID, q, nd.Tuple, nc.Tuple)
+			}
+			label := "-"
+			switch {
+			case q == 2:
+				label = "skip"
+			case core.Selects(goal, rel.Tuple(nd.Tuple.Index)):
+				label = "+"
+			}
+			answer := map[string]any{"index": nd.Tuple.Index, "label": label}
+			doJSON(t, "POST", ts.URL+"/v1/sessions/"+s.ID+"/label", answer, http.StatusOK, nil)
+			doJSON(t, "POST", control.URL+"/v1/sessions/"+s.ID+"/label", answer, http.StatusOK, nil)
+		}
+	}
+
+	// SIGKILL-style: no SnapshotAll, just stop serving.
+	ts.Close()
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg2, ds2 := diskConfig(t, dir)
+	defer ds2.Close()
+	srv2 := server.NewWith(cfg2)
+	restored, err := srv2.Restore()
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if restored != n {
+		t.Fatalf("restored %d sessions, want %d", restored, n)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+
+	for _, id := range ids {
+		var sum, want summary
+		doJSON(t, "GET", ts2.URL+"/v1/sessions/"+id, nil, http.StatusOK, &sum)
+		doJSON(t, "GET", control.URL+"/v1/sessions/"+id, nil, http.StatusOK, &want)
+		if sum.Strategy != want.Strategy || sum.Tuples != want.Tuples || sum.Labels != want.Labels ||
+			sum.Implied != want.Implied || sum.Informative != want.Informative || sum.Done != want.Done {
+			t.Errorf("session %s: restored summary %+v, control %+v", id, sum, want)
+		}
+		var res, wantRes result
+		doJSON(t, "GET", ts2.URL+"/v1/sessions/"+id+"/result", nil, http.StatusOK, &res)
+		doJSON(t, "GET", control.URL+"/v1/sessions/"+id+"/result", nil, http.StatusOK, &wantRes)
+		if res != wantRes {
+			t.Errorf("session %s: restored result %+v, control %+v", id, res, wantRes)
+		}
+		var nr, nc next
+		doJSON(t, "GET", ts2.URL+"/v1/sessions/"+id+"/next", nil, http.StatusOK, &nr)
+		doJSON(t, "GET", control.URL+"/v1/sessions/"+id+"/next", nil, http.StatusOK, &nc)
+		if nr.Done != nc.Done || (!nr.Done && nr.Tuple.Index != nc.Tuple.Index) {
+			t.Errorf("session %s: restored next %+v, control %+v", id, nr.Tuple, nc.Tuple)
+		}
+	}
+}

@@ -11,7 +11,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/partition"
+	"repro/internal/relation"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -39,35 +42,44 @@ func newTestServer(t *testing.T) *httptest.Server {
 
 func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any) {
 	t.Helper()
+	if err := callJSON(method, url, body, wantStatus, out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// callJSON is doJSON for goroutines other than the test's own: it
+// returns what went wrong instead of failing the test.
+func callJSON(method, url string, body any, wantStatus int, out any) error {
 	var reader io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		reader = bytes.NewReader(data)
 	}
 	req, err := http.NewRequest(method, url, reader)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	if resp.StatusCode != wantStatus {
-		t.Fatalf("%s %s: status %d, want %d; body: %s", method, url, resp.StatusCode, wantStatus, data)
+		return fmt.Errorf("%s %s: status %d, want %d; body: %s", method, url, resp.StatusCode, wantStatus, data)
 	}
 	if out != nil {
 		if err := json.Unmarshal(data, out); err != nil {
-			t.Fatalf("%s %s: decoding %s: %v", method, url, data, err)
+			return fmt.Errorf("%s %s: decoding %s: %v", method, url, data, err)
 		}
 	}
+	return nil
 }
 
 // errBody is the structured error envelope of the /v1 contract.
@@ -447,49 +459,178 @@ func TestConcurrentRequestsOneSession(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessions runs n goroutines against one server at once,
+// each on its own session, for each input: a create and one label, and
+// a whole dialogue driven to convergence over /step or wire with one
+// streamed append (concurrentDialogue). Under -race it is the check
+// that many users deep in their dialogues share the server safely.
 func TestConcurrentSessions(t *testing.T) {
-	ts := newTestServer(t)
-	const n = 8
-	errs := make(chan error, n)
-	for g := 0; g < n; g++ {
-		go func(g int) {
-			errs <- func() error {
-				var s summary
-				data, _ := json.Marshal(map[string]any{"csv": travelCSV})
-				resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(data))
-				if err != nil {
-					return err
+	for _, tc := range []struct {
+		name string
+		run  func(base, wireAddr string, g int) error
+	}{
+		{"create+label", createAndLabel},
+		{"dialogue", concurrentDialogue},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := server.New()
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			_, wireAddr := startWire(t, srv)
+			const n = 8
+			errs := make(chan error, n)
+			for g := 0; g < n; g++ {
+				go func(g int) { errs <- tc.run(ts.URL, wireAddr, g) }(g)
+			}
+			for g := 0; g < n; g++ {
+				if err := <-errs; err != nil {
+					t.Error(err)
 				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusCreated {
-					return fmt.Errorf("create status %d", resp.StatusCode)
-				}
-				if err := json.Unmarshal(body, &s); err != nil {
-					return err
-				}
-				// Label tuple (3) in each session concurrently.
-				data, _ = json.Marshal(map[string]any{"index": 2, "label": "+"})
-				resp, err = http.Post(ts.URL+"/v1/sessions/"+s.ID+"/label", "application/json", bytes.NewReader(data))
-				if err != nil {
-					return err
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					return fmt.Errorf("label status %d", resp.StatusCode)
-				}
-				return nil
-			}()
-		}(g)
+			}
+			var list listBody
+			doJSON(t, "GET", ts.URL+"/v1/sessions", nil, http.StatusOK, &list)
+			if list.Total != n {
+				t.Errorf("sessions after concurrent creates = %d, want %d", list.Total, n)
+			}
+		})
 	}
-	for g := 0; g < n; g++ {
-		if err := <-errs; err != nil {
-			t.Error(err)
+}
+
+// createAndLabel creates a travel session and labels tuple 3.
+func createAndLabel(base, _ string, _ int) error {
+	var s summary
+	if err := callJSON("POST", base+"/v1/sessions", map[string]any{"csv": travelCSV}, http.StatusCreated, &s); err != nil {
+		return err
+	}
+	return callJSON("POST", base+"/v1/sessions/"+s.ID+"/label", map[string]any{"index": 2, "label": "+"}, http.StatusOK, nil)
+}
+
+// concurrentDialogue drives session g from create to convergence,
+// answering from a synthetic instance's planted goal: even g over
+// POST /step, odd g over the wire protocol. A quarter of the instance
+// is there at create; the rest arrives in one append after the second
+// answer (or at convergence, if that comes first). The converged
+// predicate must select exactly what the goal selects.
+func concurrentDialogue(base, wireAddr string, g int) error {
+	st, err := workload.NewStream("synthetic", workload.StreamConfig{Batches: 1, Seed: int64(g)})
+	if err != nil {
+		return err
+	}
+	full := relation.New(st.Initial.Schema())
+	st.Initial.Each(func(_ int, tu relation.Tuple) { full.MustAppend(tu) })
+	for _, tu := range st.Batches[0] {
+		full.MustAppend(tu)
+	}
+	var csv bytes.Buffer
+	if err := relation.WriteCSV(&csv, st.Initial); err != nil {
+		return err
+	}
+
+	// step answers (index, label) — none when index < 0 — and returns
+	// the next proposal; appendRest streams the batch in; result reads
+	// the inferred predicate.
+	var (
+		step       func(index int, label string) (next int, done bool, err error)
+		appendRest func() error
+		result     func() (predicate string, done bool, err error)
+	)
+	if g%2 == 0 {
+		var s summary
+		create := map[string]any{"csv": csv.String(), "strategy": "lookahead-maxmin", "seed": g}
+		if err := callJSON("POST", base+"/v1/sessions", create, http.StatusCreated, &s); err != nil {
+			return err
+		}
+		url := base + "/v1/sessions/" + s.ID
+		step = func(index int, label string) (int, bool, error) {
+			body := map[string]any{}
+			if index >= 0 {
+				body = map[string]any{"index": index, "label": label}
+			}
+			var r stepResp
+			if err := callJSON("POST", url+"/step", body, http.StatusOK, &r); err != nil || r.Done {
+				return -1, r.Done, err
+			}
+			return r.Tuple.Index, false, nil
+		}
+		appendRest = func() error {
+			return callJSON("POST", url+"/tuples", map[string]any{"rows": encodeRows(st.Batches[0])}, http.StatusOK, nil)
+		}
+		result = func() (string, bool, error) {
+			var r struct {
+				Done      bool   `json:"done"`
+				Predicate string `json:"predicate"`
+			}
+			err := callJSON("GET", url+"/result", nil, http.StatusOK, &r)
+			return r.Predicate, r.Done, err
+		}
+	} else {
+		c, err := wire.Dial(wireAddr, 0)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		id, err := c.Create(csv.String(), "lookahead-maxmin", int64(g))
+		if err != nil {
+			return err
+		}
+		step = func(index int, label string) (int, bool, error) {
+			var answers []wire.Answer
+			if index >= 0 {
+				answers = []wire.Answer{{Index: index, Label: wireLabel(label)}}
+			}
+			r, err := c.Step(id, answers, 1)
+			if err != nil || len(r.Proposals) == 0 {
+				return -1, err == nil && r.Done, err
+			}
+			return r.Proposals[0], false, nil
+		}
+		appendRest = func() error {
+			_, err := c.Append(id, encodeRows(st.Batches[0]))
+			return err
+		}
+		result = func() (string, bool, error) {
+			r, err := c.Result(id)
+			return r.Predicate, r.Done, err
 		}
 	}
-	var list listBody
-	doJSON(t, "GET", ts.URL+"/v1/sessions", nil, http.StatusOK, &list)
-	if list.Total != n {
-		t.Errorf("sessions after concurrent creates = %d, want %d", list.Total, n)
+
+	label := func(i int) string {
+		if core.Selects(st.Goal, full.Tuple(i)) {
+			return "+"
+		}
+		return "-"
 	}
+	next, done, err := step(-1, "")
+	appended := false
+	for answers := 0; !done || !appended; {
+		switch {
+		case err != nil:
+			return fmt.Errorf("session %d: %w", g, err)
+		case answers > full.Len():
+			return fmt.Errorf("session %d: no convergence after %d answers", g, answers)
+		case !appended && (answers == 2 || done):
+			if err := appendRest(); err != nil {
+				return fmt.Errorf("session %d: append: %w", g, err)
+			}
+			appended = true
+			next, done, err = step(-1, "")
+		default:
+			next, done, err = step(next, label(next))
+			answers++
+		}
+	}
+	predicate, done, err := result()
+	if err != nil || !done {
+		return fmt.Errorf("session %d: result done=%v: %v", g, done, err)
+	}
+	q, err := partition.Parse(predicate)
+	if err != nil {
+		return fmt.Errorf("session %d: %w", g, err)
+	}
+	for i := 0; i < full.Len(); i++ {
+		if core.Selects(q, full.Tuple(i)) != core.Selects(st.Goal, full.Tuple(i)) {
+			return fmt.Errorf("session %d: predicate %s and goal %s disagree on tuple %d", g, predicate, st.Goal, i)
+		}
+	}
+	return nil
 }

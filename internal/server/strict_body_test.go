@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
 )
 
 // strictBodyCase is one body of a strict-decoding table test: the
@@ -40,9 +42,10 @@ func sessionCount(t *testing.T, ts *httptest.Server) int {
 	return l.Total
 }
 
-// runStrictBody posts each case to url and checks status and envelope;
-// effect reports how many sessions or tuples the request added, which
-// must be 0 for every rejected body.
+// runStrictBody posts each case to url and checks status and envelope
+// (body_too_large for a 413, bad_input for any other rejection);
+// effect reads the server state the request would change, which must
+// not move for a rejected body.
 func runStrictBody(t *testing.T, url string, cases []strictBodyCase, effect func() int) {
 	t.Helper()
 	for _, c := range cases {
@@ -52,8 +55,12 @@ func runStrictBody(t *testing.T, url string, cases []strictBodyCase, effect func
 			t.Fatalf("%s: status %d, envelope %+v; want %d", c.name, status, e, c.status)
 		}
 		if c.status >= 400 {
-			if e.Error.Code != "bad_input" || !strings.Contains(e.Error.Message, c.message) {
-				t.Fatalf("%s: envelope %+v; want bad_input with %q", c.name, e, c.message)
+			code := "bad_input"
+			if c.status == http.StatusRequestEntityTooLarge {
+				code = "body_too_large"
+			}
+			if e.Error.Code != code || !strings.Contains(e.Error.Message, c.message) {
+				t.Fatalf("%s: envelope %+v; want %s with %q", c.name, e, code, c.message)
 			}
 			if after := effect(); after != before {
 				t.Fatalf("%s: rejected body changed the server: %d -> %d", c.name, before, after)
@@ -108,4 +115,50 @@ func TestImportRejectsTrailingData(t *testing.T) {
 	// session.Load wraps the decode error in its own prefix.
 	cases[len(cases)-1].message = "session: decoding: unexpected end of JSON input"
 	runStrictBody(t, ts.URL+"/v1/sessions/import", cases, func() int { return sessionCount(t, ts) })
+}
+
+// clusterBodyCases are strictBodyCases for an operator failover body
+// plus an oversized copy of it, with every rejection ordered before the
+// accepted bodies: while the rejections run, valid would still change
+// the node's view, so a decoder that acts on any prefix of the body
+// shows up as a moved failed-node set.
+func clusterBodyCases(valid string) []strictBodyCase {
+	cases := strictBodyCases(valid, http.StatusOK)
+	oversize := strictBodyCase{"oversize", strings.Replace(valid, ":", ":"+strings.Repeat(" ", 8192), 1),
+		http.StatusRequestEntityTooLarge, "request body exceeds 4096 bytes"}
+	return append(append(cases[2:], oversize), cases[:2]...)
+}
+
+// failedNodes reads how many peers n's membership view marks failed.
+func failedNodes(t *testing.T, n *clusterNode) int {
+	t.Helper()
+	var view struct {
+		Failed map[string]string `json:"failed"`
+	}
+	doJSON(t, "GET", n.base()+"/cluster", nil, http.StatusOK, &view)
+	return len(view.Failed)
+}
+
+// TestPromoteRejectsTrailingData holds the POST /v1/cluster/promote
+// body to exactly one JSON value under Config.MaxBodyBytes: a second
+// value, junk or an oversized body is rejected and fails no node.
+func TestPromoteRejectsTrailingData(t *testing.T) {
+	n1 := startClusterWith(t, server.Config{MaxBodyBytes: 4096}, "n1", "n2", "n3")["n1"]
+	failed := func() int { return failedNodes(t, n1) }
+	runStrictBody(t, n1.base()+"/cluster/promote", clusterBodyCases(`{"node":"n2"}`), failed)
+	if n := failed(); n != 1 {
+		t.Fatalf("failed nodes after the accepted promote = %d, want 1", n)
+	}
+}
+
+// TestRejoinRejectsTrailingData holds the POST /v1/cluster/rejoin body
+// to the same rule: a rejected body leaves the failed node failed.
+func TestRejoinRejectsTrailingData(t *testing.T) {
+	n1 := startClusterWith(t, server.Config{MaxBodyBytes: 4096}, "n1", "n2", "n3")["n1"]
+	doJSON(t, "POST", n1.base()+"/cluster/promote", map[string]any{"node": "n2"}, http.StatusOK, nil)
+	failed := func() int { return failedNodes(t, n1) }
+	runStrictBody(t, n1.base()+"/cluster/rejoin", clusterBodyCases(`{"node":"n2"}`), failed)
+	if n := failed(); n != 0 {
+		t.Fatalf("failed nodes after the accepted rejoin = %d, want 0", n)
+	}
 }

@@ -28,6 +28,15 @@ func TestEventPayloadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: encode: %v", want, err)
 		}
+		// The v2 record (CRC frame) must undercut the v1 JSON line that
+		// held the same event.
+		v1, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frame := codec.AppendFrame(nil, payload); len(frame) >= len(v1)+1 {
+			t.Errorf("%+v: v2 frame %d bytes, v1 line %d", want, len(frame), len(v1)+1)
+		}
 		got, err := decodeEventPayload(payload)
 		if err != nil {
 			t.Fatalf("%+v: decode: %v", want, err)

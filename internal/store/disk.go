@@ -703,28 +703,22 @@ func (c *committer) loadAll() ([]Saved, error) {
 		err error
 	}
 	results := make([]result, len(ids))
-	if workers := min(len(ids), runtime.GOMAXPROCS(0)*2, loadAllWorkersCap); workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(ids) {
-						return
-					}
-					results[i].sv, results[i].err = c.loadSession(ids[i])
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(len(ids), runtime.GOMAXPROCS(0)*2, loadAllWorkersCap); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(ids) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, id := range ids {
-			results[i].sv, results[i].err = c.loadSession(id)
-		}
+				results[i].sv, results[i].err = c.loadSession(ids[i])
+			}
+		}()
 	}
+	wg.Wait()
 	out := make([]Saved, 0, len(ids))
 	var errs []error
 	for i, id := range ids {

@@ -7,7 +7,7 @@ import (
 
 // Client drives one wire-protocol connection. Not safe for concurrent
 // use — the protocol is an ordered request/response stream, so each
-// goroutine (loadtest user, CLI session) owns its own Client, exactly
+// goroutine (benchmark client, CLI session) owns its own Client, exactly
 // like each owns its dialogue.
 //
 // The synchronous methods (Create, Step, …) write, flush, and read one

@@ -6,7 +6,7 @@
 //
 // Instance is the uniform entry point: every generator is addressable
 // by name ("travel", "synthetic", "zipf", "star") with a seeded
-// config, which is how the load-test harness, the core benchmarks,
+// config, which is how the service benchmark, the core benchmarks,
 // and the experiment runner stay agnostic of which instance family
 // they are driving. Each generated instance comes with its goal query
 // so oracle labelers can answer membership questions mechanically.

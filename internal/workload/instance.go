@@ -11,7 +11,7 @@ import (
 // InstanceConfig sizes a named benchmark instance.
 type InstanceConfig struct {
 	// Tuples is the instance size; 0 picks the workload's traditional
-	// default (the sizes the load harness has always used).
+	// default (the sizes perfbench's chat-http workload uses).
 	Tuples int
 	// Seed drives generation and, where the workload has no planted
 	// goal, the goal draw.
@@ -23,8 +23,8 @@ func InstanceNames() []string { return []string{"travel", "synthetic", "zipf", "
 
 // Instance builds a named benchmark instance together with an
 // inference goal for the oracle to answer by — the one entry point the
-// load harness and the core benchmarks share, so every driver sizes
-// and seeds workloads the same way.
+// service benchmark and the core benchmarks share, so every caller
+// sizes and seeds workloads the same way.
 //
 //   - travel: the paper's running example (goal Q2); Tuples beyond its
 //     natural size are reached by duplicating rows, which preserves the

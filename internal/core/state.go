@@ -53,6 +53,7 @@ type State struct {
 	sigLabels   []int
 	sigKey      []byte
 	arrivalMark []int
+	classAdds   []int // per-class member count of a batch (indexMembers)
 
 	// Incrementally maintained scoring state (see lattice.go): the
 	// per-class unlabeled counts, the positions of classes that still
@@ -88,9 +89,12 @@ func NewState(rel *relation.Relation) (*State, error) {
 		base:      rel.Len(),
 		sigLabels: make([]int, n),
 	}
+	st.labels = make([]Label, 0, rel.Len())
+	st.groupOf = make([]int, 0, rel.Len())
 	for i := 0; i < rel.Len(); i++ {
 		st.register(rel.Tuple(i))
 	}
+	st.indexMembers(0)
 	st.infGroups = make([]int, len(st.groups))
 	for gi := range st.groups {
 		st.infGroups[gi] = gi
@@ -126,10 +130,14 @@ func (st *State) Append(tuples []relation.Tuple) (newlyImplied []int, err error)
 	}
 	prevClasses := len(st.groups)
 	firstNew := len(st.labels)
+	// The per-tuple arrays grow once for the whole batch.
+	st.rel.MustAppend(tuples...) // arity pre-checked above
+	st.labels = reserve(st.labels, len(tuples))
+	st.groupOf = reserve(st.groupOf, len(tuples))
 	for _, t := range tuples {
-		st.rel.MustAppend(t) // arity pre-checked above
 		st.register(t)
 	}
+	st.indexMembers(firstNew)
 	st.lat.appendClasses(st.groups[prevClasses:])
 	newlyImplied = st.classifyArrivals(firstNew, prevClasses)
 	st.version++
@@ -166,6 +174,10 @@ func (st *State) classifyArrivals(firstNew, prevClasses int) []int {
 		if implied == Unlabeled {
 			reenter = append(reenter, gi)
 			continue
+		}
+		if newly == nil {
+			// At most every arrival is implied: one allocation.
+			newly = make([]int, 0, len(st.labels)-firstNew)
 		}
 		for _, j := range st.groups[gi].Indices {
 			if st.labels[j] == Unlabeled {
@@ -205,19 +217,54 @@ func mergeSorted(a, b []int) []int {
 	return append(out, b[j:]...)
 }
 
+// reserve makes room in s for n more elements. When s must grow, its
+// capacity at least doubles, so a relation streamed in batch by batch
+// copies each element O(1) times. (make and copy rather than
+// slices.Grow: under the race detector Grow allocates twice.)
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), len(s)+max(n, len(s)))
+	copy(grown, s)
+	return grown
+}
+
+// indexMembers adds the tuples registered at or after index first to
+// their classes' member lists (SigGroup.Indices), growing each list
+// once: a count pass sizes every list before the fill pass appends.
+func (st *State) indexMembers(first int) {
+	adds := st.classAdds[:0]
+	for range st.groups {
+		adds = append(adds, 0)
+	}
+	for _, gi := range st.groupOf[first:] {
+		adds[gi]++
+	}
+	for gi, n := range adds {
+		if n > 0 {
+			st.groups[gi].Indices = reserve(st.groups[gi].Indices, n)
+		}
+	}
+	for i, gi := range st.groupOf[first:] {
+		st.groups[gi].Indices = append(st.groups[gi].Indices, first+i)
+	}
+	st.classAdds = adds
+}
+
 // register indexes one tuple already present at the tail of st.rel:
 // it computes the Eq signature, finds or creates the signature class,
 // and extends the per-tuple and per-class arrays. The tuple starts
-// Unlabeled; classification against the hypothesis is the caller's job
-// (propagate at NewState, classifyArrivals at Append). It returns the
-// class position.
+// Unlabeled and is not yet in its class's member list (indexMembers
+// adds a whole batch); classification against the hypothesis is the
+// caller's job (propagate at NewState, classifyArrivals at Append). It
+// returns the class position.
 //
 // The signature is computed into State-owned scratch and looked up by
 // its key bytes (the map index converts without allocating), so a
 // tuple landing in an existing class costs only amortized slice
 // growth; a partition is built only when the class is new.
 func (st *State) register(t relation.Tuple) int {
-	i := len(st.labels)
 	eqLabels(st.sigLabels, t)
 	st.sigKey = partition.AppendKey(st.sigKey[:0], st.sigLabels)
 	gi, ok := st.byKey[string(st.sigKey)]
@@ -227,7 +274,6 @@ func (st *State) register(t relation.Tuple) int {
 		st.groups = append(st.groups, &SigGroup{Sig: partition.New(st.sigLabels).Cached(), Pos: gi})
 		st.groupUnlabeled = append(st.groupUnlabeled, 0)
 	}
-	st.groups[gi].Indices = append(st.groups[gi].Indices, i)
 	st.groupOf = append(st.groupOf, gi)
 	st.labels = append(st.labels, Unlabeled)
 	st.counts[Unlabeled]++

@@ -283,26 +283,69 @@ func readRecords(rr recordReader, opts CSVOptions, records int) (*Relation, *Typ
 		} else {
 			t = make(Tuple, width)
 		}
-		if infer {
-			for i, cell := range rec {
-				t[i] = values.Parse(cell)
-			}
-		} else {
-			for i, cell := range rec {
-				v, err := ty.ParseCell(i, cell)
-				if err != nil {
-					return nil, nil, fmt.Errorf("relation: CSV record %d column %q: %w", row, schema.Name(i), err)
-				}
-				t[i] = v
-			}
+		if col, err := parseInto(t, rec, ty, infer); err != nil {
+			return nil, nil, fmt.Errorf("relation: CSV record %d column %q: %w", row, schema.Name(col), err)
 		}
-		ownStrings(t)
 		rel.tuples = append(rel.tuples, t)
 	}
 	if schema == nil {
 		return nil, nil, fmt.Errorf("relation: empty CSV input")
 	}
 	return rel, ty, nil
+}
+
+// ErrRowWidth reports a raw row whose cell count differs from the
+// schema's width.
+var ErrRowWidth = errors.New("relation: row width does not match the schema")
+
+// ParseRows parses raw string rows, one cell per schema column, into
+// tuples under ty, cell for cell as ReadCSVString parses a record: the
+// rows encoding of an append. The tuples are cut from one Value slab,
+// each at full capacity, and nothing kept points into rows — a row's
+// string cells share one fresh string holding only their bytes — so
+// rows may be views into a buffer the caller reuses once ParseRows
+// returns. A row of the wrong width fails with ErrRowWidth, an
+// unparsable cell with its parse error; the error keeps nothing of
+// rows either.
+func ParseRows(schema *Schema, ty *Typing, rows [][]string) ([]Tuple, error) {
+	width, infer := schema.Len(), ty.Empty()
+	slab := make([]values.Value, len(rows)*width)
+	tuples := make([]Tuple, len(rows))
+	for ri, row := range rows {
+		if len(row) != width {
+			return nil, fmt.Errorf("%w: row %d has %d cells, schema %v has %d", ErrRowWidth, ri, len(row), schema, width)
+		}
+		t := Tuple(slab[ri*width : (ri+1)*width : (ri+1)*width])
+		if col, err := parseInto(t, row, ty, infer); err != nil {
+			return nil, fmt.Errorf("relation: row %d column %q: %w", ri, schema.Name(col), err)
+		}
+		tuples[ri] = t
+	}
+	return tuples, nil
+}
+
+// parseInto parses rec into t under ty (infer: ty types no column, so
+// every cell goes to values.Parse) and re-points t's string cells at
+// one owned string. On failure it returns the column and the error of
+// the first bad cell. The error holds no view of the cell: ParseAs
+// formats it into the message, and the strconv.NumError it wraps
+// records a copy.
+func parseInto(t Tuple, rec []string, ty *Typing, infer bool) (int, error) {
+	if infer {
+		for i, cell := range rec {
+			t[i] = values.Parse(cell)
+		}
+	} else {
+		for i, cell := range rec {
+			v, err := ty.ParseCell(i, cell)
+			if err != nil {
+				return i, err
+			}
+			t[i] = v
+		}
+	}
+	ownStrings(t)
+	return 0, nil
 }
 
 // header builds the schema and typing from the first record: its cells

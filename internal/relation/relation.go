@@ -259,18 +259,28 @@ func (r *Relation) Len() int { return len(r.tuples) }
 // Tuple returns the tuple at index i. The caller must not mutate it.
 func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
 
-// Append adds a tuple, checking arity.
-func (r *Relation) Append(t Tuple) error {
-	if len(t) != r.schema.Len() {
-		return fmt.Errorf("relation: tuple arity %d does not match schema arity %d", len(t), r.schema.Len())
+// Append adds tuples, checking arity first: a batch holding a tuple of
+// the wrong arity adds nothing. The tuple list grows at most once per
+// call, and then at least doubles, so a relation streamed in batch by
+// batch copies each tuple header O(1) times.
+func (r *Relation) Append(ts ...Tuple) error {
+	for _, t := range ts {
+		if len(t) != r.schema.Len() {
+			return fmt.Errorf("relation: tuple arity %d does not match schema arity %d", len(t), r.schema.Len())
+		}
 	}
-	r.tuples = append(r.tuples, t)
+	if len(r.tuples)+len(ts) > cap(r.tuples) {
+		grown := make([]Tuple, len(r.tuples), len(r.tuples)+max(len(ts), len(r.tuples)))
+		copy(grown, r.tuples)
+		r.tuples = grown
+	}
+	r.tuples = append(r.tuples, ts...)
 	return nil
 }
 
 // MustAppend is Append that panics on error.
-func (r *Relation) MustAppend(t Tuple) {
-	if err := r.Append(t); err != nil {
+func (r *Relation) MustAppend(ts ...Tuple) {
+	if err := r.Append(ts...); err != nil {
 		panic(err)
 	}
 }

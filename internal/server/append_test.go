@@ -379,7 +379,7 @@ func TestWireAppendAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per %d-row wire append", allocs, len(rows))
-	if allocs > 64 {
-		t.Fatalf("%d-row wire append made %.1f allocations, want <= 64", len(rows), allocs)
+	if allocs > 39 {
+		t.Fatalf("%d-row wire append made %.1f allocations, want <= 39", len(rows), allocs)
 	}
 }

@@ -11,8 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/server"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // The transport benchmarks time the same semantic operation — propose
@@ -198,4 +200,85 @@ func handlerSession(tb testing.TB, h http.Handler) string {
 		tb.Fatal(err)
 	}
 	return s.ID
+}
+
+// BenchmarkWireAppendPath is the server side of one bulk wire append,
+// in process: decode a 940×6 synthetic append frame, parse its rows
+// under the session's typing, and stream them into the session. As in
+// perfbench's bulk-wire workload, a session is created from a quarter
+// of a 5,000-tuple instance and then takes four batches; a fresh
+// session, created with the timer stopped, follows every fourth
+// append. The frame reader persists across appends, as a connection's
+// does.
+func BenchmarkWireAppendPath(b *testing.B) {
+	const tuples, batches, batchRows = 5000, 4, 940
+	rel, _, err := workload.Instance("synthetic", workload.InstanceConfig{Tuples: tuples, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([][]string, rel.Len())
+	for i := range rows {
+		rows[i] = make([]string, rel.Schema().Len())
+		for c, v := range rel.Tuple(i) {
+			rows[i][c] = relation.EncodeCell(v)
+		}
+	}
+	baseRows := tuples - batches*batchRows
+	var csv strings.Builder
+	csv.WriteString(strings.Join(rel.Schema().Names(), ",") + "\n")
+	for _, row := range rows[:baseRows] {
+		csv.WriteString(strings.Join(row, ",") + "\n")
+	}
+	var frames bytes.Buffer
+	w := wire.NewWriter(&frames, 0)
+	for k := 0; k < batches; k++ {
+		lo := baseRows + k*batchRows
+		if err := w.WriteAppend("s0000", rows[lo:lo+batchRows]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	r := wire.NewReader(&loopReader{data: frames.Bytes()}, 0)
+	var req wire.Request
+	srv := server.New()
+	var id string
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%batches == 0 {
+			b.StopTimer()
+			if id != "" {
+				if err := srv.WireDelete(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if id, err = srv.WireCreate(csv.String(), "", 1); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := r.ReadRequest(&req); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.WireAppend(id, req.Rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// loopReader replays the same bytes forever.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	if l.off == len(l.data) {
+		l.off = 0
+	}
+	n := copy(p, l.data[l.off:])
+	l.off += n
+	return n, nil
 }

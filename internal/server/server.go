@@ -226,7 +226,7 @@ func (s *Server) routes() []route {
 		{"GET", "/sessions/{id}/topk", s.readSession(s.handleTopK)},
 		{"POST", "/sessions/{id}/label", s.writeSession(s.handleLabel)},
 		{"POST", "/sessions/{id}/step", s.writeSession(s.handleStep)},
-		{"POST", "/sessions/{id}/tuples", s.writeSession(s.handleAppend)},
+		{"POST", "/sessions/{id}/tuples", s.handleAppend},
 		{"GET", "/sessions/{id}/result", s.readSession(s.handleResult)},
 		{"GET", "/sessions/{id}/export", s.readSession(s.handleExport)},
 		{"GET", "/strategies", s.handleStrategies},
@@ -477,14 +477,8 @@ func (s *Server) writeSession(h sessionHandler) http.HandlerFunc {
 
 func (s *Server) withSession(h sessionHandler, write bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if !s.ownsID(id) {
-			s.routeAway(w, r, id)
-			return
-		}
-		ls, err := s.lookup(id)
-		if err != nil {
-			writeTypedError(w, err)
+		id, ls, ok := s.resolve(w, r)
+		if !ok {
 			return
 		}
 		if write {
@@ -496,6 +490,23 @@ func (s *Server) withSession(h sessionHandler, write bool) http.HandlerFunc {
 		}
 		h(w, r, id, ls)
 	}
+}
+
+// resolve finds the live session {id} names, without locking it. When
+// the session lives elsewhere or not at all, it writes the redirect or
+// error reply and reports false.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (string, *liveSession, bool) {
+	id := r.PathValue("id")
+	if !s.ownsID(id) {
+		s.routeAway(w, r, id)
+		return id, nil, false
+	}
+	ls, err := s.lookup(id)
+	if err != nil {
+		writeTypedError(w, err)
+		return id, nil, false
+	}
+	return id, ls, true
 }
 
 // summarize builds a summary. Caller holds ls.mu (either mode).
@@ -678,8 +689,15 @@ type appendRequest struct {
 // handleAppend streams new tuples into a live session — the write-path
 // counterpart of create for instances that grow while the user labels.
 // Arrivals whose schema does not match the session's fail with 409
-// Conflict and leave the session untouched.
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
+// Conflict and leave the session untouched. The body is read and
+// parsed before the session's write lock is taken — parsing reads
+// only the immutable schema and typing — so a slow upload does not
+// stall the session's other requests.
+func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
+	id, ls, ok := s.resolve(w, r)
+	if !ok {
+		return
+	}
 	var req appendRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
 		bodyError(w, err)
@@ -705,6 +723,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, id string,
 		writeTypedError(w, err)
 		return
 	}
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
 	newly, err := s.applyAppend(id, ls, tuples)
 	if err != nil {
 		writeTypedError(w, err)

@@ -61,18 +61,21 @@ func (s *Server) WireStep(id string, answers []wire.Answer, k int, out *wire.Ste
 }
 
 // WireAppend implements wire.Backend: POST /tuples semantics with the
-// rows encoding (cells parsed under the session's pinned typing).
+// rows encoding (cells parsed under the session's pinned typing). The
+// rows are views into the connection's frame buffer; ParseRows copies
+// what the session keeps. Parsing reads only the session's immutable
+// schema and typing, so it runs before the write lock is taken.
 func (s *Server) WireAppend(id string, rows [][]string) (wire.AppendResult, error) {
 	ls, err := s.wireSession(id)
 	if err != nil {
 		return wire.AppendResult{}, err
 	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
 	tuples, err := ls.sess.ParseRows(rows)
 	if err != nil {
 		return wire.AppendResult{}, err
 	}
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
 	newly, err := s.applyAppend(id, ls, tuples)
 	if err != nil {
 		return wire.AppendResult{}, err

@@ -145,9 +145,7 @@ func LoadBytes(b []byte) (*core.State, Meta, error) {
 		return nil, Meta{}, fmt.Errorf("session: base_rows %d out of range [0,%d]", f.BaseRows, len(tuples))
 	}
 	rel := relation.New(schema)
-	for _, t := range tuples[:base] {
-		rel.MustAppend(t)
-	}
+	rel.MustAppend(tuples[:base]...)
 	st, err := core.NewState(rel)
 	if err != nil {
 		return nil, Meta{}, err

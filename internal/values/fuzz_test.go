@@ -39,6 +39,8 @@ func FuzzParseMatchesReference(f *testing.F) {
 		"INFINITY", "iNf", "infin", "nano", "None", "NYC", "i", "N",
 		"١٢", "e5", ".5", "5.", "1e3", "-2.5e-3", "+-1", "--1", "1 ", " 1",
 		"NULL", "null", "", "true", "False",
+		"-0.0", "0.0", "-0e0", "+0.0", "-nan", "+NaN", "1e400", "-1e400",
+		"4.9e-324", "2.2250738585072014e-308", "9007199254740993", "9007199254740993.0",
 	} {
 		f.Add(s)
 	}
@@ -107,6 +109,55 @@ func FuzzFromTag(f *testing.F) {
 		}
 		if !back.Identical(v) {
 			t.Fatalf("tag round trip changed %#v -> %#v", v, back)
+		}
+	})
+}
+
+// FuzzFloatSemantics holds floats to float64 semantics whatever their
+// bit patterns: Identical is float64 ==, so NaN is identical to
+// nothing and +0 to -0; Equal and Compare treat every NaN as one value
+// above every other number; the tag is strconv's 'g' rendering; and an
+// int is never identical to a float.
+func FuzzFloatSemantics(f *testing.F) {
+	nan := math.Float64bits(math.NaN())
+	for _, p := range [][2]uint64{
+		{nan, nan},
+		{nan, nan ^ 1},
+		{0, math.Float64bits(math.Copysign(0, -1))},
+		{math.Float64bits(1), math.Float64bits(1)},
+		{math.Float64bits(math.Inf(1)), nan},
+		{math.Float64bits(math.Inf(-1)), math.Float64bits(-math.MaxFloat64)},
+		{math.Float64bits(1 << 53), math.Float64bits(1<<53 + 2)},
+		{1, 2}, // subnormals
+	} {
+		f.Add(p[0], p[1])
+	}
+	f.Fuzz(func(t *testing.T, abits, bbits uint64) {
+		a, b := math.Float64frombits(abits), math.Float64frombits(bbits)
+		va, vb := Float(a), Float(b)
+		if got := va.Identical(vb); got != (a == b) {
+			t.Fatalf("Float(%v).Identical(Float(%v)) = %v", a, b, got)
+		}
+		aNaN, bNaN := math.IsNaN(a), math.IsNaN(b)
+		want := 0
+		switch {
+		case aNaN && bNaN:
+		case aNaN || a > b:
+			want = 1
+		case bNaN || a < b:
+			want = -1
+		}
+		if got := va.Compare(vb); got != want {
+			t.Fatalf("Float(%v).Compare(Float(%v)) = %d, want %d", a, b, got, want)
+		}
+		if got := va.Equal(vb); got != (want == 0) {
+			t.Fatalf("Float(%v).Equal(Float(%v)) = %v", a, b, got)
+		}
+		if got, want := va.Tag(), "f:"+strconv.FormatFloat(a, 'g', -1, 64); got != want {
+			t.Fatalf("Float(%v).Tag() = %q, want %q", a, got, want)
+		}
+		if i := int64(abits); va.Identical(Int(i)) || Int(i).Identical(va) {
+			t.Fatalf("Float(%v) is identical to Int(%d)", a, i)
 		}
 	})
 }

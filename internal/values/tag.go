@@ -22,11 +22,11 @@ func AppendTag(dst []byte, v Value) []byte {
 	case KindNull:
 		return append(dst, "n:"...)
 	case KindBool:
-		return strconv.AppendBool(append(dst, "b:"...), v.b)
+		return strconv.AppendBool(append(dst, "b:"...), v.bool())
 	case KindInt:
-		return strconv.AppendInt(append(dst, "i:"...), v.i, 10)
+		return strconv.AppendInt(append(dst, "i:"...), v.int(), 10)
 	case KindFloat:
-		return strconv.AppendFloat(append(dst, "f:"...), v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "f:"...), v.float(), 'g', -1, 64)
 	default:
 		return append(append(dst, "s:"...), v.s...)
 	}

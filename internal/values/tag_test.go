@@ -87,11 +87,11 @@ func legacyTag(v Value) string {
 	case KindNull:
 		return "n:"
 	case KindBool:
-		return "b:" + strconv.FormatBool(v.b)
+		return "b:" + strconv.FormatBool(v.bool())
 	case KindInt:
-		return "i:" + strconv.FormatInt(v.i, 10)
+		return "i:" + strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return "f:" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return "f:" + strconv.FormatFloat(v.float(), 'g', -1, 64)
 	default:
 		return "s:" + v.s
 	}

@@ -1,10 +1,13 @@
 // Package values implements the typed scalar values stored in relations.
 //
 // A Value is an immutable tagged union over NULL, booleans, 64-bit
-// integers, 64-bit floats, and strings. Values are comparable Go values
-// (usable as map keys), carry SQL-style equality (NULL is not equal to
-// anything, including NULL), and define a total order used for sorting
-// and deterministic output.
+// integers, 64-bit floats, and strings. Values carry SQL-style
+// equality (NULL is not equal to anything, including NULL) and define
+// a total order used for sorting and deterministic output. A Value is
+// a comparable Go value, but == compares a float's bit pattern (NaN
+// equals a NaN with the same bits, +0 differs from -0), so callers
+// compare with Identical or Equal, never ==, and do not key maps on
+// Values.
 package values
 
 import (
@@ -61,25 +64,34 @@ func KindFromString(s string) (Kind, error) {
 }
 
 // Value is an immutable typed scalar. The zero Value is NULL.
+//
+// The layout is 32 bytes: the string payload, one 64-bit word holding
+// the bool (0 or 1), int (two's complement) or float (IEEE-754 bits)
+// payload, and the kind. Every constructor leaves the fields a kind
+// does not use at zero, so two Values of a non-float kind are
+// identical exactly when they are ==.
 type Value struct {
-	kind Kind
-	b    bool
-	i    int64
-	f    float64
 	s    string
+	n    uint64
+	kind Kind
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // String_ returns a string value. (Named with a trailing underscore to
 // keep the conventional String() method free for fmt.Stringer.)
@@ -95,24 +107,30 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsBool returns the boolean payload; ok is false if v is not a bool.
-func (v Value) AsBool() (b, ok bool) { return v.b, v.kind == KindBool }
+func (v Value) AsBool() (b, ok bool) { return v.bool(), v.kind == KindBool }
 
 // AsInt returns the integer payload; ok is false if v is not an int.
-func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) { return v.int(), v.kind == KindInt }
 
 // AsFloat returns the numeric payload as float64 for ints and floats.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.int()), true
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	}
 	return 0, false
 }
 
 // AsString returns the string payload; ok is false if v is not a string.
 func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
+
+// The payload word read as each kind. Only the reader matching v.kind
+// means anything.
+func (v Value) bool() bool     { return v.n != 0 }
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
 
 // Equal reports SQL-style equality: NULL equals nothing (not even NULL),
 // and integers compare numerically equal to floats with the same value.
@@ -122,7 +140,7 @@ func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 // signatures rely on that) and agrees with Compare.
 func (v Value) Equal(u Value) bool {
 	if v.kind == KindInt && u.kind == KindInt {
-		return v.i == u.i // inlined at the caller: the common case
+		return v.n == u.n // inlined at the caller: the common case
 	}
 	return v.equalSlow(u)
 }
@@ -140,7 +158,7 @@ func (v Value) equalSlow(u Value) bool {
 	}
 	switch v.kind {
 	case KindBool:
-		return v.b == u.b
+		return v.n == u.n
 	case KindString:
 		return v.s == u.s
 	}
@@ -148,9 +166,15 @@ func (v Value) equalSlow(u Value) bool {
 }
 
 // Identical reports structural equality, under which NULL is identical
-// to NULL and an int is never identical to a float. Useful for tests
-// and deduplication; join semantics use Equal.
-func (v Value) Identical(u Value) bool { return v == u }
+// to NULL and an int is never identical to a float. Floats compare as
+// float64 values: NaN is identical to nothing and +0 is identical to
+// -0. Useful for tests and deduplication; join semantics use Equal.
+func (v Value) Identical(u Value) bool {
+	if v.kind == KindFloat && u.kind == KindFloat {
+		return v.float() == u.float()
+	}
+	return v == u
+}
 
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
 
@@ -168,7 +192,7 @@ func (v Value) Compare(u Value) int {
 	case v.kind == KindNull:
 		return 0
 	case v.kind == KindBool:
-		return cmpBool(v.b, u.b)
+		return cmpBool(v.bool(), u.bool())
 	case vr == 2: // numeric band
 		return cmpNumeric(v, u)
 	default:
@@ -181,13 +205,13 @@ func (v Value) Compare(u Value) int {
 func cmpNumeric(v, u Value) int {
 	switch {
 	case v.kind == KindInt && u.kind == KindInt:
-		return cmp(v.i, u.i)
+		return cmp(v.int(), u.int())
 	case v.kind == KindFloat && u.kind == KindFloat:
-		return cmpFloat(v.f, u.f)
+		return cmpFloat(v.float(), u.float())
 	case v.kind == KindInt:
-		return -cmpFloatInt(u.f, v.i)
+		return -cmpFloatInt(u.float(), v.int())
 	default:
-		return cmpFloatInt(v.f, u.i)
+		return cmpFloatInt(v.float(), u.int())
 	}
 }
 
@@ -274,11 +298,11 @@ func (v Value) String() string {
 	case KindNull:
 		return ""
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.bool())
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	default:
 		return v.s
 	}
@@ -291,11 +315,11 @@ func (v Value) AppendString(dst []byte) []byte {
 	case KindNull:
 		return dst
 	case KindBool:
-		return strconv.AppendBool(dst, v.b)
+		return strconv.AppendBool(dst, v.bool())
 	case KindInt:
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, v.int(), 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.float(), 'g', -1, 64)
 	default:
 		return append(dst, v.s...)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 
 	jim "repro"
 	"repro/internal/codec"
@@ -16,9 +17,9 @@ import (
 // store's on-disk format v2). A Reader owns one reusable frame buffer
 // and decodes requests into a caller-held Request whose slices are
 // reused; a Writer assembles each payload in one reusable scratch
-// slice. Strings that cross a call boundary (strategy, CSV, append
-// rows, error messages) are copied out of the frame buffer; hot-path
-// fields (session id, answers, proposals) never are. DESIGN.md §9
+// slice. Hot-path fields (session id, answers, append rows) are views
+// into the frame buffer, valid until the next read; the cold-path
+// strings (strategy, CSV, error messages) are copied out. DESIGN.md §9
 // documents the ownership contract.
 
 const (
@@ -32,10 +33,18 @@ type Reader struct {
 	br  *bufio.Reader
 	max int
 	buf []byte
-	// spans is append-decode scratch: per row, its cell count followed
-	// by each cell's [start, end) offsets in the frame.
-	spans []int
+	// rows and cells are append-decode scratch: a frame's rows are cut
+	// from cells, whose strings are views into buf.
+	rows  [][]string
+	cells []string
 }
+
+// maxRetainedFrame is the largest frame whose buffer and decode
+// scratch a Reader keeps for the next frame. A larger frame gets a
+// buffer of its own that lives only as long as what was decoded from
+// it, so one huge request does not leave its connection holding up to
+// the frame cap for good. 1 MiB is far above a bulk append batch.
+const maxRetainedFrame = 1 << 20
 
 // NewReader wraps r with a frame cap (<= 0 means DefaultMaxFrame).
 func NewReader(r io.Reader, maxFrame int) *Reader {
@@ -50,11 +59,12 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 // keep filling the write buffer while more pipelined frames wait.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
 
-// frame reads one length-prefixed payload into the reusable buffer.
-// The returned slice is valid until the next frame call. io.EOF is
-// returned only at a clean frame boundary; a stream ending mid-frame
-// is ErrTruncated. The declared length is checked against the cap
-// before any allocation, so a hostile length cannot balloon memory.
+// frame reads one length-prefixed payload into the reusable buffer,
+// or into a buffer of its own above maxRetainedFrame. The returned
+// slice is valid until the next frame call. io.EOF is returned only at
+// a clean frame boundary; a stream ending mid-frame is ErrTruncated.
+// The declared length is checked against the cap before any
+// allocation, so a hostile length cannot balloon memory.
 func (r *Reader) frame() ([]byte, error) {
 	if _, err := r.br.Peek(1); err != nil {
 		return nil, err // clean EOF (or the transport's own error)
@@ -69,10 +79,15 @@ func (r *Reader) frame() ([]byte, error) {
 	if n > uint64(r.max) {
 		return nil, fmt.Errorf("%w: %d bytes declared, cap %d", ErrFrameTooLarge, n, r.max)
 	}
-	if uint64(cap(r.buf)) < n {
+	b := r.buf
+	switch {
+	case n > maxRetainedFrame:
+		b = make([]byte, n)
+	case uint64(cap(b)) < n:
 		r.buf = make([]byte, n)
+		b = r.buf
 	}
-	b := r.buf[:n]
+	b = b[:n]
 	if _, err := io.ReadFull(r.br, b); err != nil {
 		return nil, fmt.Errorf("%w: %d payload bytes declared, stream ended early", ErrTruncated, n)
 	}
@@ -80,12 +95,11 @@ func (r *Reader) frame() ([]byte, error) {
 }
 
 // Request is one decoded request frame. A single Request is reused
-// across ReadRequest calls: ID aliases the frame buffer and Answers
-// reuses its backing array, so both are valid only until the next
-// read. Cold-path fields (Strategy, CSV, Rows) are copied and safe to
-// keep. The cells of a row are substrings of one string per row, as
-// encoding/csv hands out a record's fields: a kept cell pins its row,
-// never the whole frame.
+// across ReadRequest calls: ID and the cells of Rows alias the frame
+// buffer, and Answers and Rows reuse their backing arrays, so all
+// three are valid only until the next read — the next frame overwrites
+// the bytes a kept cell shows. Callers that keep anything copy it.
+// Cold-path fields (Strategy, CSV) are copied and safe to keep.
 type Request struct {
 	Op Op
 	// ID is the session id — a view into the frame buffer.
@@ -97,7 +111,7 @@ type Request struct {
 	// Step fields.
 	K       int
 	Answers []Answer
-	// Append field.
+	// Append field: views into the frame buffer.
 	Rows [][]string
 }
 
@@ -159,7 +173,7 @@ func (r *Reader) ReadRequest(req *Request) error {
 		if req.ID, err = c.Bytes(); err != nil {
 			return err
 		}
-		if req.Rows, err = r.rows(b, &c); err != nil {
+		if req.Rows, err = r.decodeRows(len(b), &c); err != nil {
 			return err
 		}
 	case OpResult, OpDelete:
@@ -172,58 +186,51 @@ func (r *Reader) ReadRequest(req *Request) error {
 	return c.Done()
 }
 
-// rows decodes an append frame's row list from c, a cursor over frame
-// b. The first pass only validates and records each row's cell count
-// and each cell's frame offsets in r.spans; the second copies each
-// row's byte range into one string and slices the cells out of it, so
-// a frame costs one string per row plus one flat cell slice and one
-// row slice. Rows are cut from the flat slice at full capacity, so
+// decodeRows decodes an append frame's row list from c, a cursor over
+// a frame of size bytes. Each cell is a view into the frame buffer, and
+// rows are cut from the Reader's cell scratch at full capacity, so
 // appending to one copies it instead of overwriting its neighbour.
-func (r *Reader) rows(b []byte, c *codec.Cursor) ([][]string, error) {
+// After warm-up a frame decodes with no allocation.
+func (r *Reader) decodeRows(size int, c *codec.Cursor) ([][]string, error) {
 	nrows, err := c.Count(1)
 	if err != nil {
 		return nil, err
 	}
-	spans := r.spans[:0]
-	ncells := 0
+	// Zero rows and zero-cell rows decode to empty, not nil, slices.
+	rows, cells := r.rows[:0], r.cells[:0]
+	if rows == nil {
+		rows, cells = [][]string{}, []string{}
+	}
 	for i := 0; i < nrows; i++ {
 		n, err := c.Count(1)
 		if err != nil {
 			return nil, err
 		}
-		spans = append(spans, n)
 		for j := 0; j < n; j++ {
 			cell, err := c.Bytes()
 			if err != nil {
 				return nil, err
 			}
-			end := len(b) - len(c.B)
-			spans = append(spans, end-len(cell), end)
+			cells = append(cells, unsafe.String(unsafe.SliceData(cell), len(cell)))
 		}
-		ncells += n
+		rows = append(rows, cells[len(cells)-n:])
 	}
-	// Keep the scratch for the next frame only while it has at most one
-	// entry per two frame-buffer bytes, so a frame of tiny cells cannot
-	// leave the connection holding a scratch far larger than its buffer.
-	if cap(spans) <= cap(r.buf)/2 {
-		r.spans = spans
+	// Cut every row from the final cell array: a row taken before the
+	// array last grew points into an older copy.
+	off := 0
+	for i, row := range rows {
+		end := off + len(row)
+		rows[i] = cells[off:end:end]
+		off = end
 	}
-	flat := make([]string, ncells)
-	rows := make([][]string, nrows)
-	for i := range rows {
-		n := spans[0]
-		cells := spans[1 : 1+2*n]
-		spans = spans[1+2*n:]
-		row := flat[:n:n]
-		flat = flat[n:]
-		if n > 0 {
-			lo := cells[0]
-			s := string(b[lo:cells[2*n-1]])
-			for j := range row {
-				row[j] = s[cells[2*j]-lo : cells[2*j+1]-lo]
-			}
-		}
-		rows[i] = row
+	// Keep the scratch for the next frame only after a frame whose
+	// buffer is kept too, and only while it has at most one entry per
+	// two frame bytes, so a frame of tiny cells cannot leave the
+	// connection holding a scratch far larger than its buffer.
+	if size <= maxRetainedFrame && cap(cells)+cap(rows) <= cap(r.buf)/2 {
+		r.rows, r.cells = rows, cells
+	} else {
+		r.rows, r.cells = nil, nil
 	}
 	return rows, nil
 }

@@ -181,7 +181,9 @@ type Backend interface {
 	// stand, exactly as if they had arrived in separate frames.
 	WireStep(id string, answers []Answer, k int, out *StepResult) error
 	// WireAppend parses the rows under the session's pinned typing and
-	// streams them into the instance.
+	// streams them into the instance. The cells are views into the
+	// connection's frame buffer, valid only until the call returns:
+	// the backend copies whatever it keeps.
 	WireAppend(id string, rows [][]string) (AppendResult, error)
 	// WireResult reads the inferred query.
 	WireResult(id string) (ResultData, error)

@@ -222,28 +222,17 @@ func (s *Session) Append(tuples []Tuple) (newlyImplied []int, err error) {
 // streaming append. Rows whose cell count does not match the schema
 // fail with CodeSchemaMismatch; unparsable cells with CodeBadInput.
 //
-// The batch's cells share one backing array; each tuple is sliced at
-// full capacity, so appending to one tuple copies it instead of
-// overwriting its neighbour.
+// Nothing returned points into rows, so they may be views into a
+// buffer the caller reuses. The batch's cells share one backing
+// array; each tuple is sliced at full capacity, so appending to one
+// tuple copies it instead of overwriting its neighbour.
 func (s *Session) ParseRows(rows [][]string) ([]Tuple, error) {
-	schema := s.Relation().Schema()
-	width := schema.Len()
-	cells := make([]Value, len(rows)*width)
-	tuples := make([]Tuple, len(rows))
-	for ri, row := range rows {
-		if len(row) != width {
-			return nil, newError(CodeSchemaMismatch, nil,
-				"arrival row %d has %d cells, session schema %v has %d", ri, len(row), schema, width)
-		}
-		t := Tuple(cells[ri*width : (ri+1)*width : (ri+1)*width])
-		for ci, cell := range row {
-			v, err := s.typing.ParseCell(ci, cell)
-			if err != nil {
-				return nil, newError(CodeBadInput, err, "arrival row %d column %q: %v", ri, schema.Name(ci), err)
-			}
-			t[ci] = v
-		}
-		tuples[ri] = t
+	tuples, err := relation.ParseRows(s.Relation().Schema(), s.typing, rows)
+	switch {
+	case errors.Is(err, relation.ErrRowWidth):
+		return nil, newError(CodeSchemaMismatch, err, "%v", err)
+	case err != nil:
+		return nil, newError(CodeBadInput, err, "%v", err)
 	}
 	return tuples, nil
 }

@@ -3,7 +3,9 @@ package chaostest
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"strconv"
@@ -18,21 +20,33 @@ import (
 	"repro/internal/workload"
 )
 
-// chaosSeed is the one random input of every schedule (it feeds the
-// strategy seed on both sides of the differential). Override with
-// CHAOS_SEED to replay a CI failure; the value is always logged.
-func chaosSeed(t *testing.T) int64 {
+// chaosSeeds is the committed seed set every schedule runs: the seed
+// is the one random input of a schedule (it feeds the strategy seed on
+// both sides of the differential). CHAOS_SEED replaces the set with
+// one seed to replay a CI failure.
+func chaosSeeds(t *testing.T) []int64 {
 	t.Helper()
-	seed := int64(7)
+	seeds := []int64{7, 1, 42}
 	if s := os.Getenv("CHAOS_SEED"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
 			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
 		}
-		seed = v
+		seeds = []int64{v}
 	}
-	t.Logf("chaostest seed %d (replay with CHAOS_SEED=%d)", seed, seed)
-	return seed
+	return seeds
+}
+
+// forEachSeed runs schedule once per chaos seed, each in its own
+// subtest, and logs every seed.
+func forEachSeed(t *testing.T, schedule func(t *testing.T, seed int64)) {
+	t.Helper()
+	for _, seed := range chaosSeeds(t) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Logf("chaostest seed %d (replay with CHAOS_SEED=%d)", seed, seed)
+			schedule(t, seed)
+		})
+	}
 }
 
 // lease is the fake-time failure-detector lease every schedule uses;
@@ -313,6 +327,60 @@ func (d *driver) finish(base string) {
 
 func sessionBase(n *Node, id string) string { return n.Base() + "/sessions/" + id }
 
+// noRedirect reads a 307 as the reply instead of following it.
+var noRedirect = &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+	return http.ErrUseLastResponse
+}}
+
+// checkOwnership asserts the ownership property a transition must
+// leave behind: every alive node reports the same failed map, every
+// session is live on exactly one alive node, and each other alive node
+// answers it with a 307 naming that owner in X-Jim-Owner.
+func checkOwnership(t *testing.T, h *Harness) {
+	t.Helper()
+	alive := h.Alive()
+	owner := map[string]string{}
+	var failed map[string]string
+	for i, id := range alive {
+		n := h.Node(id)
+		if v := view(t, n); i == 0 {
+			failed = v.Failed
+		} else if !maps.Equal(v.Failed, failed) {
+			t.Fatalf("%s reports failed %v, %s reports %v", id, v.Failed, alive[0], failed)
+		}
+		var list struct {
+			Sessions []summary `json:"sessions"`
+			Total    int       `json:"total"`
+		}
+		doJSON(t, "GET", n.Base()+"/sessions?limit=1000", nil, http.StatusOK, &list)
+		if len(list.Sessions) != list.Total {
+			t.Fatalf("%s listed %d of %d sessions", id, len(list.Sessions), list.Total)
+		}
+		for _, s := range list.Sessions {
+			if prev, dup := owner[s.ID]; dup {
+				t.Fatalf("session %s is live on both %s and %s", s.ID, prev, id)
+			}
+			owner[s.ID] = id
+		}
+	}
+	for sid, own := range owner {
+		want := own + "=" + h.Node(own).httpAddr
+		for _, id := range alive {
+			if id == own {
+				continue
+			}
+			resp, err := noRedirect.Get(sessionBase(h.Node(id), sid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if got := resp.Header.Get("X-Jim-Owner"); resp.StatusCode != http.StatusTemporaryRedirect || got != want {
+				t.Fatalf("GET session %s on %s: %d X-Jim-Owner %q, want 307 %q", sid, id, resp.StatusCode, got, want)
+			}
+		}
+	}
+}
+
 // TestChaosKillAutoPromoteRejoinDifferential is the lifecycle
 // acceptance test: for every shipped strategy, three nodes each own a
 // mid-dialogue session; one node is killed cold; BOTH survivors'
@@ -322,83 +390,86 @@ func sessionBase(n *Node, id string) string { return n.Base() + "/sessions/" + i
 // and every session converges tuple-for-tuple against its
 // never-interrupted reference.
 func TestChaosKillAutoPromoteRejoinDifferential(t *testing.T) {
-	seed := chaosSeed(t)
 	for _, name := range strategy.Names() {
 		t.Run(name, func(t *testing.T) {
 			w := loadWorkload(t, name)
-			h := Start(t, lease, "nA", "nB", "nC")
-			nA, nB, nC := h.Node("nA"), h.Node("nB"), h.Node("nC")
+			forEachSeed(t, func(t *testing.T, seed int64) {
+				h := Start(t, lease, "nA", "nB", "nC")
+				nA, nB, nC := h.Node("nA"), h.Node("nB"), h.Node("nC")
 
-			drv := map[string]*driver{
-				"nA": newDriver(t, nA, name, seed, w),
-				"nB": newDriver(t, nB, name, seed, w),
-				"nC": newDriver(t, nC, name, seed, w),
-			}
-
-			// Phase 1: every session past its question-2 skip, so the
-			// replicas carry non-empty skip sets into the failover.
-			for id, d := range drv {
-				d.drive(sessionBase(h.Node(id), d.id), 3)
-			}
-			for _, id := range []string{"nA", "nB", "nC"} {
-				quiesce(t, h.Node(id))
-			}
-
-			// Kill nA cold. Nobody calls POST /cluster/promote: the
-			// survivors' detectors must confirm the death on their own
-			// once the lease expires.
-			h.Kill("nA")
-			h.Clock.Advance(pastLease)
-			confirmed := h.TickAll()
-			for _, id := range []string{"nB", "nC"} {
-				if got := confirmed[id]; len(got) != 1 || got[0] != "nA" {
-					t.Fatalf("tick on %s confirmed %v, want [nA]", id, got)
+				drv := map[string]*driver{
+					"nA": newDriver(t, nA, name, seed, w),
+					"nB": newDriver(t, nB, name, seed, w),
+					"nC": newDriver(t, nC, name, seed, w),
 				}
-				v := view(t, h.Node(id))
-				if v.Failed["nA"] != "nB" || len(v.Alive) != 2 {
-					t.Fatalf("%s view after auto-failover = %+v, want nA failed over to nB", id, v)
+
+				// Phase 1: every session past its question-2 skip, so the
+				// replicas carry non-empty skip sets into the failover.
+				for id, d := range drv {
+					d.drive(sessionBase(h.Node(id), d.id), 3)
 				}
-				if v.LeaseMS != float64(lease.Milliseconds()) {
-					t.Fatalf("%s lease_ms = %v, want %v", id, v.LeaseMS, lease.Milliseconds())
+				for _, id := range []string{"nA", "nB", "nC"} {
+					quiesce(t, h.Node(id))
 				}
-			}
 
-			// Phase 2: nA's session answers on the promoted follower —
-			// summary intact, proposals still in lockstep.
-			drv["nA"].checkSummary(sessionBase(nB, drv["nA"].id))
-			drv["nA"].drive(sessionBase(nB, drv["nA"].id), 6)
-			drv["nB"].drive(sessionBase(nB, drv["nB"].id), 6)
-			drv["nC"].drive(sessionBase(nC, drv["nC"].id), 6)
-
-			// The dead node comes back from its surviving store and
-			// reclaims its range from the promoted holder.
-			h.Restart("nA")
-			rep := h.Rejoin("nA")
-			if !rep.Rejoined || rep.Holder != "nB" {
-				t.Fatalf("rejoin report = %+v, want rejoined via nB", rep)
-			}
-			if rep.Reclaimed != 1 {
-				t.Fatalf("rejoin reclaimed %d sessions, want 1", rep.Reclaimed)
-			}
-			for _, id := range []string{"nA", "nB", "nC"} {
-				v := view(t, h.Node(id))
-				if len(v.Failed) != 0 || len(v.Alive) != 3 {
-					t.Fatalf("%s view after rejoin = %+v, want all three alive", id, v)
+				// Kill nA cold. Nobody calls POST /cluster/promote: the
+				// survivors' detectors must confirm the death on their own
+				// once the lease expires.
+				h.Kill("nA")
+				h.Clock.Advance(pastLease)
+				confirmed := h.TickAll()
+				for _, id := range []string{"nB", "nC"} {
+					if got := confirmed[id]; len(got) != 1 || got[0] != "nA" {
+						t.Fatalf("tick on %s confirmed %v, want [nA]", id, got)
+					}
+					v := view(t, h.Node(id))
+					if v.Failed["nA"] != "nB" || len(v.Alive) != 2 {
+						t.Fatalf("%s view after auto-failover = %+v, want nA failed over to nB", id, v)
+					}
+					if v.LeaseMS != float64(lease.Milliseconds()) {
+						t.Fatalf("%s lease_ms = %v, want %v", id, v.LeaseMS, lease.Milliseconds())
+					}
 				}
-			}
+				checkOwnership(t, h)
 
-			// A detection pass after the rejoin must not re-kill anyone:
-			// the lease was re-granted and heartbeats are flowing again.
-			h.Clock.Advance(pastLease)
-			if confirmed := h.TickAll(); len(confirmed) != 0 {
-				t.Fatalf("post-rejoin tick confirmed deaths: %v", confirmed)
-			}
+				// Phase 2: nA's session answers on the promoted follower —
+				// summary intact, proposals still in lockstep.
+				drv["nA"].checkSummary(sessionBase(nB, drv["nA"].id))
+				drv["nA"].drive(sessionBase(nB, drv["nA"].id), 6)
+				drv["nB"].drive(sessionBase(nB, drv["nB"].id), 6)
+				drv["nC"].drive(sessionBase(nC, drv["nC"].id), 6)
 
-			// Phase 3: every session converges on its original owner.
-			drv["nA"].checkSummary(sessionBase(nA, drv["nA"].id))
-			drv["nA"].finish(sessionBase(nA, drv["nA"].id))
-			drv["nB"].finish(sessionBase(nB, drv["nB"].id))
-			drv["nC"].finish(sessionBase(nC, drv["nC"].id))
+				// The dead node comes back from its surviving store and
+				// reclaims its range from the promoted holder.
+				h.Restart("nA")
+				rep := h.Rejoin("nA")
+				if !rep.Rejoined || rep.Holder != "nB" {
+					t.Fatalf("rejoin report = %+v, want rejoined via nB", rep)
+				}
+				if rep.Reclaimed != 1 {
+					t.Fatalf("rejoin reclaimed %d sessions, want 1", rep.Reclaimed)
+				}
+				for _, id := range []string{"nA", "nB", "nC"} {
+					v := view(t, h.Node(id))
+					if len(v.Failed) != 0 || len(v.Alive) != 3 {
+						t.Fatalf("%s view after rejoin = %+v, want all three alive", id, v)
+					}
+				}
+				checkOwnership(t, h)
+
+				// A detection pass after the rejoin must not re-kill anyone:
+				// the lease was re-granted and heartbeats are flowing again.
+				h.Clock.Advance(pastLease)
+				if confirmed := h.TickAll(); len(confirmed) != 0 {
+					t.Fatalf("post-rejoin tick confirmed deaths: %v", confirmed)
+				}
+
+				// Phase 3: every session converges on its original owner.
+				drv["nA"].checkSummary(sessionBase(nA, drv["nA"].id))
+				drv["nA"].finish(sessionBase(nA, drv["nA"].id))
+				drv["nB"].finish(sessionBase(nB, drv["nB"].id))
+				drv["nC"].finish(sessionBase(nC, drv["nC"].id))
+			})
 		})
 	}
 }
@@ -409,46 +480,47 @@ func TestChaosKillAutoPromoteRejoinDifferential(t *testing.T) {
 // succeeds, so NO failover happens — and once the link heals, the
 // stream resyncs and a later real failover loses nothing.
 func TestChaosPartitionDoesNotPromote(t *testing.T) {
-	seed := chaosSeed(t)
-	name := "local-most-specific"
-	w := loadWorkload(t, name)
-	h := Start(t, lease, "nA", "nB", "nC")
-	nA, nB := h.Node("nA"), h.Node("nB")
+	forEachSeed(t, func(t *testing.T, seed int64) {
+		name := "local-most-specific"
+		w := loadWorkload(t, name)
+		h := Start(t, lease, "nA", "nB", "nC")
+		nA, nB := h.Node("nA"), h.Node("nB")
 
-	d := newDriver(t, nA, name, seed, w)
-	d.drive(sessionBase(nA, d.id), 2)
-	quiesce(t, nA)
+		d := newDriver(t, nA, name, seed, w)
+		d.drive(sessionBase(nA, d.id), 2)
+		quiesce(t, nA)
 
-	// Cut nA -> nB replication (heartbeats included). nB stops hearing
-	// from nA entirely.
-	h.PartitionRepl("nB")
-	d.drive(sessionBase(nA, d.id), 5)
+		// Cut nA -> nB replication (heartbeats included). nB stops hearing
+		// from nA entirely.
+		h.PartitionRepl("nB")
+		d.drive(sessionBase(nA, d.id), 5)
 
-	h.Clock.Advance(pastLease)
-	if confirmed := h.TickAll(); len(confirmed) != 0 {
-		t.Fatalf("partition triggered failover: %v", confirmed)
-	}
-	for _, id := range []string{"nA", "nB", "nC"} {
-		if v := view(t, h.Node(id)); len(v.Failed) != 0 {
-			t.Fatalf("%s marked nodes failed during a partition: %+v", id, v.Failed)
+		h.Clock.Advance(pastLease)
+		if confirmed := h.TickAll(); len(confirmed) != 0 {
+			t.Fatalf("partition triggered failover: %v", confirmed)
 		}
-	}
+		for _, id := range []string{"nA", "nB", "nC"} {
+			if v := view(t, h.Node(id)); len(v.Failed) != 0 {
+				t.Fatalf("%s marked nodes failed during a partition: %+v", id, v.Failed)
+			}
+		}
 
-	// Heal: the shipper reconnects and resyncs the events that queued
-	// up behind the cut; the barrier proves nothing was lost.
-	h.HealRepl("nB")
-	quiesce(t, nA)
+		// Heal: the shipper reconnects and resyncs the events that queued
+		// up behind the cut; the barrier proves nothing was lost.
+		h.HealRepl("nB")
+		quiesce(t, nA)
 
-	// Now a real death: the replica nB rebuilt across the partition
-	// must carry the dialogue forward tuple for tuple.
-	h.Kill("nA")
-	h.Clock.Advance(pastLease)
-	confirmed := h.TickAll()
-	if got := confirmed["nB"]; len(got) != 1 || got[0] != "nA" {
-		t.Fatalf("tick on nB confirmed %v, want [nA]", got)
-	}
-	d.checkSummary(sessionBase(nB, d.id))
-	d.finish(sessionBase(nB, d.id))
+		// Now a real death: the replica nB rebuilt across the partition
+		// must carry the dialogue forward tuple for tuple.
+		h.Kill("nA")
+		h.Clock.Advance(pastLease)
+		confirmed := h.TickAll()
+		if got := confirmed["nB"]; len(got) != 1 || got[0] != "nA" {
+			t.Fatalf("tick on nB confirmed %v, want [nA]", got)
+		}
+		d.checkSummary(sessionBase(nB, d.id))
+		d.finish(sessionBase(nB, d.id))
+	})
 }
 
 // TestChaosDelayedHeartbeatsDoNotPromote: a slow replication link
@@ -456,23 +528,24 @@ func TestChaosPartitionDoesNotPromote(t *testing.T) {
 // them — detection must stay quiet and the sync barrier must still
 // clear through the slow link.
 func TestChaosDelayedHeartbeatsDoNotPromote(t *testing.T) {
-	seed := chaosSeed(t)
-	name := "local-most-specific"
-	w := loadWorkload(t, name)
-	h := Start(t, lease, "nA", "nB", "nC")
-	nA := h.Node("nA")
+	forEachSeed(t, func(t *testing.T, seed int64) {
+		name := "local-most-specific"
+		w := loadWorkload(t, name)
+		h := Start(t, lease, "nA", "nB", "nC")
+		nA := h.Node("nA")
 
-	h.DelayRepl("nB", 10*time.Millisecond)
-	d := newDriver(t, nA, name, seed, w)
-	d.drive(sessionBase(nA, d.id), 4)
+		h.DelayRepl("nB", 10*time.Millisecond)
+		d := newDriver(t, nA, name, seed, w)
+		d.drive(sessionBase(nA, d.id), 4)
 
-	h.Clock.Advance(pastLease)
-	if confirmed := h.TickAll(); len(confirmed) != 0 {
-		t.Fatalf("delayed heartbeats triggered failover: %v", confirmed)
-	}
-	quiesce(t, nA)
-	h.DelayRepl("nB", 0)
-	d.finish(sessionBase(nA, d.id))
+		h.Clock.Advance(pastLease)
+		if confirmed := h.TickAll(); len(confirmed) != 0 {
+			t.Fatalf("delayed heartbeats triggered failover: %v", confirmed)
+		}
+		quiesce(t, nA)
+		h.DelayRepl("nB", 0)
+		d.finish(sessionBase(nA, d.id))
+	})
 }
 
 // TestChaosRebalanceAfterPeerSetGrowth is the planned-movement
@@ -481,98 +554,100 @@ func TestChaosDelayedHeartbeatsDoNotPromote(t *testing.T) {
 // sessions the enlarged ring assigns to the new node — which then
 // serves them tuple-for-tuple against their references.
 func TestChaosRebalanceAfterPeerSetGrowth(t *testing.T) {
-	seed := chaosSeed(t)
-	name := "local-most-specific"
-	w := loadWorkload(t, name)
-	h := Start(t, lease, "nA", "nB")
+	forEachSeed(t, func(t *testing.T, seed int64) {
+		name := "local-most-specific"
+		w := loadWorkload(t, name)
+		h := Start(t, lease, "nA", "nB")
 
-	// The enlarged ring decides which ids move; creating sessions until
-	// at least two land in nC's future range keeps the schedule
-	// deterministic without hand-picking hash values.
-	grown, err := cluster.NewMembership(append(append([]cluster.Node{}, h.peers...),
-		cluster.Node{ID: "nC", HTTP: "placeholder"}), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type placed struct {
-		d     *driver
-		home  string // owner in the 2-node cluster
-		owner string // owner in the 3-node ring
-	}
-	var sessions []placed
-	moving := 0
-	for i := 0; moving < 2 && i < 12; i++ {
-		home := "nA"
-		if i%2 == 1 {
-			home = "nB"
+		// The enlarged ring decides which ids move; creating sessions until
+		// at least two land in nC's future range keeps the schedule
+		// deterministic without hand-picking hash values.
+		grown, err := cluster.NewMembership(append(append([]cluster.Node{}, h.peers...),
+			cluster.Node{ID: "nC", HTTP: "placeholder"}), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		d := newDriver(t, h.Node(home), name, seed, w)
-		owner := grown.OwnerID(d.id)
-		if owner == "nC" {
-			moving++
+		type placed struct {
+			d     *driver
+			home  string // owner in the 2-node cluster
+			owner string // owner in the 3-node ring
 		}
-		sessions = append(sessions, placed{d: d, home: home, owner: owner})
-	}
-	if moving < 2 {
-		t.Fatalf("no session ids hash to the new node across %d creates", len(sessions))
-	}
-	for _, p := range sessions {
-		p.d.drive(sessionBase(h.Node(p.home), p.d.id), 2)
-	}
+		var sessions []placed
+		moving := 0
+		for i := 0; moving < 2 && i < 12; i++ {
+			home := "nA"
+			if i%2 == 1 {
+				home = "nB"
+			}
+			d := newDriver(t, h.Node(home), name, seed, w)
+			owner := grown.OwnerID(d.id)
+			if owner == "nC" {
+				moving++
+			}
+			sessions = append(sessions, placed{d: d, home: home, owner: owner})
+		}
+		if moving < 2 {
+			t.Fatalf("no session ids hash to the new node across %d creates", len(sessions))
+		}
+		for _, p := range sessions {
+			p.d.drive(sessionBase(h.Node(p.home), p.d.id), 2)
+		}
 
-	// Planned shutdown through the drain path, then restart everything
-	// with the three-node peer set.
-	for _, id := range []string{"nA", "nB"} {
-		var dr struct {
-			Sessions    int  `json:"sessions"`
-			Snapshotted int  `json:"snapshotted"`
-			Synced      bool `json:"synced"`
+		// Planned shutdown through the drain path, then restart everything
+		// with the three-node peer set.
+		for _, id := range []string{"nA", "nB"} {
+			var dr struct {
+				Sessions    int  `json:"sessions"`
+				Snapshotted int  `json:"snapshotted"`
+				Synced      bool `json:"synced"`
+			}
+			doJSON(t, "POST", h.Node(id).Base()+"/cluster/drain", nil, http.StatusOK, &dr)
+			if dr.Sessions != dr.Snapshotted || !dr.Synced {
+				t.Fatalf("drain on %s = %+v", id, dr)
+			}
 		}
-		doJSON(t, "POST", h.Node(id).Base()+"/cluster/drain", nil, http.StatusOK, &dr)
-		if dr.Sessions != dr.Snapshotted || !dr.Synced {
-			t.Fatalf("drain on %s = %+v", id, dr)
-		}
-	}
-	h.Kill("nA")
-	h.Kill("nB")
-	h.Grow("nC")
-	h.Restart("nA")
-	h.Restart("nB")
+		h.Kill("nA")
+		h.Kill("nB")
+		h.Grow("nC")
+		h.Restart("nA")
+		h.Restart("nB")
 
-	// Nobody marked the restarted nodes failed — rejoin must be a
-	// clean no-op on a planned restart.
-	if rep := h.Rejoin("nA"); rep.Rejoined {
-		t.Fatalf("planned restart triggered a rejoin: %+v", rep)
-	}
+		// Nobody marked the restarted nodes failed — rejoin must be a
+		// clean no-op on a planned restart.
+		if rep := h.Rejoin("nA"); rep.Rejoined {
+			t.Fatalf("planned restart triggered a rejoin: %+v", rep)
+		}
 
-	// Rebalance each pre-existing node; together they must move
-	// exactly the sessions the enlarged ring hands to nC.
-	totalMoved := 0
-	for _, id := range []string{"nA", "nB"} {
-		var rb struct {
-			Sessions int            `json:"sessions"`
-			Moved    int            `json:"moved"`
-			Targets  map[string]int `json:"targets"`
-			Synced   bool           `json:"synced"`
+		// Rebalance each pre-existing node; together they must move
+		// exactly the sessions the enlarged ring hands to nC.
+		totalMoved := 0
+		for _, id := range []string{"nA", "nB"} {
+			var rb struct {
+				Sessions int            `json:"sessions"`
+				Moved    int            `json:"moved"`
+				Targets  map[string]int `json:"targets"`
+				Synced   bool           `json:"synced"`
+			}
+			doJSON(t, "POST", h.Node(id).Base()+"/cluster/rebalance", nil, http.StatusOK, &rb)
+			if !rb.Synced {
+				t.Fatalf("rebalance on %s did not sync: %+v", id, rb)
+			}
+			if rb.Moved != rb.Targets["nC"] {
+				t.Fatalf("rebalance on %s moved %d but targeted %+v", id, rb.Moved, rb.Targets)
+			}
+			totalMoved += rb.Moved
 		}
-		doJSON(t, "POST", h.Node(id).Base()+"/cluster/rebalance", nil, http.StatusOK, &rb)
-		if !rb.Synced {
-			t.Fatalf("rebalance on %s did not sync: %+v", id, rb)
+		if totalMoved != moving {
+			t.Fatalf("rebalance moved %d sessions, ring assigns %d to nC", totalMoved, moving)
 		}
-		if rb.Moved != rb.Targets["nC"] {
-			t.Fatalf("rebalance on %s moved %d but targeted %+v", id, rb.Moved, rb.Targets)
-		}
-		totalMoved += rb.Moved
-	}
-	if totalMoved != moving {
-		t.Fatalf("rebalance moved %d sessions, ring assigns %d to nC", totalMoved, moving)
-	}
+		checkOwnership(t, h)
 
-	// Every session converges on its post-growth owner, still in
-	// lockstep with its reference.
-	for _, p := range sessions {
-		owner := h.Node(p.owner)
-		p.d.checkSummary(sessionBase(owner, p.d.id))
-		p.d.finish(sessionBase(owner, p.d.id))
-	}
+		// Every session converges on its post-growth owner, still in
+		// lockstep with its reference.
+		for _, p := range sessions {
+			owner := h.Node(p.owner)
+			p.d.checkSummary(sessionBase(owner, p.d.id))
+			p.d.finish(sessionBase(owner, p.d.id))
+		}
+	})
 }

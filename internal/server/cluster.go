@@ -265,6 +265,14 @@ func (s *Server) shipperFor() *cluster.Shipper {
 	return s.cluster.shipper
 }
 
+// syncWithin runs sh's sync barrier — every message shipped so far
+// acknowledged by the target — bounded by d within ctx.
+func syncWithin(ctx context.Context, sh *cluster.Shipper, d time.Duration) error {
+	ctx, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	return sh.Sync(ctx)
+}
+
 // ownsID reports whether this node owns the session id. Single-node
 // servers own everything.
 func (s *Server) ownsID(id string) bool {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"strconv"
 	"time"
@@ -108,9 +107,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	})
 	synced := false
 	if c.shipper != nil {
-		ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
-		defer cancel()
-		synced = c.shipper.Sync(ctx) == nil
+		synced = syncWithin(r.Context(), c.shipper, 10*time.Second) == nil
 	}
 	writeJSON(w, http.StatusOK, drainResponse{Sessions: total, Snapshotted: snapped, Synced: synced})
 }
@@ -384,9 +381,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		if c.shipper != nil {
 			if sync, _ := strconv.ParseBool(r.URL.Query().Get("sync")); sync {
-				ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-				defer cancel()
-				ok := c.shipper.Sync(ctx) == nil
+				ok := syncWithin(r.Context(), c.shipper, 5*time.Second) == nil
 				rh.Synced = &ok
 			}
 			// Read the counters after the barrier: a synced reply must

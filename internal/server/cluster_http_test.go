@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/server"
@@ -129,31 +130,24 @@ func (l *logRecorder) has(substr string) bool {
 	return false
 }
 
-// TestClusterAdoptSnapshotFailureLogged holds a failed adoption
-// snapshot to the rule that nothing is swallowed: the promotion still
-// adopts the session, /stats counts the persist error, and the log
-// names the operation and the session.
-func TestClusterAdoptSnapshotFailureLogged(t *testing.T) {
-	disk, err := store.NewDisk(store.DiskOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { disk.Close() })
-	logs := &logRecorder{t: t}
+// startPairOnDisk brings up cluster nodes nA (mem store) and nB, whose
+// durable store is st and whose cluster log goes to logfB.
+func startPairOnDisk(t *testing.T, st store.Store, logfB func(string, ...any)) (a, b *clusterNode) {
+	t.Helper()
 	srvA := server.New()
-	srvB := server.NewWith(server.Config{Store: failingSnapshots{disk}})
+	srvB := server.NewWith(server.Config{Store: st})
 	tsA, tsB := httptest.NewServer(srvA.Handler()), httptest.NewServer(srvB.Handler())
 	lnA, lnB := listenRepl(t), listenRepl(t)
 	peers := []cluster.Node{
 		{ID: "nA", HTTP: strings.TrimPrefix(tsA.URL, "http://"), Repl: lnA.Addr().String()},
 		{ID: "nB", HTTP: strings.TrimPrefix(tsB.URL, "http://"), Repl: lnB.Addr().String()},
 	}
-	a := &clusterNode{id: "nA", srv: srvA, ts: tsA, replLn: lnA}
-	b := &clusterNode{id: "nB", srv: srvB, ts: tsB, replLn: lnB}
+	a = &clusterNode{id: "nA", srv: srvA, ts: tsA, replLn: lnA}
+	b = &clusterNode{id: "nB", srv: srvB, ts: tsB, replLn: lnB}
 	for _, n := range []*clusterNode{a, b} {
 		logf := t.Logf
 		if n == b {
-			logf = logs.logf
+			logf = logfB
 		}
 		if err := n.srv.EnableCluster(server.ClusterOptions{Self: n.id, Peers: peers, Logf: logf}); err != nil {
 			t.Fatal(err)
@@ -162,15 +156,37 @@ func TestClusterAdoptSnapshotFailureLogged(t *testing.T) {
 		go n.repl.Serve(n.replLn)
 		t.Cleanup(n.kill)
 	}
+	return a, b
+}
+
+func newDisk(t *testing.T) *store.Disk {
+	t.Helper()
+	disk, err := store.NewDisk(store.DiskOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	return disk
+}
+
+type promoteReply struct {
+	AdoptedSessions int `json:"adopted_sessions"`
+}
+
+// TestClusterAdoptSnapshotFailureLogged holds a failed adoption
+// snapshot to the rule that nothing is swallowed: the promotion still
+// adopts the session, /stats counts the persist error, and the log
+// names the operation and the session.
+func TestClusterAdoptSnapshotFailureLogged(t *testing.T) {
+	logs := &logRecorder{t: t}
+	a, b := startPairOnDisk(t, failingSnapshots{newDisk(t)}, logs.logf)
 
 	var s summary
 	doJSON(t, "POST", a.base()+"/sessions",
 		map[string]any{"csv": travelCSV, "strategy": "local-most-specific"}, http.StatusCreated, &s)
 	quiesce(t, a)
 	a.kill()
-	var promoted struct {
-		AdoptedSessions int `json:"adopted_sessions"`
-	}
+	var promoted promoteReply
 	doJSON(t, "POST", b.base()+"/cluster/promote", map[string]any{"node": "nA"}, http.StatusOK, &promoted)
 	if promoted.AdoptedSessions != 1 {
 		t.Fatalf("promote adopted %d sessions, want 1", promoted.AdoptedSessions)
@@ -187,6 +203,108 @@ func TestClusterAdoptSnapshotFailureLogged(t *testing.T) {
 	}
 	if want := "cluster: adopt " + s.ID + ": snapshot: disk full"; !logs.has(want) {
 		t.Errorf("no log line %q", want)
+	}
+}
+
+// heldSnapshots is a disk store whose snapshots of the held ids wait
+// until release is closed, announcing each one on entered first.
+type heldSnapshots struct {
+	*store.Disk
+	mu      sync.Mutex
+	held    map[string]bool
+	entered chan string
+	release chan struct{}
+}
+
+func (h *heldSnapshots) Snapshot(id string, snap store.Snapshot) error {
+	h.mu.Lock()
+	hold := h.held[id]
+	h.mu.Unlock()
+	if hold {
+		h.entered <- id
+		<-h.release
+	}
+	return h.Disk.Snapshot(id, snap)
+}
+
+// TestClusterAdoptPublishesBeforeSnapshots promotes a node whose
+// adoption snapshots are held on the disk. The view already routes the
+// dead node's range here, so while those snapshots wait every adopted
+// session must answer, and a create must get a fresh id rather than
+// one an adoptee is about to claim.
+func TestClusterAdoptPublishesBeforeSnapshots(t *testing.T) {
+	const n = 4
+	st := &heldSnapshots{Disk: newDisk(t), held: map[string]bool{},
+		entered: make(chan string, n), release: make(chan struct{})}
+	a, b := startPairOnDisk(t, st, t.Logf)
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(st.release) }) }
+	t.Cleanup(release) // runs before the node cleanups, which wait for handlers
+
+	ids := map[string]bool{}
+	for i := 0; i < n; i++ {
+		var s summary
+		doJSON(t, "POST", a.base()+"/sessions",
+			map[string]any{"csv": travelCSV, "strategy": "local-most-specific"}, http.StatusCreated, &s)
+		ids[s.ID] = true
+	}
+	quiesce(t, a)
+	a.kill()
+	st.mu.Lock()
+	for id := range ids {
+		st.held[id] = true
+	}
+	st.mu.Unlock()
+
+	done := make(chan error, 1)
+	var promoted promoteReply
+	go func() {
+		done <- callJSON("POST", b.base()+"/cluster/promote", map[string]any{"node": "nA"}, http.StatusOK, &promoted)
+	}()
+	select {
+	case <-st.entered:
+	case err := <-done:
+		t.Fatalf("promote finished without snapshotting an adoptee: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no adoption snapshot started")
+	}
+	for id := range ids {
+		if err := callJSON("GET", b.base()+"/sessions/"+id, nil, http.StatusOK, nil); err != nil {
+			t.Errorf("adopted %s while its snapshots are pending: %v", id, err)
+		}
+	}
+	// A create handed a held id would wait on that id's snapshot too;
+	// bound the wait so such a collision fails instead of hanging.
+	var fresh summary
+	created := make(chan error, 1)
+	go func() {
+		created <- callJSON("POST", b.base()+"/sessions",
+			map[string]any{"csv": travelCSV, "strategy": "local-most-specific"}, http.StatusCreated, &fresh)
+	}()
+	select {
+	case err := <-created:
+		if err != nil {
+			t.Error(err)
+		} else if ids[fresh.ID] {
+			t.Errorf("create during adoption reused adopted id %s", fresh.ID)
+		}
+	case <-time.After(5 * time.Second):
+		release()
+		t.Fatalf("create during adoption is stuck behind an adoptee's snapshot: %v", <-created)
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if promoted.AdoptedSessions != n {
+		t.Fatalf("promote adopted %d sessions, want %d", promoted.AdoptedSessions, n)
+	}
+	var list struct {
+		Sessions []summary `json:"sessions"`
+	}
+	doJSON(t, "GET", b.base()+"/sessions", nil, http.StatusOK, &list)
+	if len(list.Sessions) != n+1 {
+		t.Errorf("node lists %d sessions after adoption, want %d adopted + 1 created", len(list.Sessions), n)
 	}
 }
 

@@ -77,7 +77,7 @@ func (s *Server) ApplySnapshot(id string, snap *store.Snapshot) error {
 		// Shipped state for our own range while nothing is live here:
 		// the receive half of a rebalance handoff. Adopt it straight
 		// into the live table — no later promotion step will.
-		s.adopt(id, ls)
+		s.adopt([]handoff{{id, ls}})
 	} else {
 		c.repMu.Lock()
 		c.replicas[id] = ls

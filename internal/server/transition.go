@@ -11,7 +11,7 @@ import (
 
 // This file moves session ownership between nodes. Every transition is
 // built from the same three steps: swapView replaces the membership
-// view, adopt moves one session into this node's live table, and a
+// view, adopt moves sessions into this node's live table, and a
 // handoff ships sessions to their new owner (shipSessionsTo) and
 // releases them here (releaseTo). Failover (failNode), the handoff
 // endpoints (handleRejoin, handleRebalance in cluster_http.go) and the
@@ -64,7 +64,9 @@ func (s *Server) retargetShipper(m *cluster.Membership) {
 }
 
 // adoptReplicas moves every replica the membership view m assigns to
-// this node out of the replica set and adopts it.
+// this node out of the replica set and adopts them. Each replica
+// leaves the set under the scan's lock, so two concurrent transitions
+// never adopt the same one twice.
 func (s *Server) adoptReplicas(m *cluster.Membership) int {
 	c := s.cluster
 	var hand []handoff
@@ -76,41 +78,52 @@ func (s *Server) adoptReplicas(m *cluster.Membership) int {
 		}
 	}
 	c.repMu.Unlock()
-	for _, h := range hand {
-		s.adopt(h.id, h.ls)
-	}
+	s.adopt(hand)
 	return len(hand)
 }
 
-// adopt places a session this node now owns into the live table: any
-// replica of it is dropped, the id counter advances past it, and a
-// local snapshot re-protects it (persisting it and shipping it onward
-// to our follower).
-func (s *Server) adopt(id string, ls *liveSession) {
+// adopt places sessions this node now owns into the live table: any
+// replica of them is dropped, every one is published, and the id counter
+// advances past the highest of them before anything touches the disk.
+// Routing may already send their requests here, so none may answer
+// not_found, and no create may be handed one of their ids, while the
+// adoptees wait on the fsync. Only then does a local snapshot
+// re-protect each one (persisting it and shipping it onward to our
+// follower).
+func (s *Server) adopt(hand []handoff) {
 	c := s.cluster
 	c.repMu.Lock()
-	delete(c.replicas, id)
+	for _, h := range hand {
+		delete(c.replicas, h.id)
+	}
 	c.repMu.Unlock()
-	ls.touch(s.now())
-	s.sessions.putRestored(id, ls)
-	if n, ok := numericID(id); ok {
-		for {
-			cur := s.nextID.Load()
-			if n <= cur || s.nextID.CompareAndSwap(cur, n) {
-				break
-			}
+	var maxID int64
+	for _, h := range hand {
+		h.ls.touch(s.now())
+		s.sessions.putRestored(h.id, h.ls)
+		if n, ok := numericID(h.id); ok && n > maxID {
+			maxID = n
 		}
 	}
-	c.promoted.Add(1)
-	if s.persists() {
-		if err := s.snapshotSession(id, ls); err != nil {
+	for {
+		cur := s.nextID.Load()
+		if maxID <= cur || s.nextID.CompareAndSwap(cur, maxID) {
+			break
+		}
+	}
+	c.promoted.Add(int64(len(hand)))
+	if !s.persists() {
+		return
+	}
+	for _, h := range hand {
+		if err := s.snapshotSession(h.id, h.ls); err != nil {
 			s.persist.errors.Add(1)
-			c.logf("cluster: adopt %s: snapshot: %v", id, err)
+			c.logf("cluster: adopt %s: snapshot: %v", h.id, err)
 		}
 	}
 }
 
-// handoff is one session leaving (or, in adoptReplicas, entering) this
+// handoff is one session leaving (or, in adopt, entering) this
 // node's live table during an ownership transition.
 type handoff struct {
 	id string
@@ -154,9 +167,7 @@ func (s *Server) shipSessionsTo(ctx context.Context, n cluster.Node, hand []hand
 		}
 		tmp.ShipSnapshot(h.id, snap)
 	}
-	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	return tmp.Sync(sctx)
+	return syncWithin(ctx, tmp, 10*time.Second)
 }
 
 // releaseTo finishes handing hand to owner once view m routes it

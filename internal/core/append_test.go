@@ -267,41 +267,6 @@ func TestAppendClassifiesArrivalsImmediately(t *testing.T) {
 	}
 }
 
-// TestAppendAcrossLatticeRowCap drives the same interleaved session in
-// both row-cache regimes, including growth across the cap boundary, so
-// the lattice-growth policy (extend vs drop) is covered.
-func TestAppendAcrossLatticeRowCap(t *testing.T) {
-	old := latticeRowCap
-	t.Cleanup(func() { latticeRowCap = old })
-	for _, cap := range []int{3, 8192} {
-		latticeRowCap = cap
-		r := rand.New(rand.NewSource(41))
-		serial := 0
-		rel := relation.New(relation.MustSchema(attrNames(4)...))
-		for _, tu := range randomTuples(r, 4, 3, &serial) {
-			rel.MustAppend(tu)
-		}
-		st, err := NewState(rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goal := partition.Uniform(r, 4)
-		for step := 0; step < 40; step++ {
-			if step%3 == 0 {
-				if _, err := st.Append(randomTuples(r, 4, 2, &serial)); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				labelRandomInformative(t, r, st, goal)
-			}
-			if err := st.CheckInvariants(); err != nil {
-				t.Fatalf("cap %d step %d: %v", cap, step, err)
-			}
-		}
-		crossCheckAgainstFresh(t, st)
-	}
-}
-
 // TestAppendExistingClassesAllocsIndependentOfBatch is the ingestion
 // allocation guard: arrivals whose signature classes already exist —
 // informative ones and settled ones alike — register through reused

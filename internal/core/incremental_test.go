@@ -102,91 +102,65 @@ func naivePrune(st *State, sig partition.P, l Label) int {
 	return count
 }
 
+// TestSimulatePruneGroupMatchesNaive cross-checks the projection-table
+// kernels against the definitional recount for every informative class
+// and a random signature, at every step of random sessions with
+// appends interleaved between labels. The attribute counts span pair
+// sets of one word (4–6) and two (12 and 13: a second word is needed
+// above 11 attributes). Appends grow the class set after a table was
+// built, so the rebuild-per-Version policy is covered, and
+// CheckInvariants recomputes the built table after every step.
 func TestSimulatePruneGroupMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 10; trial++ {
-		n := 4 + r.Intn(3)
-		rel := randomInstance(r, n, 40)
-		st, err := NewState(rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goal := partition.RandomGoal(r, n, 2)
-		for !st.Done() {
-			for _, g := range st.InformativeGroups() {
-				for _, l := range []Label{Positive, Negative} {
-					fast := st.SimulatePruneGroup(g.Pos, l)
-					if bySig := st.SimulatePrune(g.Sig, l); bySig != fast {
-						t.Fatalf("SimulatePrune(%v, %v) = %d, SimulatePruneGroup = %d", g.Sig, l, bySig, fast)
-					}
-					if want := naivePrune(st, g.Sig, l); fast != want {
-						t.Fatalf("SimulatePruneGroup(%v, %v) = %d, naive = %d", g.Sig, l, fast, want)
-					}
-				}
-			}
-			inf := st.InformativeIndices()
-			i := inf[r.Intn(len(inf))]
-			l := Negative
-			if goal.LessEq(st.Sig(i)) {
-				l = Positive
-			}
-			if _, err := st.Apply(i, l); err != nil {
+	for _, n := range []int{4, 5, 6, 12, 13} {
+		for trial := 0; trial < 4; trial++ {
+			serial := 0
+			rel := relation.New(relation.MustSchema(attrNames(n)...))
+			rel.MustAppend(randomTuples(r, n, 30, &serial)...)
+			st, err := NewState(rel)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// TestLatticeRowCapFallback forces the uncached-row regime and checks
-// the prune counts agree with the cached regime.
-func TestLatticeRowCapFallback(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	rel := randomInstance(r, 5, 60)
-	build := func() *State {
-		st, err := NewState(rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	cached := build()
-
-	old := latticeRowCap
-	latticeRowCap = 0
-	uncached := build()
-	latticeRowCap = old
-
-	if uncached.lat.rows != nil {
-		t.Fatal("row cache allocated despite cap")
-	}
-	if cached.lat.rows == nil {
-		t.Fatal("row cache missing under default cap")
-	}
-	goal := partition.RandomGoal(r, 5, 2)
-	for !cached.Done() {
-		for _, g := range cached.InformativeGroups() {
-			for _, l := range []Label{Positive, Negative} {
-				a := cached.SimulatePruneGroup(g.Pos, l)
-				b := uncached.SimulatePruneGroup(g.Pos, l)
-				if a != b {
-					t.Fatalf("row-cached prune %d != direct prune %d for %v/%v", a, b, g.Sig, l)
+			goal := partition.RandomGoal(r, n, 2)
+			for step := 0; !st.Done(); step++ {
+				if step > 2*st.Relation().Len() { // labels plus appends
+					t.Fatalf("n=%d trial %d: session did not converge", n, trial)
+				}
+				foreign := partition.Uniform(r, n).Cached()
+				for _, l := range []Label{Positive, Negative} {
+					for _, g := range st.InformativeGroups() {
+						fast := st.SimulatePruneGroup(g.Pos, l)
+						if bySig := st.SimulatePrune(g.Sig, l); bySig != fast {
+							t.Fatalf("SimulatePrune(%v, %v) = %d, SimulatePruneGroup = %d", g.Sig, l, bySig, fast)
+						}
+						if want := naivePrune(st, g.Sig, l); fast != want {
+							t.Fatalf("n=%d step %d: SimulatePruneGroup(%v, %v) = %d, naive = %d", n, step, g.Sig, l, fast, want)
+						}
+					}
+					if got, want := st.SimulatePrune(foreign, l), naivePrune(st, foreign, l); got != want {
+						t.Fatalf("n=%d step %d: SimulatePrune(%v, %v) = %d, naive = %d", n, step, foreign, l, got, want)
+					}
+				}
+				if err := st.CheckInvariants(); err != nil {
+					t.Fatalf("n=%d trial %d step %d: %v", n, trial, step, err)
+				}
+				if step%3 == 2 && serial < 60 {
+					if _, err := st.Append(randomTuples(r, n, 1+r.Intn(6), &serial)); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				inf := st.InformativeIndices()
+				i := inf[r.Intn(len(inf))]
+				l := Negative
+				if goal.LessEq(st.Sig(i)) {
+					l = Positive
+				}
+				if _, err := st.Apply(i, l); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
-		i := cached.InformativeIndices()[0]
-		l := Negative
-		if goal.LessEq(cached.Sig(i)) {
-			l = Positive
-		}
-		if _, err := cached.Apply(i, l); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := uncached.Apply(i, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !uncached.Done() {
-		t.Fatal("states diverged")
 	}
 }
 

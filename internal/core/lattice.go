@@ -1,187 +1,185 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/partition"
 )
 
-// latticeRowCap bounds the number of signature classes for which the
-// lattice caches group×group implied-positive rows. Each row is one
-// bit per class, so the worst case is rowCap²/8 bytes (8 MiB at the
-// default). Instances with more classes than the cap skip the row
-// cache and fall back to the direct word operations, which are still
-// allocation-free — the cap trades a constant factor, never
-// correctness. Variable so tests can force both regimes.
-var latticeRowCap = 8192
-
-// groupSet is a bitset over signature-class positions.
-type groupSet []uint64
-
-func (s groupSet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
-func (s groupSet) set(i int)      { s[i>>6] |= 1 << (i & 63) }
-
 // lattice caches the structural facts of the signature lattice for one
 // State. Signatures are registered at NewState and extended by Append
 // (appendClasses), so their pair bitsets are computed once per class;
 // the hypothesis side (M_P, the negative antichain) is refreshed on
-// the Apply that changes it. On top of the bitsets it lazily caches,
-// per M_P version and capped by latticeRowCap, the group×group meet/≤
-// relation
-//
-//	posRow(g)[h]  ⇔  (M_P ∧ sig_g) ≤ sig_h
-//
-// — "labeling class g positive implies class h positive" — which is
-// the inner test of every positive-label simulation. Rows are filled
-// on first demand for a candidate class and stay valid until M_P
-// changes (negative labels never move M_P, so the rows survive entire
-// negative-heavy stretches of a session). Row installs use atomic
-// pointers because strategies fill them from parallel scoring
-// goroutines; duplicated fills compute identical rows.
+// the Apply that changes it. On top of the bitsets sits the projection
+// table the lookahead simulations run over.
 type lattice struct {
-	sigs []partition.PairSet // per class, fixed at NewState
+	sigs []partition.PairSet // per class, fixed at registration
 	mp   partition.PairSet   // pairs of the current M_P
 	negs []partition.PairSet // pairs of each maximal negative
 
-	rows      []atomic.Pointer[groupSet] // implied-positive rows, nil entries until demanded
-	rowsWords int                        // words per row
-
-	// rowFree recycles invalidated rows: every setMP (each positive
-	// label that moves the hypothesis) orphans up to rowCap filled rows,
-	// and without reuse the next scoring pass re-allocates them all —
-	// the per-class SimulatePrune working-set churn the zero-alloc pick
-	// path cannot afford. A mutex-guarded free list rather than a
-	// sync.Pool: the pool drops its contents on GC, which would make
-	// the steady-state 0 allocs/op guarantee flaky, and the lock is
-	// touched once per row fill, not per lattice test. Concurrent
-	// access comes only from parallel scoring workers filling rows;
-	// setMP runs with the state quiescent (the session write lock).
-	rowFreeMu sync.Mutex
-	rowFree   []*groupSet
+	proj projTable
 }
 
-// getRow returns a cleared row buffer, reusing a recycled one when
-// available. Rows are pooled as *groupSet — the same box the atomic
-// row slots hold — so a refill reuses both the bit array and its
-// heap-allocated header.
-func (lat *lattice) getRow() *groupSet {
-	lat.rowFreeMu.Lock()
-	n := len(lat.rowFree)
-	var row *groupSet
-	if n > 0 {
-		row = lat.rowFree[n-1]
-		lat.rowFree[n-1] = nil
-		lat.rowFree = lat.rowFree[:n-1]
-	}
-	lat.rowFreeMu.Unlock()
-	if row == nil {
-		r := make(groupSet, lat.rowsWords)
-		return &r
-	}
-	clear(*row)
-	return row
+// projTable is the informative population of one State.Version seen
+// through M_P. A simulated label on a class with pair set g reaches an
+// informative class h only through its projection H = M_P ∧ sig_h:
+//
+//	negative: h settles iff H ≤ g
+//	positive: h settles iff M_P ∧ g ≤ H, or g ∧ H ≤ some maximal negative
+//
+// so classes with equal projections merge into one entry with their
+// summed unlabeled counts, and the kernels loop over the D distinct
+// projections, not every informative class. D collapses once M_P moves.
+//
+// Layout: the first pair-word of every entry sits in one dense array;
+// the remaining words (only above 11 attributes) sit in a second, read
+// only when the first word passes. The negatives are flattened the same
+// way, so one kernel serves every attribute count.
+//
+// The first simulation after an Apply or Append builds the table (never
+// NewState or Append: they must not pay for scoring that may not
+// follow), under mu since parallel scorers race to it, and publishes it
+// by storing the version stamp. Buffers are reused across rebuilds.
+type projTable struct {
+	mu    sync.Mutex
+	built atomic.Int64 // State.Version+1 the table holds; 0 = never built
+
+	tail     int      // pair words per set beyond the first
+	first    []uint64 // first word of each projection
+	rest     []uint64 // remaining words, tail per projection
+	weight   []int    // unlabeled tuples per projection
+	negFirst []uint64 // first word of each maximal negative
+	negRest  []uint64 // remaining words, tail per negative
 }
 
-// putRow recycles a row buffer that is no longer referenced.
-func (lat *lattice) putRow(row *groupSet) {
-	lat.rowFreeMu.Lock()
-	lat.rowFree = append(lat.rowFree, row)
-	lat.rowFreeMu.Unlock()
+// buildSlots is a build's open-addressing index (entry+1, 0 = empty).
+// Nothing in it outlives a build, so one buffer serves every session.
+// Not a sync.Pool: collections and GOMAXPROCS changes drain those, and
+// a rebuild would then allocate.
+var buildSlots struct {
+	sync.Mutex
+	s []int32
 }
 
-func (lat *lattice) init(groups []*SigGroup, mp partition.P, negs []partition.P) {
-	lat.sigs = make([]partition.PairSet, len(groups))
-	for i, g := range groups {
-		lat.sigs[i] = g.Sig.PairSet()
+// split returns the first pair-word of p and the remaining words. The
+// pair set of a single attribute is empty and reads as a zero word.
+func split(p partition.PairSet) (uint64, partition.PairSet) {
+	if len(p) == 0 {
+		return 0, nil
 	}
-	if len(groups) <= latticeRowCap {
-		lat.rows = make([]atomic.Pointer[groupSet], len(groups))
-		lat.rowsWords = (len(groups) + 63) / 64
+	return p[0], p[1:]
+}
+
+func (t *projTable) restOf(d int) partition.PairSet    { return t.rest[d*t.tail : (d+1)*t.tail] }
+func (t *projTable) negRestOf(k int) partition.PairSet { return t.negRest[k*t.tail : (k+1)*t.tail] }
+
+// build fills the table from the informative classes inf, merging
+// equal projections through an open-addressing index.
+func (t *projTable) build(lat *lattice, inf, unlabeled []int) {
+	mp0, mpRest := split(lat.mp)
+	t.tail = len(mpRest)
+	t.first, t.rest, t.weight = t.first[:0], t.rest[:0], t.weight[:0]
+	lg := bits.Len(uint(max(2*len(inf)-1, 1))) // at most half the slots fill
+	size, shift := 1<<lg, 64-lg
+	buildSlots.Lock()
+	defer buildSlots.Unlock()
+	slots := reserve(buildSlots.s[:0], size)[:size]
+	clear(slots)
+	buildSlots.s = slots
+	for _, hi := range inf {
+		// Append as a candidate entry; drop it if an equal one is indexed.
+		d := len(t.first)
+		h0, hRest := split(lat.sigs[hi])
+		t.first = append(t.first, mp0&h0)
+		hash := (mp0 & h0) * 0x9e3779b97f4a7c15
+		for w, x := range hRest {
+			x &= mpRest[w]
+			t.rest = append(t.rest, x)
+			hash = (hash ^ x) * 0x9e3779b97f4a7c15
+		}
+		for s := hash >> shift; ; s = (s + 1) & uint64(size-1) {
+			e := int(slots[s]) - 1
+			if e < 0 {
+				slots[s] = int32(d + 1)
+				t.weight = append(t.weight, unlabeled[hi])
+				break
+			}
+			if t.first[e] == t.first[d] && slices.Equal(t.restOf(e), t.restOf(d)) {
+				t.weight[e] += unlabeled[hi]
+				t.first, t.rest = t.first[:d], t.rest[:d*t.tail]
+				break
+			}
+		}
 	}
-	lat.setMP(mp)
-	lat.setNegs(negs)
+	// Room for the first negatives of a dialogue, so they do not regrow it.
+	t.negFirst, t.negRest = reserve(t.negFirst[:0], 4), reserve(t.negRest[:0], 4*t.tail)
+	for _, n := range lat.negs {
+		n0, nRest := split(n)
+		t.negFirst, t.negRest = append(t.negFirst, n0), append(t.negRest, nRest...)
+	}
+}
+
+// projections returns the projection table of the current version,
+// building it on first demand. Safe for concurrent callers: the first
+// one builds under the lock, the rest wait for it or see the stamp.
+func (st *State) projections() *projTable {
+	t := &st.lat.proj
+	stamp := int64(st.version) + 1
+	if t.built.Load() != stamp {
+		t.mu.Lock()
+		if t.built.Load() != stamp {
+			t.build(&st.lat, st.infGroups, st.groupUnlabeled)
+			t.built.Store(stamp)
+		}
+		t.mu.Unlock()
+	}
+	return t
+}
+
+// checkProjections recomputes a table built for the current version
+// from the definitional meets: each distinct projection once, with its
+// summed unlabeled count, and the antichain flattened.
+func (st *State) checkProjections() error {
+	t := &st.lat.proj
+	if t.built.Load() != int64(st.version)+1 {
+		return nil // nothing cached for this version
+	}
+	want := map[string]int{}
+	for _, gi := range st.infGroups {
+		want[fmt.Sprint(st.mp.Meet(st.groups[gi].Sig).PairSet())] += st.groupUnlabeled[gi]
+	}
+	for d, h0 := range t.first {
+		key := fmt.Sprint(append(partition.PairSet{h0}, t.restOf(d)...)[:len(st.lat.mp)])
+		if want[key] != t.weight[d] {
+			return fmt.Errorf("core: projection %s carries weight %d, want %d", key, t.weight[d], want[key])
+		}
+		delete(want, key)
+	}
+	var negFirst, negRest []uint64
+	for _, n := range st.negs {
+		n0, nRest := split(n.PairSet())
+		negFirst, negRest = append(negFirst, n0), append(negRest, nRest...)
+	}
+	if len(want) > 0 || !slices.Equal(negFirst, t.negFirst) || !slices.Equal(negRest, t.negRest) {
+		return fmt.Errorf("core: projection table lacks %v or drifted from the antichain", want)
+	}
+	return nil
 }
 
 // appendClasses registers the pair bitsets of classes that arrived via
-// State.Append. Growth policy: appends that create no new class leave
-// the cached rows untouched (rows encode only class-pair facts, which
-// arrivals into existing classes cannot change). New classes widen the
-// rows, so the row cache is rebuilt empty — rows refill lazily on the
-// next demand, keeping append cost proportional to the batch, not to
-// classes². Growing past latticeRowCap drops the row cache for good;
-// callers fall back to the direct word operations, as large instances
-// always have.
+// State.Append. Growth policy: nothing else moves — the projection
+// table is keyed on State.Version, which Append bumps, so the next
+// simulation rebuilds it over the grown class set; append cost stays
+// proportional to the batch.
 func (lat *lattice) appendClasses(groups []*SigGroup) {
-	if len(groups) == 0 {
-		return
-	}
+	lat.sigs = reserve(lat.sigs, len(groups))
 	for _, g := range groups {
 		lat.sigs = append(lat.sigs, g.Sig.PairSet())
 	}
-	if len(lat.sigs) > latticeRowCap {
-		lat.rows = nil
-		lat.rowsWords = 0
-		lat.rowFree = nil
-		return
-	}
-	lat.rows = make([]atomic.Pointer[groupSet], len(lat.sigs))
-	if w := (len(lat.sigs) + 63) / 64; w != lat.rowsWords {
-		// Rows widened: recycled buffers of the old width are useless.
-		lat.rowsWords = w
-		lat.rowFree = nil
-	}
-}
-
-// setMP installs a new hypothesis meet and invalidates the cached
-// rows, which are conditioned on it. Invalidated rows go back to the
-// free list: no reader can still hold one (setMP runs only while the
-// state is quiescent), and the next scoring pass refills the same
-// buffers instead of allocating a fresh rowCap × rowsWords working
-// set.
-func (lat *lattice) setMP(mp partition.P) {
-	lat.mp = mp.PairSet()
-	for i := range lat.rows {
-		if r := lat.rows[i].Swap(nil); r != nil {
-			lat.putRow(r)
-		}
-	}
-}
-
-// setNegs rebuilds the negative-antichain bitsets. Rows stay valid:
-// they encode only the M_P side of the relation.
-func (lat *lattice) setNegs(negs []partition.P) {
-	lat.negs = lat.negs[:0]
-	for _, n := range negs {
-		lat.negs = append(lat.negs, n.PairSet())
-	}
-}
-
-// posRow returns the implied-positive row of class gi, computing and
-// caching it on first use, or nil when the class count exceeds
-// latticeRowCap (callers then test pairs directly).
-func (lat *lattice) posRow(gi int) groupSet {
-	if lat.rows == nil {
-		return nil
-	}
-	if r := lat.rows[gi].Load(); r != nil {
-		return *r
-	}
-	rp := lat.getRow()
-	row := *rp
-	g := lat.sigs[gi]
-	for hi, h := range lat.sigs {
-		if partition.IntersectSubset(lat.mp, g, h) {
-			row.set(hi)
-		}
-	}
-	if !lat.rows[gi].CompareAndSwap(nil, rp) {
-		// A parallel scoring worker published an identical row first;
-		// recycle ours (it was never visible) and serve the winner.
-		lat.putRow(rp)
-		return *lat.rows[gi].Load()
-	}
-	return row
 }
 
 // impliedGroup classifies class gi under the current hypothesis using

@@ -1,18 +1,20 @@
 package core
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
-	"repro/internal/partition"
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
 // buildMidDialogue returns a state a few labels into a synthetic
 // dialogue, so the hypothesis has a refined meet and real negatives.
-func buildMidDialogue(t testing.TB, seed int64, steps int) *State {
+func buildMidDialogue(t testing.TB, attrs int, seed int64, steps int) *State {
 	t.Helper()
 	rel, goal, err := workload.Synthetic(workload.SynthConfig{
-		Attrs: 6, Tuples: 400, Seed: seed, ExtraMerges: 1.5,
+		Attrs: attrs, Tuples: 400, Seed: seed, ExtraMerges: 1.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,106 +49,95 @@ func firstUnlabeledIn(st *State, gi int) int {
 	return -1
 }
 
-// fillAllRows demands the implied-positive row of every informative
-// class — what one lookahead rescore does.
-func fillAllRows(st *State) {
-	for _, gi := range st.infGroups {
-		st.lat.posRow(gi)
-	}
+// mallocs counts the heap allocations made by one call of f.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
-// TestLatticeRowRecycling pins the SimulatePrune working-set pooling:
-// once the row cache has been filled, a hypothesis move (setMP) must
-// recycle every invalidated row through the free list, and the next
-// fill must reuse those buffers — zero allocations per
-// invalidate-and-refill cycle in steady state — while still computing
-// rows identical to a from-scratch evaluation.
-func TestLatticeRowRecycling(t *testing.T) {
-	st := buildMidDialogue(t, 3, 5)
-	if st.lat.rows == nil {
-		t.Fatal("row cache unexpectedly disabled")
-	}
-	fillAllRows(st)
-
-	filled := 0
-	for i := range st.lat.rows {
-		if st.lat.rows[i].Load() != nil {
-			filled++
+// TestProjectionTableRebuildZeroAlloc pins the steady-state cost of the
+// projection table: once its buffers are sized, the rebuild that the
+// first simulation after an Apply or an Append performs allocates
+// nothing, at one (6 attributes) and two (12) pair-words per set.
+// Labels only shrink the informative population, and arrivals into
+// existing classes add no projection, so neither outgrows the buffers.
+// (The labels are positive: a negative one may grow the antichain past
+// its high-water mark, which is amortized growth, not steady state.)
+func TestProjectionTableRebuildZeroAlloc(t *testing.T) {
+	for _, attrs := range []int{6, 12} {
+		st := buildMidDialogue(t, attrs, 3, 2)
+		if st.Done() {
+			t.Fatalf("%d attrs: dialogue converged during set-up", attrs)
 		}
-	}
-	if filled == 0 {
-		t.Fatal("no rows were filled")
-	}
-
-	// Invalidate: every filled row must land on the free list.
-	st.lat.setMP(st.mp)
-	if got := len(st.lat.rowFree); got != filled {
-		t.Fatalf("setMP recycled %d rows, want %d", got, filled)
-	}
-
-	// Steady state: invalidate-and-refill cycles allocate nothing.
-	allocs := testing.AllocsPerRun(10, func() {
-		st.lat.setMP(st.mp)
-		fillAllRows(st)
-	})
-	if allocs != 0 {
-		t.Errorf("invalidate-and-refill allocates %.1f allocs/op, want 0", allocs)
-	}
-
-	// Recycled rows must be indistinguishable from fresh ones.
-	for _, gi := range st.infGroups {
-		row := st.lat.posRow(gi)
-		g := st.lat.sigs[gi]
-		for hi, h := range st.lat.sigs {
-			want := partition.IntersectSubset(st.lat.mp, g, h)
-			if row.has(hi) != want {
-				t.Fatalf("recycled row %d: entry %d = %v, want %v", gi, hi, row.has(hi), want)
-			}
+		st.SimulatePruneGroup(st.infGroups[0], Positive) // sizes the buffers
+		if allocs := testing.AllocsPerRun(20, func() {
+			st.version++ // what Apply and Append do to the table
+			st.SimulatePruneGroup(st.infGroups[0], Positive)
+		}); allocs != 0 {
+			t.Errorf("%d attrs: forced rebuild allocates %.1f allocs/op, want 0", attrs, allocs)
 		}
-	}
-}
-
-// TestLatticeRowRecyclingAcrossLabels drives a real dialogue and
-// checks, via the state invariant checker plus a definitional
-// SimulatePrune cross-check, that pooled rows never leak stale bits
-// into scoring after the hypothesis moves.
-func TestLatticeRowRecyclingAcrossLabels(t *testing.T) {
-	rel, goal, err := workload.Synthetic(workload.SynthConfig{
-		Attrs: 5, Tuples: 200, Seed: 8, ExtraMerges: 1.2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewState(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for len(st.infGroups) > 0 {
-		fillAllRows(st)
-		for _, gi := range st.infGroups {
-			got := st.SimulatePruneGroup(gi, Positive)
-			want := st.Hypo().Apply(st.groups[gi].Sig, Positive)
-			cnt := 0
-			for _, hi := range st.infGroups {
-				if want.ImpliedLabel(st.groups[hi].Sig) != Unlabeled {
-					cnt += st.groupUnlabeled[hi]
+		rel := st.Relation()
+		for step := 0; step < 6 && !st.Done(); step++ {
+			if step%2 == 0 {
+				idx := firstUnlabeledIn(st, st.infGroups[len(st.infGroups)-1])
+				if _, err := st.Apply(idx, Positive); err != nil {
+					t.Fatal(err)
 				}
+			} else if _, err := st.Append([]relation.Tuple{rel.Tuple(step), rel.Tuple(firstUnlabeledIn(st, st.infGroups[0]))}); err != nil {
+				t.Fatal(err)
 			}
-			if got != cnt {
-				t.Fatalf("class %d: SimulatePruneGroup(+) = %d, definitional %d", gi, got, cnt)
+			if st.Done() {
+				break
+			}
+			built := st.lat.proj.built.Load()
+			if n := mallocs(func() { st.SimulatePruneGroup(st.infGroups[0], Negative) }); n != 0 {
+				t.Errorf("%d attrs step %d: rebuild allocates %d times, want 0", attrs, step, n)
+			}
+			if st.lat.proj.built.Load() == built {
+				t.Fatalf("%d attrs step %d: simulation did not rebuild the table", attrs, step)
+			}
+			if err := st.CheckInvariants(); err != nil {
+				t.Fatalf("%d attrs step %d: %v", attrs, step, err)
 			}
 		}
-		gi := st.infGroups[0]
-		idx := firstUnlabeledIn(st, gi)
-		l := Negative
-		if goal.LessEq(st.Sig(idx)) {
-			l = Positive
+	}
+}
+
+// TestProjectionTableConcurrentBuild races parallel scorers to the
+// first simulation of a new Version, on two states at once (their
+// builds share the slot buffer): every caller must see the counts a
+// sequential pass computes.
+func TestProjectionTableConcurrentBuild(t *testing.T) {
+	states := []*State{buildMidDialogue(t, 6, 5, 2), buildMidDialogue(t, 12, 5, 1)}
+	want := make([][]int, len(states))
+	for s, st := range states {
+		for _, gi := range st.infGroups {
+			want[s] = append(want[s], st.SimulatePruneGroup(gi, Positive), st.SimulatePruneGroup(gi, Negative))
 		}
-		if _, err := st.Apply(idx, l); err != nil {
-			t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for s, st := range states {
+			st.version++ // a new Version: the next simulation rebuilds
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for k, gi := range st.infGroups {
+						if got := st.SimulatePruneGroup(gi, Positive); got != want[s][2*k] {
+							t.Errorf("state %d class %d: + %d, want %d", s, gi, got, want[s][2*k])
+						}
+						if got := st.SimulatePruneGroup(gi, Negative); got != want[s][2*k+1] {
+							t.Errorf("state %d class %d: - %d, want %d", s, gi, got, want[s][2*k+1])
+						}
+					}
+				}()
+			}
 		}
-		if err := st.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+		wg.Wait()
 	}
 }

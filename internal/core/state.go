@@ -99,7 +99,8 @@ func NewState(rel *relation.Relation) (*State, error) {
 	for gi := range st.groups {
 		st.infGroups[gi] = gi
 	}
-	st.lat.init(st.groups, st.mp, st.negs)
+	st.lat.appendClasses(st.groups)
+	st.lat.mp = st.mp.PairSet()
 	st.propagate()
 	return st, nil
 }
@@ -467,15 +468,18 @@ func (st *State) Apply(i int, l Label) (newlyImplied []int, err error) {
 	case Positive:
 		// M_P moves only when the new positive's signature does not
 		// already refine above it; leaving it untouched keeps the
-		// mp-conditioned caches (lattice rows, strategy scores) valid.
+		// M_P-conditioned strategy scores (MPVersion) valid.
 		if !st.mp.LessEq(sig) {
 			st.mp = st.mp.Meet(sig).Cached()
 			st.mpVersion++
-			st.lat.setMP(st.mp)
+			st.lat.mp = st.mp.PairSet()
 		}
 	case Negative:
 		if st.addNegative(sig) {
-			st.lat.setNegs(st.negs)
+			st.lat.negs = st.lat.negs[:0]
+			for _, n := range st.negs {
+				st.lat.negs = append(st.lat.negs, n.PairSet())
+			}
 		}
 	}
 	st.version++
@@ -590,51 +594,45 @@ func (st *State) SimulatePrune(sig partition.P, l Label) int {
 		return st.SimulatePruneGroup(gi, l)
 	}
 	if l == Positive {
-		return st.simulatePositive(sig.PairSet(), nil)
+		return st.simulatePositive(sig.PairSet())
 	}
 	return st.simulateNegative(sig.PairSet())
 }
 
 // SimulatePruneGroup is SimulatePrune for the signature class at
-// position gi of Groups(). It is the strategies' inner loop: every
-// test against the cached lattice is a few word operations, and for
-// positive simulations the group×group implied-positive relation is
-// served from the per-M_P row cache.
+// position gi of Groups(). It is the strategies' inner loop: a few
+// word operations per distinct M_P-projection of the informative
+// classes (see projTable), safe to call from parallel scorers.
 func (st *State) SimulatePruneGroup(gi int, l Label) int {
 	if !l.IsExplicit() {
 		panic(fmt.Sprintf("core: SimulatePruneGroup with non-explicit label %v", l))
 	}
 	if l == Positive {
-		return st.simulatePositive(st.lat.sigs[gi], st.lat.posRow(gi))
+		return st.simulatePositive(st.lat.sigs[gi])
 	}
 	return st.simulateNegative(st.lat.sigs[gi])
 }
 
 // simulatePositive counts the unlabeled tuples grayed out by labeling
 // a tuple with pair set g positive: the hypothesis meet refines to
-// M_P ∧ g, so class h becomes implied positive iff (M_P ∧ g) ≤ h and
-// implied negative iff (M_P ∧ g ∧ h) ≤ some maximal negative. row,
-// when non-nil, is the cached implied-positive row for g.
-func (st *State) simulatePositive(g partition.PairSet, row groupSet) int {
+// G = M_P ∧ g, so class h becomes implied positive iff G ≤ h and
+// implied negative iff (G ∧ h) ≤ some maximal negative. Both tests
+// read h only through its projection H = M_P ∧ h (G ≤ h ⇔ G ≤ H, and
+// G ∧ h = g ∧ H), so they run once per projection-table entry, reading
+// the rest words only when the first word passes.
+func (st *State) simulatePositive(g partition.PairSet) int {
+	t := st.projections()
+	mp0, mpRest := split(st.lat.mp)
+	g0, gRest := split(g)
+	weight, negFirst := t.weight[:len(t.first)], t.negFirst // locals keep the loop in registers
 	count := 0
-	for _, hi := range st.infGroups {
-		h := st.lat.sigs[hi]
-		var pruned bool
-		if row != nil {
-			pruned = row.has(hi)
-		} else {
-			pruned = partition.IntersectSubset(st.lat.mp, g, h)
-		}
-		if !pruned {
-			for _, neg := range st.lat.negs {
-				if partition.IntersectSubset3(st.lat.mp, g, h, neg) {
-					pruned = true
-					break
-				}
-			}
+	for d, h0 := range t.first {
+		pruned := mp0&g0&^h0 == 0 && (t.tail == 0 || partition.IntersectSubset(mpRest, gRest, t.restOf(d)))
+		for k := 0; !pruned && k < len(negFirst); k++ {
+			pruned = g0&h0&^negFirst[k] == 0 && (t.tail == 0 || partition.IntersectSubset(gRest, t.restOf(d), t.negRestOf(k)))
 		}
 		if pruned {
-			count += st.groupUnlabeled[hi]
+			count += weight[d]
 		}
 	}
 	return count
@@ -643,13 +641,15 @@ func (st *State) simulatePositive(g partition.PairSet, row groupSet) int {
 // simulateNegative counts the unlabeled tuples grayed out by labeling
 // a tuple with pair set g negative: g joins the negative antichain, so
 // class h (not implied by the existing negatives — it is informative)
-// becomes implied negative iff (M_P ∧ h) ≤ g. Implied-positive status
-// cannot change, so this is a single test per class.
+// becomes implied negative iff H = M_P ∧ h ≤ g. Implied-positive
+// status cannot change, so this is a single test per projection.
 func (st *State) simulateNegative(g partition.PairSet) int {
+	t := st.projections()
+	g0, gRest := split(g)
 	count := 0
-	for _, hi := range st.infGroups {
-		if partition.IntersectSubset(st.lat.mp, st.lat.sigs[hi], g) {
-			count += st.groupUnlabeled[hi]
+	for d, h0 := range t.first {
+		if h0&^g0 == 0 && (t.tail == 0 || t.restOf(d).SubsetOf(gRest)) {
+			count += t.weight[d]
 		}
 	}
 	return count
@@ -850,5 +850,5 @@ func (st *State) CheckInvariants() error {
 	if members != len(st.labels) {
 		return fmt.Errorf("core: classes list %d tuples, instance has %d", members, len(st.labels))
 	}
-	return nil
+	return st.checkProjections()
 }

@@ -30,6 +30,14 @@ func diffCases(t *testing.T, seed int64) []diffCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Twelve attributes need a second pair-word per signature, so this
+	// family drives the multi-word path of the simulation kernels.
+	syn12, goalSyn12, err := workload.Synthetic(workload.SynthConfig{
+		Attrs: 12, Tuples: 40, GoalAtoms: 3, ExtraMerges: 3, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	zipf, err := workload.Zipf(workload.ZipfConfig{
 		Attrs: 5, Tuples: 90, Vocab: 6, S: 1.4, Seed: seed,
 	})
@@ -45,6 +53,7 @@ func diffCases(t *testing.T, seed int64) []diffCase {
 	}
 	return []diffCase{
 		{"synthetic", syn, goalSyn},
+		{"synthetic-12", syn12, goalSyn12},
 		{"zipf", zipf, goalZipf},
 		{"star", star.Instance, star.Goal},
 	}

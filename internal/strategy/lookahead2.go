@@ -16,7 +16,7 @@ const lookahead2Beam = 8
 //	min over answer l of [ prune(g,l) + max_g' min_l' prune'(g',l') ].
 //
 // It is the natural deepening of lookahead-maxmin. One-step scores
-// come from the state's cached lattice (SimulatePruneGroup); the
+// come from SimulatePruneGroup over the state's projection table; the
 // depth-two expansion runs through core.TwoStepWorst, which simulates
 // both answer branches on memoized pair bitsets with reused scratch —
 // per-pick cost is O(beam · classes²) word operations and, in steady

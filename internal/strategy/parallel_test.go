@@ -10,7 +10,7 @@ import (
 
 // withThreshold runs fn with the parallel fan-out threshold forced to
 // v, restoring the default afterwards.
-func withThreshold(t *testing.T, v int, fn func()) {
+func withThreshold(t testing.TB, v int, fn func()) {
 	t.Helper()
 	old := parallelThreshold
 	parallelThreshold = v

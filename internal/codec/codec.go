@@ -93,9 +93,14 @@ func ReadFrame(b []byte) (payload, rest []byte, err error) {
 	return payload, b[crcLen+n:], nil
 }
 
-// AppendString appends a uvarint-length-prefixed string to b.
+// AppendString appends a uvarint-length-prefixed string to b. A length
+// under 128 is its own one-byte uvarint, written inline.
 func AppendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
+	if len(s) < 0x80 {
+		b = append(b, byte(len(s)))
+	} else {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+	}
 	return append(b, s...)
 }
 

@@ -44,6 +44,9 @@ func FuzzParseMatchesReference(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	for _, s := range decimalEdgeCases() {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		got, want := Parse(s), referenceParse(s)
 		if got.Identical(want) {

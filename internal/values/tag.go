@@ -18,7 +18,7 @@ func (v Value) Tag() string {
 // AppendTag appends the Tag encoding of v to dst and returns the
 // extended slice, so a caller tagging many values fills one buffer.
 func AppendTag(dst []byte, v Value) []byte {
-	switch v.kind {
+	switch v.kind() {
 	case KindNull:
 		return append(dst, "n:"...)
 	case KindBool:
@@ -28,7 +28,7 @@ func AppendTag(dst []byte, v Value) []byte {
 	case KindFloat:
 		return strconv.AppendFloat(append(dst, "f:"...), v.float(), 'g', -1, 64)
 	default:
-		return append(append(dst, "s:"...), v.s...)
+		return append(append(dst, "s:"...), v.str()...)
 	}
 }
 
@@ -51,6 +51,9 @@ func FromTag(s string) (Value, error) {
 		}
 		return Bool(b), nil
 	case "i":
+		if i, ok := parseDecimal(payload); ok {
+			return Int(i), nil
+		}
 		i, err := strconv.ParseInt(payload, 10, 64)
 		if err != nil {
 			return Value{}, fmt.Errorf("values: int tag %q: %w", s, err)

@@ -83,7 +83,7 @@ func TestTagDisambiguatesKinds(t *testing.T) {
 // per value — that the buffer-appending encoder must reproduce byte
 // for byte: WALs and replication streams already hold these bytes.
 func legacyTag(v Value) string {
-	switch v.kind {
+	switch v.kind() {
 	case KindNull:
 		return "n:"
 	case KindBool:
@@ -93,7 +93,7 @@ func legacyTag(v Value) string {
 	case KindFloat:
 		return "f:" + strconv.FormatFloat(v.float(), 'g', -1, 64)
 	default:
-		return "s:" + v.s
+		return "s:" + v.str()
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package values implements the typed scalar values stored in relations.
 //
 // A Value is an immutable tagged union over NULL, booleans, 64-bit
-// integers, 64-bit floats, and strings. Values carry SQL-style
-// equality (NULL is not equal to anything, including NULL) and define
-// a total order used for sorting and deterministic output. A Value is
-// a comparable Go value, but == compares a float's bit pattern (NaN
-// equals a NaN with the same bits, +0 differs from -0), so callers
-// compare with Identical or Equal, never ==, and do not key maps on
-// Values.
+// integers, 64-bit floats, and strings, held in 16 bytes: a pointer
+// and a payload word (see Value). Values carry SQL-style equality
+// (NULL is not equal to anything, including NULL) and define a total
+// order used for sorting and deterministic output. A Value is not a
+// comparable Go value: == would compare a string's address, not its
+// contents, so it does not compile, and Values cannot key maps.
+// Callers compare with Identical or Equal. reflect.DeepEqual follows
+// the pointer and compares one byte of a string, so it must not be
+// used on Values either.
 package values
 
 import (
@@ -15,6 +17,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -65,16 +68,52 @@ func KindFromString(s string) (Kind, error) {
 
 // Value is an immutable typed scalar. The zero Value is NULL.
 //
-// The layout is 32 bytes: the string payload, one 64-bit word holding
-// the bool (0 or 1), int (two's complement) or float (IEEE-754 bits)
-// payload, and the kind. Every constructor leaves the fields a kind
-// does not use at zero, so two Values of a non-float kind are
-// identical exactly when they are ==.
+// The layout is 16 bytes: a pointer p and a 64-bit word n. A string
+// Value points p at its bytes and holds its length in n. A bool, int
+// or float Value points p at its kind's sentinel byte in kinds and
+// holds the payload in n: 0 or 1, two's complement, or IEEE-754 bits.
+// NULL is p == nil, and the empty string points at the string
+// sentinel, so it is not NULL. The zero-length func array makes ==
+// a compile error: it would compare string addresses, not contents.
 type Value struct {
-	s    string
-	n    uint64
-	kind Kind
+	_ [0]func()
+	p *byte
+	n uint64
 }
+
+// kinds holds one sentinel byte per kind. A non-string, non-NULL
+// Value points at the byte of its kind, so kind is one subtraction.
+var kinds [KindString + 1]byte
+
+// intKind is &kinds[KindInt], read by Equal's inlined fast path, where
+// a package-level pointer costs less inlining budget than the address
+// expression.
+var intKind = &kinds[KindInt]
+
+// sentinel returns a Value of a payload kind (bool, int or float).
+func sentinel(k Kind, n uint64) Value { return Value{p: &kinds[k], n: n} }
+
+// kind reports v's kind from where p points.
+func (v Value) kind() Kind {
+	if d := uintptr(unsafe.Pointer(v.p)) - uintptr(unsafe.Pointer(&kinds[0])); d < uintptr(len(kinds)) {
+		return Kind(d)
+	}
+	if v.p == nil {
+		return KindNull
+	}
+	return KindString
+}
+
+// isString is kind() == KindString in one compare and a nil check: p
+// is set, and no sentinel below the string one.
+func (v Value) isString() bool {
+	return uintptr(unsafe.Pointer(v.p))-uintptr(unsafe.Pointer(&kinds[0])) >= uintptr(KindString) && v.p != nil
+}
+
+// str returns the string payload. Only meaningful when v is a string.
+// {p, n} is laid out as a string header, so str reads it as one
+// without unsafe.String's length checks.
+func (v Value) str() string { return *(*string)(unsafe.Pointer(&v.p)) }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
@@ -82,39 +121,54 @@ func Null() Value { return Value{} }
 // Bool returns a boolean value.
 func Bool(b bool) Value {
 	if b {
-		return Value{kind: KindBool, n: 1}
+		return sentinel(KindBool, 1)
 	}
-	return Value{kind: KindBool}
+	return sentinel(KindBool, 0)
 }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
+func Int(i int64) Value { return sentinel(KindInt, uint64(i)) }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
+func Float(f float64) Value { return sentinel(KindFloat, math.Float64bits(f)) }
 
 // String_ returns a string value. (Named with a trailing underscore to
 // keep the conventional String() method free for fmt.Stringer.)
-func String_(s string) Value { return Value{kind: KindString, s: s} }
+func String_(s string) Value {
+	if len(s) == 0 {
+		return Value{p: &kinds[KindString]}
+	}
+	return Value{p: unsafe.StringData(s), n: uint64(len(s))}
+}
 
 // Str is a shorthand alias for String_.
 func Str(s string) Value { return String_(s) }
 
 // Kind reports the dynamic kind of v.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind { return v.kind() }
 
 // IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // AsBool returns the boolean payload; ok is false if v is not a bool.
-func (v Value) AsBool() (b, ok bool) { return v.bool(), v.kind == KindBool }
+func (v Value) AsBool() (b, ok bool) {
+	if v.kind() != KindBool {
+		return false, false
+	}
+	return v.bool(), true
+}
 
 // AsInt returns the integer payload; ok is false if v is not an int.
-func (v Value) AsInt() (int64, bool) { return v.int(), v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) {
+	if v.p != intKind {
+		return 0, false
+	}
+	return v.int(), true
+}
 
 // AsFloat returns the numeric payload as float64 for ints and floats.
 func (v Value) AsFloat() (float64, bool) {
-	switch v.kind {
+	switch v.kind() {
 	case KindInt:
 		return float64(v.int()), true
 	case KindFloat:
@@ -124,10 +178,15 @@ func (v Value) AsFloat() (float64, bool) {
 }
 
 // AsString returns the string payload; ok is false if v is not a string.
-func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
+func (v Value) AsString() (string, bool) {
+	if !v.isString() {
+		return "", false
+	}
+	return v.str(), true
+}
 
-// The payload word read as each kind. Only the reader matching v.kind
-// means anything.
+// The payload word read as each kind. Only the reader matching v's
+// kind means anything.
 func (v Value) bool() bool     { return v.n != 0 }
 func (v Value) int() int64     { return int64(v.n) }
 func (v Value) float() float64 { return math.Float64frombits(v.n) }
@@ -139,7 +198,7 @@ func (v Value) float() float64 { return math.Float64frombits(v.n) }
 // NaN, so Equal is an equivalence relation on non-NULL values (Eq
 // signatures rely on that) and agrees with Compare.
 func (v Value) Equal(u Value) bool {
-	if v.kind == KindInt && u.kind == KindInt {
+	if v.p == intKind && u.p == intKind {
 		return v.n == u.n // inlined at the caller: the common case
 	}
 	return v.equalSlow(u)
@@ -147,20 +206,21 @@ func (v Value) Equal(u Value) bool {
 
 // equalSlow is Equal for every pair that is not int against int.
 func (v Value) equalSlow(u Value) bool {
-	if v.kind == KindNull || u.kind == KindNull {
+	vk, uk := v.kind(), u.kind()
+	if vk == KindNull || uk == KindNull {
 		return false
 	}
-	if isNumeric(v.kind) && isNumeric(u.kind) {
+	if isNumeric(vk) && isNumeric(uk) {
 		return cmpNumeric(v, u) == 0
 	}
-	if v.kind != u.kind {
+	if vk != uk {
 		return false
 	}
-	switch v.kind {
+	switch vk {
 	case KindBool:
 		return v.n == u.n
 	case KindString:
-		return v.s == u.s
+		return v.str() == u.str()
 	}
 	return false
 }
@@ -170,10 +230,13 @@ func (v Value) equalSlow(u Value) bool {
 // float64 values: NaN is identical to nothing and +0 is identical to
 // -0. Useful for tests and deduplication; join semantics use Equal.
 func (v Value) Identical(u Value) bool {
-	if v.kind == KindFloat && u.kind == KindFloat {
+	if v.p != u.p {
+		return v.isString() && u.isString() && v.str() == u.str()
+	}
+	if v.p == &kinds[KindFloat] {
 		return v.float() == u.float()
 	}
-	return v == u
+	return v.n == u.n
 }
 
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
@@ -184,31 +247,33 @@ func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
 // and lexicographic strings. For non-NULL values Compare returns 0
 // exactly when Equal reports true.
 func (v Value) Compare(u Value) int {
-	vr, ur := rank(v.kind), rank(u.kind)
+	vk := v.kind()
+	vr, ur := rank(vk), rank(u.kind())
 	if vr != ur {
 		return cmp(vr, ur)
 	}
 	switch {
-	case v.kind == KindNull:
+	case vk == KindNull:
 		return 0
-	case v.kind == KindBool:
+	case vk == KindBool:
 		return cmpBool(v.bool(), u.bool())
 	case vr == 2: // numeric band
 		return cmpNumeric(v, u)
 	default:
-		return strings.Compare(v.s, u.s)
+		return strings.Compare(v.str(), u.str())
 	}
 }
 
 // cmpNumeric orders two numeric values exactly: ints against ints as
 // integers, never through float64, which cannot hold every int64.
 func cmpNumeric(v, u Value) int {
+	vi, ui := v.p == intKind, u.p == intKind
 	switch {
-	case v.kind == KindInt && u.kind == KindInt:
+	case vi && ui:
 		return cmp(v.int(), u.int())
-	case v.kind == KindFloat && u.kind == KindFloat:
+	case !vi && !ui:
 		return cmpFloat(v.float(), u.float())
-	case v.kind == KindInt:
+	case vi:
 		return -cmpFloatInt(u.float(), v.int())
 	default:
 		return cmpFloatInt(v.float(), u.int())
@@ -294,7 +359,7 @@ func cmpBool(a, b bool) int {
 // string; note that round-tripping through Parse re-infers kinds, so a
 // string value "42" needs a typed header to survive a round trip.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.kind() {
 	case KindNull:
 		return ""
 	case KindBool:
@@ -304,14 +369,14 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	default:
-		return v.s
+		return v.str()
 	}
 }
 
 // AppendString appends the String rendering of v to dst and returns
 // the extended slice, so a caller rendering many cells fills one buffer.
 func (v Value) AppendString(dst []byte) []byte {
-	switch v.kind {
+	switch v.kind() {
 	case KindNull:
 		return dst
 	case KindBool:
@@ -321,17 +386,17 @@ func (v Value) AppendString(dst []byte) []byte {
 	case KindFloat:
 		return strconv.AppendFloat(dst, v.float(), 'g', -1, 64)
 	default:
-		return append(dst, v.s...)
+		return append(dst, v.str()...)
 	}
 }
 
 // GoString renders v unambiguously for debugging.
 func (v Value) GoString() string {
-	switch v.kind {
+	switch v.kind() {
 	case KindNull:
 		return "NULL"
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.str())
 	default:
 		return v.String()
 	}
@@ -365,27 +430,78 @@ func Parse(s string) Value {
 
 // parseDecimal reads s as [+-]?[0-9]{1,18}, the integers that always
 // fit in an int64, with the result strconv.ParseInt(s, 10, 64) gives.
-// Anything else reports false and is left to strconv.
+// Anything else reports false and is left to strconv. From 8 digits
+// on it takes 8 per step: a leading group of len mod 8 digits, then
+// whole groups, each one 8-byte load checked and converted as a word.
 func parseDecimal(s string) (int64, bool) {
 	digits := s
-	if s[0] == '+' || s[0] == '-' {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
 		digits = s[1:]
 	}
-	if len(digits) == 0 || len(digits) > 18 {
+	k := len(digits)
+	if k == 0 || k > 18 {
 		return 0, false
 	}
-	var n int64
-	for i := 0; i < len(digits); i++ {
-		d := digits[i] - '0'
-		if d > 9 {
-			return 0, false
+	var n uint64
+	if k < 8 {
+		for i := 0; i < k; i++ {
+			d := digits[i] - '0'
+			if d > 9 {
+				return 0, false
+			}
+			n = n*10 + uint64(d)
 		}
-		n = n*10 + int64(d)
+	} else {
+		if r := k % 8; r != 0 {
+			// The first r digits, moved to the end of the word and
+			// led by '0's, read as an 8-digit group of the same value.
+			x := load8(digits)<<(8*(8-r)) | zeros8>>(8*r)
+			if !eightDigits(x) {
+				return 0, false
+			}
+			n = eightDigitsValue(x)
+			digits = digits[r:]
+		}
+		for ; len(digits) >= 8; digits = digits[8:] {
+			x := load8(digits)
+			if !eightDigits(x) {
+				return 0, false
+			}
+			n = n*1e8 + eightDigitsValue(x)
+		}
 	}
 	if s[0] == '-' {
-		n = -n
+		return -int64(n), true
 	}
-	return n, true
+	return int64(n), true
+}
+
+// zeros8 is eight '0' bytes.
+const zeros8 = 0x3030303030303030
+
+// load8 reads the first 8 bytes of s as a little-endian word, so the
+// first byte is the lowest. The compiler merges it into one load.
+func load8(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// eightDigits reports whether every byte of x is '0'-'9': its high
+// nibble is 3, and stays 3 when 6 is added, so its low nibble is at
+// most 9. Only a byte of 0xfa or above carries into the next, and such
+// a byte fails the first test itself.
+func eightDigits(x uint64) bool {
+	return (x&0xf0f0f0f0f0f0f0f0)|((x+0x0606060606060606)&0xf0f0f0f0f0f0f0f0)>>4 == 0x3333333333333333
+}
+
+// eightDigitsValue converts 8 checked digit bytes, first digit lowest,
+// to their value: pairs, then quads, then the whole group, each one
+// multiply and shift.
+func eightDigitsValue(x uint64) uint64 {
+	x = (x & 0x0f0f0f0f0f0f0f0f) * (10<<8 + 1) >> 8
+	x = (x & 0x00ff00ff00ff00ff) * (100<<16 + 1) >> 16
+	return (x & 0x0000ffff0000ffff) * (10000<<32 + 1) >> 32
 }
 
 // mayBeNumber reports whether s (non-empty) can be a literal that
@@ -425,6 +541,9 @@ func ParseAs(s string, k Kind) (Value, error) {
 		}
 		return Bool(b), nil
 	case KindInt:
+		if i, ok := parseDecimal(s); ok {
+			return Int(i), nil
+		}
 		i, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
 			return Value{}, fmt.Errorf("values: parsing %q as int: %w", s, err)

@@ -207,8 +207,14 @@ func (r *Reader) decodeRows(size int, c *codec.Cursor) ([][]string, error) {
 			return nil, err
 		}
 		for j := 0; j < n; j++ {
-			cell, err := c.Bytes()
-			if err != nil {
+			// A length under 128 is one byte, read here; a longer one,
+			// or one that overruns the frame, takes Cursor.Bytes and
+			// its error.
+			var cell []byte
+			if b := c.B; len(b) > 0 && b[0] < 0x80 && int(b[0]) < len(b) {
+				end := 1 + int(b[0])
+				cell, c.B = b[1:end], b[end:]
+			} else if cell, err = c.Bytes(); err != nil {
 				return nil, err
 			}
 			cells = append(cells, unsafe.String(unsafe.SliceData(cell), len(cell)))

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -384,6 +385,81 @@ func TestAppendRowsMatchReference(t *testing.T) {
 		}
 		if !reflect.DeepEqual(req.Rows, want) || !reflect.DeepEqual(req.Rows, rows) {
 			t.Errorf("case %d: decoded %q, reference %q, sent %q", i, req.Rows, want, rows)
+		}
+	}
+}
+
+// cellLengthEdges are cell lengths on both sides of the one- and
+// two-byte uvarint boundaries.
+var cellLengthEdges = []int{0, 1, 127, 128, 16383, 16384}
+
+// lengthEdgeRows is one row per entry of cellLengthEdges, then one row
+// holding a cell of every length up to 128.
+func lengthEdgeRows() [][]string {
+	var rows [][]string
+	var short []string
+	for _, n := range cellLengthEdges {
+		cell := strings.Repeat("7", n)
+		rows = append(rows, []string{cell})
+		if n <= 128 {
+			short = append(short, cell)
+		}
+	}
+	return append(rows, short)
+}
+
+// uvarintAppendFrame is WriteAppend written the plain way: a uvarint
+// before every length, however short.
+func uvarintAppendFrame(id string, rows [][]string) []byte {
+	uv := binary.AppendUvarint
+	p := []byte{byte(OpAppend)}
+	p = append(uv(p, uint64(len(id))), id...)
+	p = uv(p, uint64(len(rows)))
+	for _, row := range rows {
+		p = uv(p, uint64(len(row)))
+		for _, cell := range row {
+			p = append(uv(p, uint64(len(cell))), cell...)
+		}
+	}
+	return append(uv(nil, uint64(len(p))), p...)
+}
+
+// TestWriteAppendMatchesUvarintReference: the inline one-byte cell
+// lengths leave the bytes on the wire as they were, and the decoder
+// reads them back, at every length boundary.
+func TestWriteAppendMatchesUvarintReference(t *testing.T) {
+	for _, rows := range append([][][]string{lengthEdgeRows()}, syntheticRows(t, 20)) {
+		got := encodeFrames(t, func(w *Writer) error { return w.WriteAppend("s0001", rows) })
+		if want := uvarintAppendFrame("s0001", rows); !bytes.Equal(got, want) {
+			t.Fatalf("WriteAppend frame differs from the uvarint reference:\n got %x\nwant %x", got[:min(len(got), 64)], want[:min(len(want), 64)])
+		}
+		var req Request
+		if err := NewReader(bytes.NewReader(got), 0).ReadRequest(&req); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(req.Rows, rows) {
+			t.Fatalf("decoded rows differ from those sent")
+		}
+	}
+}
+
+// TestAppendCellLengthOverrun: a cell length that points past the end
+// of the frame fails with the error of the general Cursor path, one
+// byte long or two.
+func TestAppendCellLengthOverrun(t *testing.T) {
+	for _, p := range [][]byte{
+		{byte(OpAppend), 1, 'a', 1, 1, 5, 'x', 'y'},                    // one-byte length 5, 2 bytes left
+		{byte(OpAppend), 1, 'a', 1, 2, 1, 'x', 3, 'y'},                 // second cell overruns
+		{byte(OpAppend), 1, 'a', 1, 1, 127},                            // 127, nothing left
+		{byte(OpAppend), 1, 'a', 1, 1, 0x80, 0x01, 'x'},                // two-byte length 128
+		{byte(OpAppend), 1, 'a', 2, 1, 0, 1, 0x7f, 'x', 'x', 'x', 'x'}, // second row overruns
+	} {
+		data := append([]byte{byte(len(p))}, p...)
+		var req Request
+		err := NewReader(bytes.NewReader(data), 0).ReadRequest(&req)
+		_, want := referenceRows(p)
+		if !errors.Is(err, ErrMalformed) || want == nil || err.Error() != want.Error() {
+			t.Errorf("payload %x: err = %v, want %v", p, err, want)
 		}
 	}
 }

@@ -112,6 +112,14 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 16))                         // varint overflow
 	f.Add([]byte{0x04, 0x05, 0x01, 0x61, 0x07})                   // trailing byte after delete
 	f.Add([]byte{0x07, 0x02, 0x01, 0x61, 0x00, 0x01, 0x03, 0x09}) // bad label byte
+	// Cell lengths at the one- and two-byte uvarint boundaries, one
+	// frame per length so each stays under the fuzz frame cap, and
+	// one-byte lengths that overrun the frame.
+	for _, row := range lengthEdgeRows() {
+		seed(func(w *Writer) error { return w.WriteAppend("s0001", [][]string{row, {"x"}}) })
+	}
+	f.Add([]byte{0x08, 0x03, 0x01, 0x61, 0x01, 0x01, 0x05, 0x78, 0x79})
+	f.Add([]byte{0x06, 0x03, 0x01, 0x61, 0x01, 0x01, 0x7f})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The cap is deliberately small so the fuzzer can reach it, and

@@ -361,7 +361,7 @@ func BenchmarkSimulatePrune(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := groups[i%len(groups)]
-		_ = st.SimulatePrune(g.Sig, core.Positive)
+		_, _ = st.SimulatePrunes(g.Sig)
 	}
 }
 

@@ -448,13 +448,19 @@ func (sh *Shipper) SetTarget(addr string) {
 	}
 }
 
+// enqueue counts an event into the lag before the send: the pump may
+// receive it and count it out before a send that returned could count
+// it in, and Lag would read −1 for that moment.
 func (sh *Shipper) enqueue(m shipMsg) {
+	if m.kind == msgEvent {
+		sh.lag.Add(1)
+	}
 	select {
 	case sh.queue <- m:
-		if m.kind == msgEvent {
-			sh.lag.Add(1)
-		}
 	default:
+		if m.kind == msgEvent {
+			sh.lag.Add(-1)
+		}
 		sh.dropped.Add(1)
 		sh.needResync.Store(true)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -198,6 +199,75 @@ func TestShipperBackoffOnDeadTarget(t *testing.T) {
 	sh.ShipEvent("s0001", store.Event{Seq: 1, Op: store.OpClear})
 	if sh.Lag() != 1 {
 		t.Errorf("lag = %d, want 1 while target is dead", sh.Lag())
+	}
+}
+
+// Lag must never read negative: an event is counted in before the
+// pump can receive it and count it out. Enqueuers, the draining pump
+// and a reader race here; the reader fails on any negative reading.
+// The enqueuers hold back while a few events are queued, so the queue
+// hovers near empty, where the pump takes each event the moment it is
+// sent, and more Ps than cores let the OS preempt an enqueuer between
+// its send and its count: both widen the window the old order left
+// open.
+func TestShipperLagNeverNegative(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	addr, stop := startRepl(t, newMemApplier())
+	defer stop()
+	sh := NewShipper(ShipperOptions{Self: "n1", Target: addr, Logf: t.Logf})
+	defer sh.Close()
+	for deadline := time.Now().Add(5 * time.Second); !sh.Stats().Connected; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("shipper never connected")
+		}
+	}
+
+	const writers, events = 8, 5000
+	var (
+		wg       sync.WaitGroup
+		finished = make(chan struct{})
+		lowest   = make(chan int64, 1)
+	)
+	go func() {
+		low := int64(0)
+		for {
+			select {
+			case <-finished:
+				lowest <- low
+				return
+			default:
+			}
+			low = min(low, sh.Lag(), sh.Stats().QueuedEvents)
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := fmt.Sprintf("s%04d", w)
+			for i := 0; i < events; i++ {
+				for sh.Lag() > writers {
+					runtime.Gosched()
+				}
+				sh.ShipEvent(id, store.Event{Seq: uint64(i + 1), Op: store.OpClear})
+			}
+		}()
+	}
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sh.Sync(ctx); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	close(finished)
+	if low := <-lowest; low < 0 {
+		t.Fatalf("Lag read %d while enqueueing and draining, want never negative", low)
+	}
+	if lag := sh.Lag(); lag != 0 {
+		t.Errorf("lag after Sync = %d, want 0", lag)
+	}
+	if d := sh.Stats().DroppedMessages; d != 0 {
+		t.Errorf("%d messages dropped: the queue overflowed instead of draining", d)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -102,17 +103,28 @@ func naivePrune(st *State, sig partition.P, l Label) int {
 	return count
 }
 
-// TestSimulatePruneGroupMatchesNaive cross-checks the projection-table
-// kernels against the definitional recount for every informative class
+// TestSimulatePruneGroupMatchesNaive cross-checks the fused prune-count
+// kernel against the definitional recount for every informative class
 // and a random signature, at every step of random sessions with
-// appends interleaved between labels. The attribute counts span pair
-// sets of one word (4–6) and two (12 and 13: a second word is needed
-// above 11 attributes). Appends grow the class set after a table was
-// built, so the rebuild-per-Version policy is covered, and
-// CheckInvariants recomputes the built table after every step.
+// appends interleaved between labels. The attribute counts span an
+// empty pair set (1), one pair-word (2–11; 11 is the largest that
+// fits) and two (12 and 13). Appends grow the class set after a table
+// was built, so the rebuild-per-Version policy is covered, and
+// CheckInvariants recomputes the built table after every step. The
+// test also asserts it reached every branch of the kernel: an
+// antichain of 0, 1 and several maximal negatives, and a projection
+// carrying more than one unlabeled tuple, at each pair-set width.
 func TestSimulatePruneGroupMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	for _, n := range []int{4, 5, 6, 12, 13} {
+	var (
+		negsSeen  [2][3]bool // per width (one word, more): 0, 1, ≥2 maximal negatives
+		heavySeen [2]bool    // per width: a projection of weight > 1
+	)
+	for _, n := range []int{1, 2, 4, 5, 6, 11, 12, 13} {
+		wide := 0
+		if n > 11 {
+			wide = 1
+		}
 		for trial := 0; trial < 4; trial++ {
 			serial := 0
 			rel := relation.New(relation.MustSchema(attrNames(n)...))
@@ -122,27 +134,21 @@ func TestSimulatePruneGroupMatchesNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			goal := partition.RandomGoal(r, n, 2)
-			for step := 0; !st.Done(); step++ {
+			for step := 0; ; step++ {
 				if step > 2*st.Relation().Len() { // labels plus appends
 					t.Fatalf("n=%d trial %d: session did not converge", n, trial)
 				}
-				foreign := partition.Uniform(r, n).Cached()
-				for _, l := range []Label{Positive, Negative} {
-					for _, g := range st.InformativeGroups() {
-						fast := st.SimulatePruneGroup(g.Pos, l)
-						if bySig := st.SimulatePrune(g.Sig, l); bySig != fast {
-							t.Fatalf("SimulatePrune(%v, %v) = %d, SimulatePruneGroup = %d", g.Sig, l, bySig, fast)
-						}
-						if want := naivePrune(st, g.Sig, l); fast != want {
-							t.Fatalf("n=%d step %d: SimulatePruneGroup(%v, %v) = %d, naive = %d", n, step, g.Sig, l, fast, want)
-						}
-					}
-					if got, want := st.SimulatePrune(foreign, l), naivePrune(st, foreign, l); got != want {
-						t.Fatalf("n=%d step %d: SimulatePrune(%v, %v) = %d, naive = %d", n, step, foreign, l, got, want)
-					}
-				}
+				// Checked once more at convergence: an empty table.
+				checkPrunes(t, st, fmt.Sprintf("n=%d step %d", n, step), partition.Uniform(r, n).Cached())
 				if err := st.CheckInvariants(); err != nil {
 					t.Fatalf("n=%d trial %d step %d: %v", n, trial, step, err)
+				}
+				if st.Done() {
+					break
+				}
+				negsSeen[wide][min(len(st.lat.negs), 2)] = true
+				for _, w := range st.lat.proj.weight {
+					heavySeen[wide] = heavySeen[wide] || w > 1
 				}
 				if step%3 == 2 && serial < 60 {
 					if _, err := st.Append(randomTuples(r, n, 1+r.Intn(6), &serial)); err != nil {
@@ -161,6 +167,42 @@ func TestSimulatePruneGroupMatchesNaive(t *testing.T) {
 				}
 			}
 		}
+	}
+	for wide := range negsSeen {
+		if negsSeen[wide] != [3]bool{true, true, true} || !heavySeen[wide] {
+			t.Errorf("width %d: kernel branches reached: 0/1/≥2 negatives %v, weight > 1 %v", wide, negsSeen[wide], heavySeen[wide])
+		}
+	}
+}
+
+// checkPrunes holds both counts of every informative class, and of the
+// signature foreign (not necessarily a class of st), to naivePrune,
+// through the pair kernels and their single-label selectors.
+func checkPrunes(t testing.TB, st *State, at string, foreign partition.P) {
+	t.Helper()
+	check := func(sig partition.P, pos, neg int) {
+		t.Helper()
+		if want := naivePrune(st, sig, Positive); pos != want {
+			t.Fatalf("%s: %v answered +: %d pruned, naive %d", at, sig, pos, want)
+		}
+		if want := naivePrune(st, sig, Negative); neg != want {
+			t.Fatalf("%s: %v answered -: %d pruned, naive %d", at, sig, neg, want)
+		}
+	}
+	for _, g := range st.InformativeGroups() {
+		pos, neg := st.SimulatePrunesGroup(g.Pos)
+		check(g.Sig, pos, neg)
+		if p, n := st.SimulatePrunes(g.Sig); p != pos || n != neg {
+			t.Fatalf("%s: SimulatePrunes(%v) = %d, %d; SimulatePrunesGroup = %d, %d", at, g.Sig, p, n, pos, neg)
+		}
+		if p, n := st.SimulatePruneGroup(g.Pos, Positive), st.SimulatePruneGroup(g.Pos, Negative); p != pos || n != neg {
+			t.Fatalf("%s: SimulatePruneGroup(%v) = %d, %d; pair = %d, %d", at, g.Sig, p, n, pos, neg)
+		}
+	}
+	pos, neg := st.SimulatePrunes(foreign)
+	check(foreign, pos, neg)
+	if p, n := st.SimulatePrune(foreign, Positive), st.SimulatePrune(foreign, Negative); p != pos || n != neg {
+		t.Fatalf("%s: SimulatePrune(%v) = %d, %d; pair = %d, %d", at, foreign, p, n, pos, neg)
 	}
 }
 

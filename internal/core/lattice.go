@@ -32,13 +32,13 @@ type lattice struct {
 //	positive: h settles iff M_P ∧ g ≤ H, or g ∧ H ≤ some maximal negative
 //
 // so classes with equal projections merge into one entry with their
-// summed unlabeled counts, and the kernels loop over the D distinct
-// projections, not every informative class. D collapses once M_P moves.
+// summed unlabeled counts, and the prune-count kernel (prunes) loops
+// over the D distinct projections, not every informative class. D
+// collapses once M_P moves.
 //
 // Layout: the first pair-word of every entry sits in one dense array;
-// the remaining words (only above 11 attributes) sit in a second, read
-// only when the first word passes. The negatives are flattened the same
-// way, so one kernel serves every attribute count.
+// the remaining words (only above 11 attributes) sit in a second. The
+// negatives are flattened the same way.
 //
 // The first simulation after an Apply or Append builds the table (never
 // NewState or Append: they must not pay for scoring that may not

@@ -73,10 +73,10 @@ func TestProjectionTableRebuildZeroAlloc(t *testing.T) {
 		if st.Done() {
 			t.Fatalf("%d attrs: dialogue converged during set-up", attrs)
 		}
-		st.SimulatePruneGroup(st.infGroups[0], Positive) // sizes the buffers
+		st.SimulatePrunesGroup(st.infGroups[0]) // sizes the buffers
 		if allocs := testing.AllocsPerRun(20, func() {
 			st.version++ // what Apply and Append do to the table
-			st.SimulatePruneGroup(st.infGroups[0], Positive)
+			st.SimulatePrunesGroup(st.infGroups[0])
 		}); allocs != 0 {
 			t.Errorf("%d attrs: forced rebuild allocates %.1f allocs/op, want 0", attrs, allocs)
 		}
@@ -94,7 +94,7 @@ func TestProjectionTableRebuildZeroAlloc(t *testing.T) {
 				break
 			}
 			built := st.lat.proj.built.Load()
-			if n := mallocs(func() { st.SimulatePruneGroup(st.infGroups[0], Negative) }); n != 0 {
+			if n := mallocs(func() { st.SimulatePrunesGroup(st.infGroups[0]) }); n != 0 {
 				t.Errorf("%d attrs step %d: rebuild allocates %d times, want 0", attrs, step, n)
 			}
 			if st.lat.proj.built.Load() == built {
@@ -116,7 +116,8 @@ func TestProjectionTableConcurrentBuild(t *testing.T) {
 	want := make([][]int, len(states))
 	for s, st := range states {
 		for _, gi := range st.infGroups {
-			want[s] = append(want[s], st.SimulatePruneGroup(gi, Positive), st.SimulatePruneGroup(gi, Negative))
+			pos, neg := st.SimulatePrunesGroup(gi)
+			want[s] = append(want[s], pos, neg)
 		}
 	}
 	for round := 0; round < 20; round++ {
@@ -128,11 +129,8 @@ func TestProjectionTableConcurrentBuild(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for k, gi := range st.infGroups {
-						if got := st.SimulatePruneGroup(gi, Positive); got != want[s][2*k] {
-							t.Errorf("state %d class %d: + %d, want %d", s, gi, got, want[s][2*k])
-						}
-						if got := st.SimulatePruneGroup(gi, Negative); got != want[s][2*k+1] {
-							t.Errorf("state %d class %d: - %d, want %d", s, gi, got, want[s][2*k+1])
+						if pos, neg := st.SimulatePrunesGroup(gi); pos != want[s][2*k] || neg != want[s][2*k+1] {
+							t.Errorf("state %d class %d: %d, %d, want %d, %d", s, gi, pos, neg, want[s][2*k], want[s][2*k+1])
 						}
 					}
 				}()

@@ -569,92 +569,6 @@ func (st *State) setLabel(i int, l Label) {
 	}
 }
 
-// SimulatePrune returns how many currently-unlabeled tuples would stop
-// being informative if a tuple with the given signature received the
-// given explicit label — including the labeled tuple itself and its
-// signature class. This is the quantity-of-information measure behind
-// the lookahead strategies. The state is not modified.
-func (st *State) SimulatePrune(sig partition.P, l Label) int {
-	if !l.IsExplicit() {
-		panic(fmt.Sprintf("core: SimulatePrune with non-explicit label %v", l))
-	}
-	if sig.N() != st.n {
-		// Foreign-size signature (tests only): fall back to the
-		// definitional hypothesis simulation.
-		next := st.Hypo().Apply(sig, l)
-		count := 0
-		for _, gi := range st.infGroups {
-			if next.ImpliedLabel(st.groups[gi].Sig) != Unlabeled {
-				count += st.groupUnlabeled[gi]
-			}
-		}
-		return count
-	}
-	if gi, ok := st.byKey[sig.Key()]; ok {
-		return st.SimulatePruneGroup(gi, l)
-	}
-	if l == Positive {
-		return st.simulatePositive(sig.PairSet())
-	}
-	return st.simulateNegative(sig.PairSet())
-}
-
-// SimulatePruneGroup is SimulatePrune for the signature class at
-// position gi of Groups(). It is the strategies' inner loop: a few
-// word operations per distinct M_P-projection of the informative
-// classes (see projTable), safe to call from parallel scorers.
-func (st *State) SimulatePruneGroup(gi int, l Label) int {
-	if !l.IsExplicit() {
-		panic(fmt.Sprintf("core: SimulatePruneGroup with non-explicit label %v", l))
-	}
-	if l == Positive {
-		return st.simulatePositive(st.lat.sigs[gi])
-	}
-	return st.simulateNegative(st.lat.sigs[gi])
-}
-
-// simulatePositive counts the unlabeled tuples grayed out by labeling
-// a tuple with pair set g positive: the hypothesis meet refines to
-// G = M_P ∧ g, so class h becomes implied positive iff G ≤ h and
-// implied negative iff (G ∧ h) ≤ some maximal negative. Both tests
-// read h only through its projection H = M_P ∧ h (G ≤ h ⇔ G ≤ H, and
-// G ∧ h = g ∧ H), so they run once per projection-table entry, reading
-// the rest words only when the first word passes.
-func (st *State) simulatePositive(g partition.PairSet) int {
-	t := st.projections()
-	mp0, mpRest := split(st.lat.mp)
-	g0, gRest := split(g)
-	weight, negFirst := t.weight[:len(t.first)], t.negFirst // locals keep the loop in registers
-	count := 0
-	for d, h0 := range t.first {
-		pruned := mp0&g0&^h0 == 0 && (t.tail == 0 || partition.IntersectSubset(mpRest, gRest, t.restOf(d)))
-		for k := 0; !pruned && k < len(negFirst); k++ {
-			pruned = g0&h0&^negFirst[k] == 0 && (t.tail == 0 || partition.IntersectSubset(gRest, t.restOf(d), t.negRestOf(k)))
-		}
-		if pruned {
-			count += weight[d]
-		}
-	}
-	return count
-}
-
-// simulateNegative counts the unlabeled tuples grayed out by labeling
-// a tuple with pair set g negative: g joins the negative antichain, so
-// class h (not implied by the existing negatives — it is informative)
-// becomes implied negative iff H = M_P ∧ h ≤ g. Implied-positive
-// status cannot change, so this is a single test per projection.
-func (st *State) simulateNegative(g partition.PairSet) int {
-	t := st.projections()
-	g0, gRest := split(g)
-	count := 0
-	for d, h0 := range t.first {
-		if h0&^g0 == 0 && (t.tail == 0 || t.restOf(d).SubsetOf(gRest)) {
-			count += t.weight[d]
-		}
-	}
-	return count
-}
-
 // ConsistentQueries enumerates every hypothesis consistent with the
 // current labels, up to the given limit (0 = no limit). The search
 // space is the refinement cone below M_P, so the cost is the product

@@ -6,7 +6,7 @@ import (
 	"repro/internal/partition"
 )
 
-// This file is the depth-two counterpart of SimulatePrune: the inner
+// This file is the depth-two counterpart of SimulatePrunes: the inner
 // loop of the lookahead-2 strategy, run entirely on the state's cached
 // pair bitsets. The previous implementation built a detached Hypo per
 // (candidate, answer) pair — a materialized meet, a copied negative
@@ -43,15 +43,8 @@ func (st *State) TwoStepWorst(gi int, sc *TwoStepScratch) int {
 	if gi < 0 || gi >= len(st.groups) {
 		panic(fmt.Sprintf("core: TwoStepWorst class %d not in [0,%d)", gi, len(st.groups)))
 	}
-	worst := -1
-	for _, l := range [2]Label{Positive, Negative} {
-		immediate := st.SimulatePruneGroup(gi, l)
-		best := st.bestSecondStep(gi, l, sc)
-		if total := immediate + best; worst < 0 || total < worst {
-			worst = total
-		}
-	}
-	return worst
+	pos, neg := st.SimulatePrunesGroup(gi)
+	return min(pos+st.bestSecondStep(gi, Positive, sc), neg+st.bestSecondStep(gi, Negative, sc))
 }
 
 // bestSecondStep returns max_g' min_l' prune'(g',l') under the

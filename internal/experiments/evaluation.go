@@ -128,9 +128,7 @@ func (ungroupedLookahead) Name() string { return "lookahead-maxmin-ungrouped" }
 func (ungroupedLookahead) Pick(st *core.State) (int, bool) {
 	best, bestScore := -1, -1.0
 	for _, i := range st.InformativeIndices() {
-		sig := st.Sig(i)
-		p := st.SimulatePrune(sig, core.Positive)
-		n := st.SimulatePrune(sig, core.Negative)
+		p, n := st.SimulatePrunes(st.Sig(i))
 		score := float64(min(p, n))*1e6 + float64(p+n)
 		if score > bestScore {
 			best, bestScore = i, score

@@ -15,7 +15,8 @@ import (
 
 // benchPick times a full rescore-and-pick of s: it alternates between
 // two identical states, so the ranked cache (keyed on the state)
-// misses on every call. It reports the informative class count too.
+// misses on every call. It reports the informative class count and
+// the projection-table entries each class's score walks too.
 func benchPick(b *testing.B, s core.Picker, st [2]*core.State) {
 	b.Helper()
 	s.Pick(st[0])
@@ -28,12 +29,18 @@ func benchPick(b *testing.B, s core.Picker, st [2]*core.State) {
 		}
 	}
 	b.ReportMetric(float64(st[0].InformativeGroupCount()), "classes")
+	b.ReportMetric(float64(st[0].ProjectionCount()), "entries")
 }
 
 // BenchmarkPickDialogueTurns times the default strategy's pick at
 // turns 0–3 of a session created from the first 1,250 rows of the
 // 5,000-tuple synthetic instance, with the goal oracle answering: the
-// dialogue the bulk-wire service benchmark drives, in process.
+// dialogue the bulk-wire service benchmark drives, in process. turn=1
+// is bulk-wire's first answered turn: the first answer is a negative,
+// so M_P is still Top and every informative class is its own
+// projection (D = C_inf). That pick is the costliest of the dialogue
+// and the population of bulk-wire's step_p90_ms; by turn 2 M_P has
+// moved and D is about 12.
 func BenchmarkPickDialogueTurns(b *testing.B) {
 	full, goal, err := workload.Instance("synthetic", workload.InstanceConfig{Tuples: 5000, Seed: 1})
 	if err != nil {
@@ -77,7 +84,9 @@ func BenchmarkPickDialogueTurns(b *testing.B) {
 // informative classes (distinct random signatures over 8 attributes),
 // at turn 0 (M_P = Top, so every class is its own projection: the
 // costliest pick) and after one positive label (projections merged).
-// Run with -cpu 2 to give the fan-out a second core.
+// The work the threshold gates is classes × entries, from about 10k to
+// 262k entry tests here. Run with -cpu 2 to give the fan-out a second
+// core.
 func BenchmarkPickFanOut(b *testing.B) {
 	const attrs = 8
 	for _, classes := range []int{128, 256, 512} {

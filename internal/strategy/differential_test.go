@@ -31,7 +31,7 @@ func diffCases(t *testing.T, seed int64) []diffCase {
 		t.Fatal(err)
 	}
 	// Twelve attributes need a second pair-word per signature, so this
-	// family drives the multi-word path of the simulation kernels.
+	// family drives the multi-word path of the prune-count kernel.
 	syn12, goalSyn12, err := workload.Synthetic(workload.SynthConfig{
 		Attrs: 12, Tuples: 40, GoalAtoms: 3, ExtraMerges: 3, Seed: seed,
 	})

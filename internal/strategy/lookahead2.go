@@ -16,7 +16,7 @@ const lookahead2Beam = 8
 //	min over answer l of [ prune(g,l) + max_g' min_l' prune'(g',l') ].
 //
 // It is the natural deepening of lookahead-maxmin. One-step scores
-// come from SimulatePruneGroup over the state's projection table; the
+// come from SimulatePrunesGroup over the state's projection table; the
 // depth-two expansion runs through core.TwoStepWorst, which simulates
 // both answer branches on memoized pair bitsets with reused scratch —
 // per-pick cost is O(beam · classes²) word operations and, in steady
@@ -66,8 +66,7 @@ func (c *l2cache) refresh(st *core.State) {
 		c.inBeam[i] = false
 	}
 	for _, g := range c.infBuf {
-		p := st.SimulatePruneGroup(g.Pos, core.Positive)
-		n := st.SimulatePruneGroup(g.Pos, core.Negative)
+		p, n := st.SimulatePrunesGroup(g.Pos)
 		c.oneStep[g.Pos] = min(p, n)
 	}
 	// Select the beam: top lookahead2Beam by one-step score, ties to

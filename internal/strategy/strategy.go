@@ -8,13 +8,14 @@ import (
 	"repro/internal/core"
 )
 
-// parallelThreshold is the informative-class count above which a
-// parallel-safe strategy fans its scoring out across CPUs. The
-// incremental scorer made per-class scoring cheap (a few word
-// operations per remaining class), so the threshold sits well above
-// the old value — below it, goroutine handoff costs more than the
-// scoring. Variable so tests can force both paths.
-var parallelThreshold = 128
+// parallelThreshold is the scoring work above which a parallel-safe
+// strategy fans its scoring out across CPUs, counted in projection-table
+// entry tests: a lookahead class costs State.ProjectionCount() of them,
+// any other class one. Below it, goroutine handoff costs more than the
+// scoring: on two cores BenchmarkPickFanOut loses with the fan-out up
+// to ~32k entry tests and wins from ~65k (the table is in DESIGN.md
+// §5). Variable so tests can force both paths.
+var parallelThreshold = 1 << 16
 
 // scoreChunk is the number of classes a scoring worker claims per
 // atomic fetch. Chunking replaces the old one-unbuffered-channel-send
@@ -40,6 +41,9 @@ type ranked struct {
 	// mpOnly marks score as a function of M_P and the class signature
 	// alone: cached scores stay valid while State.MPVersion stands.
 	mpOnly bool
+	// tableScored marks score as one walk of the state's projection
+	// table, so a class costs State.ProjectionCount() entry tests.
+	tableScored bool
 
 	cst            *core.State // state the cache belongs to
 	cversion       int         // State.Version the scores were computed at
@@ -94,13 +98,13 @@ func (s *ranked) refresh(st *core.State) []*core.SigGroup {
 
 // rescore evaluates every informative class into s.scores, borrowing
 // helpers from the shared scoring pool when the strategy is
-// parallel-safe and the class count makes it worthwhile. The caller
-// always scores too — helpers only shorten the tail — so a saturated
-// pool costs throughput, never progress. Nothing here allocates: the
-// job is a reused instance field and the workers are persistent.
+// parallel-safe and the work makes it worthwhile. The caller always
+// scores too — helpers only shorten the tail — so a saturated pool
+// costs throughput, never progress. Nothing here allocates: the job is
+// a reused instance field and the workers are persistent.
 func (s *ranked) rescore(st *core.State, groups []*core.SigGroup) {
 	helpers := 0
-	if s.parallel && len(groups) >= parallelThreshold {
+	if s.parallel && s.work(st, len(groups)) >= parallelThreshold {
 		helpers = (len(groups)+scoreChunk-1)/scoreChunk - 1 // caller takes one chunk
 	}
 	if helpers <= 0 {
@@ -116,6 +120,16 @@ func (s *ranked) rescore(st *core.State, groups []*core.SigGroup) {
 	j.run()
 	j.wg.Wait()
 	j.release()
+}
+
+// work estimates a rescore of n classes in entry tests. For a
+// table-scored strategy it builds the projection table up front, which
+// the first score would do anyway — before any helper can wait on it.
+func (s *ranked) work(st *core.State, n int) int {
+	if s.tableScored {
+		return n * st.ProjectionCount()
+	}
+	return n
 }
 
 // Pick returns the first tuple of the best-scoring informative class.
@@ -316,21 +330,16 @@ func LocalLeastSpecific() core.KPicker {
 	}
 }
 
-// lookaheadCounts returns how many unlabeled tuples stop being
-// informative if this class is labeled +, respectively −.
-func lookaheadCounts(st *core.State, g *core.SigGroup) (pos, neg int) {
-	return st.SimulatePruneGroup(g.Pos, core.Positive), st.SimulatePruneGroup(g.Pos, core.Negative)
-}
-
 // LookaheadMaxMin returns the lookahead strategy maximizing the
 // guaranteed pruning min(p, n) — the adversarial one-step bound —
 // breaking ties by total pruning p+n.
 func LookaheadMaxMin() core.KPicker {
 	return &ranked{
-		name:     "lookahead-maxmin",
-		parallel: true,
+		name:        "lookahead-maxmin",
+		parallel:    true,
+		tableScored: true,
 		score: func(st *core.State, g *core.SigGroup) float64 {
-			p, n := lookaheadCounts(st, g)
+			p, n := st.SimulatePrunesGroup(g.Pos)
 			lo := min(p, n)
 			return float64(lo)*1e6 + float64(p+n)
 		},
@@ -341,10 +350,11 @@ func LookaheadMaxMin() core.KPicker {
 // expected pruning (p+n)/2 under a uniform answer model.
 func LookaheadExpected() core.KPicker {
 	return &ranked{
-		name:     "lookahead-expected",
-		parallel: true,
+		name:        "lookahead-expected",
+		parallel:    true,
+		tableScored: true,
 		score: func(st *core.State, g *core.SigGroup) float64 {
-			p, n := lookaheadCounts(st, g)
+			p, n := st.SimulatePrunesGroup(g.Pos)
 			return float64(p+n) / 2
 		},
 	}
@@ -356,10 +366,11 @@ func LookaheadExpected() core.KPicker {
 // the magnitude factor favors questions that settle many tuples.
 func LookaheadEntropy() core.KPicker {
 	return &ranked{
-		name:     "lookahead-entropy",
-		parallel: true,
+		name:        "lookahead-entropy",
+		parallel:    true,
+		tableScored: true,
 		score: func(st *core.State, g *core.SigGroup) float64 {
-			p, n := lookaheadCounts(st, g)
+			p, n := st.SimulatePrunesGroup(g.Pos)
 			total := p + n
 			if total == 0 {
 				return 0

@@ -140,8 +140,7 @@ func TestLookaheadMaxMinIsGreedyOptimal(t *testing.T) {
 	st := travelState(t)
 	best := -1
 	for _, g := range st.InformativeGroups() {
-		p := st.SimulatePrune(g.Sig, core.Positive)
-		n := st.SimulatePrune(g.Sig, core.Negative)
+		p, n := st.SimulatePrunes(g.Sig)
 		if m := min(p, n); m > best {
 			best = m
 		}
@@ -150,8 +149,7 @@ func TestLookaheadMaxMinIsGreedyOptimal(t *testing.T) {
 	if !ok {
 		t.Fatal("no pick")
 	}
-	p := st.SimulatePrune(st.Sig(i), core.Positive)
-	n := st.SimulatePrune(st.Sig(i), core.Negative)
+	p, n := st.SimulatePrunes(st.Sig(i))
 	if min(p, n) != best {
 		t.Errorf("picked tuple %d with min prune %d, best is %d", i, min(p, n), best)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -374,4 +375,128 @@ func TestCheckInvariantsCoversSig(t *testing.T) {
 		return
 	}
 	t.Fatal("every class is Top; cannot change a signature")
+}
+
+// classTuples returns count tuples over n attributes whose Eq
+// signatures cycle through the first classes partitions of All(n), so
+// they fall into exactly min(classes, count) signature classes.
+func classTuples(n, classes, count int, serial *int) []relation.Tuple {
+	sigs := partition.All(n)[:classes]
+	out := make([]relation.Tuple, count)
+	for i := range out {
+		sig := sigs[i%classes]
+		base := int64(*serial) << 8
+		*serial++
+		tu := make(relation.Tuple, n)
+		for c := range tu {
+			tu[c] = values.Int(base + int64(sig.BlockOf(c)))
+		}
+		out[i] = tu
+	}
+	return out
+}
+
+// TestNewStateClassAllocs guards the batch-sized class registration:
+// NewState and an Append batch build the classes they open from slabs
+// sized for the batch, so the allocations of a registration grow by at
+// most two per new class (amortized growth of the class-indexed arrays
+// and the class index), not by the eight a class once cost. Instances
+// of equal size that differ only in their class count isolate the
+// per-class cost.
+func TestNewStateClassAllocs(t *testing.T) {
+	const n, tuples, runs = 6, 240, 10
+	serial := 0
+	build := func(classes int) *relation.Relation {
+		rel := relation.New(relation.MustSchema(attrNames(n)...))
+		rel.MustAppend(classTuples(n, classes, tuples, &serial)...)
+		return rel
+	}
+	newState := func(classes int) float64 {
+		rel := build(classes)
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := NewState(rel); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// appendBatch measures an Append of a batch opening classes new
+	// classes, each run on its own fresh one-class state.
+	appendBatch := func(classes int) float64 {
+		states := make([]*State, runs+1) // AllocsPerRun adds one warm-up run
+		for i := range states {
+			st, err := NewState(build(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			states[i] = st
+		}
+		// Class 0 of All(n) is the one class every state holds already.
+		batch := classTuples(n, classes+1, tuples, &serial)
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := states[next].Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	// Each registration is held to one that opens a single class, so
+	// the per-batch slabs cancel out and the difference is the cost of
+	// the extra classes.
+	const perClass = 2
+	oneNew, oneAppend := newState(1), appendBatch(1)
+	for _, classes := range []int{8, 40, 120, 200} {
+		gotNew, gotAppend := newState(classes), appendBatch(classes)
+		t.Logf("%3d classes: NewState %.0f allocations (%.0f for one), Append opening them %.0f (%.0f for one)",
+			classes, gotNew, oneNew, gotAppend, oneAppend)
+		if per := (gotNew - oneNew) / float64(classes-1); per > perClass {
+			t.Errorf("NewState: %.2f allocations per extra class over %d classes, want <= %d", per, classes, perClass)
+		}
+		if per := (gotAppend - oneAppend) / float64(classes-1); per > perClass {
+			t.Errorf("Append: %.2f allocations per extra class over %d new classes, want <= %d", per, classes, perClass)
+		}
+	}
+}
+
+// TestClassIndexHashCollision forces two signatures onto one hash: the
+// later class must take the next free hash value, and both must still
+// be found, at registration and by lookup.
+func TestClassIndexHashCollision(t *testing.T) {
+	const n = 4
+	serial := 0
+	st, err := NewState(relation.New(relation.MustSchema(attrNames(n)...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := partition.All(n)
+	a, b := sigs[1], sigs[2]
+	tuple := func(sig partition.P) relation.Tuple {
+		serial++
+		tu := make(relation.Tuple, n)
+		for c := range tu {
+			tu[c] = values.Int(int64(serial)<<8 + int64(sig.BlockOf(c)))
+		}
+		return tu
+	}
+	if _, err := st.Append([]relation.Tuple{tuple(a)}); err != nil {
+		t.Fatal(err)
+	}
+	// Occupy b's hash and the value after it with class 0 (signature a).
+	h := b.Hash()
+	st.classes[h], st.classes[h+1] = 0, 0
+	if _, err := st.Append([]relation.Tuple{tuple(b), tuple(a), tuple(b)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(st.Groups()); got != 2 {
+		t.Fatalf("%d classes, want 2", got)
+	}
+	if gi, ok := st.classes[h+2]; !ok || gi != 1 {
+		t.Fatalf("class of b indexed at %v (%v), want 1 two values past its hash", gi, ok)
+	}
+	if got, want := st.groupOf, []int{0, 1, 0, 1}; !slices.Equal(got, want) {
+		t.Fatalf("tuple classes %v, want %v", got, want)
+	}
+	if st.lookup(a) != 0 || st.lookup(b) != 1 || st.lookup(sigs[3]) != -1 {
+		t.Fatalf("lookup(a, b, c) = %d, %d, %d; want 0, 1, -1", st.lookup(a), st.lookup(b), st.lookup(sigs[3]))
+	}
 }

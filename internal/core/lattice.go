@@ -170,11 +170,12 @@ func (st *State) checkProjections() error {
 	return nil
 }
 
-// appendClasses registers the pair bitsets of classes that arrived via
-// State.Append. Growth policy: nothing else moves — the projection
-// table is keyed on State.Version, which Append bumps, so the next
-// simulation rebuilds it over the grown class set; append cost stays
-// proportional to the batch.
+// appendClasses registers the pair bitsets of the classes a NewState
+// or Append batch opened; partition.CachedBatch computed them with the
+// classes, so this only grows lat.sigs. Growth policy: nothing else
+// moves — the projection table is keyed on State.Version, which Append
+// bumps, so the next simulation rebuilds it over the grown class set;
+// append cost stays proportional to the batch.
 func (lat *lattice) appendClasses(groups []*SigGroup) {
 	lat.sigs = reserve(lat.sigs, len(groups))
 	for _, g := range groups {

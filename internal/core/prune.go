@@ -18,7 +18,7 @@ func (st *State) SimulatePrunes(sig partition.P) (pos, neg int) {
 		h := st.Hypo()
 		return st.countImplied(h.Apply(sig, Positive)), st.countImplied(h.Apply(sig, Negative))
 	}
-	if gi, ok := st.byKey[sig.Key()]; ok {
+	if gi := st.lookup(sig); gi >= 0 {
 		return st.SimulatePrunesGroup(gi)
 	}
 	return st.projections().prunes(sig.PairSet(), st.lat.mp)

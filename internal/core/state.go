@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -42,16 +43,21 @@ type State struct {
 	negs []partition.P // ≤-maximal negative signatures (antichain)
 
 	groups  []*SigGroup
-	groupOf []int          // tuple index -> group position; Sig(i) is its class's Sig
-	byKey   map[string]int // signature key -> group position
+	groupOf []int // tuple index -> group position; Sig(i) is its class's Sig
+	// classes maps the hash of a class signature's canonical labels
+	// (partition.HashLabels) to the class position. Distinct signatures
+	// whose hashes collide take the next free hash values in turn, so a
+	// lookup walks h, h+1, … until it finds a class with the wanted
+	// labels or a free value. Classes are never removed, so no probe
+	// sequence is ever cut short.
+	classes map[uint64]int32
 	counts  [5]int
 
 	// Ingestion scratch, reused so that registering a tuple whose class
 	// already exists allocates nothing: its signature's canonical labels
-	// and key (register), and a per-class stamp marking the classes an
-	// Append batch has already classified (classifyArrivals).
+	// (register), and a per-class stamp marking the classes an Append
+	// batch has already classified (classifyArrivals).
 	sigLabels   []int
-	sigKey      []byte
 	arrivalMark []int
 	classAdds   []int // per-class member count of a batch (indexMembers)
 
@@ -85,21 +91,17 @@ func NewState(rel *relation.Relation) (*State, error) {
 		rel:       rel,
 		n:         n,
 		mp:        partition.Top(n).Cached(),
-		byKey:     make(map[string]int),
+		classes:   make(map[uint64]int32),
 		base:      rel.Len(),
 		sigLabels: make([]int, n),
 	}
 	st.labels = make([]Label, 0, rel.Len())
 	st.groupOf = make([]int, 0, rel.Len())
-	for i := 0; i < rel.Len(); i++ {
-		st.register(rel.Tuple(i))
-	}
-	st.indexMembers(0)
+	st.register(0)
 	st.infGroups = make([]int, len(st.groups))
 	for gi := range st.groups {
 		st.infGroups[gi] = gi
 	}
-	st.lat.appendClasses(st.groups)
 	st.lat.mp = st.mp.PairSet()
 	st.propagate()
 	return st, nil
@@ -135,11 +137,7 @@ func (st *State) Append(tuples []relation.Tuple) (newlyImplied []int, err error)
 	st.rel.MustAppend(tuples...) // arity pre-checked above
 	st.labels = reserve(st.labels, len(tuples))
 	st.groupOf = reserve(st.groupOf, len(tuples))
-	for _, t := range tuples {
-		st.register(t)
-	}
-	st.indexMembers(firstNew)
-	st.lat.appendClasses(st.groups[prevClasses:])
+	st.register(firstNew)
 	newlyImplied = st.classifyArrivals(firstNew, prevClasses)
 	st.version++
 	st.structureVersion++
@@ -158,6 +156,7 @@ func (st *State) classifyArrivals(firstNew, prevClasses int) []int {
 	// Append bumps StructureVersion once per batch after this call, so
 	// the post-batch version stamps each class at most once per batch.
 	mark := st.structureVersion + 1
+	st.arrivalMark = reserve(st.arrivalMark, len(st.groups)-len(st.arrivalMark))
 	for len(st.arrivalMark) < len(st.groups) {
 		st.arrivalMark = append(st.arrivalMark, 0)
 	}
@@ -231,21 +230,85 @@ func reserve[T any](s []T, n int) []T {
 	return grown
 }
 
-// indexMembers adds the tuples registered at or after index first to
-// their classes' member lists (SigGroup.Indices), growing each list
-// once: a count pass sizes every list before the fill pass appends.
-func (st *State) indexMembers(first int) {
-	adds := st.classAdds[:0]
-	for range st.groups {
-		adds = append(adds, 0)
+// register indexes the tuples at index first and after, already at
+// the tail of st.rel — the whole instance at NewState, one batch at
+// Append. Each tuple gets its Eq signature's class, a new one when no
+// registered class has that signature, and starts Unlabeled;
+// classification against the hypothesis is the caller's job
+// (propagate at NewState, classifyArrivals at Append).
+//
+// The batch is registered in two passes. The first classifies every
+// tuple, computing its signature into State-owned scratch and looking
+// it up in the class index, and collects the labels of the batch's new
+// classes end to end — on the stack while they fit, so a session keeps
+// no such scratch. The second, knowing the exact number of new classes
+// and of their members, builds them from slabs sized for the batch: a
+// handful of allocations per batch, however many classes it opens, and
+// none for a batch that opens none.
+func (st *State) register(first int) {
+	prev, n := len(st.groups), st.n
+	var stack [256]int
+	batch := stack[:0]
+	for i := first; i < st.rel.Len(); i++ {
+		eqLabels(st.sigLabels, st.rel.Tuple(i))
+		var gi int
+		for h := partition.HashLabels(st.sigLabels); ; h++ {
+			c, ok := st.classes[h]
+			gi = int(c)
+			if !ok {
+				gi = prev + len(batch)/n
+				batch = append(batch, st.sigLabels...)
+				st.classes[h] = int32(gi)
+				break
+			}
+			if gi < prev && st.groups[gi].Sig.HasLabels(st.sigLabels) ||
+				gi >= prev && slices.Equal(batch[(gi-prev)*n:(gi-prev+1)*n], st.sigLabels) {
+				break
+			}
+		}
+		st.groupOf = append(st.groupOf, gi)
+		st.labels = append(st.labels, Unlabeled)
 	}
+	st.counts[Unlabeled] += len(st.labels) - first
+
+	sigs := partition.CachedBatch(batch, n)
+	slab := make([]SigGroup, len(sigs))
+	st.groups = reserve(st.groups, len(sigs))
+	st.groupUnlabeled = reserve(st.groupUnlabeled, len(sigs))
+	for j, sig := range sigs {
+		slab[j] = SigGroup{Sig: sig, Pos: prev + j}
+		st.groups = append(st.groups, &slab[j])
+		st.groupUnlabeled = append(st.groupUnlabeled, 0)
+	}
+	st.indexMembers(first, prev)
+	st.lat.appendClasses(st.groups[prev:])
+}
+
+// indexMembers adds the tuples registered at or after index first to
+// their classes' member lists (SigGroup.Indices) and unlabeled counts,
+// growing each list once: a count pass sizes every list before the
+// fill pass appends. Classes at positions >= prev are the batch's new
+// ones; their lists are cut from one slab, each at full capacity, so a
+// later append to one copies it instead of overwriting its neighbour.
+func (st *State) indexMembers(first, prev int) {
+	adds := reserve(st.classAdds[:0], len(st.groups))[:len(st.groups)]
+	clear(adds)
 	for _, gi := range st.groupOf[first:] {
 		adds[gi]++
 	}
+	fresh := 0
+	for _, n := range adds[prev:] {
+		fresh += n
+	}
+	slab := make([]int, fresh)
 	for gi, n := range adds {
-		if n > 0 {
+		switch {
+		case gi >= prev:
+			st.groups[gi].Indices, slab = slab[:0:n], slab[n:]
+		case n > 0:
 			st.groups[gi].Indices = reserve(st.groups[gi].Indices, n)
 		}
+		st.groupUnlabeled[gi] += n
 	}
 	for i, gi := range st.groupOf[first:] {
 		st.groups[gi].Indices = append(st.groups[gi].Indices, first+i)
@@ -253,33 +316,18 @@ func (st *State) indexMembers(first int) {
 	st.classAdds = adds
 }
 
-// register indexes one tuple already present at the tail of st.rel:
-// it computes the Eq signature, finds or creates the signature class,
-// and extends the per-tuple and per-class arrays. The tuple starts
-// Unlabeled and is not yet in its class's member list (indexMembers
-// adds a whole batch); classification against the hypothesis is the
-// caller's job (propagate at NewState, classifyArrivals at Append). It
-// returns the class position.
-//
-// The signature is computed into State-owned scratch and looked up by
-// its key bytes (the map index converts without allocating), so a
-// tuple landing in an existing class costs only amortized slice
-// growth; a partition is built only when the class is new.
-func (st *State) register(t relation.Tuple) int {
-	eqLabels(st.sigLabels, t)
-	st.sigKey = partition.AppendKey(st.sigKey[:0], st.sigLabels)
-	gi, ok := st.byKey[string(st.sigKey)]
-	if !ok {
-		gi = len(st.groups)
-		st.byKey[string(st.sigKey)] = gi
-		st.groups = append(st.groups, &SigGroup{Sig: partition.New(st.sigLabels).Cached(), Pos: gi})
-		st.groupUnlabeled = append(st.groupUnlabeled, 0)
+// lookup returns the position of the class whose signature is sig, or
+// -1.
+func (st *State) lookup(sig partition.P) int {
+	for h := sig.Hash(); ; h++ {
+		gi, ok := st.classes[h]
+		if !ok {
+			return -1
+		}
+		if st.groups[gi].Sig.Equal(sig) {
+			return int(gi)
+		}
 	}
-	st.groupOf = append(st.groupOf, gi)
-	st.labels = append(st.labels, Unlabeled)
-	st.counts[Unlabeled]++
-	st.groupUnlabeled[gi]++
-	return gi
 }
 
 // eqLabels writes the canonical block labels of t's Eq signature into
@@ -711,12 +759,12 @@ func (st *State) CheckInvariants() error {
 	if len(st.lat.sigs) != len(st.groups) {
 		return fmt.Errorf("core: lattice tracks %d classes, state has %d", len(st.lat.sigs), len(st.groups))
 	}
-	if len(st.byKey) != len(st.groups) {
-		return fmt.Errorf("core: key index has %d entries for %d classes", len(st.byKey), len(st.groups))
+	if len(st.classes) != len(st.groups) {
+		return fmt.Errorf("core: class index has %d entries for %d classes", len(st.classes), len(st.groups))
 	}
-	for key, gi := range st.byKey {
-		if gi < 0 || gi >= len(st.groups) || st.groups[gi].Sig.Key() != key {
-			return fmt.Errorf("core: key index entry %q -> %d does not match its class", key, gi)
+	for gi, g := range st.groups {
+		if got := st.lookup(g.Sig); got != gi {
+			return fmt.Errorf("core: class index finds class %d for the signature %v of class %d", got, g.Sig, gi)
 		}
 	}
 	// Incremental scoring state: per-class unlabeled counts, the

@@ -132,22 +132,67 @@ func (p P) Cached() P {
 	return p
 }
 
+// CachedBatch returns the Cached partitions of k label vectors laid
+// end to end in labels, n labels each, with every pair bitset already
+// computed: the signature classes core registers in one batch. Each
+// vector must be canonical (restricted-growth, as EqualLabels writes
+// it); CachedBatch panics otherwise. labels is copied, so the caller
+// may reuse it. The labels, caches and bitsets of the whole batch share
+// four allocations, however many partitions it holds.
+func CachedBatch(labels []int, n int) []P {
+	k := len(labels) / n
+	if k == 0 {
+		return nil
+	}
+	own := make([]int, k*n)
+	copy(own, labels)
+	words := pairWordCount(n)
+	sets := make([]uint64, k*words)
+	caches := make([]struct {
+		c    pCache
+		info pairsInfo
+	}, k)
+	ps := make([]P, k)
+	for i := range ps {
+		l := own[i*n : (i+1)*n : (i+1)*n]
+		blocks := 0
+		for _, b := range l {
+			if b > blocks || b < 0 {
+				panic(fmt.Sprintf("partition: labels %v are not canonical", l))
+			}
+			if b == blocks {
+				blocks++
+			}
+		}
+		c := &caches[i]
+		c.info.set = sets[i*words : (i+1)*words : (i+1)*words]
+		c.info.fill(l)
+		c.c.pairs.Store(&c.info)
+		ps[i] = P{labels: l, blocks: blocks, cache: &c.c}
+	}
+	return ps
+}
+
 // computePairs builds the pair bitset of p.
 func (p P) computePairs() *pairsInfo {
-	n := len(p.labels)
-	info := &pairsInfo{set: make(PairSet, pairWordCount(n))}
+	info := &pairsInfo{set: make(PairSet, pairWordCount(len(p.labels)))}
+	info.fill(p.labels)
+	return info
+}
+
+// fill sets the bits of info.set, zeroed and sized for len(labels)
+// elements, for the pairs the labels place in a common block.
+func (info *pairsInfo) fill(labels []int) {
 	idx := 0
-	for i := 0; i < n; i++ {
-		li := p.labels[i]
-		for j := i + 1; j < n; j++ {
-			if li == p.labels[j] {
+	for i, li := range labels {
+		for _, lj := range labels[i+1:] {
+			if li == lj {
 				info.set[idx>>6] |= 1 << (idx & 63)
 				info.count++
 			}
 			idx++
 		}
 	}
-	return info
 }
 
 // pairs returns p's pair bitset, memoizing it when p is Cached.

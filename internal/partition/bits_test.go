@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -148,4 +149,41 @@ func TestCachedConcurrent(t *testing.T) {
 	if got, want := p.MeetPairCount(q), p.Meet(q).PairCount(); got != want {
 		t.Fatalf("post-race MeetPairCount = %d, want %d", got, want)
 	}
+}
+
+// TestCachedBatchMatchesNew holds CachedBatch to New: each partition
+// of a batch has New's labels, blocks and pair bitset, whatever the
+// size (no pair word at one element, several past eleven), and
+// labels that are not canonical panic.
+func TestCachedBatchMatchesNew(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		n, k := 1+r.Intn(16), r.Intn(6)
+		var labels []int
+		var want []P
+		for i := 0; i < k; i++ {
+			p := Uniform(r, n)
+			want = append(want, p)
+			labels = append(labels, p.labels...)
+		}
+		got := CachedBatch(labels, n)
+		clear(labels) // the batch must own its labels
+		if len(got) != k {
+			t.Fatalf("%d partitions from %d vectors", len(got), k)
+		}
+		for i, p := range got {
+			if !p.Equal(want[i]) || p.BlockCount() != want[i].BlockCount() || p.cache == nil {
+				t.Fatalf("partition %d = %v (%d blocks), want %v", i, p, p.BlockCount(), want[i])
+			}
+			if ws := want[i].PairSet(); !slices.Equal(p.readyPairs().set, ws) || p.PairCount() != want[i].PairCount() {
+				t.Fatalf("partition %d pairs %v, want %v", i, p.readyPairs().set, ws)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CachedBatch accepted non-canonical labels")
+		}
+	}()
+	CachedBatch([]int{0, 2, 1}, 3)
 }

@@ -21,6 +21,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -140,8 +141,8 @@ func FromEqual(n int, eq func(i, j int) bool) P {
 // canonical block labels of the partition eq induces on
 // {0..len(labels)-1} into labels and returns the block count. Callers
 // classifying many tuples reuse one labels buffer, look the signature
-// up by AppendKey, and build a P (FromEqual) only for signatures they
-// have not seen before.
+// up by AppendKey or HashLabels, and build a P only for signatures
+// they have not seen before.
 func EqualLabels(labels []int, eq func(i, j int) bool) int {
 	blocks := 0
 	for i := range labels {
@@ -159,6 +160,23 @@ func EqualLabels(labels []int, eq func(i, j int) bool) int {
 	}
 	return blocks
 }
+
+// HashLabels hashes the canonical labels of a partition (FNV-1a over
+// the label values): equal partitions hash equally, so an index of
+// partitions can key on the hash and confirm with HasLabels.
+func HashLabels(labels []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, l := range labels {
+		h = (h ^ uint64(l)) * 1099511628211
+	}
+	return h
+}
+
+// Hash is HashLabels of p's canonical labels.
+func (p P) Hash() uint64 { return HashLabels(p.labels) }
+
+// HasLabels reports whether p's canonical labels are exactly labels.
+func (p P) HasLabels(labels []int) bool { return slices.Equal(p.labels, labels) }
 
 // N returns the number of elements partitioned.
 func (p P) N() int { return len(p.labels) }

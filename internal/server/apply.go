@@ -43,17 +43,17 @@ func sessionOptions(strategyName string, seed int64, typing *relation.Typing) []
 // so arrival parsing never honors an append body's own header
 // annotations: the same cells parse the same way whatever encoding or
 // header they arrive with.
-func (s *Server) create(csv, strategyName string, seed int64) (string, sessionSummary, error) {
+func (s *Server) create(csv, strategyName string, seed int64) (string, summary, error) {
 	if strings.TrimSpace(csv) == "" {
-		return "", sessionSummary{}, &jim.Error{Code: jim.CodeBadInput, Message: "server: empty csv"}
+		return "", summary{}, &jim.Error{Code: jim.CodeBadInput, Message: "server: empty csv"}
 	}
 	rel, typing, err := relation.ReadCSVString(csv, relation.CSVOptions{})
 	if err != nil {
-		return "", sessionSummary{}, &jim.Error{Code: jim.CodeBadInput, Message: err.Error()}
+		return "", summary{}, &jim.Error{Code: jim.CodeBadInput, Message: err.Error()}
 	}
 	sess, err := jim.NewSession(rel, sessionOptions(strategyName, seed, typing)...)
 	if err != nil {
-		return "", sessionSummary{}, err
+		return "", summary{}, err
 	}
 	return s.register(newLiveSession(sess, s.now(), seed))
 }
@@ -76,20 +76,20 @@ func (s *Server) lookup(id string) (*liveSession, error) {
 // returned — a created session is a recoverable session. The summary
 // is captured before the session is published: ids are predictable, so
 // a concurrent writer could mutate it immediately.
-func (s *Server) register(ls *liveSession) (string, sessionSummary, error) {
+func (s *Server) register(ls *liveSession) (string, summary, error) {
 	ls.touch(s.now())
 	// allocID skips ids the cluster ring assigns to other nodes, so
 	// every node draws from a disjoint id space and a create is always
 	// served locally (single-node: first id wins immediately).
 	id := s.allocID()
-	summary := summarize(id, ls)
+	sum := summarize(id, ls)
 	err := s.sessions.put(id, ls, s.cfg.MaxSessions)
 	if errors.Is(err, errSessionCap) && s.sweepQuick() > 0 {
 		err = s.sessions.put(id, ls, s.cfg.MaxSessions)
 	}
 	if err != nil {
 		s.sessions.rejected.Add(1)
-		return "", sessionSummary{}, &jim.Error{
+		return "", summary{}, &jim.Error{
 			Code:    jim.CodeTooManySessions,
 			Message: fmt.Sprintf("%v (%d active, max %d)", err, s.sessions.active.Load(), s.cfg.MaxSessions),
 		}
@@ -105,13 +105,13 @@ func (s *Server) register(ls *liveSession) (string, sessionSummary, error) {
 			s.sessions.rollback(id)
 			_ = s.purge(id, ls)
 			s.persist.errors.Add(1)
-			return "", sessionSummary{}, &jim.Error{
+			return "", summary{}, &jim.Error{
 				Code:    jim.CodeInternal,
 				Message: fmt.Sprintf("persisting session: %v", err),
 			}
 		}
 	}
-	return id, summary, nil
+	return id, sum, nil
 }
 
 // applyAnswer applies one answer or skip to the session and persists

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	jim "repro"
 	"repro/internal/relation"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -123,7 +124,7 @@ func BenchmarkWireStepPropose(b *testing.B) {
 }
 
 // BenchmarkHTTPSummary is one GET /v1/sessions/{id}: the read-only
-// envelope whose encode path the writeJSON buffer pool serves.
+// summary, appended by hand into a pooled buffer.
 func BenchmarkHTTPSummary(b *testing.B) {
 	ts := httptest.NewServer(server.New().Handler())
 	defer ts.Close()
@@ -164,6 +165,7 @@ type replayRequest struct {
 	rd   *bytes.Reader
 	body io.ReadCloser
 	src  []byte
+	h    http.Handler // the handler serving it, when requests span servers
 }
 
 func newReplayRequest(method, url, body string) *replayRequest {
@@ -281,4 +283,138 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	n := copy(p, l.data[l.off:])
 	l.off += n
 	return n, nil
+}
+
+// chatBody is one chat-http-shaped dialogue's upload: the create body
+// (three quarters of an instance as CSV, with the default strategy and
+// a seed) and the append body (the remaining quarter as rows), both as
+// encoding/json writes them.
+type chatBody struct {
+	create, append string
+}
+
+// chatBodies builds n uploads over the travel, synthetic and zipf
+// generators at their default sizes, as perfbench's chat-http pool
+// does.
+func chatBodies(tb testing.TB, n int) []chatBody {
+	tb.Helper()
+	families := []string{"travel", "synthetic", "zipf"}
+	out := make([]chatBody, n)
+	for k := range out {
+		seed := int64(7919 + k)
+		full, _, err := workload.Instance(families[k%len(families)], workload.InstanceConfig{Seed: seed})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		base := (full.Len()*3 + 3) / 4
+		baseRel := relation.New(full.Schema())
+		var rows [][]string
+		for i := 0; i < full.Len(); i++ {
+			if i < base {
+				baseRel.MustAppend(full.Tuple(i))
+				continue
+			}
+			row := make([]string, full.Schema().Len())
+			for c, v := range full.Tuple(i) {
+				row[c] = relation.EncodeCell(v)
+			}
+			rows = append(rows, row)
+		}
+		var csv strings.Builder
+		if err := relation.WriteCSV(&csv, baseRel); err != nil {
+			tb.Fatal(err)
+		}
+		create, err := json.Marshal(map[string]any{"csv": csv.String(), "strategy": jim.DefaultStrategy, "seed": seed})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		appendBody, err := json.Marshal(map[string]any{"rows": rows})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[k] = chatBody{string(create), string(appendBody)}
+	}
+	return out
+}
+
+// BenchmarkHTTPCreateHandler is one server-side POST /v1/sessions of a
+// chat-http-shaped upload, served by calling the handler directly:
+// body read and decode, CSV parse, session build, registration and the
+// summary reply. Every len(bodies) creates, a fresh server replaces
+// the full one with the timer stopped.
+func BenchmarkHTTPCreateHandler(b *testing.B) {
+	bodies := chatBodies(b, 60)
+	reqs := make([]*replayRequest, len(bodies))
+	size := 0
+	for k, body := range bodies {
+		reqs[k] = newReplayRequest("POST", "/v1/sessions", body.create)
+		size += len(body.create)
+	}
+	w := &nopResponseWriter{h: make(http.Header)}
+	var h http.Handler
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(reqs)
+		if k == 0 {
+			b.StopTimer()
+			h = server.NewWith(server.Config{MaxBodyBytes: 1 << 20}).Handler()
+			b.StartTimer()
+		}
+		reqs[k].serve(h, w)
+		if w.status != http.StatusCreated {
+			b.Fatalf("create: status %d", w.status)
+		}
+	}
+	b.ReportMetric(float64(size)/float64(len(bodies)), "body-B")
+}
+
+// BenchmarkHTTPAppendHandler is one server-side POST /tuples of a
+// chat-http-shaped arrival batch: body read and decode, row parsing,
+// the append and its reply. Each session takes its one batch; every
+// len(bodies) appends, the next round of sessions is created with the
+// timer stopped.
+func BenchmarkHTTPAppendHandler(b *testing.B) {
+	bodies := chatBodies(b, 60)
+	w := &nopResponseWriter{h: make(http.Header)}
+	var reqs []*replayRequest
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(bodies)
+		if k == 0 {
+			b.StopTimer()
+			h := server.NewWith(server.Config{MaxBodyBytes: 1 << 20}).Handler()
+			reqs = reqs[:0]
+			for _, body := range bodies {
+				id := createWith(b, h, body.create)
+				rr := newReplayRequest("POST", "/v1/sessions/"+id+"/tuples", body.append)
+				rr.h = h
+				reqs = append(reqs, rr)
+			}
+			b.StartTimer()
+		}
+		reqs[k].serve(reqs[k].h, w)
+		if w.status != http.StatusOK {
+			b.Fatalf("append: status %d", w.status)
+		}
+	}
+}
+
+// createWith creates a session through h from a create body and
+// returns its id.
+func createWith(tb testing.TB, h http.Handler, body string) string {
+	tb.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(body)))
+	if rec.Code != http.StatusCreated {
+		tb.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	var s struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
+		tb.Fatal(err)
+	}
+	return s.ID
 }

@@ -1,62 +1,87 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
+	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 
 	jim "repro"
 	"repro/internal/relation"
 	"repro/internal/values"
 )
 
-// The HTTP dialogue codec: the replies of /step, /next, /label, /topk
-// and /tuples are appended by hand into one pooled buffer instead of
-// encoded by reflection, and the /step and /label bodies are read into
-// that same buffer and decoded by a strict scanner. Both halves are
-// held to encoding/json:
+// The HTTP request codec: the replies of create, the session summary,
+// /step, /next, /label, /topk and /tuples are appended by hand into one
+// pooled buffer instead of encoded by reflection, and the create,
+// /step, /label and /tuples bodies are read into that same buffer and
+// decoded by a strict scanner. Both halves are held to encoding/json:
 //
 //   - A reply is byte-for-byte what json.Encoder with SetIndent("", "  ")
 //     and HTML escaping made of the response structs this replaced:
 //     members in struct order, a tuple's values keyed by column name in
-//     sorted order (a JSON-encoded map), empty containers as {} and [],
-//     and a trailing newline. FuzzHTTPStepEncode compares the two on
-//     arbitrary column names and cells; the structs live on in
-//     httpcodec_test.go as its reference.
+//     sorted order (a JSON-encoded map), created_at as
+//     time.Time.MarshalJSON formats it, empty containers as {} and [],
+//     and a trailing newline. FuzzHTTPStepEncode and
+//     TestSummaryMatchesEncodingJSON compare the two; the structs live
+//     on in the tests as their reference.
 //   - A request body takes the fast path only in the shape clients
-//     send: one flat object of the exact field names, with JSON
-//     integers, plain ASCII strings, or null as values. Every other
-//     body — escapes, case-folded or unknown keys, floats, nesting,
-//     trailing data, syntax errors — goes to json.Unmarshal, so the
-//     accepted bodies and decoded values are json.Unmarshal's by
-//     construction. FuzzHTTPStepDecode holds the fast path to that.
+//     send: one object of the exact field names, with JSON integers,
+//     strings, null, or (for rows) arrays of arrays of strings as
+//     values. A string may hold valid UTF-8 and the escapes \" \\ \/
+//     \b \f \n \r \t and \uXXXX outside the surrogates. Every other
+//     body — surrogate escapes, invalid UTF-8, case-folded or unknown
+//     keys, floats, other nesting, trailing data, syntax errors — goes
+//     to json.Unmarshal, so the accepted bodies and decoded values are
+//     json.Unmarshal's by construction. The FuzzHTTP*Decode targets
+//     hold the fast path to that.
+//   - Strings are decoded in place, and only once the whole body is
+//     known to take the fast path, so the fallback always sees the body
+//     as sent. A create's csv and an append's cells are then views of
+//     the buffer: relation.ReadCSVString and relation.ParseRows keep
+//     nothing of their input, and the buffer outlives neither call.
 //
-// The cold paths (summaries, lists, stats, results, error envelopes)
-// stay on writeJSON.
+// The cold paths (lists, stats, results, error envelopes) stay on
+// writeJSON.
 
-// httpBuf is one dialogue request's scratch: the request body, then
-// the reply appended over it. index backs a decoded stepRequest.Index,
-// so an answering step allocates no pointer.
+// httpBuf is one request's scratch: the request body, then the reply
+// appended over it. index backs a decoded stepRequest.Index, so an
+// answering step allocates no pointer; rows and cells back a decoded
+// appendRequest.Rows.
 type httpBuf struct {
 	b     []byte
 	index int
+	rows  [][]string
+	cells []string
 }
 
 var httpBufPool = sync.Pool{New: func() any { return &httpBuf{b: make([]byte, 0, 1024)} }}
 
 func getHTTPBuf() *httpBuf { return httpBufPool.Get().(*httpBuf) }
 
-// release returns hb to the pool, unless a rare huge reply (a large
-// top-k batch) grew it past jsonBufMaxCap.
+// release returns hb to the pool, unless a rare huge body or reply (a
+// large upload or top-k batch) grew it past jsonBufMaxCap. The rows
+// scratch stays only while it holds at most one entry per 8 bytes of
+// the buffer, so a body of tiny cells cannot leave the pool holding a
+// scratch far larger than its buffer.
 func (hb *httpBuf) release() {
-	if cap(hb.b) <= jsonBufMaxCap {
-		httpBufPool.Put(hb)
+	if cap(hb.b) > jsonBufMaxCap {
+		return
 	}
+	if cap(hb.rows)+cap(hb.cells) > cap(hb.b)/8 {
+		hb.rows, hb.cells = nil, nil
+	}
+	httpBufPool.Put(hb)
 }
 
 // readBody reads the whole request body into hb.b. The caller caps the
@@ -136,6 +161,119 @@ func (hb *httpBuf) decodeLabel(body io.Reader, req *labelRequest) error {
 	return unmarshalInto(hb.b, req)
 }
 
+// decodeCreate reads and decodes a POST /v1/sessions body. A decoded
+// CSV is a view of hb and is valid until hb is released.
+func (hb *httpBuf) decodeCreate(body io.Reader, req *createRequest) error {
+	if err := hb.readBody(body); err != nil {
+		return err
+	}
+	*req = createRequest{}
+	var csv rawString
+	sc := newRequestScanner(hb.b)
+	for sc.next() {
+		switch string(sc.key) {
+		case "csv":
+			sc.storeRaw(&csv)
+		case "strategy":
+			sc.storeString(&req.Strategy)
+		case "seed":
+			n := int(req.Seed)
+			sc.storeInt(&n)
+			req.Seed = int64(n)
+		default:
+			sc.ok = false
+		}
+	}
+	if !sc.ok {
+		return unmarshalInto(hb.b, req)
+	}
+	req.CSV = csv.view()
+	return nil
+}
+
+// decodeAppend reads and decodes a POST /tuples body. A decoded CSV
+// and every decoded cell are views of hb, valid until hb is released;
+// the rows are cut from hb's reused scratch.
+func (hb *httpBuf) decodeAppend(body io.Reader, req *appendRequest) error {
+	if err := hb.readBody(body); err != nil {
+		return err
+	}
+	*req = appendRequest{}
+	var csv rawString
+	sc := newRequestScanner(hb.b)
+	for sc.next() {
+		switch string(sc.key) {
+		case "csv":
+			sc.storeRaw(&csv)
+		case "rows":
+			switch sc.kind {
+			case kindArray:
+				req.Rows = hb.scanRows(&sc)
+			case kindNull:
+				req.Rows = nil
+			default:
+				sc.ok = false
+			}
+		default:
+			sc.ok = false
+		}
+	}
+	if !sc.ok {
+		return unmarshalInto(hb.b, req)
+	}
+	req.CSV = csv.view()
+	if sc.escaped {
+		for _, row := range req.Rows {
+			for j, cell := range row {
+				if strings.IndexByte(cell, '\\') >= 0 {
+					row[j] = rawString{unsafe.Slice(unsafe.StringData(cell), len(cell)), true}.view()
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// scanRows scans the array of string arrays at sc's position into rows
+// of cell views, their escapes still raw. Rows are cut from the cell
+// scratch at full capacity, as wire.Reader.decodeRows cuts them: zero
+// rows and zero-cell rows decode to empty, not nil, slices.
+func (hb *httpBuf) scanRows(sc *requestScanner) [][]string {
+	rows, cells := hb.rows[:0], hb.cells[:0]
+	if rows == nil {
+		rows, cells = [][]string{}, []string{}
+	}
+	sc.i++ // '['
+	for sc.ok && sc.item(len(rows)) {
+		if sc.peek() != '[' {
+			sc.ok = false
+			break
+		}
+		sc.i++
+		n := 0
+		for sc.ok && sc.item(n) {
+			raw, ok := sc.stringValue()
+			if !ok {
+				sc.ok = false
+				break
+			}
+			cells = append(cells, unsafe.String(unsafe.SliceData(raw.b), len(raw.b)))
+			n++
+		}
+		rows = append(rows, cells[len(cells)-n:])
+	}
+	// Cut every row from the final cell array: a row taken before the
+	// array last grew points into an older copy.
+	off := 0
+	for i, row := range rows {
+		end := off + len(row)
+		rows[i] = cells[off:end:end]
+		off = end
+	}
+	hb.rows, hb.cells = rows, cells
+	return rows
+}
+
 // unmarshalInto is the slow path: json.Unmarshal into a fresh value,
 // copied to dst. Decoding into a copy keeps dst off the heap on the
 // fast path.
@@ -151,6 +289,7 @@ const (
 	kindInt = iota + 1
 	kindString
 	kindNull
+	kindArray
 )
 
 // requestScanner walks a request body in the fast-path shape, one
@@ -162,12 +301,33 @@ type requestScanner struct {
 	i       int
 	ok      bool
 	members int
+	// escaped records that some string value held an escape.
+	escaped bool
 	// The current member: its key, and its value — kind, with the
-	// integer in n or the string's bytes (no escapes) in str.
+	// integer in n or the string in str. An array value is left for
+	// the caller to scan from its opening bracket.
 	key  []byte
 	kind int
 	n    int
-	str  []byte
+	str  rawString
+}
+
+// rawString is a scanned JSON string: its contents as they appear in
+// the body, and whether they hold escapes.
+type rawString struct {
+	b   []byte
+	esc bool
+}
+
+// view decodes the string's escapes in place and returns its contents
+// as a view of the body. Decoding overwrites the body, so it may run
+// only once the whole body is known to take the fast path.
+func (r rawString) view() string {
+	b := r.b
+	if r.esc {
+		b = appendUnescaped(b[:0], b)
+	}
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 func newRequestScanner(b []byte) requestScanner {
@@ -199,11 +359,14 @@ func (sc *requestScanner) next() bool {
 		sc.ok = false
 		return false
 	}
-	var ok bool
-	if sc.key, ok = sc.plainString(); !ok {
+	// Keys match field names exactly; one with an escape leaves the
+	// fast path, like a case-folded one.
+	key, ok := sc.stringValue()
+	if !ok || key.esc {
 		sc.ok = false
 		return false
 	}
+	sc.key = key.b
 	sc.space()
 	if sc.peek() != ':' {
 		sc.ok = false
@@ -214,7 +377,10 @@ func (sc *requestScanner) next() bool {
 	switch c := sc.peek(); {
 	case c == '"':
 		sc.kind = kindString
-		sc.str, ok = sc.plainString()
+		sc.str, ok = sc.stringValue()
+	case c == '[':
+		sc.kind = kindArray
+		ok = true
 	case c == 'n':
 		sc.kind = kindNull
 		ok = sc.i+4 <= len(sc.b) && string(sc.b[sc.i:sc.i+4]) == "null"
@@ -228,24 +394,62 @@ func (sc *requestScanner) next() bool {
 	return ok
 }
 
+// item moves to the next element of the array being scanned, n
+// elements in, reporting false at its closing bracket or when the body
+// left the fast path.
+func (sc *requestScanner) item(n int) bool {
+	sc.space()
+	switch c := sc.peek(); {
+	case c == ']':
+		sc.i++
+		return false
+	case n == 0:
+	case c == ',':
+		sc.i++
+		sc.space()
+	default:
+		sc.ok = false
+		return false
+	}
+	return true
+}
+
 // storeInt stores an integer member into dst; null leaves dst as it
 // is, the way json.Unmarshal treats null for a non-pointer field.
 func (sc *requestScanner) storeInt(dst *int) {
 	switch sc.kind {
 	case kindInt:
 		*dst = sc.n
-	case kindString:
+	case kindNull:
+	default:
 		sc.ok = false
 	}
 }
 
-// storeString stores a string member into dst; null leaves dst as it
-// is.
+// storeString stores a copy of a string member into dst; null leaves
+// dst as it is. Its escapes are decoded into the copy, not the body.
 func (sc *requestScanner) storeString(dst *string) {
 	switch sc.kind {
 	case kindString:
-		*dst = string(sc.str)
-	case kindInt:
+		if sc.str.esc {
+			*dst = string(appendUnescaped(nil, sc.str.b))
+		} else {
+			*dst = string(sc.str.b)
+		}
+	case kindNull:
+	default:
+		sc.ok = false
+	}
+}
+
+// storeRaw keeps a string member undecoded in dst, for a view once the
+// body is accepted; null leaves dst as it is.
+func (sc *requestScanner) storeRaw(dst *rawString) {
+	switch sc.kind {
+	case kindString:
+		*dst = sc.str
+	case kindNull:
+	default:
 		sc.ok = false
 	}
 }
@@ -269,23 +473,127 @@ func (sc *requestScanner) space() {
 	}
 }
 
-// plainString scans a string of printable ASCII without escapes and
-// returns its contents.
-func (sc *requestScanner) plainString() ([]byte, bool) {
+// stringValue scans a string value: valid UTF-8 with the escapes
+// appendUnescaped decodes exactly as json.Unmarshal does. Anything else
+// — a control character, invalid UTF-8, an unknown escape, a \u
+// escape of a surrogate — leaves the fast path.
+func (sc *requestScanner) stringValue() (rawString, bool) {
 	if sc.peek() != '"' {
-		return nil, false
+		return rawString{}, false
 	}
-	start := sc.i + 1
-	for i := start; i < len(sc.b); i++ {
-		switch c := sc.b[i]; {
+	start, esc := sc.i+1, false
+	for i := start; i < len(sc.b); {
+		if i+8 <= len(sc.b) {
+			m := specialBytes(binary.LittleEndian.Uint64(sc.b[i:]))
+			if m == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(m) / 8
+		}
+		c := sc.b[i]
+		switch {
 		case c == '"':
 			sc.i = i + 1
-			return sc.b[start:i], true
-		case c < 0x20 || c >= utf8.RuneSelf || c == '\\':
-			return nil, false
+			sc.escaped = sc.escaped || esc
+			return rawString{sc.b[start:i], esc}, true
+		case c == '\\':
+			esc = true
+			if i+1 == len(sc.b) {
+				return rawString{}, false
+			}
+			switch sc.b[i+1] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				i += 2
+			case 'u':
+				r, ok := hex4(sc.b[i+2:])
+				if !ok || utf16.IsSurrogate(r) {
+					return rawString{}, false
+				}
+				i += 6
+			default:
+				return rawString{}, false
+			}
+		case c < 0x20:
+			return rawString{}, false
+		case c < utf8.RuneSelf:
+			i++
+		default:
+			r, size := utf8.DecodeRune(sc.b[i:])
+			if r == utf8.RuneError && size == 1 {
+				return rawString{}, false
+			}
+			i += size
 		}
 	}
-	return nil, false
+	return rawString{}, false
+}
+
+// specialBytes flags the bytes of w, read little-endian, that a string
+// scan cannot step over: '"', '\\', control characters and non-ASCII.
+// Each term is the classic SWAR test for a byte below a bound, whose
+// lowest flag is always a true one, so the lowest set bit of the result
+// marks the first such byte.
+func specialBytes(w uint64) uint64 {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	quote, backslash := w^(ones*'"'), w^(ones*'\\')
+	control := (w - ones*0x20) &^ w
+	return (control | (quote-ones)&^quote | (backslash-ones)&^backslash | w) & highs
+}
+
+// hex4 reads the four hex digits of a \u escape.
+func hex4(b []byte) (rune, bool) {
+	if len(b) < 4 {
+		return 0, false
+	}
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case c >= '0' && c <= '9':
+			c -= '0'
+		case c >= 'a' && c <= 'f':
+			c -= 'a' - 10
+		case c >= 'A' && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		r = r<<4 | rune(c)
+	}
+	return r, true
+}
+
+// appendUnescaped appends the decoded contents of a string stringValue
+// accepted to dst. dst may be raw[:0]: every escape decodes to at most
+// as many bytes as it spans, so the output never overtakes the input.
+func appendUnescaped(dst, raw []byte) []byte {
+	for {
+		i := bytes.IndexByte(raw, '\\')
+		if i < 0 {
+			return append(dst, raw...)
+		}
+		dst = append(dst, raw[:i]...)
+		switch c := raw[i+1]; c {
+		case 'b':
+			dst = append(dst, '\b')
+		case 'f':
+			dst = append(dst, '\f')
+		case 'n':
+			dst = append(dst, '\n')
+		case 'r':
+			dst = append(dst, '\r')
+		case 't':
+			dst = append(dst, '\t')
+		case 'u':
+			r, _ := hex4(raw[i+2:])
+			dst = utf8.AppendRune(dst, r)
+			raw = raw[i+6:]
+			continue
+		default: // '"', '\\', '/'
+			dst = append(dst, c)
+		}
+		raw = raw[i+2:]
+	}
 }
 
 // integer scans a JSON integer of at most 18 digits into n; a fraction
@@ -324,14 +632,20 @@ type jsonWriter struct {
 // encoder starts a reply in hb's buffer.
 func (hb *httpBuf) encoder() jsonWriter { return jsonWriter{b: hb.b[:0]} }
 
+// jsonContentType is the Content-Type header value of every reply,
+// shared so setting it allocates nothing. Its length equals its
+// capacity: a wrapper's Header().Add copies it instead of writing into
+// it.
+var jsonContentType = []string{"application/json"}
+
 // send finishes enc's reply and writes it with the headers writeJSON
-// sets, status 200.
-func (hb *httpBuf) send(w http.ResponseWriter, enc *jsonWriter) {
+// sets.
+func (hb *httpBuf) send(w http.ResponseWriter, status int, enc *jsonWriter) {
 	hb.b = append(enc.b, '\n')
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(hb.b)))
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(status)
 	_, _ = w.Write(hb.b)
 }
 
@@ -368,13 +682,67 @@ func (enc *jsonWriter) newline() {
 
 func (enc *jsonWriter) key(k string) {
 	enc.elem()
-	enc.b = appendJSONString(enc.b, k)
+	enc.string(k)
 	enc.b = append(enc.b, ':', ' ')
 }
 
 func (enc *jsonWriter) int(n int) { enc.b = strconv.AppendInt(enc.b, int64(n), 10) }
 
 func (enc *jsonWriter) bool(v bool) { enc.b = strconv.AppendBool(enc.b, v) }
+
+func (enc *jsonWriter) string(s string) { enc.b = appendJSONString(enc.b, s) }
+
+// summary is a session's summary, the reply of create, import and GET
+// /v1/sessions/{id} and an entry of the list. The schema is immutable,
+// so a summary captured under the session's lock stays valid after it.
+type summary struct {
+	id       string
+	strategy string
+	created  time.Time
+	schema   *relation.Schema
+	// tuples = base + appended: the instance size at creation plus the
+	// arrivals streamed in afterwards.
+	tuples, base, appended       int
+	labels, implied, informative int
+	done                         bool
+}
+
+// summary writes a session summary.
+func (enc *jsonWriter) summary(sum *summary) {
+	enc.open('{')
+	enc.key("id")
+	enc.string(sum.id)
+	enc.key("strategy")
+	enc.string(sum.strategy)
+	enc.key("created_at")
+	// time.Time.MarshalJSON's layout; digits, signs, colons and ASCII
+	// letters need no escaping.
+	enc.b = append(enc.b, '"')
+	enc.b = sum.created.AppendFormat(enc.b, time.RFC3339Nano)
+	enc.b = append(enc.b, '"')
+	enc.key("tuples")
+	enc.int(sum.tuples)
+	enc.key("base_tuples")
+	enc.int(sum.base)
+	enc.key("appended_tuples")
+	enc.int(sum.appended)
+	enc.key("attributes")
+	enc.open('[')
+	for i := 0; i < sum.schema.Len(); i++ {
+		enc.elem()
+		enc.string(sum.schema.Name(i))
+	}
+	enc.close(']')
+	enc.key("labels")
+	enc.int(sum.labels)
+	enc.key("implied")
+	enc.int(sum.implied)
+	enc.key("informative")
+	enc.int(sum.informative)
+	enc.key("done")
+	enc.bool(sum.done)
+	enc.close('}')
+}
 
 // stepReply writes the reply of POST /step and GET /next: applied
 // (absent on a propose-only call), done, then the proposal — for k = 1
@@ -488,7 +856,7 @@ func (enc *jsonWriter) tuples(rel *relation.Relation, cols []int, indices []int)
 // cell writes a value as the JSON string of its String rendering.
 func (enc *jsonWriter) cell(v values.Value) {
 	if s, ok := v.AsString(); ok {
-		enc.b = appendJSONString(enc.b, s)
+		enc.string(s)
 		return
 	}
 	// Every other kind renders as digits, signs, dots and ASCII

@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math/bits"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -237,4 +240,114 @@ func errString(err error) string {
 		return ""
 	}
 	return err.Error()
+}
+
+// decodeEscapeBodies are strings every body decoder meets in its
+// seed corpus: each escape json.Unmarshal knows — the fast path's and
+// the surrogates it leaves to the fallback — raw non-ASCII, invalid
+// UTF-8, control characters and broken escapes.
+var decodeEscapeBodies = []string{
+	`q\"b\\s\/f\b\f\n\r\t`, `Aé€&<> \u0000�ꯍ`,
+	`😀`, `\ud800`, `\udc00x`, `\ud83dA`, `é,ü\n€,😀`, "\xff\xfe", "\xed\xa0\x80",
+	"a\xc3", "a\nb", "a\x7fb", `\x`, `\u12`, `\u12G4`, `\`, `\u`, `a,b\n1,2\n`,
+}
+
+// FuzzHTTPCreateDecode holds decodeCreate to json.Unmarshal: the same
+// bodies accepted with the same error, and the same decoded request.
+func FuzzHTTPCreateDecode(f *testing.F) {
+	for _, s := range decodeEscapeBodies {
+		f.Add([]byte(`{"csv":"` + s + `","strategy":"` + s + `","seed":3}`))
+	}
+	for _, body := range []string{
+		``, `{}`, `null`, `[]`, `"csv"`, `{"csv":"a,b\n1,2\n","strategy":"lookahead-maxmin","seed":7}`,
+		`{"seed":7,"strategy":"random","csv":"x\n1"}`, "{\"csv\":\"a\nb\"}",
+		`{"CSV":"a"}`, `{"Csv":"a","SEED":1}`, `{"ſeed":1}`, `{"strategy":"x","Strategy":"y"}`, `{"csv":"a"}`,
+		`{"csv":"a","csv":"b"}`, `{"seed":1,"seed":null}`, `{"csv":"a","csv":null}`, `{"strategy":"a\n","strategy":null}`,
+		`{"csv":null,"strategy":null,"seed":null}`, `{"csv":["a"]}`, `{"csv":{"a":1}}`, `{"seed":[1]}`,
+		`{"other":{"x":[1,2]}}`, `{"csv":"a"} x`, `{"csv":"a"}{"csv":"b"}`, "{\"csv\":\"a\"}\n\t ",
+		`{"csv":"a\n1","rows":[["1"]]}`, `{"seed":1.5}`, `{"seed":"1"}`, `{"seed":-0}`, `{"seed":1e3}`,
+		`{"seed":-9223372036854775808}`, `{"seed":123456789012345678}`, `{"seed":99999999999999999999}`,
+		`{"csv":"a",}`, `{"csv":"a"`, `{"csv":"a`, `{"csv":true}`, ` { "csv" : "a\tb" , "seed" : -2 } `,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		hb := &httpBuf{}
+		var got, want createRequest
+		gotErr := hb.decodeCreate(bytes.NewReader(body), &got)
+		wantErr := json.Unmarshal(body, &want)
+		if errString(gotErr) != errString(wantErr) {
+			t.Fatalf("create %q: error %v, json.Unmarshal %v", body, gotErr, wantErr)
+		}
+		if gotErr == nil && got != want {
+			t.Fatalf("create %q: decoded %+v, json.Unmarshal %+v", body, got, want)
+		}
+	})
+}
+
+// FuzzHTTPAppendDecode holds decodeAppend to json.Unmarshal: the same
+// bodies accepted with the same error, and the same decoded request —
+// nil and empty rows told apart. One buffer decodes every body twice,
+// so the reused rows scratch is exercised too.
+func FuzzHTTPAppendDecode(f *testing.F) {
+	for _, s := range decodeEscapeBodies {
+		f.Add([]byte(`{"rows":[["` + s + `","b"],["` + s + `"]],"csv":"` + s + `"}`))
+	}
+	for _, body := range []string{
+		``, `{}`, `null`, `[]`, `{"rows":[["Rome","Oslo","AZ","Rome","AZ"]]}`, `{"rows":[]}`, `{"rows":[[]]}`,
+		`{"rows":[[],["a"]]}`, `{"rows":null}`, `{"rows":[null]}`, `{"rows":[["a",null]]}`, `{"rows":[["a",1]]}`,
+		`{"rows":[["a"],"b"]}`, `{"rows":[["a"]],"rows":[["b","c"]]}`, `{"rows":[["a","b"]],"rows":[["c"]]}`,
+		`{"rows":[["x"]],"rows":[[null]]}`, `{"rows":[["x"]],"rows":null}`, `{"rows":null,"rows":[]}`,
+		`{"csv":"a\n1","rows":[["1"]]}`, `{"csv":"a\n1"}`, `{"csv":null}`, `{"Rows":[["a"]]}`, `{"ROWS":[]}`,
+		`{"rows":[["a"],]}`, `{"rows":[["a",]]}`, `{"rows":[,["a"]]}`, `{"rows":[[,"a"]]}`, `{"rows":[[["a"]]]}`,
+		`{"rows":[["a"]]} x`, `{"rows":[["a"]]}{"rows":[]}`, `{"rows":{"a":1}}`, `{"rows":"a"}`, `{"rows":1}`,
+		` { "rows" : [ [ "a" , "b" ] , [ ] ] } `, "{\"rows\":[[\"\xff\"]]}", `{"rows":[["a"]`, `{"rows":[["a"`,
+		`{"rows":[["a&b","c\\d"]],"other":1}`, `{"rows":[["é"]],"rows":[["e\n"]]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	hb := &httpBuf{}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want appendRequest
+		wantErr := json.Unmarshal(body, &want)
+		for pass := 0; pass < 2; pass++ {
+			var got appendRequest
+			gotErr := hb.decodeAppend(bytes.NewReader(body), &got)
+			if errString(gotErr) != errString(wantErr) {
+				t.Fatalf("append %q: error %v, json.Unmarshal %v", body, gotErr, wantErr)
+			}
+			if gotErr == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("append %q: decoded %#v, json.Unmarshal %#v", body, got, want)
+			}
+		}
+	})
+}
+
+// TestSpecialBytes holds the SWAR string-scan test to a byte loop: the
+// lowest flagged byte must be the first byte that is '"', '\\', a
+// control character or non-ASCII, and no flag may be set without one.
+func TestSpecialBytes(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	interesting := []byte{0, 0x1f, 0x20, 0x21, '"', '#', '[', '\\', ']', 0x7e, 0x7f, 0x80, 0xc3, 0xff}
+	for trial := 0; trial < 200000; trial++ {
+		var b [8]byte
+		for i := range b {
+			if r.Intn(3) == 0 {
+				b[i] = interesting[r.Intn(len(interesting))]
+			} else {
+				b[i] = byte(r.Intn(256))
+			}
+		}
+		first := 8
+		for i, c := range b {
+			if c == '"' || c == '\\' || c < 0x20 || c >= 0x80 {
+				first = i
+				break
+			}
+		}
+		m := specialBytes(binary.LittleEndian.Uint64(b[:]))
+		if got := bits.TrailingZeros64(m) / 8; got != first {
+			t.Fatalf("specialBytes(%q) = %#x: first special byte at %d, want %d", b, m, got, first)
+		}
+	}
 }

@@ -293,34 +293,27 @@ type createRequest struct {
 	Seed     int64  `json:"seed"`
 }
 
-type sessionSummary struct {
-	ID        string    `json:"id"`
-	Strategy  string    `json:"strategy"`
-	CreatedAt time.Time `json:"created_at"`
-	Tuples    int       `json:"tuples"`
-	// BaseTuples is the instance size at creation; AppendedTuples
-	// counts arrivals streamed in afterwards (Tuples = base + appended).
-	BaseTuples     int      `json:"base_tuples"`
-	AppendedTuples int      `json:"appended_tuples"`
-	Attributes     []string `json:"attributes"`
-	Labels         int      `json:"labels"`
-	Implied        int      `json:"implied"`
-	Informative    int      `json:"informative"`
-	Done           bool     `json:"done"`
-}
-
+// handleCreate opens a session from a CSV upload in one pass: the
+// body is read into a pooled buffer, its csv member reaches the CSV
+// splitter as a view of that buffer, and the summary is appended over
+// it (httpcodec.go).
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+	hb := getHTTPBuf()
+	defer hb.release()
+	s.limitBody(w, r)
 	var req createRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		bodyError(w, err)
+	if err := hb.decodeCreate(r.Body, &req); err != nil {
+		bodyError(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	_, summary, err := s.create(req.CSV, req.Strategy, req.Seed)
+	_, sum, err := s.create(req.CSV, req.Strategy, req.Seed)
 	if err != nil {
 		writeTypedError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, summary)
+	enc := hb.encoder()
+	enc.summary(&sum)
+	hb.send(w, http.StatusCreated, &enc)
 }
 
 // handleImport restores a session from an exported file. Session
@@ -340,24 +333,25 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		writeTypedError(w, err)
 		return
 	}
-	_, summary, err := s.register(newLiveSession(sess, s.now(), 0))
+	_, sum, err := s.register(newLiveSession(sess, s.now(), 0))
 	if err != nil {
 		writeTypedError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, summary)
+	writeSummary(w, http.StatusCreated, &sum)
 }
 
 // listResponse is one page of session summaries, ordered by id, plus
 // the durability block operators poll: which backend is holding the
 // sessions, how many of the live ones were replayed from it at
-// startup, and how stale the newest snapshot is.
+// startup, and how stale the newest snapshot is. Each summary is
+// jsonWriter.summary's; writeJSON re-indents it in place.
 type listResponse struct {
-	Sessions []sessionSummary `json:"sessions"`
-	Total    int              `json:"total"`
-	Limit    int              `json:"limit"`
-	Offset   int              `json:"offset"`
-	Store    storeStats       `json:"store"`
+	Sessions []json.RawMessage `json:"sessions"`
+	Total    int               `json:"total"`
+	Limit    int               `json:"limit"`
+	Offset   int               `json:"offset"`
+	Store    storeStats        `json:"store"`
 }
 
 // handleList serves a stable page of session summaries: sessions are
@@ -385,7 +379,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	})
 	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
 	resp := listResponse{
-		Sessions: []sessionSummary{},
+		Sessions: []json.RawMessage{},
 		Total:    len(all),
 		Limit:    limit,
 		Offset:   offset,
@@ -394,8 +388,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for i := offset; i < len(all) && i < offset+limit; i++ {
 		e := all[i]
 		e.ls.mu.RLock()
-		resp.Sessions = append(resp.Sessions, summarize(e.id, e.ls))
+		sum := summarize(e.id, e.ls)
 		e.ls.mu.RUnlock()
+		var enc jsonWriter
+		enc.summary(&sum)
+		resp.Sessions = append(resp.Sessions, enc.b)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

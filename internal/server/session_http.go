@@ -63,27 +63,37 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (string, *liveS
 	return id, ls, true
 }
 
-// summarize builds a summary. Caller holds ls.mu (either mode).
-func summarize(id string, ls *liveSession) sessionSummary {
+// summarize captures a summary. Caller holds ls.mu (either mode).
+func summarize(id string, ls *liveSession) summary {
 	st := ls.sess.State()
 	p := st.Progress()
-	return sessionSummary{
-		ID:             id,
-		Strategy:       ls.sess.Strategy(),
-		CreatedAt:      ls.createdAt,
-		Tuples:         p.Total,
-		BaseTuples:     st.BaseLen(),
-		AppendedTuples: st.Appended(),
-		Attributes:     st.Relation().Schema().Names(),
-		Labels:         p.Explicit,
-		Implied:        p.Implied,
-		Informative:    p.Informative,
-		Done:           st.Done(),
+	return summary{
+		id:          id,
+		strategy:    ls.sess.Strategy(),
+		created:     ls.createdAt,
+		schema:      st.Relation().Schema(),
+		tuples:      p.Total,
+		base:        st.BaseLen(),
+		appended:    st.Appended(),
+		labels:      p.Explicit,
+		implied:     p.Implied,
+		informative: p.Informative,
+		done:        st.Done(),
 	}
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
-	writeJSON(w, http.StatusOK, summarize(id, ls))
+	sum := summarize(id, ls)
+	writeSummary(w, http.StatusOK, &sum)
+}
+
+// writeSummary writes a summary reply.
+func writeSummary(w http.ResponseWriter, status int, sum *summary) {
+	hb := getHTTPBuf()
+	defer hb.release()
+	enc := hb.encoder()
+	enc.summary(sum)
+	hb.send(w, status, &enc)
 }
 
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request, id string, ls *liveSession) {
@@ -111,7 +121,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, id string, l
 	defer hb.release()
 	enc := hb.encoder()
 	enc.topKReply(ls.sess.Done(), ls.sess.Relation(), ls.cols, indices)
-	hb.send(w, &enc)
+	hb.send(w, http.StatusOK, &enc)
 }
 
 type labelRequest struct {
@@ -135,7 +145,7 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request, id string, 
 	}
 	enc := hb.encoder()
 	enc.answered(&a)
-	hb.send(w, &enc)
+	hb.send(w, http.StatusOK, &enc)
 }
 
 // parseLabel reads the /v1 label spellings into the label the apply
@@ -228,13 +238,14 @@ func (s *Server) writeStep(w http.ResponseWriter, hb *httpBuf, id string, ls *li
 	}
 	enc := hb.encoder()
 	enc.stepReply(applied, ls.sess.Done(), ls.sess.Relation(), ls.cols, indices, k)
-	hb.send(w, &enc)
+	hb.send(w, http.StatusOK, &enc)
 }
 
 // appendRequest carries arrival tuples in one of two encodings:
 // CSV with a header that must match the session schema exactly, or
 // raw string rows parsed cell-by-cell (values.Parse inference, same
 // as untyped CSV columns). Exactly one of the two must be set.
+// decodeAppend (httpcodec.go) decodes it.
 type appendRequest struct {
 	CSV  string     `json:"csv,omitempty"`
 	Rows [][]string `json:"rows,omitempty"`
@@ -252,9 +263,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	hb := getHTTPBuf()
+	defer hb.release()
+	s.limitBody(w, r)
 	var req appendRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		bodyError(w, err)
+	if err := hb.decodeAppend(r.Body, &req); err != nil {
+		bodyError(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	var (
@@ -285,11 +299,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := ls.sess.Progress()
-	hb := getHTTPBuf()
-	defer hb.release()
 	enc := hb.encoder()
 	enc.appendReply(len(tuples), newly, p, ls.sess.Done())
-	hb.send(w, &enc)
+	hb.send(w, http.StatusOK, &enc)
 }
 
 type resultResponse struct {

@@ -349,8 +349,42 @@ func TestHTTPStepAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per answered /step", allocs)
-	const bound = 11
+	const bound = 10
 	if allocs > bound {
 		t.Fatalf("answered /step made %.1f allocations, want <= %d", allocs, bound)
+	}
+}
+
+// TestHTTPCreateAllocs pins the allocations of one server-side POST
+// /v1/sessions of a chat-http-shaped upload, averaged over sixty
+// bodies: routing, instrumentation, the capped body read and decode,
+// CSV parse, session build and registration, and the summary reply.
+// The body's csv reaches the CSV splitter as a view of the pooled
+// request buffer, so the count is the session's own objects plus a
+// fixed handful; it does not grow with the body's bytes.
+func TestHTTPCreateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	bodies := chatBodies(t, 60)
+	reqs := make([]*replayRequest, len(bodies))
+	for k, body := range bodies {
+		reqs[k] = newReplayRequest("POST", "/v1/sessions", body.create)
+	}
+	h := server.NewWith(server.Config{MaxBodyBytes: 1 << 20}).Handler()
+	w := &nopResponseWriter{h: make(http.Header)}
+	reqs[0].serve(h, w) // warm the pools
+	next := 0
+	allocs := testing.AllocsPerRun(len(reqs), func() {
+		reqs[next%len(reqs)].serve(h, w)
+		next++
+		if w.status != http.StatusCreated {
+			t.Fatalf("create: status %d", w.status)
+		}
+	})
+	t.Logf("%.1f allocations per create", allocs)
+	const bound = 71
+	if allocs > bound {
+		t.Fatalf("create made %.1f allocations, want <= %d", allocs, bound)
 	}
 }

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -95,6 +96,44 @@ func TestAppendRejectsTrailingData(t *testing.T) {
 	}
 	runStrictBody(t, ts.URL+"/v1/sessions/"+s.ID+"/tuples",
 		strictBodyCases(`{"rows":[["Rome","Oslo","AZ","Rome","AZ"]]}`, http.StatusOK), tuples)
+}
+
+// capCases are strictBodyCases for a create or append body under a
+// body cap of limit bytes, plus the same body padded with trailing
+// whitespace to exactly the cap (accepted) and one byte past it
+// (body_too_large). The bodies take the decoders' fast path, so the
+// cap and the one-value rule hold there, not only in json.Unmarshal.
+func capCases(valid string, ok, limit int) []strictBodyCase {
+	pad := func(n int) string { return valid + strings.Repeat(" ", n-len(valid)) }
+	return append(strictBodyCases(valid, ok),
+		strictBodyCase{"at the cap", pad(limit), ok, ""},
+		strictBodyCase{"past the cap", pad(limit + 1), http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", limit)})
+}
+
+// TestCreateAndAppendBodyCap holds POST /v1/sessions and POST /tuples
+// to Config.MaxBodyBytes and to exactly one JSON value on the fast
+// path: a body past the cap is body_too_large and changes nothing,
+// trailing data is bad_input.
+func TestCreateAndAppendBodyCap(t *testing.T) {
+	const limit = 2048
+	ts := httptest.NewServer(server.NewWith(server.Config{MaxBodyBytes: limit}).Handler())
+	t.Cleanup(ts.Close)
+	create, err := json.Marshal(map[string]any{"csv": travelCSV, "strategy": "lookahead-maxmin", "seed": 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runStrictBody(t, ts.URL+"/v1/sessions", capCases(string(create), http.StatusCreated, limit),
+		func() int { return sessionCount(t, ts) })
+
+	s := createSession(t, ts, "lookahead-maxmin")
+	tuples := func() int {
+		var sum summary
+		doJSON(t, "GET", ts.URL+"/v1/sessions/"+s.ID, nil, http.StatusOK, &sum)
+		return sum.Tuples
+	}
+	appendBody := `{"rows":[["Rome","Oslo","AZ","Rome","AZ"],["Köln","Oslo\n","\u0041Z","K\u00f6ln","AZ"]]}`
+	runStrictBody(t, ts.URL+"/v1/sessions/"+s.ID+"/tuples", capCases(appendBody, http.StatusOK, limit), tuples)
 }
 
 // TestImportRejectsTrailingData holds the POST /v1/sessions/import

@@ -365,7 +365,7 @@ func TestCheckInvariantsCoversSig(t *testing.T) {
 		if g.Sig.IsTop() {
 			continue
 		}
-		tu := st.Relation().Tuple(g.Indices[0])
+		tu := st.Relation().Tuple(int(g.Indices[0]))
 		for c := range tu {
 			tu[c] = tu[0]
 		}
@@ -493,7 +493,7 @@ func TestClassIndexHashCollision(t *testing.T) {
 	if gi, ok := st.classes[h+2]; !ok || gi != 1 {
 		t.Fatalf("class of b indexed at %v (%v), want 1 two values past its hash", gi, ok)
 	}
-	if got, want := st.groupOf, []int{0, 1, 0, 1}; !slices.Equal(got, want) {
+	if got, want := st.groupOf, []int32{0, 1, 0, 1}; !slices.Equal(got, want) {
 		t.Fatalf("tuple classes %v, want %v", got, want)
 	}
 	if st.lookup(a) != 0 || st.lookup(b) != 1 || st.lookup(sigs[3]) != -1 {

@@ -81,7 +81,7 @@ func naivePrune(st *State, sig partition.P, l Label) int {
 	for _, g := range st.Groups() {
 		c := 0
 		for _, i := range g.Indices {
-			if st.Label(i) == Unlabeled {
+			if st.Label(int(i)) == Unlabeled {
 				c++
 			}
 		}

@@ -43,7 +43,7 @@ func buildMidDialogue(t testing.TB, attrs int, seed int64, steps int) *State {
 func firstUnlabeledIn(st *State, gi int) int {
 	for _, i := range st.groups[gi].Indices {
 		if st.labels[i] == Unlabeled {
-			return i
+			return int(i)
 		}
 	}
 	return -1

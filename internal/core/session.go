@@ -234,8 +234,8 @@ func (s *Session) Skips() []int {
 	out := make([]int, 0, len(s.deferred))
 	for g := range s.deferred {
 		for _, i := range g.Indices {
-			if s.st.Label(i) == Unlabeled {
-				out = append(out, i)
+			if s.st.Label(int(i)) == Unlabeled {
+				out = append(out, int(i))
 				break
 			}
 		}
@@ -250,7 +250,17 @@ func (s *Session) Skips() []int {
 // were implied on landing. Wrong-arity tuples fail the whole batch
 // with ErrSchemaMismatch, leaving the state untouched.
 func (s *Session) Append(tuples []relation.Tuple) (newlyImplied []int, err error) {
-	newly, err := s.st.Append(tuples)
+	return s.appendBatch(tuples, false)
+}
+
+// AppendOwned is Append taking ownership of tuples (State.AppendOwned):
+// the caller must not use them afterwards.
+func (s *Session) AppendOwned(tuples []relation.Tuple) (newlyImplied []int, err error) {
+	return s.appendBatch(tuples, true)
+}
+
+func (s *Session) appendBatch(tuples []relation.Tuple, owned bool) (newlyImplied []int, err error) {
+	newly, err := s.st.appendBatch(tuples, owned)
 	if err != nil {
 		return nil, err
 	}

@@ -27,8 +27,8 @@ var ErrAlreadyLabeled = errors.New("core: tuple already labeled explicitly")
 // E7).
 type SigGroup struct {
 	Sig     partition.P
-	Indices []int // tuple indices in first-occurrence order
-	Pos     int   // position in State.Groups(), fixed at registration
+	Indices []int32 // tuple indices in first-occurrence order
+	Pos     int     // position in State.Groups(), fixed at registration
 }
 
 // State holds the instance and everything the engine knows: explicit
@@ -43,7 +43,7 @@ type State struct {
 	negs []partition.P // ≤-maximal negative signatures (antichain)
 
 	groups  []*SigGroup
-	groupOf []int // tuple index -> group position; Sig(i) is its class's Sig
+	groupOf []int32 // tuple index -> group position; Sig(i) is its class's Sig
 	// classes maps the hash of a class signature's canonical labels
 	// (partition.HashLabels) to the class position. Distinct signatures
 	// whose hashes collide take the next free hash values in turn, so a
@@ -96,8 +96,8 @@ func NewState(rel *relation.Relation) (*State, error) {
 		sigLabels: make([]int, n),
 	}
 	st.labels = make([]Label, 0, rel.Len())
-	st.groupOf = make([]int, 0, rel.Len())
-	st.register(0)
+	st.groupOf = make([]int32, 0, rel.Len())
+	rel.EachChunk(func(first int, ts []relation.Tuple) { st.register(first, ts) })
 	st.infGroups = make([]int, len(st.groups))
 	for gi := range st.groups {
 		st.infGroups[gi] = gi
@@ -123,6 +123,18 @@ func NewState(rel *relation.Relation) (*State, error) {
 // concurrently with any other State method (the HTTP layer serializes
 // it under the session write lock).
 func (st *State) Append(tuples []relation.Tuple) (newlyImplied []int, err error) {
+	return st.appendBatch(tuples, false)
+}
+
+// AppendOwned is Append taking ownership of tuples: the instance keeps
+// the batch's slice as it is instead of copying its tuple headers, so
+// the caller must not use tuples afterwards. It is the ingest path of a
+// freshly parsed batch that nothing else refers to.
+func (st *State) AppendOwned(tuples []relation.Tuple) (newlyImplied []int, err error) {
+	return st.appendBatch(tuples, true)
+}
+
+func (st *State) appendBatch(tuples []relation.Tuple, owned bool) (newlyImplied []int, err error) {
 	if len(tuples) == 0 {
 		return nil, nil
 	}
@@ -133,11 +145,16 @@ func (st *State) Append(tuples []relation.Tuple) (newlyImplied []int, err error)
 	}
 	prevClasses := len(st.groups)
 	firstNew := len(st.labels)
-	// The per-tuple arrays grow once for the whole batch.
-	st.rel.MustAppend(tuples...) // arity pre-checked above
+	// The per-tuple arrays grow once for the whole batch; the relation
+	// stores the batch as a chunk of its own. Arity is pre-checked above.
+	if owned {
+		_ = st.rel.AppendOwned(tuples)
+	} else {
+		_ = st.rel.Append(tuples...)
+	}
 	st.labels = reserve(st.labels, len(tuples))
 	st.groupOf = reserve(st.groupOf, len(tuples))
-	st.register(firstNew)
+	st.register(firstNew, tuples)
 	newlyImplied = st.classifyArrivals(firstNew, prevClasses)
 	st.version++
 	st.structureVersion++
@@ -161,7 +178,7 @@ func (st *State) classifyArrivals(firstNew, prevClasses int) []int {
 		st.arrivalMark = append(st.arrivalMark, 0)
 	}
 	for i := firstNew; i < len(st.labels); i++ {
-		gi := st.groupOf[i]
+		gi := int(st.groupOf[i])
 		if st.arrivalMark[gi] == mark {
 			continue
 		}
@@ -181,8 +198,8 @@ func (st *State) classifyArrivals(firstNew, prevClasses int) []int {
 		}
 		for _, j := range st.groups[gi].Indices {
 			if st.labels[j] == Unlabeled {
-				st.setLabel(j, implied)
-				newly = append(newly, j)
+				st.setLabel(int(j), implied)
+				newly = append(newly, int(j))
 			}
 		}
 	}
@@ -230,12 +247,12 @@ func reserve[T any](s []T, n int) []T {
 	return grown
 }
 
-// register indexes the tuples at index first and after, already at
-// the tail of st.rel — the whole instance at NewState, one batch at
-// Append. Each tuple gets its Eq signature's class, a new one when no
-// registered class has that signature, and starts Unlabeled;
-// classification against the hypothesis is the caller's job
-// (propagate at NewState, classifyArrivals at Append).
+// register indexes ts, the tuples at index first and after, already at
+// the tail of st.rel — each stored chunk of the instance at NewState,
+// one batch at Append. Each tuple gets its Eq signature's class, a new
+// one when no registered class has that signature, and starts
+// Unlabeled; classification against the hypothesis is the caller's
+// job (propagate at NewState, classifyArrivals at Append).
 //
 // The batch is registered in two passes. The first classifies every
 // tuple, computing its signature into State-owned scratch and looking
@@ -245,12 +262,12 @@ func reserve[T any](s []T, n int) []T {
 // and of their members, builds them from slabs sized for the batch: a
 // handful of allocations per batch, however many classes it opens, and
 // none for a batch that opens none.
-func (st *State) register(first int) {
+func (st *State) register(first int, ts []relation.Tuple) {
 	prev, n := len(st.groups), st.n
 	var stack [256]int
 	batch := stack[:0]
-	for i := first; i < st.rel.Len(); i++ {
-		eqLabels(st.sigLabels, st.rel.Tuple(i))
+	for _, t := range ts {
+		eqLabels(st.sigLabels, t)
 		var gi int
 		for h := partition.HashLabels(st.sigLabels); ; h++ {
 			c, ok := st.classes[h]
@@ -266,7 +283,7 @@ func (st *State) register(first int) {
 				break
 			}
 		}
-		st.groupOf = append(st.groupOf, gi)
+		st.groupOf = append(st.groupOf, int32(gi))
 		st.labels = append(st.labels, Unlabeled)
 	}
 	st.counts[Unlabeled] += len(st.labels) - first
@@ -300,7 +317,7 @@ func (st *State) indexMembers(first, prev int) {
 	for _, n := range adds[prev:] {
 		fresh += n
 	}
-	slab := make([]int, fresh)
+	slab := make([]int32, fresh)
 	for gi, n := range adds {
 		switch {
 		case gi >= prev:
@@ -311,7 +328,7 @@ func (st *State) indexMembers(first, prev int) {
 		st.groupUnlabeled[gi] += n
 	}
 	for i, gi := range st.groupOf[first:] {
-		st.groups[gi].Indices = append(st.groups[gi].Indices, first+i)
+		st.groups[gi].Indices = append(st.groups[gi].Indices, int32(first+i))
 	}
 	st.classAdds = adds
 }
@@ -598,8 +615,8 @@ func (st *State) propagate() []int {
 		}
 		for _, i := range st.groups[gi].Indices {
 			if st.labels[i] == Unlabeled {
-				st.setLabel(i, implied)
-				newly = append(newly, i)
+				st.setLabel(int(i), implied)
+				newly = append(newly, int(i))
 			}
 		}
 	}
@@ -729,7 +746,7 @@ func (st *State) CheckInvariants() error {
 	var counts [5]int
 	for i, l := range st.labels {
 		counts[l]++
-		if gi := st.groupOf[i]; gi < 0 || gi >= len(st.groups) {
+		if gi := int(st.groupOf[i]); gi < 0 || gi >= len(st.groups) {
 			return fmt.Errorf("core: tuple %d mapped to class %d of %d", i, gi, len(st.groups))
 		}
 		t := st.rel.Tuple(i)
@@ -792,7 +809,7 @@ func (st *State) CheckInvariants() error {
 		members += len(g.Indices)
 		n := 0
 		for _, i := range g.Indices {
-			if st.groupOf[i] != gi {
+			if int(st.groupOf[i]) != gi {
 				return fmt.Errorf("core: class %d lists tuple %d, which maps to class %d", gi, i, st.groupOf[i])
 			}
 			if st.labels[i] == Unlabeled {

@@ -263,7 +263,7 @@ func TestSignatureGroups(t *testing.T) {
 	if g3 != g4 {
 		t.Error("tuples (3) and (4) should share a signature group")
 	}
-	if !reflect.DeepEqual(g3.Indices, []int{paperIdx(3), paperIdx(4)}) {
+	if !reflect.DeepEqual(g3.Indices, []int32{int32(paperIdx(3)), int32(paperIdx(4))}) {
 		t.Errorf("group indices = %v", g3.Indices)
 	}
 	total := 0

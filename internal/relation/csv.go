@@ -241,7 +241,7 @@ func readRecords(rr recordReader, opts CSVOptions, records int) (*Relation, *Typ
 	var (
 		schema *Schema
 		ty     *Typing
-		rel    *Relation
+		tuples []Tuple
 		slab   []values.Value
 		width  int
 		infer  bool // no column is typed: every cell goes to values.Parse
@@ -261,14 +261,13 @@ func readRecords(rr recordReader, opts CSVOptions, records int) (*Relation, *Typ
 				return nil, nil, err
 			}
 			width, infer = schema.Len(), ty.Empty()
-			rel = New(schema)
 			if records >= 0 {
 				rows := records
 				if !opts.NoHeader {
 					rows--
 				}
 				slab = make([]values.Value, rows*width)
-				rel.tuples = make([]Tuple, 0, rows)
+				tuples = make([]Tuple, 0, rows)
 			}
 			if !opts.NoHeader {
 				continue
@@ -286,11 +285,13 @@ func readRecords(rr recordReader, opts CSVOptions, records int) (*Relation, *Typ
 		if col, err := parseInto(t, rec, ty, infer); err != nil {
 			return nil, nil, fmt.Errorf("relation: CSV record %d column %q: %w", row, schema.Name(col), err)
 		}
-		rel.tuples = append(rel.tuples, t)
+		tuples = append(tuples, t)
 	}
 	if schema == nil {
 		return nil, nil, fmt.Errorf("relation: empty CSV input")
 	}
+	rel := New(schema)
+	rel.appendChunk(tuples, true)
 	return rel, ty, nil
 }
 
@@ -455,12 +456,14 @@ func WriteCSV(w io.Writer, r *Relation) error {
 		return fmt.Errorf("relation: writing CSV header: %w", err)
 	}
 	rec := make([]string, r.schema.Len())
-	for _, t := range r.tuples {
-		for i, v := range t {
-			rec[i] = EncodeCell(v)
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("relation: writing CSV record: %w", err)
+	for _, c := range r.chunks {
+		for _, t := range c.tuples {
+			for i, v := range t {
+				rec[i] = EncodeCell(v)
+			}
+			if err := cw.Write(rec); err != nil {
+				return fmt.Errorf("relation: writing CSV record: %w", err)
+			}
 		}
 	}
 	cw.Flush()

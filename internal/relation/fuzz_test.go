@@ -156,7 +156,7 @@ func referenceReadCSV(input string, opts CSVOptions) (*Relation, *Typing, error)
 			}
 			t[i] = v
 		}
-		rel.tuples = append(rel.tuples, t)
+		rel.MustAppend(t)
 	}
 	if schema == nil {
 		return nil, nil, fmt.Errorf("relation: empty CSV input")

@@ -6,6 +6,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -196,10 +197,30 @@ func (t Tuple) String() string {
 
 // Relation is an in-memory relation with bag semantics: a schema plus
 // an ordered multiset of tuples.
+//
+// The tuples are stored as a list of batch chunks: appending a batch
+// adds one chunk and never copies the tuple headers already stored, so
+// a session streamed in batch by batch holds each header exactly once
+// and allocates per batch only what it keeps. Read paths never write
+// to the relation (sessions read it under a shared lock); only Sort
+// flattens the chunks into one.
 type Relation struct {
 	schema *Schema
+	chunks []chunk
+	n      int // number of tuples, across all chunks
+}
+
+// chunk is one stored batch: its tuples, the first at index first.
+type chunk struct {
+	first  int
 	tuples []Tuple
 }
+
+// smallChunk is the largest chunk that later batches extend in place
+// (growing it by doubling) instead of opening a chunk of their own, so
+// a relation streamed in row by row keeps few chunks while no append
+// copies more than smallChunk earlier headers.
+const smallChunk = 1024
 
 // New returns an empty relation over the given schema.
 func New(schema *Schema) *Relation {
@@ -210,7 +231,7 @@ func New(schema *Schema) *Relation {
 // cell with values.Parse when given a string, or accepting
 // values.Value directly. It is a convenience for tests and examples.
 func Build(schema *Schema, rows ...[]any) (*Relation, error) {
-	r := New(schema)
+	tuples := make([]Tuple, len(rows))
 	for ri, row := range rows {
 		if len(row) != schema.Len() {
 			return nil, fmt.Errorf("relation: row %d has %d cells, schema has %d", ri, len(row), schema.Len())
@@ -236,8 +257,10 @@ func Build(schema *Schema, rows ...[]any) (*Relation, error) {
 				return nil, fmt.Errorf("relation: row %d cell %d has unsupported type %T", ri, ci, cell)
 			}
 		}
-		r.tuples = append(r.tuples, t)
+		tuples[ri] = t
 	}
+	r := New(schema)
+	r.appendChunk(tuples, true)
 	return r, nil
 }
 
@@ -254,28 +277,89 @@ func MustBuild(schema *Schema, rows ...[]any) *Relation {
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.n }
 
 // Tuple returns the tuple at index i. The caller must not mutate it.
-func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
+// A relation of one chunk indexes it directly; otherwise the chunk is
+// found by binary search over the chunk starts.
+func (r *Relation) Tuple(i int) Tuple {
+	if len(r.chunks) == 1 {
+		return r.chunks[0].tuples[i]
+	}
+	lo, hi := 0, len(r.chunks) // the last chunk starting at or before i
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.chunks[m].first <= i {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	c := r.chunks[lo-1]
+	return c.tuples[i-c.first]
+}
 
 // Append adds tuples, checking arity first: a batch holding a tuple of
-// the wrong arity adds nothing. The tuple list grows at most once per
-// call, and then at least doubles, so a relation streamed in batch by
-// batch copies each tuple header O(1) times.
+// the wrong arity adds nothing. The batch's tuple headers are copied
+// into one chunk of exactly the batch's size (or, while the relation's
+// last chunk is small, onto that chunk), so the caller may reuse ts;
+// the tuples themselves are kept, not copied. Earlier headers are
+// never copied again.
 func (r *Relation) Append(ts ...Tuple) error {
+	if err := r.checkArity(ts); err != nil {
+		return err
+	}
+	r.appendChunk(ts, false)
+	return nil
+}
+
+// AppendOwned is Append that takes ownership of ts: a batch too large
+// for the last chunk becomes a chunk as it is, with no copy. The caller
+// must not use ts afterwards. It is the ingest path of a freshly
+// parsed batch (ParseRows), which nothing else refers to.
+func (r *Relation) AppendOwned(ts []Tuple) error {
+	if err := r.checkArity(ts); err != nil {
+		return err
+	}
+	r.appendChunk(ts, true)
+	return nil
+}
+
+func (r *Relation) checkArity(ts []Tuple) error {
 	for _, t := range ts {
 		if len(t) != r.schema.Len() {
 			return fmt.Errorf("relation: tuple arity %d does not match schema arity %d", len(t), r.schema.Len())
 		}
 	}
-	if len(r.tuples)+len(ts) > cap(r.tuples) {
-		grown := make([]Tuple, len(r.tuples), len(r.tuples)+max(len(ts), len(r.tuples)))
-		copy(grown, r.tuples)
-		r.tuples = grown
-	}
-	r.tuples = append(r.tuples, ts...)
 	return nil
+}
+
+// appendChunk stores ts after the relation's tuples: on the last chunk
+// when the result stays within smallChunk (or within the chunk's spare
+// capacity), otherwise as a new chunk — ts itself when owned, an
+// exact-size copy of it when not.
+func (r *Relation) appendChunk(ts []Tuple, owned bool) {
+	if len(ts) == 0 {
+		return
+	}
+	if k := len(r.chunks) - 1; k >= 0 {
+		last := r.chunks[k].tuples
+		if need := len(last) + len(ts); need <= cap(last) || need <= smallChunk {
+			if need > cap(last) {
+				grown := make([]Tuple, len(last), min(max(2*len(last), need), smallChunk))
+				copy(grown, last)
+				last = grown
+			}
+			r.chunks[k].tuples = append(last, ts...)
+			r.n += len(ts)
+			return
+		}
+	}
+	if !owned {
+		ts = slices.Clone(ts)
+	}
+	r.chunks = append(r.chunks, chunk{first: r.n, tuples: ts})
+	r.n += len(ts)
 }
 
 // MustAppend is Append that panics on error.
@@ -285,44 +369,71 @@ func (r *Relation) MustAppend(ts ...Tuple) {
 	}
 }
 
-// Clone returns a deep copy of the relation.
-func (r *Relation) Clone() *Relation {
-	out := New(r.schema)
-	out.tuples = make([]Tuple, len(r.tuples))
-	for i, t := range r.tuples {
-		out.tuples[i] = t.Clone()
+// EachChunk calls fn for every stored chunk in order, with the index of
+// its first tuple: the batch-at-a-time walk of the relation. ts is the
+// relation's own storage; fn must not mutate or keep it.
+func (r *Relation) EachChunk(fn func(first int, ts []Tuple)) {
+	for _, c := range r.chunks {
+		fn(c.first, c.tuples)
 	}
+}
+
+// Clone returns a deep copy of the relation, stored as one chunk.
+func (r *Relation) Clone() *Relation {
+	tuples := make([]Tuple, 0, r.n)
+	for _, c := range r.chunks {
+		for _, t := range c.tuples {
+			tuples = append(tuples, t.Clone())
+		}
+	}
+	out := New(r.schema)
+	out.appendChunk(tuples, true)
 	return out
 }
 
 // Each calls fn for every tuple in order.
 func (r *Relation) Each(fn func(i int, t Tuple)) {
-	for i, t := range r.tuples {
-		fn(i, t)
+	for _, c := range r.chunks {
+		for j, t := range c.tuples {
+			fn(c.first+j, t)
+		}
 	}
 }
 
 // Sort orders tuples lexicographically in place (stable, deterministic
-// output for goldens and dedup).
+// output for goldens and dedup). It first flattens the chunks into one.
 func (r *Relation) Sort() {
-	sort.SliceStable(r.tuples, func(i, j int) bool {
-		return r.tuples[i].Compare(r.tuples[j]) < 0
+	if len(r.chunks) > 1 {
+		flat := make([]Tuple, 0, r.n)
+		for _, c := range r.chunks {
+			flat = append(flat, c.tuples...)
+		}
+		r.chunks = []chunk{{tuples: flat}}
+	}
+	if len(r.chunks) == 0 {
+		return
+	}
+	ts := r.chunks[0].tuples
+	sort.SliceStable(ts, func(i, j int) bool {
+		return ts[i].Compare(ts[j]) < 0
 	})
 }
 
 // Distinct returns a new relation with structural duplicates removed,
 // preserving first-occurrence order.
 func (r *Relation) Distinct() *Relation {
-	out := New(r.schema)
-	seen := make(map[string]struct{}, len(r.tuples))
-	for _, t := range r.tuples {
+	seen := make(map[string]struct{}, r.n)
+	var kept []Tuple
+	r.Each(func(_ int, t Tuple) {
 		k := t.Key()
 		if _, dup := seen[k]; dup {
-			continue
+			return
 		}
 		seen[k] = struct{}{}
-		out.tuples = append(out.tuples, t)
-	}
+		kept = append(kept, t)
+	})
+	out := New(r.schema)
+	out.appendChunk(kept, true)
 	return out
 }
 
@@ -332,8 +443,8 @@ func (r *Relation) String() string {
 	for i, n := range r.schema.names {
 		widths[i] = len(n)
 	}
-	cells := make([][]string, len(r.tuples))
-	for ti, t := range r.tuples {
+	cells := make([][]string, r.n)
+	r.Each(func(ti int, t Tuple) {
 		row := make([]string, len(t))
 		for ci, v := range t {
 			row[ci] = v.String()
@@ -342,7 +453,7 @@ func (r *Relation) String() string {
 			}
 		}
 		cells[ti] = row
-	}
+	})
 	var b strings.Builder
 	writeRow := func(row []string) {
 		for ci, c := range row {

@@ -21,21 +21,30 @@ import (
 // tuple-for-tuple equal, and this layer is why that holds by
 // construction for everything below the codec.
 
-// sessionOptions is the service's session policy, shared by every way
-// a session comes to life (create, import, restore): the default
-// strategy, the strategy seed, the pinned arrival typing (nil means
-// per-cell inference), and unlimited re-offers — an interactive client
-// explicitly skipped and can only be asked again.
-func sessionOptions(strategyName string, seed int64, typing *relation.Typing) []jim.SessionOption {
-	if strategyName == "" {
-		strategyName = jim.DefaultStrategy
+// sessionPolicy is the service's session policy, shared by every way
+// a session comes to life (create, import, restore): the strategy (""
+// means the default), the strategy seed, the pinned arrival typing (nil
+// means per-cell inference), and unlimited re-offers — an interactive
+// client explicitly skipped and can only be asked again. It travels as
+// one value; resume builds the options in the one call that consumes
+// them, where they stay on the stack.
+type sessionPolicy struct {
+	strategy string
+	seed     int64
+	typing   *relation.Typing
+}
+
+// resume opens a session over st under the policy.
+func (p sessionPolicy) resume(st *jim.State) (*jim.Session, error) {
+	name := p.strategy
+	if name == "" {
+		name = jim.DefaultStrategy
 	}
-	return []jim.SessionOption{
-		jim.WithStrategy(strategyName),
-		jim.WithSeed(seed),
-		jim.WithTyping(typing),
-		jim.WithRedeferLimit(-1),
-	}
+	return jim.ResumeSession(st,
+		jim.WithStrategy(name),
+		jim.WithSeed(p.seed),
+		jim.WithTyping(p.typing),
+		jim.WithRedeferLimit(-1))
 }
 
 // create opens a session over a CSV instance and registers it. The
@@ -51,7 +60,11 @@ func (s *Server) create(csv, strategyName string, seed int64) (string, summary, 
 	if err != nil {
 		return "", summary{}, &jim.Error{Code: jim.CodeBadInput, Message: err.Error()}
 	}
-	sess, err := jim.NewSession(rel, sessionOptions(strategyName, seed, typing)...)
+	st, err := jim.NewState(rel)
+	if err != nil {
+		return "", summary{}, err
+	}
+	sess, err := sessionPolicy{strategyName, seed, typing}.resume(st)
 	if err != nil {
 		return "", summary{}, err
 	}
@@ -206,7 +219,7 @@ func (s *Server) applyAppend(id string, ls *liveSession, tuples []jim.Tuple) ([]
 	if len(tuples) == 0 {
 		return nil, &jim.Error{Code: jim.CodeBadInput, Message: "empty append: no tuples in body"}
 	}
-	newly, err := ls.sess.Append(tuples)
+	newly, err := appendOwned(ls.sess, tuples)
 	if err != nil {
 		return nil, err
 	}
@@ -217,6 +230,20 @@ func (s *Server) applyAppend(id string, ls *liveSession, tuples []jim.Tuple) ([]
 	}
 	s.metrics.appends.Add(1)
 	s.metrics.tuplesAppended.Add(int64(len(tuples)))
+	return newly, nil
+}
+
+// appendOwned streams a freshly decoded batch into sess, handing the
+// batch's slice to the instance instead of copying its tuple headers
+// (State.AppendOwned). Every batch reaching it was built for this one
+// append — by ParseRows, ParseCSV or a WAL event's decode — and is only
+// read afterwards. A batch that does not fit the schema fails whole
+// with CodeSchemaMismatch.
+func appendOwned(sess *jim.Session, tuples []jim.Tuple) ([]int, error) {
+	newly, err := sess.Core().AppendOwned(tuples)
+	if err != nil {
+		return nil, &jim.Error{Code: jim.CodeSchemaMismatch, Message: err.Error()}
+	}
 	return newly, nil
 }
 

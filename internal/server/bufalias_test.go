@@ -1,15 +1,19 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // aliasBodies returns a create body and an append body whose strings
@@ -149,6 +153,92 @@ func TestPooledBuffersDoNotAlias(t *testing.T) {
 	for c, name := range control.Schema().Names() {
 		if got.Schema().Name(c) != name {
 			t.Fatalf("attribute %d is %q, control %q", c, got.Schema().Name(c), name)
+		}
+	}
+	if got.Len() != control.Len() {
+		t.Fatalf("%d tuples, control %d", got.Len(), control.Len())
+	}
+	for i := 0; i < control.Len(); i++ {
+		for c, want := range control.Tuple(i) {
+			if v := got.Tuple(i)[c]; !v.Equal(want) || v.String() != want.String() {
+				t.Fatalf("tuple %d column %d is %v, control %v", i, c, v, want)
+			}
+		}
+	}
+}
+
+// TestWireCreateDoesNotAlias is TestPooledBuffersDoNotAlias for the
+// wire transport: a create's CSV and an append's cells are views into
+// the connection's frame buffer. A session opened over a real
+// connection must keep nothing of them: after further creates and
+// appends on the same connection have overwritten the buffer, every
+// attribute name and cell of the first session must still equal an
+// uninterrupted control built from copies of its inputs. The largest
+// CSV goes first, so every later frame fits the buffer it sized and
+// is decoded over its bytes.
+func TestWireCreateDoesNotAlias(t *testing.T) {
+	s := NewWith(Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := &wire.Server{Backend: s}
+	go ws.Serve(ln)
+	t.Cleanup(func() { ws.Shutdown(context.Background()) })
+	c, err := wire.Dial(ln.Addr().String(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	type input struct {
+		csv  string
+		rows [][]string
+	}
+	inputs := make([]input, 0, 40)
+	for seed := int64(1); seed <= 40; seed++ {
+		_, _, csv, rows := aliasBodies(t, seed)
+		inputs = append(inputs, input{csv, rows})
+	}
+	slices.SortStableFunc(inputs, func(a, b input) int { return len(b.csv) - len(a.csv) })
+	first := inputs[0]
+	id, err := c.Create(first.csv, "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append(id, first.rows); err != nil {
+		t.Fatal(err)
+	}
+
+	control, typing, err := relation.ReadCSVString(strings.Clone(first.csv), relation.CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals, err := relation.ParseRows(control.Schema(), typing, first.rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	control.MustAppend(arrivals...)
+
+	for _, in := range inputs[1:] {
+		other, err := c.Create(in.csv, "", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Append(other, in.rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls, ok := s.sessions.get(id)
+	if !ok {
+		t.Fatalf("session %s gone", id)
+	}
+	ls.mu.RLock()
+	defer ls.mu.RUnlock()
+	got := ls.sess.Relation()
+	for c, name := range control.Schema().Names() {
+		if got.Schema().Len() != control.Schema().Len() || got.Schema().Name(c) != name {
+			t.Fatalf("attributes %q, control %q", got.Schema().Names(), control.Schema().Names())
 		}
 	}
 	if got.Len() != control.Len() {

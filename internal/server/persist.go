@@ -363,7 +363,7 @@ func (s *Server) rebuild(sv store.Saved) (*liveSession, error) {
 	if err != nil {
 		return nil, fmt.Errorf("restoring typing: %w", err)
 	}
-	sess, err := jim.ResumeSession(st, sessionOptions(name, sv.Snapshot.Seed, ty)...)
+	sess, err := sessionPolicy{name, sv.Snapshot.Seed, ty}.resume(st)
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +427,7 @@ func replayEvent(sess *jim.Session, ev store.Event) error {
 			}
 			tuples[ri] = t
 		}
-		_, err := sess.Append(tuples)
+		_, err := appendOwned(sess, tuples)
 		return err
 	}
 	return fmt.Errorf("unknown op %q", ev.Op)

@@ -328,7 +328,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, err)
 		return
 	}
-	sess, err := jim.ResumeSession(st, sessionOptions(meta.Strategy, 0, nil)...)
+	sess, err := sessionPolicy{strategy: meta.Strategy}.resume(st)
 	if err != nil {
 		writeTypedError(w, err)
 		return

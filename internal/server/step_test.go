@@ -383,7 +383,7 @@ func TestHTTPCreateAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per create", allocs)
-	const bound = 71
+	const bound = 67
 	if allocs > bound {
 		t.Fatalf("create made %.1f allocations, want <= %d", allocs, bound)
 	}

@@ -23,6 +23,9 @@ func (s *Server) wireSession(id string) (*liveSession, error) {
 }
 
 // WireCreate implements wire.Backend: POST /v1/sessions semantics.
+// csv is a view into the connection's frame buffer; create keeps
+// nothing of it (ReadCSVString copies what the session keeps, and
+// errors format what they quote).
 func (s *Server) WireCreate(csv, strategyName string, seed int64) (string, error) {
 	id, _, err := s.create(csv, strategyName, seed)
 	return id, err

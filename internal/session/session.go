@@ -72,8 +72,7 @@ func Save(w io.Writer, st *core.State, meta Meta) error {
 		BaseRows: st.BaseLen(),
 	}
 	f.Rows = make([][]string, rel.Len())
-	for i := 0; i < rel.Len(); i++ {
-		t := rel.Tuple(i)
+	rel.Each(func(i int, t relation.Tuple) {
 		row := make([]string, len(t))
 		for c, v := range t {
 			row[c] = v.Tag()
@@ -85,7 +84,7 @@ func Save(w io.Writer, st *core.State, meta Meta) error {
 		case core.Negative:
 			f.Labels = append(f.Labels, LabelEntry{Index: i, Label: "-"})
 		}
-	}
+	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(f); err != nil {

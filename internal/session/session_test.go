@@ -3,6 +3,7 @@ package session_test
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -275,5 +276,87 @@ func TestLoadRejectsBadBaseRows(t *testing.T) {
 		if _, _, err := session.Load(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: corrupt session accepted", name)
 		}
+	}
+}
+
+// TestManyChunkSessionRoundTrip streams a synthetic instance into a
+// session in batches of every shape — single rows, small batches and
+// large ones, copied (Append) and handed over (AppendOwned) — so its
+// relation holds many chunks, labels by the goal between batches, and
+// checks the state's invariants after every append. Save and Load must
+// then reproduce every tuple, label and the hypothesis.
+func TestManyChunkSessionRoundTrip(t *testing.T) {
+	full, goal, err := workload.Instance("synthetic", workload.InstanceConfig{Tuples: 6000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 40
+	rel := relation.New(full.Schema())
+	for i := 0; i < base; i++ {
+		rel.MustAppend(full.Tuple(i))
+	}
+	st, err := core.NewState(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	for next, k := base, 0; next < full.Len(); k++ {
+		n := min([]int{1, 1, 3, 40, 300, 1100}[r.Intn(6)], full.Len()-next)
+		batch := make([]relation.Tuple, n)
+		for i := range batch {
+			batch[i] = full.Tuple(next + i)
+		}
+		next += n
+		appendBatch := st.Append
+		if k%2 == 1 {
+			appendBatch = st.AppendOwned
+		}
+		if _, err := appendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CheckInvariants(); err != nil {
+			t.Fatalf("after append %d (%d rows): %v", k, n, err)
+		}
+		if k%5 == 0 && !st.Done() {
+			i := st.InformativeIndices()[0]
+			l := core.Negative
+			if core.Selects(goal, st.Relation().Tuple(i)) {
+				l = core.Positive
+			}
+			if _, err := st.Apply(i, l); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	chunks := 0
+	st.Relation().EachChunk(func(int, []relation.Tuple) { chunks++ })
+	if chunks < 5 {
+		t.Fatalf("precondition: the instance is stored in %d chunks", chunks)
+	}
+
+	var buf bytes.Buffer
+	if err := session.Save(&buf, st, session.Meta{Strategy: "random"}); err != nil {
+		t.Fatal(err)
+	}
+	st2, _, err := session.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if st2.BaseLen() != base || st2.Relation().Len() != full.Len() {
+		t.Fatalf("reload has %d tuples, %d at creation; want %d, %d", st2.Relation().Len(), st2.BaseLen(), full.Len(), base)
+	}
+	for i := 0; i < full.Len(); i++ {
+		if !st2.Relation().Tuple(i).Identical(st.Relation().Tuple(i)) {
+			t.Fatalf("tuple %d reloads as %v, want %v", i, st2.Relation().Tuple(i), st.Relation().Tuple(i))
+		}
+		if st2.Label(i) != st.Label(i) {
+			t.Fatalf("tuple %d reloads labeled %v, want %v", i, st2.Label(i), st.Label(i))
+		}
+	}
+	if !st2.MP().Equal(st.MP()) {
+		t.Errorf("M_P = %v, want %v", st2.MP(), st.MP())
 	}
 }

@@ -168,7 +168,7 @@ func naivePrune(st *core.State, sig partition.P, l core.Label) int {
 	for _, g := range st.Groups() {
 		c := 0
 		for _, i := range g.Indices {
-			if st.Label(i) == core.Unlabeled {
+			if st.Label(int(i)) == core.Unlabeled {
 				c++
 			}
 		}
@@ -240,7 +240,7 @@ func (c *naiveL2) refresh(st *core.State) {
 	for _, g := range st.Groups() {
 		n := 0
 		for _, i := range g.Indices {
-			if st.Label(i) == core.Unlabeled {
+			if st.Label(int(i)) == core.Unlabeled {
 				n++
 			}
 		}

@@ -138,8 +138,8 @@ func (o *OptimalStrategy) Pick(st *core.State) (int, bool) {
 	}
 	g := groups[bestGroup]
 	for _, i := range g.Indices {
-		if st.Label(i) == core.Unlabeled {
-			return i, true
+		if st.Label(int(i)) == core.Unlabeled {
+			return int(i), true
 		}
 	}
 	panic(fmt.Sprintf("strategy: optimal chose settled group %v", g.Sig))
@@ -180,8 +180,8 @@ func (o *OptimalStrategy) PickK(st *core.State, k int) []int {
 			break
 		}
 		for _, i := range groups[c.gi].Indices {
-			if st.Label(i) == core.Unlabeled {
-				out = append(out, i)
+			if st.Label(int(i)) == core.Unlabeled {
+				out = append(out, int(i))
 				break
 			}
 		}

@@ -84,7 +84,7 @@ func TestPickKTiesPreferEarlierClass(t *testing.T) {
 		t.Fatalf("PickK(4) returned %d tuples", len(got))
 	}
 	for i, tuple := range got {
-		want := groups[i].Indices[0]
+		want := int(groups[i].Indices[0])
 		if tuple != want {
 			t.Errorf("tied rank %d = tuple %d, want first tuple %d of class %d", i, tuple, want, groups[i].Pos)
 		}

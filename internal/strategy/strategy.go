@@ -237,8 +237,8 @@ func siftWorstDown(h []*core.SigGroup, scores []float64, i, n int) {
 
 func firstUnlabeled(st *core.State, g *core.SigGroup) int {
 	for _, i := range g.Indices {
-		if st.Label(i) == core.Unlabeled {
-			return i
+		if st.Label(int(i)) == core.Unlabeled {
+			return int(i)
 		}
 	}
 	// Unreachable for informative groups; fail loudly if violated.

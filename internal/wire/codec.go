@@ -17,10 +17,10 @@ import (
 // store's on-disk format v2). A Reader owns one reusable frame buffer
 // and decodes requests into a caller-held Request whose slices are
 // reused; a Writer assembles each payload in one reusable scratch
-// slice. Hot-path fields (session id, answers, append rows) are views
-// into the frame buffer, valid until the next read; the cold-path
-// strings (strategy, CSV, error messages) are copied out. DESIGN.md §9
-// documents the ownership contract.
+// slice. The session id, the append rows and a create's CSV are views
+// into the frame buffer and answers reuse their array, all valid until
+// the next read; the strategy name and error messages are copied out.
+// DESIGN.md §9 documents the ownership contract.
 
 const (
 	statusOK  = 0
@@ -95,16 +95,17 @@ func (r *Reader) frame() ([]byte, error) {
 }
 
 // Request is one decoded request frame. A single Request is reused
-// across ReadRequest calls: ID and the cells of Rows alias the frame
-// buffer, and Answers and Rows reuse their backing arrays, so all
-// three are valid only until the next read — the next frame overwrites
-// the bytes a kept cell shows. Callers that keep anything copy it.
-// Cold-path fields (Strategy, CSV) are copied and safe to keep.
+// across ReadRequest calls: ID, CSV and the cells of Rows alias the
+// frame buffer, and Answers and Rows reuse their backing arrays, so all
+// four are valid only until the next read — the next frame overwrites
+// the bytes a kept cell or CSV shows. Callers that keep anything copy
+// it. Strategy is copied and safe to keep.
 type Request struct {
 	Op Op
 	// ID is the session id — a view into the frame buffer.
 	ID []byte
-	// Create fields.
+	// Create fields. CSV is a view into the frame buffer: the create
+	// parser (relation.ReadCSVString) keeps nothing of its input.
 	Strategy string
 	Seed     int64
 	CSV      string
@@ -141,9 +142,11 @@ func (r *Reader) ReadRequest(req *Request) error {
 		if req.Seed, err = c.Varint(); err != nil {
 			return err
 		}
-		if req.CSV, err = c.Str(); err != nil {
+		csv, err := c.Bytes()
+		if err != nil {
 			return err
 		}
+		req.CSV = unsafe.String(unsafe.SliceData(csv), len(csv))
 	case OpStep:
 		if req.ID, err = c.Bytes(); err != nil {
 			return err

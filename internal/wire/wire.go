@@ -173,6 +173,8 @@ type ResultData struct {
 // paths against the same session table and durable store.
 type Backend interface {
 	// WireCreate opens a session from a CSV payload and returns its id.
+	// csv is a view into the connection's frame buffer, valid only
+	// until the call returns: the backend copies whatever it keeps.
 	WireCreate(csv, strategy string, seed int64) (id string, err error)
 	// WireStep applies the answers in order and — per k — proposes
 	// what to ask next, all under one session write-lock acquisition.

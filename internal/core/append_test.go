@@ -365,10 +365,22 @@ func TestCheckInvariantsCoversSig(t *testing.T) {
 		if g.Sig.IsTop() {
 			continue
 		}
-		tu := st.Relation().Tuple(int(g.Indices[0]))
+		// Tuple materialises a copy, so rebuild the instance with the
+		// tuple's cells all set to its first.
+		i := int(g.Indices[0])
+		tu := st.Relation().Tuple(i)
 		for c := range tu {
 			tu[c] = tu[0]
 		}
+		corrupt := relation.New(st.rel.Schema())
+		for j := range st.rel.Len() {
+			if j == i {
+				corrupt.MustAppend(tu)
+			} else {
+				corrupt.MustAppend(st.rel.Tuple(j))
+			}
+		}
+		st.rel = corrupt
 		if err := st.CheckInvariants(); err == nil {
 			t.Fatalf("CheckInvariants accepted tuple %d with values %v under signature %v", g.Indices[0], tu, g.Sig)
 		}

@@ -33,8 +33,10 @@ func SelectTuples(rel *relation.Relation, q partition.P) []int {
 // same tuples of rel — the paper's notion of equivalence up to which
 // the goal query is identified.
 func InstanceEquivalent(rel *relation.Relation, a, b partition.P) bool {
+	var t relation.Tuple
 	for i := 0; i < rel.Len(); i++ {
-		sig := SigOf(rel.Tuple(i))
+		t = rel.AppendTuple(t[:0], i)
+		sig := SigOf(t)
 		if a.LessEq(sig) != b.LessEq(sig) {
 			return false
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/partition"
@@ -182,11 +183,20 @@ type AnswerOutcome struct {
 // the skip set — fresh information may unblock skipped classes — and
 // resets the re-offer budget.
 func (s *Session) Answer(i int, l Label) (AnswerOutcome, error) {
+	out, err := s.AnswerView(i, l)
+	out.NewlyImplied = slices.Clone(out.NewlyImplied)
+	return out, err
+}
+
+// AnswerView is Answer returning NewlyImplied as a view of State-owned
+// scratch, valid until the next answer or append: the route of a
+// caller that only counts the list, or encodes it at once.
+func (s *Session) AnswerView(i int, l Label) (AnswerOutcome, error) {
 	if i < 0 || i >= s.st.Relation().Len() {
 		return AnswerOutcome{}, fmt.Errorf("%w: %d not in [0,%d)", ErrOutOfRange, i, s.st.Relation().Len())
 	}
 	out := AnswerOutcome{Wasted: s.st.Label(i) != Unlabeled}
-	newly, err := s.st.Apply(i, l)
+	err := s.st.apply(i, l)
 	if errors.Is(err, ErrInconsistent) && s.OnConflict == SkipOnConflict {
 		out.Conflict = true
 		return out, nil
@@ -194,7 +204,9 @@ func (s *Session) Answer(i int, l Label) (AnswerOutcome, error) {
 	if err != nil {
 		return AnswerOutcome{}, err
 	}
-	out.NewlyImplied = newly
+	if len(s.st.implied) > 0 {
+		out.NewlyImplied = s.st.implied
+	}
 	s.deferred = nil
 	s.redeferrals = 0
 	return out, nil
@@ -250,21 +262,25 @@ func (s *Session) Skips() []int {
 // were implied on landing. Wrong-arity tuples fail the whole batch
 // with ErrSchemaMismatch, leaving the state untouched.
 func (s *Session) Append(tuples []relation.Tuple) (newlyImplied []int, err error) {
-	return s.appendBatch(tuples, false)
-}
-
-// AppendOwned is Append taking ownership of tuples (State.AppendOwned):
-// the caller must not use them afterwards.
-func (s *Session) AppendOwned(tuples []relation.Tuple) (newlyImplied []int, err error) {
-	return s.appendBatch(tuples, true)
-}
-
-func (s *Session) appendBatch(tuples []relation.Tuple, owned bool) (newlyImplied []int, err error) {
-	newly, err := s.st.appendBatch(tuples, owned)
+	newly, err := s.st.Append(tuples)
 	if err != nil {
 		return nil, err
 	}
 	if len(tuples) > 0 {
+		s.deferred = nil
+	}
+	return newly, nil
+}
+
+// AppendBatch is Append taking ownership of a parsed batch
+// (State.AppendBatch): the caller must not use b afterwards, and the
+// returned indices are a view valid until the next answer or append.
+func (s *Session) AppendBatch(b *relation.Batch) (newlyImplied []int, err error) {
+	newly, err := s.st.AppendBatch(b)
+	if err != nil {
+		return nil, err
+	}
+	if b.Len() > 0 {
 		s.deferred = nil
 	}
 	return newly, nil

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/values"
 )
 
 // ErrInconsistent reports a label that contradicts the labels given so
@@ -54,12 +55,14 @@ type State struct {
 	counts  [5]int
 
 	// Ingestion scratch, reused so that registering a tuple whose class
-	// already exists allocates nothing: its signature's canonical labels
-	// (register), and a per-class stamp marking the classes an Append
-	// batch has already classified (classifyArrivals).
-	sigLabels   []int
+	// already exists allocates nothing: a per-class stamp marking the
+	// classes an Append batch has already classified (classifyArrivals).
 	arrivalMark []int
 	classAdds   []int // per-class member count of a batch (indexMembers)
+	// implied lists the tuples the last Apply or Append newly implied:
+	// the public methods return a copy of it, the count-only and view
+	// routes (Session.AnswerView, AppendBatch) read it in place.
+	implied []int
 
 	// Incrementally maintained scoring state (see lattice.go): the
 	// per-class unlabeled counts, the positions of classes that still
@@ -88,16 +91,15 @@ func NewState(rel *relation.Relation) (*State, error) {
 		return nil, fmt.Errorf("core: instance needs at least one attribute")
 	}
 	st := &State{
-		rel:       rel,
-		n:         n,
-		mp:        partition.Top(n).Cached(),
-		classes:   make(map[uint64]int32),
-		base:      rel.Len(),
-		sigLabels: make([]int, n),
+		rel:     rel,
+		n:       n,
+		mp:      partition.Top(n).Cached(),
+		classes: make(map[uint64]int32),
+		base:    rel.Len(),
 	}
 	st.labels = make([]Label, 0, rel.Len())
 	st.groupOf = make([]int32, 0, rel.Len())
-	rel.EachChunk(func(first int, ts []relation.Tuple) { st.register(first, ts) })
+	rel.EachBatch(st.register)
 	st.infGroups = make([]int, len(st.groups))
 	for gi := range st.groups {
 		st.infGroups[gi] = gi
@@ -123,52 +125,63 @@ func NewState(rel *relation.Relation) (*State, error) {
 // concurrently with any other State method (the HTTP layer serializes
 // it under the session write lock).
 func (st *State) Append(tuples []relation.Tuple) (newlyImplied []int, err error) {
-	return st.appendBatch(tuples, false)
-}
-
-// AppendOwned is Append taking ownership of tuples: the instance keeps
-// the batch's slice as it is instead of copying its tuple headers, so
-// the caller must not use tuples afterwards. It is the ingest path of a
-// freshly parsed batch that nothing else refers to.
-func (st *State) AppendOwned(tuples []relation.Tuple) (newlyImplied []int, err error) {
-	return st.appendBatch(tuples, true)
-}
-
-func (st *State) appendBatch(tuples []relation.Tuple, owned bool) (newlyImplied []int, err error) {
-	if len(tuples) == 0 {
-		return nil, nil
-	}
 	for k, t := range tuples {
 		if len(t) != st.n {
 			return nil, fmt.Errorf("%w: appended tuple %d has arity %d, want %d", ErrSchemaMismatch, k, len(t), st.n)
 		}
 	}
+	b, _ := relation.BatchOf(st.n, tuples) // arity checked above
+	if _, err := st.AppendBatch(b); err != nil {
+		return nil, err
+	}
+	return st.impliedCopy(), nil
+}
+
+// AppendBatch is Append taking ownership of a parsed batch: the
+// instance adopts b as it is (Relation.AppendBatch), so the caller
+// must not use b afterwards. It is the ingest path of a freshly parsed
+// batch that nothing else refers to. The returned indices are a view
+// of State-owned scratch, valid until the next Apply or Append; the
+// caller copies what it keeps.
+func (st *State) AppendBatch(b *relation.Batch) (newlyImplied []int, err error) {
+	st.implied = st.implied[:0]
+	if b.Len() == 0 {
+		return nil, nil
+	}
+	if b.Arity() != st.n {
+		return nil, fmt.Errorf("%w: appended batch has arity %d, want %d", ErrSchemaMismatch, b.Arity(), st.n)
+	}
 	prevClasses := len(st.groups)
 	firstNew := len(st.labels)
 	// The per-tuple arrays grow once for the whole batch; the relation
-	// stores the batch as a chunk of its own. Arity is pre-checked above.
-	if owned {
-		_ = st.rel.AppendOwned(tuples)
-	} else {
-		_ = st.rel.Append(tuples...)
-	}
-	st.labels = reserve(st.labels, len(tuples))
-	st.groupOf = reserve(st.groupOf, len(tuples))
-	st.register(firstNew, tuples)
-	newlyImplied = st.classifyArrivals(firstNew, prevClasses)
+	// stores the batch as a chunk of its own. Arity is checked above.
+	_ = st.rel.AppendBatch(b)
+	st.labels = reserve(st.labels, b.Len())
+	st.groupOf = reserve(st.groupOf, b.Len())
+	st.register(firstNew, b)
+	st.classifyArrivals(firstNew, prevClasses)
 	st.version++
 	st.structureVersion++
-	return newlyImplied, nil
+	return st.implied, nil
+}
+
+// impliedCopy returns a fresh copy of the tuples the last Apply or
+// Append implied, nil when there are none: the public API's result.
+func (st *State) impliedCopy() []int {
+	if len(st.implied) == 0 {
+		return nil
+	}
+	return slices.Clone(st.implied)
 }
 
 // classifyArrivals labels the tuples appended at or after index
-// firstNew against the current hypothesis and repairs the sorted
-// informative-class index. Classes at positions >= prevClasses are
-// new; classes below it existed before the batch. An existing class
-// that was informative stays informative (the hypothesis did not
-// move), so only new and previously-settled classes are classified.
-func (st *State) classifyArrivals(firstNew, prevClasses int) []int {
-	var newly []int
+// firstNew against the current hypothesis, listing the newly implied
+// ones in st.implied, and repairs the sorted informative-class index.
+// Classes at positions >= prevClasses are new; classes below it
+// existed before the batch. An existing class that was informative
+// stays informative (the hypothesis did not move), so only new and
+// previously-settled classes are classified.
+func (st *State) classifyArrivals(firstNew, prevClasses int) {
 	var reenter []int // sorted class positions to add to infGroups
 	// Append bumps StructureVersion once per batch after this call, so
 	// the post-batch version stamps each class at most once per batch.
@@ -192,14 +205,10 @@ func (st *State) classifyArrivals(firstNew, prevClasses int) []int {
 			reenter = append(reenter, gi)
 			continue
 		}
-		if newly == nil {
-			// At most every arrival is implied: one allocation.
-			newly = make([]int, 0, len(st.labels)-firstNew)
-		}
 		for _, j := range st.groups[gi].Indices {
 			if st.labels[j] == Unlabeled {
 				st.setLabel(int(j), implied)
-				newly = append(newly, int(j))
+				st.implied = append(st.implied, int(j))
 			}
 		}
 	}
@@ -207,7 +216,6 @@ func (st *State) classifyArrivals(firstNew, prevClasses int) []int {
 		sort.Ints(reenter)
 		st.infGroups = mergeSorted(st.infGroups, reenter)
 	}
-	return newly
 }
 
 // inInformativeIndex reports membership of class gi in the sorted
@@ -247,7 +255,7 @@ func reserve[T any](s []T, n int) []T {
 	return grown
 }
 
-// register indexes ts, the tuples at index first and after, already at
+// register indexes b, the tuples at index first and after, already at
 // the tail of st.rel — each stored chunk of the instance at NewState,
 // one batch at Append. Each tuple gets its Eq signature's class, a new
 // one when no registered class has that signature, and starts
@@ -262,24 +270,29 @@ func reserve[T any](s []T, n int) []T {
 // and of their members, builds them from slabs sized for the batch: a
 // handful of allocations per batch, however many classes it opens, and
 // none for a batch that opens none.
-func (st *State) register(first int, ts []relation.Tuple) {
+func (st *State) register(first int, b *relation.Batch) {
 	prev, n := len(st.groups), st.n
 	var stack [256]int
 	batch := stack[:0]
-	for _, t := range ts {
-		eqLabels(st.sigLabels, t)
+	var sigStack [32]int // a signature's canonical labels
+	sig := sigStack[:min(n, len(sigStack))]
+	if n > len(sigStack) {
+		sig = make([]int, n)
+	}
+	for r := range b.Len() {
+		eqLabels(sig, b, r)
 		var gi int
-		for h := partition.HashLabels(st.sigLabels); ; h++ {
+		for h := partition.HashLabels(sig); ; h++ {
 			c, ok := st.classes[h]
 			gi = int(c)
 			if !ok {
 				gi = prev + len(batch)/n
-				batch = append(batch, st.sigLabels...)
+				batch = append(batch, sig...)
 				st.classes[h] = int32(gi)
 				break
 			}
-			if gi < prev && st.groups[gi].Sig.HasLabels(st.sigLabels) ||
-				gi >= prev && slices.Equal(batch[(gi-prev)*n:(gi-prev+1)*n], st.sigLabels) {
+			if gi < prev && st.groups[gi].Sig.HasLabels(sig) ||
+				gi >= prev && slices.Equal(batch[(gi-prev)*n:(gi-prev+1)*n], sig) {
 				break
 			}
 		}
@@ -347,16 +360,29 @@ func (st *State) lookup(sig partition.P) int {
 	}
 }
 
-// eqLabels writes the canonical block labels of t's Eq signature into
-// labels (cells i and j share a block iff t[i].Equal(t[j])): the
-// partition.EqualLabels loop with value equality called directly
-// instead of through a closure per cell pair.
-func eqLabels(labels []int, t relation.Tuple) {
+// eqLabels writes the canonical block labels of the Eq signature of
+// row r of b into labels (cells i and j share a block iff they are
+// values.Equal): the partition.EqualLabels loop over the batch's
+// columns. Two cells of one kind among bool, int and string are equal
+// exactly when their payload words are (a batch shares string slots
+// within a row); two numeric cells otherwise — a float against a float
+// or an int — are decided by values.Equal on the materialised cells;
+// every other pair (NULL, or kinds that never compare equal) differs.
+func eqLabels(labels []int, b *relation.Batch, r int) {
+	kinds, words := b.Row(r)
 	blocks := 0
 	for i := range labels {
+		ki, wi := kinds[i], words[i]
 		l := -1
 		for j := 0; j < i; j++ {
-			if t[j].Equal(t[i]) {
+			var eq bool
+			switch kj := kinds[j]; {
+			case kj == ki && 1<<ki&wordKinds != 0:
+				eq = words[j] == wi
+			case 1<<ki&numericKinds != 0 && 1<<kj&numericKinds != 0:
+				eq = b.Cell(r, j).Equal(b.Cell(r, i))
+			}
+			if eq {
 				l = labels[j]
 				break
 			}
@@ -368,6 +394,14 @@ func eqLabels(labels []int, t relation.Tuple) {
 		labels[i] = l
 	}
 }
+
+// The kind sets of eqLabels, bit k for kind k: kinds whose cells of
+// one kind are equal exactly when their payload words are, and the
+// numeric kinds, which compare across kinds.
+const (
+	wordKinds    = 1<<values.KindBool | 1<<values.KindInt | 1<<values.KindString
+	numericKinds = 1<<values.KindInt | 1<<values.KindFloat
+)
 
 // Relation returns the instance being labeled.
 func (st *State) Relation() *relation.Relation { return st.rel }
@@ -510,22 +544,31 @@ func (st *State) IsConsistent() bool {
 // allowed (the user may do so in interaction modes 1–2) and simply
 // converts its implied label to an explicit one.
 func (st *State) Apply(i int, l Label) (newlyImplied []int, err error) {
+	if err := st.apply(i, l); err != nil {
+		return nil, err
+	}
+	return st.impliedCopy(), nil
+}
+
+// apply is Apply listing the newly implied tuples in st.implied
+// instead of returning a copy of them.
+func (st *State) apply(i int, l Label) error {
 	if i < 0 || i >= len(st.labels) {
-		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrOutOfRange, i, len(st.labels))
+		return fmt.Errorf("%w: %d not in [0,%d)", ErrOutOfRange, i, len(st.labels))
 	}
 	if !l.IsExplicit() {
-		return nil, fmt.Errorf("core: Apply requires an explicit label, got %v", l)
+		return fmt.Errorf("core: Apply requires an explicit label, got %v", l)
 	}
 	if st.labels[i].IsExplicit() {
-		return nil, fmt.Errorf("%w: tuple %d is %v", ErrAlreadyLabeled, i, st.labels[i])
+		return fmt.Errorf("%w: tuple %d is %v", ErrAlreadyLabeled, i, st.labels[i])
 	}
 	sig := st.Sig(i)
 	// Contradiction checks (state not yet mutated).
 	if l == Positive && st.impliedNegative(sig) {
-		return nil, fmt.Errorf("%w: tuple %d labeled +, but no consistent query selects it", ErrInconsistent, i)
+		return fmt.Errorf("%w: tuple %d labeled +, but no consistent query selects it", ErrInconsistent, i)
 	}
 	if l == Negative && st.impliedPositive(sig) {
-		return nil, fmt.Errorf("%w: tuple %d labeled -, but every consistent query selects it", ErrInconsistent, i)
+		return fmt.Errorf("%w: tuple %d labeled -, but every consistent query selects it", ErrInconsistent, i)
 	}
 
 	st.setLabel(i, l)
@@ -548,7 +591,8 @@ func (st *State) Apply(i int, l Label) (newlyImplied []int, err error) {
 		}
 	}
 	st.version++
-	return st.propagate(), nil
+	st.propagate()
+	return nil
 }
 
 // Version returns a counter bumped by every successful Apply or
@@ -597,12 +641,12 @@ func (st *State) addNegative(sig partition.P) bool {
 }
 
 // propagate reclassifies the classes that might have changed status —
-// exactly the ones still holding unlabeled tuples — and returns the
-// tuple indices newly marked implied. It also compacts the
-// informative-class index in place, so convergence checks and
+// exactly the ones still holding unlabeled tuples — and lists the
+// tuple indices newly marked implied in st.implied. It also compacts
+// the informative-class index in place, so convergence checks and
 // candidate listing stay O(informative classes), never O(tuples).
-func (st *State) propagate() []int {
-	var newly []int
+func (st *State) propagate() {
+	st.implied = st.implied[:0]
 	kept := st.infGroups[:0]
 	for _, gi := range st.infGroups {
 		if st.groupUnlabeled[gi] == 0 {
@@ -616,12 +660,11 @@ func (st *State) propagate() []int {
 		for _, i := range st.groups[gi].Indices {
 			if st.labels[i] == Unlabeled {
 				st.setLabel(int(i), implied)
-				newly = append(newly, int(i))
+				st.implied = append(st.implied, int(i))
 			}
 		}
 	}
 	st.infGroups = kept
-	return newly
 }
 
 func (st *State) setLabel(i int, l Label) {

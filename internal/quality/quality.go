@@ -28,8 +28,8 @@ type Report struct {
 // Evaluate compares the join results of inferred and goal over rel.
 func Evaluate(rel *relation.Relation, inferred, goal partition.P) Report {
 	var rep Report
-	for i := 0; i < rel.Len(); i++ {
-		sig := core.SigOf(rel.Tuple(i))
+	rel.Each(func(_ int, t relation.Tuple) {
+		sig := core.SigOf(t)
 		inf := inferred.LessEq(sig)
 		g := goal.LessEq(sig)
 		switch {
@@ -42,7 +42,7 @@ func Evaluate(rel *relation.Relation, inferred, goal partition.P) Report {
 		default:
 			rep.TrueNegatives++
 		}
-	}
+	})
 	return rep
 }
 

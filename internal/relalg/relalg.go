@@ -228,10 +228,9 @@ func OrderBy(r *relation.Relation, names ...string) (*relation.Relation, error) 
 	if err != nil {
 		return nil, fmt.Errorf("relalg: order by: %w", err)
 	}
-	out := r.Clone()
-	tuples := make([]relation.Tuple, out.Len())
-	for i := 0; i < out.Len(); i++ {
-		tuples[i] = out.Tuple(i)
+	tuples := make([]relation.Tuple, r.Len())
+	for i := range tuples {
+		tuples[i] = r.Tuple(i)
 	}
 	sort.SliceStable(tuples, func(a, b int) bool {
 		for _, i := range idx {

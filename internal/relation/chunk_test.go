@@ -58,13 +58,23 @@ func chunkSchedules(r *rand.Rand) []chunkSchedule {
 	}
 }
 
+// mustBatch copies ts into a batch of the given arity.
+func mustBatch(t testing.TB, arity int, ts []Tuple) *Batch {
+	t.Helper()
+	b, err := BatchOf(arity, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 type chunkSchedule struct {
 	name  string
 	sizes []int
 }
 
 // TestChunkedRelationMatchesFlat appends random batch-size sequences —
-// alternating the copying Append and the owning AppendOwned — and
+// alternating the copying Append and the owning AppendBatch — and
 // holds every reader against a flat reference slice after every batch:
 // Len, Tuple, Each, Clone, Distinct, String and WriteCSV, then Sort.
 // After a copying Append the caller's slice is overwritten, which the
@@ -85,7 +95,7 @@ func TestChunkedRelationMatchesFlat(t *testing.T) {
 					for i := range batch {
 						batch[i] = Tuple{values.Int(-1), values.Int(-1), values.Int(-1)}
 					}
-				} else if err := rel.AppendOwned(batch); err != nil {
+				} else if err := rel.AppendBatch(mustBatch(t, 3, batch)); err != nil {
 					t.Fatal(err)
 				}
 				// The full comparison is quadratic; on long schedules
@@ -133,11 +143,7 @@ func checkAgainstFlat(t *testing.T, rel *Relation, ref []Tuple) {
 		t.Fatalf("Each yielded %d tuples, want %d", next, len(ref))
 	}
 	flat := New(rel.Schema())
-	flat.chunks = []chunk{{tuples: ref}}
-	flat.n = len(ref)
-	if flat.Len() == 0 {
-		flat.chunks = nil
-	}
+	flat.MustAppend(ref...)
 
 	clone := rel.Clone()
 	if clone.Len() != len(ref) || len(clone.chunks) > 1 {
@@ -199,7 +205,7 @@ func TestChunkedRelationConcurrentReaders(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	rel := New(MustSchema("a", "b", "c"))
 	for range 12 {
-		if err := rel.AppendOwned(chunkTuples(r, smallChunk+1+r.Intn(50))); err != nil {
+		if err := rel.AppendBatch(mustBatch(t, 3, chunkTuples(r, smallChunk+1+r.Intn(50)))); err != nil {
 			t.Fatal(err)
 		}
 		rel.MustAppend(chunkTuples(r, r.Intn(3))...)
@@ -217,7 +223,7 @@ func TestChunkedRelationConcurrentReaders(t *testing.T) {
 			}
 			n := 0
 			rel.Each(func(int, Tuple) { n++ })
-			rel.EachChunk(func(int, []Tuple) {})
+			rel.EachBatch(func(int, *Batch) {})
 			if n != rel.Len() || rel.Clone().Len() != n || rel.Distinct().Len() > n {
 				t.Errorf("reader %d saw %d tuples of %d", g, n, rel.Len())
 			}
@@ -229,4 +235,27 @@ func TestChunkedRelationConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestHeldCellsSurviveAppends holds string cells materialised from a
+// small last chunk while rows with new strings keep landing on it, so
+// its arena grows in place and is reallocated: a held Value must keep
+// its contents, as must every tuple read back.
+func TestHeldCellsSurviveAppends(t *testing.T) {
+	rel := New(MustSchema("a", "b"))
+	var held []Tuple
+	for i := range 3 * smallChunk {
+		s := strings.Repeat(string(rune('a'+i%26)), 1+i%7)
+		rel.MustAppend(Tuple{values.Str(s), values.Int(int64(i))})
+		if i%97 == 0 {
+			held = append(held, rel.Tuple(i))
+		}
+	}
+	for k, tu := range held {
+		i := k * 97
+		want := Tuple{values.Str(strings.Repeat(string(rune('a'+i%26)), 1+i%7)), values.Int(int64(i))}
+		if !tu.Identical(want) || !rel.Tuple(i).Identical(want) {
+			t.Fatalf("tuple %d held as %v, reads %v, want %v", i, tu, rel.Tuple(i), want)
+		}
+	}
 }

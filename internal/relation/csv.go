@@ -143,12 +143,11 @@ func ReadCSVTyped(r io.Reader, opts CSVOptions) (*Relation, *Typing, error) {
 // separator) goes through encoding/csv. Both feed the same record
 // loop, so the accepted inputs, errors and values are identical.
 //
-// On the scanner path the relation's tuples are cut from one Value
-// slab, each at full capacity so appending to one tuple copies it
-// instead of overwriting its neighbour. Nothing kept points into s: schema names are cloned,
-// and a row's string cells share one fresh string holding only their
-// bytes, so a large request body is not pinned by the session it
-// creates.
+// Either way the cells are parsed straight into the relation's one
+// batch (see Batch), on the scanner path into columns sized exactly
+// by a line count. Nothing kept points into s: schema names are
+// cloned and string cells copied into the batch's arena, so a large
+// request body is not pinned by the session it creates.
 func ReadCSVString(s string, opts CSVOptions) (*Relation, *Typing, error) {
 	comma := opts.Comma
 	if comma == 0 {
@@ -234,16 +233,14 @@ func countLines(s string) int {
 }
 
 // readRecords builds the relation from rr's records: the header (unless
-// opts.NoHeader), then one tuple per record. records, when known (not
-// -1), is the total record count, and sizes the Value slab exactly;
-// otherwise each tuple is allocated on its own.
+// opts.NoHeader), then one tuple per record, parsed straight into the
+// columns of one batch. records, when known (not -1), is the total
+// record count, and sizes the columns exactly.
 func readRecords(rr recordReader, opts CSVOptions, records int) (*Relation, *Typing, error) {
 	var (
 		schema *Schema
 		ty     *Typing
-		tuples []Tuple
-		slab   []values.Value
-		width  int
+		bb     batchBuilder
 		infer  bool // no column is typed: every cell goes to values.Parse
 		row    = 0
 	)
@@ -260,38 +257,28 @@ func readRecords(rr recordReader, opts CSVOptions, records int) (*Relation, *Typ
 			if schema, ty, err = header(rec, opts); err != nil {
 				return nil, nil, err
 			}
-			width, infer = schema.Len(), ty.Empty()
-			if records >= 0 {
-				rows := records
-				if !opts.NoHeader {
-					rows--
-				}
-				slab = make([]values.Value, rows*width)
-				tuples = make([]Tuple, 0, rows)
+			infer = ty.Empty()
+			rows := max(records, 0)
+			if rows > 0 && !opts.NoHeader {
+				rows--
 			}
+			bb = newBatchBuilder(schema.Len(), rows)
 			if !opts.NoHeader {
 				continue
 			}
 		}
-		if len(rec) != width {
-			return nil, nil, fmt.Errorf("relation: CSV record %d has %d fields, want %d", row, len(rec), width)
+		if len(rec) != schema.Len() {
+			return nil, nil, fmt.Errorf("relation: CSV record %d has %d fields, want %d", row, len(rec), schema.Len())
 		}
-		var t Tuple
-		if len(slab) >= width {
-			t, slab = Tuple(slab[:width:width]), slab[width:]
-		} else {
-			t = make(Tuple, width)
-		}
-		if col, err := parseInto(t, rec, ty, infer); err != nil {
+		if col, err := bb.parseRow(rec, ty, infer); err != nil {
 			return nil, nil, fmt.Errorf("relation: CSV record %d column %q: %w", row, schema.Name(col), err)
 		}
-		tuples = append(tuples, t)
 	}
 	if schema == nil {
 		return nil, nil, fmt.Errorf("relation: empty CSV input")
 	}
 	rel := New(schema)
-	rel.appendChunk(tuples, true)
+	rel.adopt(bb.batch())
 	return rel, ty, nil
 }
 
@@ -299,42 +286,38 @@ func readRecords(rr recordReader, opts CSVOptions, records int) (*Relation, *Typ
 // schema's width.
 var ErrRowWidth = errors.New("relation: row width does not match the schema")
 
-// ParseRows parses raw string rows, one cell per schema column, into
-// tuples under ty, cell for cell as ReadCSVString parses a record: the
-// rows encoding of an append. The tuples are cut from one Value slab,
-// each at full capacity, and nothing kept points into rows — a row's
-// string cells share one fresh string holding only their bytes — so
-// rows may be views into a buffer the caller reuses once ParseRows
-// returns. A row of the wrong width fails with ErrRowWidth, an
-// unparsable cell with its parse error; the error keeps nothing of
-// rows either.
-func ParseRows(schema *Schema, ty *Typing, rows [][]string) ([]Tuple, error) {
+// ParseRows parses raw string rows, one cell per schema column, into a
+// batch under ty, cell for cell as ReadCSVString parses a record: the
+// rows encoding of an append. Nothing the batch holds points into
+// rows — string cells are copied into its arena — so rows may be views
+// into a buffer the caller reuses once ParseRows returns. A row of the
+// wrong width fails with ErrRowWidth, an unparsable cell with its parse
+// error; the error keeps nothing of rows either.
+func ParseRows(schema *Schema, ty *Typing, rows [][]string) (*Batch, error) {
 	width, infer := schema.Len(), ty.Empty()
-	slab := make([]values.Value, len(rows)*width)
-	tuples := make([]Tuple, len(rows))
+	bb := newBatchBuilder(width, len(rows))
 	for ri, row := range rows {
 		if len(row) != width {
 			return nil, fmt.Errorf("%w: row %d has %d cells, schema %v has %d", ErrRowWidth, ri, len(row), schema, width)
 		}
-		t := Tuple(slab[ri*width : (ri+1)*width : (ri+1)*width])
-		if col, err := parseInto(t, row, ty, infer); err != nil {
+		if col, err := bb.parseRow(row, ty, infer); err != nil {
 			return nil, fmt.Errorf("relation: row %d column %q: %w", ri, schema.Name(col), err)
 		}
-		tuples[ri] = t
 	}
-	return tuples, nil
+	return bb.batch(), nil
 }
 
-// parseInto parses rec into t under ty (infer: ty types no column, so
-// every cell goes to values.Parse) and re-points t's string cells at
-// one owned string. On failure it returns the column and the error of
-// the first bad cell. The error holds no view of the cell: ParseAs
-// formats it into the message, and the strconv.NumError it wraps
-// records a copy.
-func parseInto(t Tuple, rec []string, ty *Typing, infer bool) (int, error) {
+// parseRow parses rec into the builder's next row under ty (infer: ty
+// types no column, so every cell goes to values.Parse). On failure it
+// returns the column and the error of the first bad cell, and the
+// builder must not be used again. The error holds no view of the cell:
+// ParseAs formats it into the message, and the strconv.NumError it
+// wraps records a copy.
+func (bb *batchBuilder) parseRow(rec []string, ty *Typing, infer bool) (int, error) {
+	start := bb.next()
 	if infer {
 		for i, cell := range rec {
-			t[i] = values.Parse(cell)
+			bb.set(start, i, values.Parse(cell))
 		}
 	} else {
 		for i, cell := range rec {
@@ -342,10 +325,9 @@ func parseInto(t Tuple, rec []string, ty *Typing, infer bool) (int, error) {
 			if err != nil {
 				return i, err
 			}
-			t[i] = v
+			bb.set(start, i, v)
 		}
 	}
-	ownStrings(t)
 	return 0, nil
 }
 
@@ -405,35 +387,6 @@ func cloneJoined(parts []string) {
 	}
 }
 
-// ownStrings re-points the string cells of t into one fresh string
-// holding only their bytes, so t keeps nothing of the input its cells
-// were parsed from. A tuple without string cells is left as is.
-func ownStrings(t Tuple) {
-	n, strs := 0, 0
-	for _, v := range t {
-		if s, ok := v.AsString(); ok {
-			n += len(s)
-			strs++
-		}
-	}
-	if strs == 0 {
-		return
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, v := range t {
-		if s, ok := v.AsString(); ok {
-			b.WriteString(s)
-		}
-	}
-	all := b.String()
-	for i, v := range t {
-		if s, ok := v.AsString(); ok {
-			t[i], all = values.String_(all[:len(s)]), all[len(s):]
-		}
-	}
-}
-
 // EncodeCell renders one cell the way WriteCSV does: the literal
 // "NULL" for nulls, v.String() otherwise — the spelling ReadCSV and
 // Typing.ParseCell read back to an equal value. Callers streaming raw
@@ -456,14 +409,14 @@ func WriteCSV(w io.Writer, r *Relation) error {
 		return fmt.Errorf("relation: writing CSV header: %w", err)
 	}
 	rec := make([]string, r.schema.Len())
-	for _, c := range r.chunks {
-		for _, t := range c.tuples {
-			for i, v := range t {
-				rec[i] = EncodeCell(v)
-			}
-			if err := cw.Write(rec); err != nil {
-				return fmt.Errorf("relation: writing CSV record: %w", err)
-			}
+	var t Tuple
+	for i := range r.n {
+		t = r.AppendTuple(t[:0], i)
+		for c, v := range t {
+			rec[c] = EncodeCell(v)
+		}
+		if err := cw.Write(rec); err != nil {
+			return fmt.Errorf("relation: writing CSV record: %w", err)
 		}
 	}
 	cw.Flush()

@@ -6,9 +6,9 @@ package relation
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/values"
 )
@@ -198,28 +198,38 @@ func (t Tuple) String() string {
 // Relation is an in-memory relation with bag semantics: a schema plus
 // an ordered multiset of tuples.
 //
-// The tuples are stored as a list of batch chunks: appending a batch
-// adds one chunk and never copies the tuple headers already stored, so
-// a session streamed in batch by batch holds each header exactly once
-// and allocates per batch only what it keeps. Read paths never write
-// to the relation (sessions read it under a shared lock); only Sort
-// flattens the chunks into one.
+// The tuples are stored as a list of chunks, each one Batch: a kind
+// column, a payload-word column and one string arena, so the relation
+// holds no pointer per cell or per tuple and the collector scans a few
+// words per chunk. Appending a batch adopts it as a chunk (or, while
+// the last chunk is small, copies it onto that chunk) and never copies
+// earlier cells, so a session streamed in batch by batch allocates per
+// batch only what it keeps. Tuples are materialised on read: Tuple and
+// Each build Values from the columns, a string cell a view into its
+// chunk's arena. Read paths never write to the relation (sessions read
+// it under a shared lock); only Sort rebuilds the chunks, as one.
 type Relation struct {
 	schema *Schema
 	chunks []chunk
 	n      int // number of tuples, across all chunks
+	// tail, when not nil, is the last chunk's arena as a byte buffer
+	// with room to grow: the arena string views its first len(tail)
+	// bytes, and appending writes only past them, so no string already
+	// handed out changes. It lets strings land on a small last chunk
+	// without copying its arena every time.
+	tail []byte
 }
 
-// chunk is one stored batch: its tuples, the first at index first.
+// chunk is one stored batch, its first tuple at index first.
 type chunk struct {
-	first  int
-	tuples []Tuple
+	first int
+	Batch
 }
 
-// smallChunk is the largest chunk that later batches extend in place
-// (growing it by doubling) instead of opening a chunk of their own, so
-// a relation streamed in row by row keeps few chunks while no append
-// copies more than smallChunk earlier headers.
+// smallChunk is the largest chunk, in rows, that later batches extend
+// in place (growing it by doubling) instead of opening a chunk of their
+// own, so a relation streamed in row by row keeps few chunks while no
+// append copies more than smallChunk earlier rows.
 const smallChunk = 1024
 
 // New returns an empty relation over the given schema.
@@ -231,12 +241,12 @@ func New(schema *Schema) *Relation {
 // cell with values.Parse when given a string, or accepting
 // values.Value directly. It is a convenience for tests and examples.
 func Build(schema *Schema, rows ...[]any) (*Relation, error) {
-	tuples := make([]Tuple, len(rows))
+	bb := newBatchBuilder(schema.Len(), len(rows))
+	t := make(Tuple, schema.Len())
 	for ri, row := range rows {
 		if len(row) != schema.Len() {
 			return nil, fmt.Errorf("relation: row %d has %d cells, schema has %d", ri, len(row), schema.Len())
 		}
-		t := make(Tuple, len(row))
 		for ci, cell := range row {
 			switch v := cell.(type) {
 			case values.Value:
@@ -257,10 +267,10 @@ func Build(schema *Schema, rows ...[]any) (*Relation, error) {
 				return nil, fmt.Errorf("relation: row %d cell %d has unsupported type %T", ri, ci, cell)
 			}
 		}
-		tuples[ri] = t
+		bb.addRow(t)
 	}
 	r := New(schema)
-	r.appendChunk(tuples, true)
+	r.adopt(bb.batch())
 	return r, nil
 }
 
@@ -279,12 +289,12 @@ func (r *Relation) Schema() *Schema { return r.schema }
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return r.n }
 
-// Tuple returns the tuple at index i. The caller must not mutate it.
+// locate returns the chunk holding tuple i and the tuple's row in it.
 // A relation of one chunk indexes it directly; otherwise the chunk is
 // found by binary search over the chunk starts.
-func (r *Relation) Tuple(i int) Tuple {
+func (r *Relation) locate(i int) (*chunk, int) {
 	if len(r.chunks) == 1 {
-		return r.chunks[0].tuples[i]
+		return &r.chunks[0], i
 	}
 	lo, hi := 0, len(r.chunks) // the last chunk starting at or before i
 	for lo < hi {
@@ -295,71 +305,120 @@ func (r *Relation) Tuple(i int) Tuple {
 			hi = m
 		}
 	}
-	c := r.chunks[lo-1]
-	return c.tuples[i-c.first]
+	c := &r.chunks[lo-1]
+	return c, i - c.first
+}
+
+// Tuple returns the tuple at index i, materialised into a fresh
+// Tuple: it allocates, so it is for the edges of the system (tests,
+// examples, one-off reads). Hot readers use Cell, AppendTuple or Each.
+func (r *Relation) Tuple(i int) Tuple {
+	return r.AppendTuple(make(Tuple, 0, r.schema.Len()), i)
+}
+
+// AppendTuple appends the cells of tuple i to dst and returns the
+// extended tuple; with a reused dst it allocates nothing.
+func (r *Relation) AppendTuple(dst Tuple, i int) Tuple {
+	c, row := r.locate(i)
+	return c.AppendTuple(dst, row)
+}
+
+// Cell returns cell c of tuple i.
+func (r *Relation) Cell(i, c int) values.Value {
+	ch, row := r.locate(i)
+	return ch.Cell(row, c)
 }
 
 // Append adds tuples, checking arity first: a batch holding a tuple of
-// the wrong arity adds nothing. The batch's tuple headers are copied
-// into one chunk of exactly the batch's size (or, while the relation's
-// last chunk is small, onto that chunk), so the caller may reuse ts;
-// the tuples themselves are kept, not copied. Earlier headers are
-// never copied again.
+// the wrong arity adds nothing. The cells are copied into the
+// relation's columns, so the caller may reuse ts and its tuples.
 func (r *Relation) Append(ts ...Tuple) error {
-	if err := r.checkArity(ts); err != nil {
+	if err := checkArity(r.schema.Len(), ts); err != nil {
 		return err
 	}
-	r.appendChunk(ts, false)
-	return nil
-}
-
-// AppendOwned is Append that takes ownership of ts: a batch too large
-// for the last chunk becomes a chunk as it is, with no copy. The caller
-// must not use ts afterwards. It is the ingest path of a freshly
-// parsed batch (ParseRows), which nothing else refers to.
-func (r *Relation) AppendOwned(ts []Tuple) error {
-	if err := r.checkArity(ts); err != nil {
-		return err
-	}
-	r.appendChunk(ts, true)
-	return nil
-}
-
-func (r *Relation) checkArity(ts []Tuple) error {
-	for _, t := range ts {
-		if len(t) != r.schema.Len() {
-			return fmt.Errorf("relation: tuple arity %d does not match schema arity %d", len(t), r.schema.Len())
-		}
-	}
-	return nil
-}
-
-// appendChunk stores ts after the relation's tuples: on the last chunk
-// when the result stays within smallChunk (or within the chunk's spare
-// capacity), otherwise as a new chunk — ts itself when owned, an
-// exact-size copy of it when not.
-func (r *Relation) appendChunk(ts []Tuple, owned bool) {
 	if len(ts) == 0 {
+		return nil
+	}
+	bb, reopened := r.reopen(len(ts))
+	if !reopened {
+		bb = newBatchBuilder(r.schema.Len(), len(ts))
+	}
+	for _, t := range ts {
+		bb.addRow(t)
+	}
+	if reopened {
+		r.close(bb)
+	} else {
+		r.adopt(bb.batch())
+	}
+	return nil
+}
+
+// AppendBatch adds the tuples of b, a batch of the schema's arity,
+// taking ownership of it: a batch too large for the last chunk becomes
+// a chunk as it is, with no copy. The caller must not use b
+// afterwards. It is the ingest path of a freshly parsed batch
+// (ParseRows), which nothing else refers to.
+func (r *Relation) AppendBatch(b *Batch) error {
+	if b.arity != r.schema.Len() {
+		return fmt.Errorf("relation: batch arity %d does not match schema arity %d", b.arity, r.schema.Len())
+	}
+	r.adopt(b)
+	return nil
+}
+
+// adopt stores b after the relation's tuples: copied onto the last
+// chunk when the result stays within smallChunk rows, otherwise as a
+// new chunk.
+func (r *Relation) adopt(b *Batch) {
+	if b.rows == 0 {
 		return
 	}
-	if k := len(r.chunks) - 1; k >= 0 {
-		last := r.chunks[k].tuples
-		if need := len(last) + len(ts); need <= cap(last) || need <= smallChunk {
-			if need > cap(last) {
-				grown := make([]Tuple, len(last), min(max(2*len(last), need), smallChunk))
-				copy(grown, last)
-				last = grown
-			}
-			r.chunks[k].tuples = append(last, ts...)
-			r.n += len(ts)
-			return
-		}
+	if bb, ok := r.reopen(b.rows); ok {
+		bb.addBatch(b)
+		r.close(bb)
+		return
 	}
-	if !owned {
-		ts = slices.Clone(ts)
+	r.chunks = append(r.chunks, chunk{first: r.n, Batch: *b})
+	r.n += b.rows
+	r.tail = nil
+}
+
+// reopen returns a builder continuing the last chunk when rows more
+// rows keep it within smallChunk rows. Its columns grow in place, past
+// what readers see, and at least double when they must move (up to
+// smallChunk rows), so a chunk filled row by row copies each cell O(1)
+// times; its arena starts from tail, or from a copy of the chunk's
+// arena with room to grow.
+func (r *Relation) reopen(rows int) (batchBuilder, bool) {
+	k := len(r.chunks) - 1
+	if k < 0 || r.chunks[k].rows+rows > smallChunk {
+		return batchBuilder{}, false
 	}
-	r.chunks = append(r.chunks, chunk{first: r.n, tuples: ts})
-	r.n += len(ts)
+	c := &r.chunks[k]
+	kinds, words := c.kinds, c.words
+	if need := (c.rows + rows) * c.arity; need > cap(words) {
+		size := max(need, min(2*len(words), smallChunk*c.arity))
+		kinds = append(make([]values.Kind, 0, size), kinds...)
+		words = append(make([]uint64, 0, size), words...)
+	}
+	arena := r.tail
+	if arena == nil && c.arena != "" {
+		arena = append(make([]byte, 0, 2*len(c.arena)), c.arena...)
+	}
+	return batchBuilder{arity: c.arity, rows: c.rows, kinds: kinds, words: words, arena: arena}, true
+}
+
+// close stores a builder from reopen as the last chunk, keeping its
+// arena buffer as tail.
+func (r *Relation) close(bb batchBuilder) {
+	c := &r.chunks[len(r.chunks)-1]
+	r.n += bb.rows - c.rows
+	c.Batch = Batch{arity: bb.arity, rows: bb.rows, kinds: bb.kinds, words: bb.words}
+	if len(bb.arena) > 0 {
+		c.arena = unsafe.String(unsafe.SliceData(bb.arena), len(bb.arena))
+	}
+	r.tail = bb.arena
 }
 
 // MustAppend is Append that panics on error.
@@ -369,71 +428,70 @@ func (r *Relation) MustAppend(ts ...Tuple) {
 	}
 }
 
-// EachChunk calls fn for every stored chunk in order, with the index of
-// its first tuple: the batch-at-a-time walk of the relation. ts is the
+// EachBatch calls fn for every stored chunk in order, with the index of
+// its first tuple: the batch-at-a-time walk of the relation. b is the
 // relation's own storage; fn must not mutate or keep it.
-func (r *Relation) EachChunk(fn func(first int, ts []Tuple)) {
-	for _, c := range r.chunks {
-		fn(c.first, c.tuples)
+func (r *Relation) EachBatch(fn func(first int, b *Batch)) {
+	for k := range r.chunks {
+		fn(r.chunks[k].first, &r.chunks[k].Batch)
 	}
 }
 
 // Clone returns a deep copy of the relation, stored as one chunk.
 func (r *Relation) Clone() *Relation {
-	tuples := make([]Tuple, 0, r.n)
-	for _, c := range r.chunks {
-		for _, t := range c.tuples {
-			tuples = append(tuples, t.Clone())
-		}
-	}
+	bb := newBatchBuilder(r.schema.Len(), r.n)
+	r.Each(func(_ int, t Tuple) { bb.addRow(t) })
 	out := New(r.schema)
-	out.appendChunk(tuples, true)
+	out.adopt(bb.batch())
 	return out
 }
 
-// Each calls fn for every tuple in order.
+// Each calls fn for every tuple in order. t is one buffer refilled for
+// every tuple: fn must not keep it (Clone what it keeps). Its Values
+// may be kept: a string cell is a view into the relation's storage,
+// which never changes.
 func (r *Relation) Each(fn func(i int, t Tuple)) {
-	for _, c := range r.chunks {
-		for j, t := range c.tuples {
-			fn(c.first+j, t)
+	t := make(Tuple, 0, r.schema.Len())
+	for k := range r.chunks {
+		c := &r.chunks[k]
+		for row := 0; row < c.rows; row++ {
+			t = c.AppendTuple(t[:0], row)
+			fn(c.first+row, t)
 		}
 	}
 }
 
-// Sort orders tuples lexicographically in place (stable, deterministic
-// output for goldens and dedup). It first flattens the chunks into one.
+// Sort orders tuples lexicographically (stable, deterministic output
+// for goldens and dedup), rebuilding the relation as one chunk.
 func (r *Relation) Sort() {
-	if len(r.chunks) > 1 {
-		flat := make([]Tuple, 0, r.n)
-		for _, c := range r.chunks {
-			flat = append(flat, c.tuples...)
-		}
-		r.chunks = []chunk{{tuples: flat}}
-	}
-	if len(r.chunks) == 0 {
+	if r.n == 0 {
 		return
 	}
-	ts := r.chunks[0].tuples
+	ts := make([]Tuple, 0, r.n)
+	r.EachBatch(func(_ int, b *Batch) { ts = append(ts, b.Tuples()...) })
 	sort.SliceStable(ts, func(i, j int) bool {
 		return ts[i].Compare(ts[j]) < 0
 	})
+	b, _ := BatchOf(r.schema.Len(), ts)
+	r.chunks, r.n, r.tail = nil, 0, nil
+	r.adopt(b)
 }
 
 // Distinct returns a new relation with structural duplicates removed,
 // preserving first-occurrence order.
 func (r *Relation) Distinct() *Relation {
 	seen := make(map[string]struct{}, r.n)
-	var kept []Tuple
+	bb := newBatchBuilder(r.schema.Len(), 0)
 	r.Each(func(_ int, t Tuple) {
 		k := t.Key()
 		if _, dup := seen[k]; dup {
 			return
 		}
 		seen[k] = struct{}{}
-		kept = append(kept, t)
+		bb.addRow(t)
 	})
 	out := New(r.schema)
-	out.appendChunk(kept, true)
+	out.adopt(bb.batch())
 	return out
 }
 

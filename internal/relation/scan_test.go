@@ -2,6 +2,8 @@ package relation_test
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"unsafe"
@@ -95,16 +97,76 @@ func TestReadCSVAllocs(t *testing.T) {
 
 // benchInstanceCSV renders a generated instance as the CSV a create
 // uploads.
-func benchInstanceCSV(b *testing.B, family string, tuples int) string {
+func benchInstanceCSV(tb testing.TB, family string, tuples int) string {
 	rel, _, err := workload.Instance(family, workload.InstanceConfig{Tuples: tuples, Seed: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var sb strings.Builder
 	if err := relation.WriteCSV(&sb, rel); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sb.String()
+}
+
+// readFleet parses in into n live relations.
+func readFleet(tb testing.TB, in string, n int) []*relation.Relation {
+	fleet := make([]*relation.Relation, n)
+	for i := range fleet {
+		rel, _, err := relation.ReadCSVString(in, relation.CSVOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fleet[i] = rel
+	}
+	return fleet
+}
+
+// scannableHeap returns the collector's count of scannable heap bytes
+// after a full collection.
+func scannableHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestRelationHeapIsPointerFree is the pointer-free guard of the
+// instance: with 64 bulk-wire create relations (1,250×6 synthetic
+// integers) live, the heap the collector must scan grows by under
+// 1 KiB per relation — a few slice and string headers per chunk, never
+// a word per cell. Measured: 0.4 KiB with the columnar chunks (the
+// schema, the relation and its chunk headers); 152 KiB when a chunk
+// was a slab of pointer-carrying Values and a slice of tuple headers.
+func TestRelationHeapIsPointerFree(t *testing.T) {
+	const relations, bound = 64, 1024
+	in := benchInstanceCSV(t, "synthetic", 1250)
+	before := scannableHeap()
+	fleet := readFleet(t, in, relations)
+	grown := float64(scannableHeap()) - float64(before)
+	runtime.KeepAlive(fleet)
+	perRelation := grown / relations
+	t.Logf("scannable heap grew %.0f bytes per relation", perRelation)
+	if perRelation > bound {
+		t.Fatalf("scannable heap grew %.0f bytes per %d-row relation, want under %d", perRelation, fleet[0].Len(), bound)
+	}
+}
+
+// BenchmarkFleetGC times one forced full collection with a fleet of
+// 200 full bulk-wire instances (5,000×6 synthetic integers) live: the
+// collector's cost of the sessions a server holds, which pointer-free
+// chunks keep near that of an empty heap. Measured on 2 cores: 0.44–
+// 0.56 ms per collection with columnar chunks, 48–59 ms with chunks of
+// Values and tuple headers.
+func BenchmarkFleetGC(b *testing.B) {
+	fleet := readFleet(b, benchInstanceCSV(b, "synthetic", 5000), 200)
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	b.StopTimer()
+	runtime.KeepAlive(fleet)
 }
 
 // BenchmarkReadCSVSynthetic reads a create-sized instance through the

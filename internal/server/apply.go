@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	jim "repro"
+	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/sqlgen"
 	"repro/internal/wire"
@@ -131,8 +132,10 @@ func (s *Server) register(ls *liveSession) (string, summary, error) {
 // its event — the shared apply step of POST /label, POST /step, and
 // the wire step op. label is a defined wire.Label: the HTTP codec
 // (parseLabel) and the wire decoder reject anything else. It returns
-// the newly implied tuple indices (nil for a skip). The caller holds
-// the session's write lock.
+// the newly implied tuple indices (nil for a skip) as a view valid
+// until the session's next answer or append, so a transport that only
+// counts them allocates nothing for them (core.Session.AnswerView).
+// The caller holds the session's write lock.
 func (s *Server) applyAnswer(id string, ls *liveSession, index int, label wire.Label) ([]int, error) {
 	if label == wire.Skip {
 		if err := ls.sess.Skip(index); err != nil {
@@ -144,9 +147,9 @@ func (s *Server) applyAnswer(id string, ls *liveSession, index int, label wire.L
 	if label == wire.Positive {
 		l = jim.Positive
 	}
-	out, err := ls.sess.Answer(index, l)
+	out, err := ls.sess.Core().AnswerView(index, l)
 	if err != nil {
-		return nil, err
+		return nil, answerError(err)
 	}
 	if err := s.persistEvent(id, ls, labelEvent(index, l)); err != nil {
 		return nil, err
@@ -209,42 +212,84 @@ func (s *Server) rankK(ls *liveSession, k int) ([]int, error) {
 	return ls.sess.TopK(k)
 }
 
-// applyAppend streams parsed arrival tuples into the session and
-// persists the batch. The caller holds the session's write lock. An
-// empty batch (a header-only CSV, an empty row list) carries no
-// arrivals and fails without metric, skip-state or WAL side effects.
-// The batch's event — every cell tagged — is built only when something
-// stores it: a mem-store node without a follower builds none.
-func (s *Server) applyAppend(id string, ls *liveSession, tuples []jim.Tuple) ([]int, error) {
-	if len(tuples) == 0 {
+// applyAppend streams a parsed arrival batch into the session and
+// persists it. The session adopts b, so the caller must not use it
+// afterwards. The returned indices are a view valid until the
+// session's next answer or append (core.Session.AppendBatch). The
+// caller holds the session's write lock. An empty batch (a header-only
+// CSV, an empty row list) carries no arrivals and fails without metric,
+// skip-state or WAL side effects. The batch's event — every cell
+// tagged — is built only when something stores it: a mem-store node
+// without a follower builds none.
+func (s *Server) applyAppend(id string, ls *liveSession, b *relation.Batch) ([]int, error) {
+	if b.Len() == 0 {
 		return nil, &jim.Error{Code: jim.CodeBadInput, Message: "empty append: no tuples in body"}
 	}
-	newly, err := appendOwned(ls.sess, tuples)
+	newly, err := appendBatch(ls.sess, b)
 	if err != nil {
 		return nil, err
 	}
 	if s.persists() {
-		if err := s.persistEvent(id, ls, appendEvent(tuples)); err != nil {
+		if err := s.persistEvent(id, ls, appendEvent(b)); err != nil {
 			return nil, err
 		}
 	}
 	s.metrics.appends.Add(1)
-	s.metrics.tuplesAppended.Add(int64(len(tuples)))
+	s.metrics.tuplesAppended.Add(int64(b.Len()))
 	return newly, nil
 }
 
-// appendOwned streams a freshly decoded batch into sess, handing the
-// batch's slice to the instance instead of copying its tuple headers
-// (State.AppendOwned). Every batch reaching it was built for this one
-// append — by ParseRows, ParseCSV or a WAL event's decode — and is only
-// read afterwards. A batch that does not fit the schema fails whole
-// with CodeSchemaMismatch.
-func appendOwned(sess *jim.Session, tuples []jim.Tuple) ([]int, error) {
-	newly, err := sess.Core().AppendOwned(tuples)
+// appendBatch streams a freshly parsed batch into sess, which adopts
+// it (core.Session.AppendBatch). Every batch reaching it was built for
+// this one append, by parseRows or parseCSV. A batch that does not fit
+// the schema fails whole with CodeSchemaMismatch.
+func appendBatch(sess *jim.Session, b *relation.Batch) ([]int, error) {
+	newly, err := sess.Core().AppendBatch(b)
 	if err != nil {
 		return nil, &jim.Error{Code: jim.CodeSchemaMismatch, Message: err.Error()}
 	}
 	return newly, nil
+}
+
+// parseRows parses an append's raw rows under the session's pinned
+// typing straight into the batch the session will adopt: the parse of
+// jim.Session.ParseRows, with its error codes, minus the copy into
+// tuples. Parsing reads only the session's immutable schema and
+// typing, so it needs no session lock. Rows that fail are parsed again
+// by the facade, whose error carries the code and the cause chain.
+func parseRows(sess *jim.Session, rows [][]string) (*relation.Batch, error) {
+	b, err := relation.ParseRows(sess.Relation().Schema(), sess.Typing(), rows)
+	if err != nil {
+		_, err = sess.ParseRows(rows)
+		return nil, err
+	}
+	return b, nil
+}
+
+// parseCSV parses a CSV append body into a batch under the session's
+// pinned typing (jim.Session.ParseCSV, copied into a batch).
+func parseCSV(sess *jim.Session, csv string) (*relation.Batch, error) {
+	tuples, err := sess.ParseCSV(csv)
+	if err != nil {
+		return nil, err
+	}
+	return relation.BatchOf(sess.Relation().Schema().Len(), tuples)
+}
+
+// answerError lifts an error of core.Session.AnswerView into the jim
+// taxonomy as jim.Session.Answer does: the code its sentinel maps to,
+// the engine's message.
+func answerError(err error) error {
+	code := jim.CodeBadInput
+	switch {
+	case errors.Is(err, core.ErrInconsistent):
+		code = jim.CodeInconsistent
+	case errors.Is(err, core.ErrAlreadyLabeled):
+		code = jim.CodeAlreadyLabeled
+	case errors.Is(err, core.ErrOutOfRange):
+		code = jim.CodeOutOfRange
+	}
+	return &jim.Error{Code: code, Message: err.Error()}
 }
 
 // result reads the inferred query: the predicate and its SQL. The

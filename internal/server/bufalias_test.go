@@ -137,7 +137,9 @@ func TestPooledBuffersDoNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	control.MustAppend(arrivals...)
+	if err := control.AppendBatch(arrivals); err != nil {
+		t.Fatal(err)
+	}
 
 	for seed := int64(2); seed < 40; seed++ {
 		create(seed)
@@ -218,7 +220,9 @@ func TestWireCreateDoesNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	control.MustAppend(arrivals...)
+	if err := control.AppendBatch(arrivals); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, in := range inputs[1:] {
 		other, err := c.Create(in.csv, "", 1)

@@ -834,10 +834,10 @@ func (enc *jsonWriter) tuple(rel *relation.Relation, cols []int, i int) {
 	enc.int(i)
 	enc.key("values")
 	enc.open('{')
-	schema, t := rel.Schema(), rel.Tuple(i)
+	schema := rel.Schema()
 	for _, c := range cols {
 		enc.key(schema.Name(c))
-		enc.cell(t[c])
+		enc.cell(rel.Cell(i, c))
 	}
 	enc.close('}')
 	enc.close('}')

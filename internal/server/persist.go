@@ -119,33 +119,26 @@ func clearEvent() store.Event {
 // is tagged into one string, which every cell slices, and the rows
 // slice one cell array, so the allocation count does not grow with the
 // number of cells.
-func appendEvent(tuples []jim.Tuple) store.Event {
-	ncells := 0
-	for _, t := range tuples {
-		ncells += len(t)
-	}
+func appendEvent(b *relation.Batch) store.Event {
+	width := b.Arity()
+	ncells := b.Len() * width
 	buf := make([]byte, 0, 8*ncells)
 	ends := make([]int, ncells)
-	k := 0
-	for _, t := range tuples {
-		for _, v := range t {
-			buf = values.AppendTag(buf, v)
-			ends[k] = len(buf)
-			k++
+	for r := range b.Len() {
+		for c := range width {
+			buf = values.AppendTag(buf, b.Cell(r, c))
+			ends[r*width+c] = len(buf)
 		}
 	}
 	tags := string(buf)
 	cells := make([]string, ncells)
-	rows := make([][]string, len(tuples))
-	start, k := 0, 0
-	for i, t := range tuples {
-		row := cells[k : k+len(t) : k+len(t)]
-		for c := range row {
-			row[c] = tags[start:ends[k]]
-			start = ends[k]
-			k++
-		}
-		rows[i] = row
+	rows := make([][]string, b.Len())
+	start := 0
+	for k, end := range ends {
+		cells[k], start = tags[start:end], end
+	}
+	for r := range rows {
+		rows[r] = cells[r*width : (r+1)*width : (r+1)*width]
 	}
 	return store.Event{Op: store.OpAppend, Rows: rows}
 }
@@ -427,7 +420,7 @@ func replayEvent(sess *jim.Session, ev store.Event) error {
 			}
 			tuples[ri] = t
 		}
-		_, err := appendOwned(sess, tuples)
+		_, err := sess.Append(tuples)
 		return err
 	}
 	return fmt.Errorf("unknown op %q", ev.Op)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	jim "repro"
+	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/values"
 )
@@ -53,7 +54,11 @@ func TestAppendEventBytesMatchTagBuilt(t *testing.T) {
 			}
 			tuples[i] = tu
 		}
-		got, want := appendEvent(tuples), tagBuiltAppendEvent(tuples)
+		b, err := relation.BatchOf(width, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := appendEvent(b), tagBuiltAppendEvent(tuples)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: appendEvent rows %q, want %q", trial, got.Rows, want.Rows)
 		}

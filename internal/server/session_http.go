@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	jim "repro"
+	"repro/internal/relation"
 	"repro/internal/session"
 	"repro/internal/wire"
 )
@@ -272,17 +273,17 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var (
-		tuples []jim.Tuple
-		err    error
+		b   *relation.Batch
+		err error
 	)
 	switch {
 	case req.CSV != "" && req.Rows != nil:
 		writeError(w, jim.CodeBadInput, "pass csv or rows, not both")
 		return
 	case req.CSV != "":
-		tuples, err = ls.sess.ParseCSV(req.CSV)
+		b, err = parseCSV(ls.sess, req.CSV)
 	case req.Rows != nil:
-		tuples, err = ls.sess.ParseRows(req.Rows)
+		b, err = parseRows(ls.sess, req.Rows)
 	default:
 		writeError(w, jim.CodeBadInput, "empty append: pass csv or rows")
 		return
@@ -293,14 +294,14 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	newly, err := s.applyAppend(id, ls, tuples)
+	newly, err := s.applyAppend(id, ls, b)
 	if err != nil {
 		writeTypedError(w, err)
 		return
 	}
 	p := ls.sess.Progress()
 	enc := hb.encoder()
-	enc.appendReply(len(tuples), newly, p, ls.sess.Done())
+	enc.appendReply(b.Len(), newly, p, ls.sess.Done())
 	hb.send(w, http.StatusOK, &enc)
 }
 

@@ -355,6 +355,61 @@ func TestHTTPStepAllocs(t *testing.T) {
 	}
 }
 
+// TestWireStepAllocs pins the allocations of one server-side wire step
+// that answers a tuple, implies others, and proposes the next. The
+// reply carries only the count of implied tuples, so the answer reads
+// the engine's implied list in place (core.Session.AnswerView) instead
+// of copying it. Every measured run answers the second proposal of its
+// own fresh, identically warmed bulk-wire-shaped session: the first
+// answer, unmeasured, sizes the session's scratch as a dialogue's
+// early answers do.
+func TestWireStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	const runs = 20
+	csv, _ := bulkDialogue(t)
+	srv := server.New()
+	ids := make([]string, runs+1) // AllocsPerRun adds one warm-up run
+	answers := make([][]wire.Answer, len(ids))
+	var out wire.StepResult
+	for i := range ids {
+		id, err := srv.WireCreate(csv, "", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first proposal builds the strategy's caches, which a
+		// long dialogue pays once, not per step.
+		if err := srv.WireStep(id, nil, 1, &out); err != nil || len(out.Proposals) != 1 {
+			t.Fatalf("first proposal: %v, %v", err, out.Proposals)
+		}
+		first := []wire.Answer{{Index: out.Proposals[0], Label: wire.Negative}}
+		if err := srv.WireStep(id, first, 1, &out); err != nil || len(out.Proposals) != 1 {
+			t.Fatalf("first answer: %v, %v", err, out.Proposals)
+		}
+		ids[i], answers[i] = id, []wire.Answer{{Index: out.Proposals[0], Label: wire.Negative}}
+	}
+	next, implied := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := srv.WireStep(ids[next], answers[next], 1, &out); err != nil {
+			t.Fatal(err)
+		}
+		implied = min(implied, out.Applied[0].NewlyImplied)
+		if next == 0 {
+			implied = out.Applied[0].NewlyImplied
+		}
+		next++
+	})
+	if implied == 0 {
+		t.Fatal("precondition: an answer implied no tuples")
+	}
+	t.Logf("%.1f allocations per answered wire step implying at least %d tuples", allocs, implied)
+	const bound = 0
+	if allocs > bound {
+		t.Fatalf("answered wire step made %.1f allocations, want <= %d", allocs, bound)
+	}
+}
+
 // TestHTTPCreateAllocs pins the allocations of one server-side POST
 // /v1/sessions of a chat-http-shaped upload, averaged over sixty
 // bodies: routing, instrumentation, the capped body read and decode,

@@ -65,26 +65,27 @@ func (s *Server) WireStep(id string, answers []wire.Answer, k int, out *wire.Ste
 
 // WireAppend implements wire.Backend: POST /tuples semantics with the
 // rows encoding (cells parsed under the session's pinned typing). The
-// rows are views into the connection's frame buffer; ParseRows copies
-// what the session keeps. Parsing reads only the session's immutable
-// schema and typing, so it runs before the write lock is taken.
+// rows are views into the connection's frame buffer; parseRows copies
+// what the session keeps into the batch it adopts. Parsing reads only
+// the session's immutable schema and typing, so it runs before the
+// write lock is taken.
 func (s *Server) WireAppend(id string, rows [][]string) (wire.AppendResult, error) {
 	ls, err := s.wireSession(id)
 	if err != nil {
 		return wire.AppendResult{}, err
 	}
-	tuples, err := ls.sess.ParseRows(rows)
+	b, err := parseRows(ls.sess, rows)
 	if err != nil {
 		return wire.AppendResult{}, err
 	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	newly, err := s.applyAppend(id, ls, tuples)
+	newly, err := s.applyAppend(id, ls, b)
 	if err != nil {
 		return wire.AppendResult{}, err
 	}
 	return wire.AppendResult{
-		Appended:     len(tuples),
+		Appended:     b.Len(),
 		NewlyImplied: len(newly),
 		Informative:  ls.sess.Progress().Informative,
 		Done:         ls.sess.Done(),

@@ -281,7 +281,7 @@ func TestLoadRejectsBadBaseRows(t *testing.T) {
 
 // TestManyChunkSessionRoundTrip streams a synthetic instance into a
 // session in batches of every shape — single rows, small batches and
-// large ones, copied (Append) and handed over (AppendOwned) — so its
+// large ones, copied (Append) and handed over (AppendBatch) — so its
 // relation holds many chunks, labels by the goal between batches, and
 // checks the state's invariants after every append. Save and Load must
 // then reproduce every tuple, label and the hypothesis.
@@ -307,11 +307,15 @@ func TestManyChunkSessionRoundTrip(t *testing.T) {
 			batch[i] = full.Tuple(next + i)
 		}
 		next += n
-		appendBatch := st.Append
-		if k%2 == 1 {
-			appendBatch = st.AppendOwned
+		if k%2 == 0 {
+			_, err = st.Append(batch)
+		} else {
+			var b *relation.Batch
+			if b, err = relation.BatchOf(full.Schema().Len(), batch); err == nil {
+				_, err = st.AppendBatch(b)
+			}
 		}
-		if _, err := appendBatch(batch); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := st.CheckInvariants(); err != nil {
@@ -329,7 +333,7 @@ func TestManyChunkSessionRoundTrip(t *testing.T) {
 		}
 	}
 	chunks := 0
-	st.Relation().EachChunk(func(int, []relation.Tuple) { chunks++ })
+	st.Relation().EachBatch(func(int, *relation.Batch) { chunks++ })
 	if chunks < 5 {
 		t.Fatalf("precondition: the instance is stored in %d chunks", chunks)
 	}

@@ -144,6 +144,26 @@ func String_(s string) Value {
 // Str is a shorthand alias for String_.
 func Str(s string) Value { return String_(s) }
 
+// Word returns v's payload word: 0 or 1 for a bool, two's complement
+// for an int, IEEE-754 bits for a float, 0 for NULL, and the byte
+// length for a string. With Kind it is the whole of a non-string
+// Value, the form a relation stores cells in (see FromWord).
+func (v Value) Word() uint64 { return v.n }
+
+// FromWord rebuilds the Value of kind k with payload word w, for the
+// kinds whose Value Word and Kind describe whole: NULL (w is ignored),
+// bool, int and float. A string has bytes Word does not carry, so a
+// string kind panics.
+func FromWord(k Kind, w uint64) Value {
+	switch k {
+	case KindNull:
+		return Value{}
+	case KindBool, KindInt, KindFloat:
+		return sentinel(k, w)
+	}
+	panic(fmt.Sprintf("values: FromWord of kind %v", k))
+}
+
 // Kind reports the dynamic kind of v.
 func (v Value) Kind() Kind { return v.kind() }
 

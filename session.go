@@ -227,14 +227,14 @@ func (s *Session) Append(tuples []Tuple) (newlyImplied []int, err error) {
 // array; each tuple is sliced at full capacity, so appending to one
 // tuple copies it instead of overwriting its neighbour.
 func (s *Session) ParseRows(rows [][]string) ([]Tuple, error) {
-	tuples, err := relation.ParseRows(s.Relation().Schema(), s.typing, rows)
+	b, err := relation.ParseRows(s.Relation().Schema(), s.typing, rows)
 	switch {
 	case errors.Is(err, relation.ErrRowWidth):
 		return nil, newError(CodeSchemaMismatch, err, "%v", err)
 	case err != nil:
 		return nil, newError(CodeBadInput, err, "%v", err)
 	}
-	return tuples, nil
+	return b.Tuples(), nil
 }
 
 // ParseCSV parses a CSV arrival payload (header included) into tuples
@@ -259,9 +259,7 @@ func (s *Session) ParseCSV(csv string) ([]Tuple, error) {
 			"arrival schema %v does not match session schema %v", arrivals.Schema(), s.Relation().Schema())
 	}
 	tuples := make([]Tuple, 0, arrivals.Len())
-	for i := 0; i < arrivals.Len(); i++ {
-		tuples = append(tuples, arrivals.Tuple(i))
-	}
+	arrivals.EachBatch(func(_ int, b *relation.Batch) { tuples = append(tuples, b.Tuples()...) })
 	return tuples, nil
 }
 

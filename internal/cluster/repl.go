@@ -339,8 +339,7 @@ type ShipperOptions struct {
 	// Buffer is the queue capacity in messages (default 8192).
 	// Overflow never blocks the serving path: the message is dropped
 	// and a resync is scheduled.
-	Buffer   int
-	MaxFrame int
+	Buffer int
 	// HeartbeatEvery, when > 0, enqueues a heartbeat frame on that
 	// period so the follower's failure detector sees lease renewals
 	// even when no sessions are mutating. Heartbeats are best-effort:
@@ -379,9 +378,6 @@ type Shipper struct {
 func NewShipper(opts ShipperOptions) *Shipper {
 	if opts.Buffer <= 0 {
 		opts.Buffer = 8192
-	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = defaultMaxReplFrame
 	}
 	sh := &Shipper{
 		opts:      opts,

@@ -1,10 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/codec"
 )
@@ -13,9 +12,8 @@ import (
 // built on the internal/codec primitives the wire protocol already
 // uses. The WAL is a 4-byte magic followed by one frame per event;
 // the snapshot is the same magic discipline around a single frame.
-// Format v1 (JSON lines / snap.json) remains readable — files are
-// sniffed by magic, and a directory upgrades to v2 one-way at its
-// next snapshot. OPERATIONS.md documents the layout and the
+// Format v1 (JSON lines / snap.json) is read only by LoadAll's one-way
+// upgrade (upgrade.go). OPERATIONS.md documents the layout and the
 // operational meaning of a CRC failure.
 //
 // What v2 buys over the JSON format it replaces:
@@ -60,10 +58,13 @@ func appendEventPayload(dst []byte, ev Event) ([]byte, error) {
 		}
 		dst = append(dst, opByteLabel)
 		dst = binary.AppendUvarint(dst, uint64(ev.Index))
-		if ev.Label == "+" {
+		switch ev.Label {
+		case "+":
 			dst = append(dst, 1)
-		} else {
+		case "-":
 			dst = append(dst, 0)
+		default:
+			return dst, fmt.Errorf("store: label %q is neither + nor -", ev.Label)
 		}
 	case OpSkip:
 		if ev.Index < 0 {
@@ -213,79 +214,36 @@ func decodeSnapshotFile(data []byte) (*Snapshot, error) {
 	return DecodeSnapshotPayload(payload)
 }
 
-// readUvarintCounted reads one uvarint from br and reports how many
-// bytes it consumed, so the WAL decoder can bound every frame against
-// the bytes genuinely left in the file.
-func readUvarintCounted(br *bufio.Reader) (v uint64, n int, err error) {
-	var shift uint
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, n, err
-		}
-		n++
-		if shift >= 64 || (shift == 63 && b > 1) {
-			return 0, n, fmt.Errorf("%w: varint overflows 64 bits", codec.ErrMalformed)
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, n, nil
-		}
-		shift += 7
-	}
-}
-
-// decodeWALV2 decodes the v2 frame stream that follows the WAL magic.
-// remaining is the byte count left in the file after the magic — the
-// allocation bound: no declared length larger than it is trusted.
-//
-// Torn-tail rules (a crash mid-append): a frame whose length varint,
-// checksum, or payload extends past the end of the file ends the log
-// cleanly — everything before it is intact, because the log is
-// append-only and failed writes are truncated away. A CRC mismatch on
-// the FINAL frame is the same crash shape (the length landed, part of
-// the payload did not). A CRC mismatch with more frames following is
-// not a torn tail — it is mid-file corruption, and it surfaces as an
-// error rather than silently dropping acknowledged events.
-func decodeWALV2(br *bufio.Reader, remaining int64, buf []byte) ([]Event, []byte, error) {
+// decodeWAL decodes the frames that follow a v2 WAL's magic. A frame
+// cut short by the end of the file, or the FINAL frame failing its CRC
+// (the length landed, part of the payload did not), is a torn tail that
+// ends the log cleanly: the log is append-only and failed writes are
+// truncated away. A CRC failure with frames following (mid-file
+// corruption) or a length overflowing 64 bits is no torn write and
+// fails rather than silently dropping acknowledged events.
+func decodeWAL(frames []byte) ([]Event, error) {
 	var out []Event
-	for {
-		n, w, err := readUvarintCounted(br)
-		if err == io.EOF && w == 0 {
-			return out, buf, nil // clean end at a frame boundary
-		}
-		remaining -= int64(w)
-		if err != nil {
-			return out, buf, nil // torn or malformed length at the tail
-		}
-		if int64(n)+4 > remaining || n > uint64(int(^uint(0)>>1)-4) {
-			return out, buf, nil // frame extends past the file: torn tail
-		}
-		need := int(n) + 4
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		b := buf[:need]
-		if _, err := io.ReadFull(br, b); err != nil {
-			// The size pre-check said these bytes exist; an error here is
-			// the file shrinking underneath us or real IO failure.
-			return out, buf, fmt.Errorf("reading wal frame: %w", err)
-		}
-		remaining -= int64(need)
-		sum := binary.LittleEndian.Uint32(b)
-		payload := b[4:]
-		if codec.Checksum(payload) != sum {
-			if remaining == 0 {
-				return out, buf, nil // torn final frame
+	for len(frames) > 0 {
+		payload, rest, err := codec.ReadFrame(frames)
+		if errors.Is(err, codec.ErrChecksum) {
+			if n, w := binary.Uvarint(frames); uint64(len(frames)-w-4) == n {
+				return out, nil // torn final frame
 			}
-			return out, buf, fmt.Errorf("%w: wal frame ending %d bytes before the tail", codec.ErrChecksum, remaining)
+		}
+		if errors.Is(err, codec.ErrTruncated) {
+			return out, nil
+		}
+		if err != nil {
+			return out, fmt.Errorf("wal frame starting %d bytes before the end: %w", len(frames), err)
 		}
 		ev, err := decodeEventPayload(payload)
 		if err != nil {
 			// CRC passed, so the bytes are what was written: a format
 			// error, not a torn tail.
-			return out, buf, fmt.Errorf("decoding wal event: %w", err)
+			return out, fmt.Errorf("decoding wal event: %w", err)
 		}
 		out = append(out, ev)
+		frames = rest
 	}
+	return out, nil
 }

@@ -58,6 +58,9 @@ func TestEventPayloadRejects(t *testing.T) {
 	if _, err := appendEventPayload(nil, Event{Op: Op("bogus")}); err == nil {
 		t.Fatal("unknown op encoded")
 	}
+	if _, err := appendEventPayload(nil, Event{Op: OpLabel, Index: 1, Label: "?"}); err == nil {
+		t.Fatal("label other than + or - encoded")
+	}
 	if _, err := decodeEventPayload([]byte{}); !errors.Is(err, codec.ErrMalformed) {
 		t.Fatalf("empty payload err = %v", err)
 	}
@@ -238,101 +241,27 @@ func TestDiskV2WALCorruption(t *testing.T) {
 	if len(saved) != 1 || saved[0].Snapshot != nil {
 		t.Fatalf("mid-file flip: corrupt session not reported bare: %+v", saved)
 	}
-}
 
-// TestDiskV1FixtureUpgrade pins the v1 JSON on-disk format with a
-// committed fixture: a directory written by a pre-v2 build must load
-// exactly, keep receiving JSON appends (one format per file), and
-// upgrade one-way to v2 at its next snapshot.
-func TestDiskV1FixtureUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	const id = "s0001"
-	sess := filepath.Join(dir, "sessions", id)
-	if err := os.MkdirAll(sess, 0o755); err != nil {
+	// Only a short read at the end of the file is a torn tail. A length
+	// varint overflowing 64 bits after the intact frames is malformed.
+	overflow := append(append([]byte(nil), full...), bytes.Repeat([]byte{0xff}, 9)...)
+	overflow = append(overflow, 0x7f)
+	if err := os.WriteFile(walPath, overflow, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{snapFile, walFile} {
-		data, err := os.ReadFile(filepath.Join("testdata", "v1session", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(sess, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if saved, err = loadOnce(t, dir); !errors.Is(err, codec.ErrMalformed) || saved[0].Snapshot != nil {
+		t.Fatalf("overflowing length: %+v, %v; want a bare ErrMalformed casualty", saved, err)
 	}
-
-	d := openDisk(t, dir, false)
-	saved, err := d.LoadAll()
-	if err != nil {
-		t.Fatalf("loading v1 fixture: %v", err)
-	}
-	if len(saved) != 1 {
-		t.Fatalf("LoadAll = %+v", saved)
-	}
-	sv := saved[0]
-	if sv.Snapshot == nil || sv.Snapshot.Seq != 2 || sv.Snapshot.Strategy != "greedy" ||
-		sv.Snapshot.Seed != 7 || len(sv.Snapshot.Typing) != 2 || len(sv.Snapshot.Skips) != 1 {
-		t.Fatalf("v1 snapshot decoded as %+v", sv.Snapshot)
-	}
-	if len(sv.Events) != 4 || sv.Events[0].Op != OpLabel || sv.Events[2].Op != OpAppend ||
-		len(sv.Events[2].Rows) != 2 || sv.Events[3].Op != OpClear {
-		t.Fatalf("v1 events decoded as %+v", sv.Events)
-	}
-
-	// An append lands as another JSON line: the file keeps one format.
-	if err := d.AppendEvent(id, Event{Op: OpLabel, Index: 2, Label: "-"}); err != nil {
+	// A read error is surfaced, not read as the end of the log: a
+	// wal.log that cannot be read (here a directory) is a casualty.
+	if err := os.Remove(walPath); err != nil {
 		t.Fatal(err)
 	}
-	wal, err := os.ReadFile(filepath.Join(sess, walFile))
-	if err != nil {
+	if err := os.Mkdir(walPath, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(wal, []byte(walMagic)) {
-		t.Fatal("v2 frame appended to a v1 wal")
-	}
-	if got := bytes.Count(wal, []byte{'\n'}); got != 5 {
-		t.Fatalf("v1 wal has %d lines, want 5", got)
-	}
-
-	// The next snapshot upgrades: snap.bin appears, snap.json goes, the
-	// truncated WAL restarts in v2.
-	if err := d.Snapshot(id, Snapshot{Strategy: "greedy", Session: json.RawMessage(`{"v":2}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(sess, snapFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("snap.json survived the upgrade: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(sess, snapBinFile)); err != nil {
-		t.Fatalf("snap.bin missing after upgrade: %v", err)
-	}
-	if err := d.AppendEvent(id, Event{Op: OpSkip, Index: 1}); err != nil {
-		t.Fatal(err)
-	}
-	wal, err = os.ReadFile(filepath.Join(sess, walFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(wal, []byte(walMagic)) {
-		t.Fatalf("post-upgrade wal is not v2: % x", wal[:min(len(wal), 8)])
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The upgraded directory recovers: snapshot seq 7 (the five v1
-	// events folded in), plus the one post-upgrade event.
-	d2 := openDisk(t, dir, false)
-	defer d2.Close()
-	saved, err = d2.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv = saved[0]
-	if sv.Snapshot == nil || sv.Snapshot.Seq != 7 || string(sv.Snapshot.Session) != `{"v":2}` {
-		t.Fatalf("upgraded snapshot = %+v", sv.Snapshot)
-	}
-	if len(sv.Events) != 1 || sv.Events[0].Op != OpSkip || sv.Events[0].Seq != 8 {
-		t.Fatalf("post-upgrade events = %+v", sv.Events)
+	if saved, err = loadOnce(t, dir); err == nil || saved[0].Snapshot != nil {
+		t.Fatalf("unreadable wal: %+v, %v; want a bare casualty", saved, err)
 	}
 }
 

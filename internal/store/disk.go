@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,12 +15,9 @@ import (
 	"repro/internal/codec"
 )
 
-// The files of one session directory. snapBinFile is the format-v2
-// snapshot; snapFile is its v1 JSON predecessor, still readable and
-// superseded (removed) by the next snapshot write. The WAL keeps one
-// name across formats — its format is sniffed from the magic bytes.
+// The files of one session directory, both format v2 (upgrade.go
+// names the v1 ones).
 const (
-	snapFile    = "snap.json"
 	snapBinFile = "snap.bin"
 	walFile     = "wal.log"
 )
@@ -42,18 +37,20 @@ type DiskOptions struct {
 
 // Disk is the durable backend: one directory per session holding an
 // append-only WAL of events and the most recent snapshot, both in the
-// CRC-framed binary format v2 (v1 JSON directories remain readable
-// and upgrade on their next snapshot). All file IO funnels through a
-// single committer goroutine, which gives strict ordering, a natural
-// group commit for fsync batching, and file-handle state without
-// locks.
+// CRC-framed binary format v2, the only format it writes or serves
+// (LoadAll upgrades a v1 JSON directory in place). All file IO funnels
+// through a single committer goroutine, which gives strict ordering, a
+// natural group commit for fsync batching, and file-handle state
+// without locks.
 type Disk struct {
 	dir   string
 	fsync bool
 
-	// syncWAL makes one WAL durable; (*os.File).Sync in production,
-	// swappable in tests to exercise the fsync-failure path.
+	// syncWAL makes one WAL durable and syncDir one directory's entries;
+	// (*os.File).Sync and fsyncDir in production, swappable in tests to
+	// exercise the failure paths.
 	syncWAL func(*os.File) error
+	syncDir func(string) error
 
 	reqs chan *diskReq
 
@@ -95,7 +92,8 @@ type diskReq struct {
 // interleave each other's WAL appends and snapshot truncates and
 // destroy acknowledged events, so the second opener fails fast. The
 // lock dies with the process, so a crash never leaves the directory
-// unopenable.
+// unopenable. Call LoadAll before any other method: it upgrades v1
+// directories, and everything after it reads and writes v2 only.
 func NewDisk(opts DiskOptions) (*Disk, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("store: disk backend requires a data directory")
@@ -115,6 +113,7 @@ func NewDisk(opts DiskOptions) (*Disk, error) {
 		dir:     opts.Dir,
 		fsync:   opts.Fsync,
 		syncWAL: (*os.File).Sync,
+		syncDir: fsyncDir,
 		reqs:    make(chan *diskReq, 256),
 		lock:    lock,
 		done:    make(chan struct{}),
@@ -126,8 +125,9 @@ func NewDisk(opts DiskOptions) (*Disk, error) {
 // Name reports "disk".
 func (*Disk) Name() string { return "disk" }
 
-// Format reports the on-disk format new writes use ("v2"); v1 JSON
-// directories stay readable until their next snapshot upgrades them.
+// Format reports the on-disk format ("v2"), the only one the store
+// writes. LoadAll upgrades a v1 directory in place, fsynced whatever
+// the Fsync option; going back to v1 takes an export and re-import.
 func (*Disk) Format() string { return FormatV2 }
 
 // Dir returns the data directory the store was opened on.
@@ -177,7 +177,9 @@ func (d *Disk) Compact(id string) error {
 // LoadAll scans the sessions directory and returns, per session, the
 // snapshot and the WAL events newer than it, sorted by session id. A
 // torn final WAL record (crash mid-write) is ignored; anything after
-// it is unreachable by construction (the log is append-only).
+// it is unreachable by construction (the log is append-only). A
+// directory still holding a v1 file is first rewritten in format v2
+// (upgradeV1), so LoadAll must run before any other call.
 //
 // An unreadable session does not abort the scan: it comes back as a
 // bare Saved{ID} (so callers can still account for its id) alongside
@@ -226,7 +228,7 @@ func (d *Disk) Close() error {
 // serialize the fleet.
 func (d *Disk) run() {
 	defer close(d.done)
-	c := &committer{d: d, wals: make(map[string]*walHandle), lastSeq: make(map[string]uint64)}
+	c := &committer{d: d, wals: make(map[string]*os.File), lastSeq: make(map[string]uint64)}
 	defer c.closeAll()
 	for req := range d.reqs {
 		batch := []*diskReq{req}
@@ -263,24 +265,13 @@ const maxOpenWALs = 512
 func (c *committer) trimHandles(limit int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for id, h := range c.wals {
+	for id, f := range c.wals {
 		if len(c.wals) <= limit {
 			break
 		}
-		h.f.Close()
+		f.Close()
 		delete(c.wals, id)
 	}
-}
-
-// walHandle is one cached open WAL plus its sniffed format. legacy
-// marks a v1 JSON-lines file: appends to it stay JSON (mixing formats
-// inside one file would defeat sniffing) until the next snapshot
-// truncates it, after which new appends open with the v2 magic — the
-// one-way upgrade. The handle is only touched by its session's commit
-// goroutine within a batch, with batches sequenced by the committer.
-type walHandle struct {
-	f      *os.File
-	legacy bool
 }
 
 type committer struct {
@@ -289,8 +280,9 @@ type committer struct {
 	// files themselves are touched only by their session's goroutine
 	// within a batch.
 	mu sync.Mutex
-	// wals caches open WAL handles (O_APPEND) with their format.
-	wals map[string]*walHandle
+	// wals caches open WAL handles (O_APPEND), each touched only by its
+	// session's commit goroutine within a batch.
+	wals map[string]*os.File
 	// lastSeq is the last assigned sequence number per session,
 	// initialized lazily from disk (and by LoadAll).
 	lastSeq map[string]uint64
@@ -459,39 +451,34 @@ func (c *committer) sessionDir(id string) string {
 }
 
 // wal returns the open WAL handle for id, creating the session
-// directory and file on first use and sniffing the file's format (a
-// non-empty log without the v2 magic is a legacy v1 JSON file).
-func (c *committer) wal(id string) (*walHandle, error) {
+// directory and file on first use.
+func (c *committer) wal(id string) (*os.File, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if h, ok := c.wals[id]; ok {
-		return h, nil
+	if f, ok := c.wals[id]; ok {
+		return f, nil
 	}
 	dir := c.sessionDir(id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating session dir: %w", err)
 	}
-	// O_RDWR rather than O_WRONLY: the format sniff reads the magic
-	// back; O_APPEND still forces every write to the tail.
-	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening wal: %w", err)
 	}
-	h := &walHandle{f: f}
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		var magic [len(walMagic)]byte
-		if n, _ := f.ReadAt(magic[:], 0); n != len(magic) || string(magic[:]) != walMagic {
-			h.legacy = true
-		}
-	}
 	if c.d.fsync {
 		// Make the directory entries durable so the log cannot vanish
-		// while its contents survive.
-		_ = syncDir(dir)
-		_ = syncDir(filepath.Join(c.d.dir, "sessions"))
+		// while its contents survive. A failure fails the caller, and
+		// the uncached handle makes the next use retry the sync.
+		for _, p := range []string{dir, filepath.Join(c.d.dir, "sessions")} {
+			if err := c.d.syncDir(p); err != nil {
+				f.Close()
+				return nil, fmt.Errorf("store: syncing wal directory: %w", err)
+			}
+		}
 	}
-	c.wals[id] = h
-	return h, nil
+	c.wals[id] = f
+	return f, nil
 }
 
 // seq returns the next sequence number for id, recovering the current
@@ -520,13 +507,11 @@ func (c *committer) seqLocked(id string) uint64 {
 	return last + 1
 }
 
-// appendEvent encodes one event and appends it to the session's WAL.
-// The hot path (a v2 log) is allocation-free in steady state: the
-// payload and its CRC frame are assembled in a reused encState and
-// land in a single write. A legacy v1 log keeps receiving JSON lines
-// (one format per file) until a snapshot truncates it; an empty file
-// always starts v2, magic prepended to the first frame's write so a
-// torn first append leaves a cleanly-empty log.
+// appendEvent encodes one event and appends it to the session's WAL,
+// allocation-free in steady state: the payload and its CRC frame are
+// assembled in a reused encState and land in a single write. An empty
+// log gets the magic prepended to the first frame's write, so a torn
+// first append leaves at most a prefix of the magic: an empty log.
 func (c *committer) appendEvent(id string, ev Event) (*os.File, error) {
 	c.mu.Lock()
 	poisoned := c.broken[id]
@@ -534,58 +519,42 @@ func (c *committer) appendEvent(id string, ev Event) (*os.File, error) {
 	if poisoned {
 		return nil, fmt.Errorf("store: wal of session %s is poisoned by a failed write; a snapshot must repair it", id)
 	}
-	h, err := c.wal(id)
+	f, err := c.wal(id)
 	if err != nil {
 		return nil, err
 	}
 	// Remember the pre-write size: a failed write may leave a torn
 	// record MID-file, and recovery's "only the tail can be torn"
 	// invariant would then silently drop every later (acked!) event.
-	end, err := h.f.Seek(0, io.SeekEnd)
+	end, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, fmt.Errorf("store: sizing wal: %w", err)
 	}
 	ev.Seq = c.seq(id)
 	es := c.getEnc()
-	var record []byte
-	if end > 0 && h.legacy {
-		line, jerr := json.Marshal(ev)
-		if jerr != nil {
-			c.putEnc(es)
-			c.unassign(id) // the sequence was never written
-			return nil, fmt.Errorf("store: encoding event: %w", jerr)
-		}
-		record = append(line, '\n')
-	} else {
-		es.payload, err = appendEventPayload(es.payload[:0], ev)
-		if err != nil {
-			c.putEnc(es)
-			c.unassign(id)
-			return nil, err
-		}
-		es.frame = es.frame[:0]
-		if end == 0 {
-			// First record of a fresh (or freshly truncated) log: the
-			// magic rides the same write, so the file can never hold
-			// frames without their format marker.
-			es.frame = append(es.frame, walMagic...)
-			h.legacy = false
-		}
-		es.frame = codec.AppendFrame(es.frame, es.payload)
-		record = es.frame
+	es.payload, err = appendEventPayload(es.payload[:0], ev)
+	if err != nil {
+		c.putEnc(es)
+		c.unassign(id) // the sequence was never written
+		return nil, err
 	}
-	_, werr := h.f.Write(record)
+	es.frame = es.frame[:0]
+	if end == 0 {
+		es.frame = append(es.frame, walMagic...)
+	}
+	es.frame = codec.AppendFrame(es.frame, es.payload)
+	_, werr := f.Write(es.frame)
 	c.putEnc(es)
 	if werr != nil {
 		c.unassign(id)
 		// Undo any partial append; if even that fails, poison the log
 		// so no later event is acked into the shadow of a torn record.
-		if terr := h.f.Truncate(end); terr != nil {
+		if terr := f.Truncate(end); terr != nil {
 			c.poison(id)
 		}
 		return nil, fmt.Errorf("store: writing wal: %w", werr)
 	}
-	return h.f, nil
+	return f, nil
 }
 
 func (c *committer) snapshot(id string, snap Snapshot) error {
@@ -607,50 +576,23 @@ func (c *committer) snapshot(id string, snap Snapshot) error {
 	es := c.getEnc()
 	defer c.putEnc(es)
 	es.frame, es.payload = appendSnapshotFile(es.frame, es.payload, snap)
-	tmp := filepath.Join(dir, snapBinFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
+	// With Fsync the rename is durable before the WAL shrinks: a crash
+	// in between leaves snapshot + stale log, which LoadAll reconciles
+	// by sequence number.
+	if err := c.d.replaceFile(filepath.Join(dir, snapBinFile), es.frame, c.d.fsync); err != nil {
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
-	_, werr := f.Write(es.frame)
-	if werr == nil && c.d.fsync {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: writing snapshot: %w", werr)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapBinFile)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: publishing snapshot: %w", err)
-	}
-	if c.d.fsync {
-		// The rename must be durable before the WAL shrinks: a crash
-		// in between leaves snapshot + stale log, which LoadAll
-		// reconciles by sequence number.
-		if err := syncDir(dir); err != nil {
-			return fmt.Errorf("store: publishing snapshot: %w", err)
-		}
-	}
-	// One-way upgrade: the durable v2 snapshot supersedes any v1 file.
-	// Best-effort — if the remove fails, loadSession still prefers
-	// snap.bin, so a lingering snap.json is shadowed, not read.
-	_ = os.Remove(filepath.Join(dir, snapFile))
 	// Truncate the WAL: everything up to snap.Seq is folded in. This
 	// also repairs a log poisoned by an earlier failed append or a
 	// LoadAll casualty — the unreadable bytes are gone with everything
-	// else, and (legacy reset) the next append starts a fresh v2 log.
-	h, err := c.wal(id)
+	// else, and the next append starts a fresh log.
+	f, err := c.wal(id)
 	if err != nil {
 		return err
 	}
-	if err := h.f.Truncate(0); err != nil {
+	if err := f.Truncate(0); err != nil {
 		return fmt.Errorf("store: truncating wal: %w", err)
 	}
-	h.legacy = false
 	c.mu.Lock()
 	delete(c.broken, id)
 	c.mu.Unlock()
@@ -659,8 +601,8 @@ func (c *committer) snapshot(id string, snap Snapshot) error {
 
 func (c *committer) compact(id string) error {
 	c.mu.Lock()
-	if h, ok := c.wals[id]; ok {
-		h.f.Close()
+	if f, ok := c.wals[id]; ok {
+		f.Close()
 		delete(c.wals, id)
 	}
 	delete(c.lastSeq, id)
@@ -714,7 +656,7 @@ func (c *committer) loadAll() ([]Saved, error) {
 				if i >= len(ids) {
 					return
 				}
-				results[i].sv, results[i].err = c.loadSession(ids[i])
+				results[i].sv, results[i].err = c.loadOrUpgrade(ids[i])
 			}
 		}()
 	}
@@ -750,9 +692,9 @@ func (c *committer) loadAll() ([]Saved, error) {
 	return out, errors.Join(errs...)
 }
 
-// loadSession reads one session directory: snapshot (if present) plus
-// the WAL events newer than it. The v2 snapshot (snap.bin) shadows a
-// v1 snap.json; the WAL's format is sniffed from its magic. Safe for
+// loadSession reads one v2 session directory: snapshot (if present)
+// plus the WAL events newer than it. A v1 JSON-lines WAL reports
+// errV1WAL: only LoadAll's upgrade reads format v1. Safe for
 // concurrent use — it only reads the filesystem.
 func (c *committer) loadSession(id string) (Saved, error) {
 	dir := c.sessionDir(id)
@@ -765,26 +707,11 @@ func (c *committer) loadSession(id string) (Saved, error) {
 			return sv, fmt.Errorf("decoding snapshot: %w", derr)
 		}
 		sv.Snapshot = snap
-	case errors.Is(err, os.ErrNotExist):
-		// No v2 snapshot: fall back to the v1 JSON file.
-		data, err = os.ReadFile(filepath.Join(dir, snapFile))
-		switch {
-		case err == nil:
-			var snap Snapshot
-			if err := json.Unmarshal(data, &snap); err != nil {
-				return sv, fmt.Errorf("decoding snapshot: %w", err)
-			}
-			sv.Snapshot = &snap
-		case errors.Is(err, os.ErrNotExist):
-			// WAL-only session: events replay onto nothing; the server
-			// reports it unrecoverable. Normal operation never produces
-			// this (the initial snapshot is written at create).
-		default:
-			return sv, fmt.Errorf("reading snapshot: %w", err)
-		}
-	default:
+	case !errors.Is(err, os.ErrNotExist):
 		return sv, fmt.Errorf("reading snapshot: %w", err)
 	}
+	// No snapshot is a WAL-only session, which the server reports
+	// unrecoverable; create always writes one.
 	events, err := readWAL(filepath.Join(dir, walFile))
 	if err != nil {
 		return sv, err
@@ -801,86 +728,76 @@ func (c *committer) loadSession(id string) (Saved, error) {
 	return sv, nil
 }
 
-// readWAL decodes the log, sniffing its format from the magic bytes:
-// a file opening with the v2 magic is a CRC-framed binary stream
-// (decodeWALV2 and its torn-tail rules), anything else is a v1 JSON
-// event-per-line log. A torn final record ends either format cleanly:
-// only the tail can be torn (the log is append-only, with failed
-// writes truncated away), so everything before it is intact.
+// readWAL reads a v2 log: the magic, then decodeWAL's frames. An
+// absent or empty file, or one holding only a prefix of the magic (a
+// torn first append), is an empty log; a file opening with anything
+// else is v1 (errV1WAL).
 func readWAL(path string) ([]Event, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("opening wal: %w", err)
+		return nil, fmt.Errorf("reading wal: %w", err)
 	}
-	defer f.Close()
-	st, err := f.Stat()
+	if !walIsV2(data) {
+		return nil, errV1WAL
+	}
+	events, err := decodeWAL(data[min(len(data), len(walMagic)):])
 	if err != nil {
-		return nil, fmt.Errorf("sizing wal: %w", err)
+		return events, fmt.Errorf("reading wal: %w", err)
 	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	magic, err := br.Peek(len(walMagic))
-	if err != nil {
-		// Fewer bytes than a magic: no complete record in either
-		// format — a torn first write. Nothing to recover.
-		return nil, nil
-	}
-	if string(magic) == walMagic {
-		br.Discard(len(walMagic))
-		events, _, err := decodeWALV2(br, st.Size()-int64(len(walMagic)), nil)
-		if err != nil {
-			return events, fmt.Errorf("reading wal: %w", err)
-		}
-		return events, nil
-	}
-	return readWALV1(br)
+	return events, nil
 }
 
-// readWALV1 decodes the legacy log as a stream of JSON events. A torn
-// final record (a syntax error or unexpected EOF) ends the log. A
-// streaming decoder rather than a line scanner, so a single large
-// append batch — one event can carry an entire ingestion body — has
-// no size ceiling to fall over at recovery.
-func readWALV1(br *bufio.Reader) ([]Event, error) {
-	var out []Event
-	dec := json.NewDecoder(br)
-	for {
-		var ev Event
-		err := dec.Decode(&ev)
-		switch {
-		case err == nil:
-			out = append(out, ev)
-		case errors.Is(err, io.EOF):
-			return out, nil
-		case errors.Is(err, io.ErrUnexpectedEOF), isSyntaxError(err):
-			return out, nil // torn tail: recover what precedes it
-		default:
-			// Valid JSON of the wrong shape, or an IO failure mid-file:
-			// not a torn tail — surface it rather than silently losing
-			// acknowledged events that follow.
-			return out, fmt.Errorf("reading wal: %w", err)
-		}
-	}
-}
-
-func isSyntaxError(err error) bool {
-	var syn *json.SyntaxError
-	return errors.As(err, &syn)
+// walIsV2 reports whether a WAL's bytes open as format v2: with the
+// magic, or with a prefix of it as the whole file.
+func walIsV2(data []byte) bool {
+	n := min(len(data), len(walMagic))
+	return string(data[:n]) == walMagic[:n]
 }
 
 func (c *committer) closeAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, h := range c.wals {
-		h.f.Close()
+	for _, f := range c.wals {
+		f.Close()
 	}
 }
 
-// syncDir fsyncs a directory so renames and file creations in it are
+// replaceFile atomically replaces path with data: it writes a
+// temporary sibling and renames it over path. With sync the temporary
+// file is fsynced before the rename and the directory after it, so a
+// crash leaves either the old file or the complete new one, durably.
+func (d *Disk) replaceFile(path string, data []byte, sync bool) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if sync {
+		return d.syncDir(filepath.Dir(path))
+	}
+	return nil
+}
+
+// fsyncDir fsyncs a directory so renames and file creations in it are
 // durable.
-func syncDir(path string) error {
+func fsyncDir(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err

@@ -22,8 +22,9 @@ func TestDiskFsyncFailureFailsWholeBatch(t *testing.T) {
 		dir:     t.TempDir(),
 		fsync:   true,
 		syncWAL: func(*os.File) error { return boom },
+		syncDir: fsyncDir,
 	}
-	c := &committer{d: d, wals: make(map[string]*walHandle), lastSeq: make(map[string]uint64)}
+	c := &committer{d: d, wals: make(map[string]*os.File), lastSeq: make(map[string]uint64)}
 	defer c.closeAll()
 
 	const id = "s0001"

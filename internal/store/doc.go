@@ -16,7 +16,7 @@
 //   - Mem (NewMem) is the no-op backend: nothing is written, LoadAll
 //     finds nothing — exactly the pre-durability in-RAM behavior, and
 //     the default.
-//   - Disk (NewDisk) keeps one directory per session holding snap.json
+//   - Disk (NewDisk) keeps one directory per session holding snap.bin
 //     and wal.log. All file IO funnels through a single committer
 //     goroutine that batches concurrent appends and issues one fsync
 //     per touched log per batch (group commit), so durability costs

@@ -27,7 +27,7 @@ const (
 	OpClear Op = "clear"
 )
 
-// Event is one durable session mutation — one JSON line of the WAL,
+// Event is one durable session mutation — one frame of the WAL,
 // recorded after the in-memory apply succeeded and replayed through
 // the same session methods on recovery.
 type Event struct {

@@ -99,8 +99,8 @@ func TestAllAbstainTerminates(t *testing.T) {
 	}
 	// Each signature class is asked at most once per re-offer round;
 	// the default budget allows 3 re-offers after the initial round.
-	if res.Abstentions > 4*len(st.Groups()) {
-		t.Errorf("abstentions %d exceed 4 rounds over %d classes", res.Abstentions, len(st.Groups()))
+	if res.Abstentions > 4*st.ClassCount() {
+		t.Errorf("abstentions %d exceed 4 rounds over %d classes", res.Abstentions, st.ClassCount())
 	}
 }
 

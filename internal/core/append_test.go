@@ -300,7 +300,7 @@ func TestAppendExistingClassesAllocsIndependentOfBatch(t *testing.T) {
 		return out
 	}
 	small, large := batch(8), batch(1024)
-	classes := len(st.Groups())
+	classes := st.ClassCount()
 	allocs := func(b []relation.Tuple) float64 {
 		return testing.AllocsPerRun(50, func() {
 			if _, err := st.Append(b); err != nil {
@@ -309,8 +309,8 @@ func TestAppendExistingClassesAllocsIndependentOfBatch(t *testing.T) {
 		})
 	}
 	aSmall, aLarge := allocs(small), allocs(large)
-	if len(st.Groups()) != classes {
-		t.Fatalf("arrivals created %d new classes", len(st.Groups())-classes)
+	if st.ClassCount() != classes {
+		t.Fatalf("arrivals created %d new classes", st.ClassCount()-classes)
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -345,7 +345,7 @@ func TestCheckInvariantsCoversSig(t *testing.T) {
 		if err := st.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		if len(st.Groups()) < 2 {
+		if st.ClassCount() < 2 {
 			t.Fatal("instance has one class; cannot mis-map a tuple")
 		}
 		return st
@@ -353,21 +353,22 @@ func TestCheckInvariantsCoversSig(t *testing.T) {
 
 	// A tuple mapped to another class.
 	st := fresh()
-	i := st.Groups()[0].Indices[0]
-	st.groupOf[i] = 1
+	i := st.ClassMembers(0)[0]
+	st.classOf[i] = 1
 	if err := st.CheckInvariants(); err == nil {
 		t.Fatalf("CheckInvariants accepted tuple %d mapped to the wrong class", i)
 	}
 
 	// A tuple whose values no longer carry its class's signature.
 	st = fresh()
-	for _, g := range st.Groups() {
-		if g.Sig.IsTop() {
+	for c := range st.ClassCount() {
+		sig := st.ClassSig(c)
+		if sig.IsTop() {
 			continue
 		}
 		// Tuple materialises a copy, so rebuild the instance with the
 		// tuple's cells all set to its first.
-		i := int(g.Indices[0])
+		i := int(st.ClassMembers(c)[0])
 		tu := st.Relation().Tuple(i)
 		for c := range tu {
 			tu[c] = tu[0]
@@ -382,7 +383,7 @@ func TestCheckInvariantsCoversSig(t *testing.T) {
 		}
 		st.rel = corrupt
 		if err := st.CheckInvariants(); err == nil {
-			t.Fatalf("CheckInvariants accepted tuple %d with values %v under signature %v", g.Indices[0], tu, g.Sig)
+			t.Fatalf("CheckInvariants accepted tuple %d with values %v under signature %v", i, tu, sig)
 		}
 		return
 	}
@@ -409,12 +410,13 @@ func classTuples(n, classes, count int, serial *int) []relation.Tuple {
 }
 
 // TestNewStateClassAllocs guards the batch-sized class registration:
-// NewState and an Append batch build the classes they open from slabs
-// sized for the batch, so the allocations of a registration grow by at
-// most two per new class (amortized growth of the class-indexed arrays
-// and the class index), not by the eight a class once cost. Instances
-// of equal size that differ only in their class count isolate the
-// per-class cost.
+// NewState and an Append batch grow each column of the flat class table
+// once per batch, so the allocations of a registration grow by at most
+// one per eight new classes (the doubling class index, the staged
+// labels outgrowing the stack), not by the two a class cost with a
+// partition per class and a map index, or the eight before that.
+// Instances of equal size that differ only in their class count
+// isolate the per-class cost.
 func TestNewStateClassAllocs(t *testing.T) {
 	const n, tuples, runs = 6, 240, 10
 	serial := 0
@@ -455,24 +457,24 @@ func TestNewStateClassAllocs(t *testing.T) {
 	// Each registration is held to one that opens a single class, so
 	// the per-batch slabs cancel out and the difference is the cost of
 	// the extra classes.
-	const perClass = 2
+	const perClass = 0.125
 	oneNew, oneAppend := newState(1), appendBatch(1)
 	for _, classes := range []int{8, 40, 120, 200} {
 		gotNew, gotAppend := newState(classes), appendBatch(classes)
 		t.Logf("%3d classes: NewState %.0f allocations (%.0f for one), Append opening them %.0f (%.0f for one)",
 			classes, gotNew, oneNew, gotAppend, oneAppend)
 		if per := (gotNew - oneNew) / float64(classes-1); per > perClass {
-			t.Errorf("NewState: %.2f allocations per extra class over %d classes, want <= %d", per, classes, perClass)
+			t.Errorf("NewState: %.2f allocations per extra class over %d classes, want <= %g", per, classes, perClass)
 		}
 		if per := (gotAppend - oneAppend) / float64(classes-1); per > perClass {
-			t.Errorf("Append: %.2f allocations per extra class over %d new classes, want <= %d", per, classes, perClass)
+			t.Errorf("Append: %.2f allocations per extra class over %d new classes, want <= %g", per, classes, perClass)
 		}
 	}
 }
 
-// TestClassIndexHashCollision forces two signatures onto one hash: the
-// later class must take the next free hash value, and both must still
-// be found, at registration and by lookup.
+// TestClassIndexHashCollision forces two signatures onto one home
+// slot: the later class must take the next free slot, and both must
+// still be found, at registration and by lookup.
 func TestClassIndexHashCollision(t *testing.T) {
 	const n = 4
 	serial := 0
@@ -481,7 +483,6 @@ func TestClassIndexHashCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	sigs := partition.All(n)
-	a, b := sigs[1], sigs[2]
 	tuple := func(sig partition.P) relation.Tuple {
 		serial++
 		tu := make(relation.Tuple, n)
@@ -490,25 +491,51 @@ func TestClassIndexHashCollision(t *testing.T) {
 		}
 		return tu
 	}
+	a := sigs[1]
 	if _, err := st.Append([]relation.Tuple{tuple(a)}); err != nil {
 		t.Fatal(err)
 	}
-	// Occupy b's hash and the value after it with class 0 (signature a).
-	h := b.Hash()
-	st.classes[h], st.classes[h+1] = 0, 0
+	// Pick b so that the second slot past its home is free, and occupy
+	// its home slot and the one after it with class 0 (signature a).
+	home := func(p partition.P) int {
+		var labels [n]uint8
+		for i := range labels {
+			labels[i] = uint8(p.BlockOf(i))
+		}
+		return st.cls.home(partition.HashLabels(labels[:]))
+	}
+	slots := st.cls.slots
+	mask := len(slots) - 1
+	ha := home(a)
+	var b partition.P
+	for _, sig := range sigs[2:] {
+		if (home(sig)+2)&mask != ha {
+			b = sig
+			break
+		}
+	}
+	hb := home(b)
+	slots[hb], slots[(hb+1)&mask] = 1, 1
 	if _, err := st.Append([]relation.Tuple{tuple(b), tuple(a), tuple(b)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(st.Groups()); got != 2 {
+	if got := st.ClassCount(); got != 2 {
 		t.Fatalf("%d classes, want 2", got)
 	}
-	if gi, ok := st.classes[h+2]; !ok || gi != 1 {
-		t.Fatalf("class of b indexed at %v (%v), want 1 two values past its hash", gi, ok)
+	if got := slots[(hb+2)&mask]; got != 2 {
+		t.Fatalf("slot two past b's home holds %d, want class 1 (stored as 2)", got)
 	}
-	if got, want := st.groupOf, []int32{0, 1, 0, 1}; !slices.Equal(got, want) {
+	if got, want := st.classOf, []int32{0, 1, 0, 1}; !slices.Equal(got, want) {
 		t.Fatalf("tuple classes %v, want %v", got, want)
 	}
-	if st.lookup(a) != 0 || st.lookup(b) != 1 || st.lookup(sigs[3]) != -1 {
-		t.Fatalf("lookup(a, b, c) = %d, %d, %d; want 0, 1, -1", st.lookup(a), st.lookup(b), st.lookup(sigs[3]))
+	var c partition.P
+	for _, sig := range sigs[2:] {
+		if !sig.Equal(b) {
+			c = sig
+			break
+		}
+	}
+	if st.lookup(a) != 0 || st.lookup(b) != 1 || st.lookup(c) != -1 {
+		t.Fatalf("lookup(a, b, c) = %d, %d, %d; want 0, 1, -1", st.lookup(a), st.lookup(b), st.lookup(c))
 	}
 }

@@ -74,7 +74,7 @@ func TestRunUserOrderSkipsExplicitDuplicates(t *testing.T) {
 func TestVersionCounterBumpsOnApplyOnly(t *testing.T) {
 	st := newTravelState(t)
 	v0 := st.Version()
-	_ = st.InformativeGroups()
+	_ = st.InformativeClasses()
 	_ = st.SimulatePrune(st.Sig(2), core.Positive)
 	if st.Version() != v0 {
 		t.Error("read-only operations bumped the version")

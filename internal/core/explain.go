@@ -46,12 +46,11 @@ func (st *State) Explain(i int) (Explanation, error) {
 		e.Kind = ExplainImpliedPositive
 	case ImpliedNegative:
 		e.Kind = ExplainImpliedNegative
-		sig := st.Sig(i)
-		m := st.mp.Meet(sig)
-		for _, neg := range st.negs {
-			if m.LessEq(neg) {
-				e.Witness = neg
-				e.WitnessIndex = st.explicitNegativeWith(neg)
+		sig := st.cls.sig(int(st.classOf[i]))
+		for k, neg := range st.lat.negs {
+			if partition.IntersectSubset(st.lat.mp, sig, neg) {
+				e.Witness = st.ClassSig(int(st.negs[k]))
+				e.WitnessIndex = st.explicitNegativeIn(int(st.negs[k]))
 				break
 			}
 		}
@@ -59,12 +58,12 @@ func (st *State) Explain(i int) (Explanation, error) {
 	return e, nil
 }
 
-// explicitNegativeWith finds a tuple explicitly labeled negative whose
-// signature equals neg, or -1.
-func (st *State) explicitNegativeWith(neg partition.P) int {
-	for i, l := range st.labels {
-		if l == Negative && st.Sig(i).Equal(neg) {
-			return i
+// explicitNegativeIn finds a tuple of class c explicitly labeled
+// negative, or -1.
+func (st *State) explicitNegativeIn(c int) int {
+	for _, i := range st.cls.members[c] {
+		if st.labels[i] == Negative {
+			return int(i)
 		}
 	}
 	return -1

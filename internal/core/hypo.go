@@ -18,7 +18,7 @@ type Hypo struct {
 // Hypo snapshots the state's hypothesis summary. The returned value
 // shares no mutable storage with the state.
 func (st *State) Hypo() Hypo {
-	return Hypo{MP: st.mp, Negs: append([]partition.P(nil), st.negs...)}
+	return Hypo{MP: st.mp, Negs: st.Negatives()}
 }
 
 // ImpliedLabel returns the label forced on a signature under h, or
@@ -91,9 +91,9 @@ type GroupCount struct {
 // tuples, with their unlabeled-tuple counts — the input to lookahead
 // prune counting.
 func (st *State) GroupCounts() []GroupCount {
-	out := make([]GroupCount, 0, len(st.infGroups))
-	for _, gi := range st.infGroups {
-		out = append(out, GroupCount{Sig: st.groups[gi].Sig, Count: st.groupUnlabeled[gi]})
+	out := make([]GroupCount, 0, len(st.infClasses))
+	for _, c := range st.infClasses {
+		out = append(out, GroupCount{Sig: st.ClassSig(int(c)), Count: st.GroupUnlabeled(int(c))})
 	}
 	return out
 }

@@ -21,9 +21,10 @@ func TestHypoMatchesState(t *testing.T) {
 		t.Errorf("Hypo negs = %v", h.Negs)
 	}
 	// Same implied labels for every signature class.
-	for _, g := range st.Groups() {
-		if got, want := h.ImpliedLabel(g.Sig), st.ImpliedLabel(g.Sig); got != want {
-			t.Errorf("sig %v: hypo %v, state %v", g.Sig, got, want)
+	for c := range st.ClassCount() {
+		sig := st.ClassSig(c)
+		if got, want := h.ImpliedLabel(sig), st.ImpliedLabel(sig); got != want {
+			t.Errorf("sig %v: hypo %v, state %v", sig, got, want)
 		}
 	}
 }
@@ -83,12 +84,13 @@ func TestHypoPruneCountEqualsSimulatePrune(t *testing.T) {
 	mustApply(t, st, 12, core.Positive)
 	h := st.Hypo()
 	groups := st.GroupCounts()
-	for _, g := range st.InformativeGroups() {
+	for _, c := range st.InformativeClasses() {
+		sig := st.ClassSig(int(c))
 		for _, l := range []core.Label{core.Positive, core.Negative} {
-			want := st.SimulatePrune(g.Sig, l)
-			got := h.PruneCount(groups, g.Sig, l)
+			want := st.SimulatePrune(sig, l)
+			got := h.PruneCount(groups, sig, l)
 			if got != want {
-				t.Errorf("sig %v label %v: hypo %d, state %d", g.Sig, l, got, want)
+				t.Errorf("sig %v label %v: hypo %d, state %d", sig, l, got, want)
 			}
 		}
 	}

@@ -78,9 +78,9 @@ func TestIncrementalStateInvariantsUnderRandomSessions(t *testing.T) {
 func naivePrune(st *State, sig partition.P, l Label) int {
 	next := st.Hypo().Apply(sig, l)
 	count := 0
-	for _, g := range st.Groups() {
+	for k := range st.ClassCount() {
 		c := 0
-		for _, i := range g.Indices {
+		for _, i := range st.ClassMembers(k) {
 			if st.Label(int(i)) == Unlabeled {
 				c++
 			}
@@ -88,11 +88,12 @@ func naivePrune(st *State, sig partition.P, l Label) int {
 		if c == 0 {
 			continue
 		}
-		if next.MP.LessEq(g.Sig) {
+		sig := st.ClassSig(k)
+		if next.MP.LessEq(sig) {
 			count += c
 			continue
 		}
-		m := next.MP.Meet(g.Sig)
+		m := next.MP.Meet(sig)
 		for _, neg := range next.Negs {
 			if m.LessEq(neg) {
 				count += c
@@ -189,14 +190,15 @@ func checkPrunes(t testing.TB, st *State, at string, foreign partition.P) {
 			t.Fatalf("%s: %v answered -: %d pruned, naive %d", at, sig, neg, want)
 		}
 	}
-	for _, g := range st.InformativeGroups() {
-		pos, neg := st.SimulatePrunesGroup(g.Pos)
-		check(g.Sig, pos, neg)
-		if p, n := st.SimulatePrunes(g.Sig); p != pos || n != neg {
-			t.Fatalf("%s: SimulatePrunes(%v) = %d, %d; SimulatePrunesGroup = %d, %d", at, g.Sig, p, n, pos, neg)
+	for _, c := range st.InformativeClasses() {
+		sig := st.ClassSig(int(c))
+		pos, neg := st.SimulatePrunesGroup(int(c))
+		check(sig, pos, neg)
+		if p, n := st.SimulatePrunes(sig); p != pos || n != neg {
+			t.Fatalf("%s: SimulatePrunes(%v) = %d, %d; SimulatePrunesGroup = %d, %d", at, sig, p, n, pos, neg)
 		}
-		if p, n := st.SimulatePruneGroup(g.Pos, Positive), st.SimulatePruneGroup(g.Pos, Negative); p != pos || n != neg {
-			t.Fatalf("%s: SimulatePruneGroup(%v) = %d, %d; pair = %d, %d", at, g.Sig, p, n, pos, neg)
+		if p, n := st.SimulatePruneGroup(int(c), Positive), st.SimulatePruneGroup(int(c), Negative); p != pos || n != neg {
+			t.Fatalf("%s: SimulatePruneGroup(%v) = %d, %d; pair = %d, %d", at, sig, p, n, pos, neg)
 		}
 	}
 	pos, neg := st.SimulatePrunes(foreign)
@@ -243,13 +245,13 @@ func TestAppendVariantsMatchAllocating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gbuf := make([]*SigGroup, 0, 8)
+	gbuf := make([]int32, 0, 8)
 	ibuf := make([]int, 0, 8)
 	goal := partition.RandomGoal(r, 5, 2)
 	for {
-		gbuf = st.AppendInformativeGroups(gbuf[:0])
+		gbuf = st.AppendInformativeClasses(gbuf[:0])
 		ibuf = st.AppendInformativeIndices(ibuf[:0])
-		groups := st.InformativeGroups()
+		groups := st.InformativeClasses()
 		idxs := st.InformativeIndices()
 		if len(gbuf) != len(groups) || len(gbuf) != st.InformativeGroupCount() {
 			t.Fatalf("group counts disagree: append %d, alloc %d, count %d",
@@ -259,8 +261,8 @@ func TestAppendVariantsMatchAllocating(t *testing.T) {
 			if gbuf[k] != groups[k] {
 				t.Fatalf("group %d differs", k)
 			}
-			if st.GroupUnlabeled(groups[k].Pos) <= 0 {
-				t.Fatalf("informative class %d has no unlabeled tuples", groups[k].Pos)
+			if st.GroupUnlabeled(int(groups[k])) <= 0 {
+				t.Fatalf("informative class %d has no unlabeled tuples", groups[k])
 			}
 		}
 		if len(ibuf) != len(idxs) {

@@ -10,16 +10,15 @@ import (
 	"repro/internal/partition"
 )
 
-// lattice caches the structural facts of the signature lattice for one
-// State. Signatures are registered at NewState and extended by Append
-// (appendClasses), so their pair bitsets are computed once per class;
-// the hypothesis side (M_P, the negative antichain) is refreshed on
-// the Apply that changes it. On top of the bitsets sits the projection
-// table the lookahead simulations run over.
+// lattice caches the hypothesis side of the signature lattice for one
+// State in pair-bitset form: M_P and the negative antichain, refreshed
+// on the Apply that changes them. The signature side is the class
+// table's pair slab, computed once per class at registration. On top
+// of both sits the projection table the lookahead simulations run
+// over.
 type lattice struct {
-	sigs []partition.PairSet // per class, fixed at registration
 	mp   partition.PairSet   // pairs of the current M_P
-	negs []partition.PairSet // pairs of each maximal negative
+	negs []partition.PairSet // pairs of each maximal negative, in State.negs order
 
 	proj projTable
 }
@@ -51,7 +50,7 @@ type projTable struct {
 	tail     int      // pair words per set beyond the first
 	first    []uint64 // first word of each projection
 	rest     []uint64 // remaining words, tail per projection
-	weight   []int    // unlabeled tuples per projection
+	weight   []int32  // unlabeled tuples per projection
 	negFirst []uint64 // first word of each maximal negative
 	negRest  []uint64 // remaining words, tail per negative
 }
@@ -77,12 +76,15 @@ func split(p partition.PairSet) (uint64, partition.PairSet) {
 func (t *projTable) restOf(d int) partition.PairSet    { return t.rest[d*t.tail : (d+1)*t.tail] }
 func (t *projTable) negRestOf(k int) partition.PairSet { return t.negRest[k*t.tail : (k+1)*t.tail] }
 
-// build fills the table from the informative classes inf, merging
-// equal projections through an open-addressing index.
-func (t *projTable) build(lat *lattice, inf, unlabeled []int) {
+// build fills the table from the informative classes inf of cls,
+// merging equal projections through an open-addressing index. The
+// columns are sized for one entry per class up front, so a build grows
+// each at most once.
+func (t *projTable) build(lat *lattice, cls *classTable, inf []int32) {
 	mp0, mpRest := split(lat.mp)
 	t.tail = len(mpRest)
-	t.first, t.rest, t.weight = t.first[:0], t.rest[:0], t.weight[:0]
+	t.first, t.weight = reserve(t.first[:0], len(inf)), reserve(t.weight[:0], len(inf))
+	t.rest = reserve(t.rest[:0], len(inf)*t.tail)
 	lg := bits.Len(uint(max(2*len(inf)-1, 1))) // at most half the slots fill
 	size, shift := 1<<lg, 64-lg
 	buildSlots.Lock()
@@ -93,7 +95,7 @@ func (t *projTable) build(lat *lattice, inf, unlabeled []int) {
 	for _, hi := range inf {
 		// Append as a candidate entry; drop it if an equal one is indexed.
 		d := len(t.first)
-		h0, hRest := split(lat.sigs[hi])
+		h0, hRest := split(cls.sig(int(hi)))
 		t.first = append(t.first, mp0&h0)
 		hash := (mp0 & h0) * 0x9e3779b97f4a7c15
 		for w, x := range hRest {
@@ -105,11 +107,11 @@ func (t *projTable) build(lat *lattice, inf, unlabeled []int) {
 			e := int(slots[s]) - 1
 			if e < 0 {
 				slots[s] = int32(d + 1)
-				t.weight = append(t.weight, unlabeled[hi])
+				t.weight = append(t.weight, cls.unlabeled[hi])
 				break
 			}
 			if t.first[e] == t.first[d] && slices.Equal(t.restOf(e), t.restOf(d)) {
-				t.weight[e] += unlabeled[hi]
+				t.weight[e] += cls.unlabeled[hi]
 				t.first, t.rest = t.first[:d], t.rest[:d*t.tail]
 				break
 			}
@@ -132,7 +134,7 @@ func (st *State) projections() *projTable {
 	if t.built.Load() != stamp {
 		t.mu.Lock()
 		if t.built.Load() != stamp {
-			t.build(&st.lat, st.infGroups, st.groupUnlabeled)
+			t.build(&st.lat, &st.cls, st.infClasses)
 			t.built.Store(stamp)
 		}
 		t.mu.Unlock()
@@ -149,18 +151,18 @@ func (st *State) checkProjections() error {
 		return nil // nothing cached for this version
 	}
 	want := map[string]int{}
-	for _, gi := range st.infGroups {
-		want[fmt.Sprint(st.mp.Meet(st.groups[gi].Sig).PairSet())] += st.groupUnlabeled[gi]
+	for _, c := range st.infClasses {
+		want[fmt.Sprint(st.mp.Meet(st.ClassSig(int(c))).PairSet())] += st.GroupUnlabeled(int(c))
 	}
 	for d, h0 := range t.first {
 		key := fmt.Sprint(append(partition.PairSet{h0}, t.restOf(d)...)[:len(st.lat.mp)])
-		if want[key] != t.weight[d] {
+		if want[key] != int(t.weight[d]) {
 			return fmt.Errorf("core: projection %s carries weight %d, want %d", key, t.weight[d], want[key])
 		}
 		delete(want, key)
 	}
 	var negFirst, negRest []uint64
-	for _, n := range st.negs {
+	for _, n := range st.Negatives() {
 		n0, nRest := split(n.PairSet())
 		negFirst, negRest = append(negFirst, n0), append(negRest, nRest...)
 	}
@@ -170,24 +172,13 @@ func (st *State) checkProjections() error {
 	return nil
 }
 
-// appendClasses registers the pair bitsets of the classes a NewState
-// or Append batch opened; partition.CachedBatch computed them with the
-// classes, so this only grows lat.sigs. Growth policy: nothing else
-// moves — the projection table is keyed on State.Version, which Append
-// bumps, so the next simulation rebuilds it over the grown class set;
-// append cost stays proportional to the batch.
-func (lat *lattice) appendClasses(groups []*SigGroup) {
-	lat.sigs = reserve(lat.sigs, len(groups))
-	for _, g := range groups {
-		lat.sigs = append(lat.sigs, g.Sig.PairSet())
-	}
-}
+// impliedClass classifies class c under the current hypothesis.
+func (st *State) impliedClass(c int) Label { return st.lat.implied(st.cls.sig(c)) }
 
-// impliedGroup classifies class gi under the current hypothesis using
-// only word operations: implied positive iff M_P ≤ sig, implied
-// negative iff (M_P ∧ sig) ≤ some maximal negative.
-func (lat *lattice) impliedGroup(gi int) Label {
-	s := lat.sigs[gi]
+// implied classifies a signature with pair set s under the current
+// hypothesis using only word operations: implied positive iff
+// M_P ≤ sig, implied negative iff (M_P ∧ sig) ≤ some maximal negative.
+func (lat *lattice) implied(s partition.PairSet) Label {
 	if lat.mp.SubsetOf(s) {
 		return ImpliedPositive
 	}

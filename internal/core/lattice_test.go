@@ -24,10 +24,10 @@ func buildMidDialogue(t testing.TB, attrs int, seed int64, steps int) *State {
 		t.Fatal(err)
 	}
 	for i := 0; i < steps; i++ {
-		if len(st.infGroups) == 0 {
+		if len(st.infClasses) == 0 {
 			break
 		}
-		gi := st.infGroups[0]
+		gi := st.infClasses[0]
 		idx := firstUnlabeledIn(st, gi)
 		l := Negative
 		if goal.LessEq(st.Sig(idx)) {
@@ -40,8 +40,8 @@ func buildMidDialogue(t testing.TB, attrs int, seed int64, steps int) *State {
 	return st
 }
 
-func firstUnlabeledIn(st *State, gi int) int {
-	for _, i := range st.groups[gi].Indices {
+func firstUnlabeledIn(st *State, gi int32) int {
+	for _, i := range st.cls.members[gi] {
 		if st.labels[i] == Unlabeled {
 			return int(i)
 		}
@@ -73,28 +73,28 @@ func TestProjectionTableRebuildZeroAlloc(t *testing.T) {
 		if st.Done() {
 			t.Fatalf("%d attrs: dialogue converged during set-up", attrs)
 		}
-		st.SimulatePrunesGroup(st.infGroups[0]) // sizes the buffers
+		st.SimulatePrunesGroup(int(st.infClasses[0])) // sizes the buffers
 		if allocs := testing.AllocsPerRun(20, func() {
 			st.version++ // what Apply and Append do to the table
-			st.SimulatePrunesGroup(st.infGroups[0])
+			st.SimulatePrunesGroup(int(st.infClasses[0]))
 		}); allocs != 0 {
 			t.Errorf("%d attrs: forced rebuild allocates %.1f allocs/op, want 0", attrs, allocs)
 		}
 		rel := st.Relation()
 		for step := 0; step < 6 && !st.Done(); step++ {
 			if step%2 == 0 {
-				idx := firstUnlabeledIn(st, st.infGroups[len(st.infGroups)-1])
+				idx := firstUnlabeledIn(st, st.infClasses[len(st.infClasses)-1])
 				if _, err := st.Apply(idx, Positive); err != nil {
 					t.Fatal(err)
 				}
-			} else if _, err := st.Append([]relation.Tuple{rel.Tuple(step), rel.Tuple(firstUnlabeledIn(st, st.infGroups[0]))}); err != nil {
+			} else if _, err := st.Append([]relation.Tuple{rel.Tuple(step), rel.Tuple(firstUnlabeledIn(st, st.infClasses[0]))}); err != nil {
 				t.Fatal(err)
 			}
 			if st.Done() {
 				break
 			}
 			built := st.lat.proj.built.Load()
-			if n := mallocs(func() { st.SimulatePrunesGroup(st.infGroups[0]) }); n != 0 {
+			if n := mallocs(func() { st.SimulatePrunesGroup(int(st.infClasses[0])) }); n != 0 {
 				t.Errorf("%d attrs step %d: rebuild allocates %d times, want 0", attrs, step, n)
 			}
 			if st.lat.proj.built.Load() == built {
@@ -115,8 +115,8 @@ func TestProjectionTableConcurrentBuild(t *testing.T) {
 	states := []*State{buildMidDialogue(t, 6, 5, 2), buildMidDialogue(t, 12, 5, 1)}
 	want := make([][]int, len(states))
 	for s, st := range states {
-		for _, gi := range st.infGroups {
-			pos, neg := st.SimulatePrunesGroup(gi)
+		for _, gi := range st.infClasses {
+			pos, neg := st.SimulatePrunesGroup(int(gi))
 			want[s] = append(want[s], pos, neg)
 		}
 	}
@@ -128,8 +128,8 @@ func TestProjectionTableConcurrentBuild(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for k, gi := range st.infGroups {
-						if pos, neg := st.SimulatePrunesGroup(gi); pos != want[s][2*k] || neg != want[s][2*k+1] {
+					for k, gi := range st.infClasses {
+						if pos, neg := st.SimulatePrunesGroup(int(gi)); pos != want[s][2*k] || neg != want[s][2*k+1] {
 							t.Errorf("state %d class %d: %d, %d, want %d, %d", s, gi, pos, neg, want[s][2*k], want[s][2*k+1])
 						}
 					}

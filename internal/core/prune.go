@@ -25,12 +25,12 @@ func (st *State) SimulatePrunes(sig partition.P) (pos, neg int) {
 }
 
 // SimulatePrunesGroup is SimulatePrunes for the signature class at
-// position gi of Groups(). It is the strategies' inner loop: one pass
+// position gi. It is the strategies' inner loop: one pass
 // over the distinct M_P-projections of the informative classes (see
 // projTable), a few word operations per entry, safe to call from
 // parallel scorers.
 func (st *State) SimulatePrunesGroup(gi int) (pos, neg int) {
-	return st.projections().prunes(st.lat.sigs[gi], st.lat.mp)
+	return st.projections().prunes(st.cls.sig(gi), st.lat.mp)
 }
 
 // SimulatePrune is the count of SimulatePrunes for one explicit label.
@@ -67,9 +67,9 @@ func pruneFor(l Label, pos, neg int) int {
 // that hypothesis next settles.
 func (st *State) countImplied(next Hypo) int {
 	count := 0
-	for _, gi := range st.infGroups {
-		if next.ImpliedLabel(st.groups[gi].Sig) != Unlabeled {
-			count += st.groupUnlabeled[gi]
+	for _, c := range st.infClasses {
+		if next.ImpliedLabel(st.ClassSig(int(c))) != Unlabeled {
+			count += st.GroupUnlabeled(int(c))
 		}
 	}
 	return count
@@ -104,14 +104,14 @@ func (t *projTable) prunes(g, mp partition.PairSet) (pos, neg int) {
 	switch negs := t.negFirst; len(negs) {
 	case 0:
 		for d, h := range first {
-			w := weight[d]
+			w := int(weight[d])
 			pos += w & -int(isZero(a0&^h))
 			neg += w & -int(isZero(h&notG))
 		}
 	case 1:
 		c := g0 &^ negs[0]
 		for d, h := range first {
-			w := weight[d]
+			w := int(weight[d])
 			pos += w & -int(isZero(a0&^h)|isZero(h&c))
 			neg += w & -int(isZero(h&notG))
 		}
@@ -121,7 +121,7 @@ func (t *projTable) prunes(g, mp partition.PairSet) (pos, neg int) {
 			for _, n := range negs {
 				m |= isZero(gh &^ n)
 			}
-			w := weight[d]
+			w := int(weight[d])
 			pos += w & -int(m)
 			neg += w & -int(isZero(h&notG))
 		}
@@ -154,7 +154,7 @@ func (t *projTable) prunesWide(g, mp partition.PairSet) (pos, neg int) {
 			}
 			m |= isZero(v)
 		}
-		w := weight[d]
+		w := int(weight[d])
 		pos += w & -int(m)
 		neg += w & -int(isZero(vn))
 	}

@@ -46,10 +46,11 @@ type Session struct {
 	// budget.
 	RedeferLimit int
 
-	// deferred holds signature classes the caller skipped; cleared when
-	// a new label or batch of tuples arrives (fresh context may help
-	// decide) or when a re-offer round starts.
-	deferred    map[*SigGroup]bool
+	// deferred marks, by class position, the signature classes the
+	// caller skipped; nil when none is. Cleared when a new label or
+	// batch of tuples arrives (fresh context may help decide) or when a
+	// re-offer round starts.
+	deferred    []bool
 	redeferrals int
 	// skipClears counts re-offer rounds: Propose clearing a fully
 	// skipped set. Observable via SkipClears so transports that log
@@ -97,7 +98,7 @@ func (s *Session) Propose() (i int, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	if len(s.deferred) == 0 || !s.deferred[s.st.GroupOf(i)] {
+	if !s.skipped(i) {
 		return i, true
 	}
 	if kp, isKP := s.picker.(KPicker); isKP {
@@ -105,14 +106,14 @@ func (s *Session) Propose() (i int, ok bool) {
 		// return more than one tuple per class, so requesting the total
 		// class count only made the ranker chew on settled classes.
 		for _, j := range kp.PickK(s.st, s.st.InformativeGroupCount()) {
-			if !s.deferred[s.st.GroupOf(j)] {
+			if !s.skipped(j) {
 				return j, true
 			}
 		}
 	}
 	s.infBuf = s.st.AppendInformativeIndices(s.infBuf[:0])
 	for _, j := range s.infBuf {
-		if !s.deferred[s.st.GroupOf(j)] {
+		if !s.skipped(j) {
 			return j, true
 		}
 	}
@@ -225,11 +226,16 @@ func (s *Session) Skip(i int) error {
 	if s.st.Done() {
 		return fmt.Errorf("%w: cannot skip tuple %d", ErrSessionDone, i)
 	}
-	if s.deferred == nil {
-		s.deferred = make(map[*SigGroup]bool)
-	}
-	s.deferred[s.st.GroupOf(i)] = true
+	c := s.st.ClassOf(i)
+	s.deferred = grow(s.deferred, max(c+1-len(s.deferred), 0))
+	s.deferred[c] = true
 	return nil
+}
+
+// skipped reports whether tuple i's class is in the skip set.
+func (s *Session) skipped(i int) bool {
+	c := s.st.ClassOf(i)
+	return c < len(s.deferred) && s.deferred[c]
 }
 
 // Skips returns one representative unlabeled tuple index per
@@ -240,12 +246,12 @@ func (s *Session) Skip(i int) error {
 // fully labeled since they were skipped are omitted: they no longer
 // influence proposal routing.
 func (s *Session) Skips() []int {
-	if len(s.deferred) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(s.deferred))
-	for g := range s.deferred {
-		for _, i := range g.Indices {
+	var out []int
+	for c, skipped := range s.deferred {
+		if !skipped {
+			continue
+		}
+		for _, i := range s.st.ClassMembers(c) {
 			if s.st.Label(int(i)) == Unlabeled {
 				out = append(out, int(i))
 				break

@@ -81,7 +81,7 @@ func TestSessionSkipRoutesAround(t *testing.T) {
 	if !ok {
 		t.Fatal("no alternative after one skip")
 	}
-	if sess.State().GroupOf(j) == sess.State().GroupOf(i) {
+	if sess.State().ClassOf(j) == sess.State().ClassOf(i) {
 		t.Error("Propose re-offered the skipped class immediately")
 	}
 	// Skip everything informative: with unlimited re-offers the session

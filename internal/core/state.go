@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"repro/internal/partition"
@@ -21,58 +20,50 @@ var ErrInconsistent = errors.New("core: label is inconsistent with previous labe
 // already labeled explicitly.
 var ErrAlreadyLabeled = errors.New("core: tuple already labeled explicitly")
 
-// SigGroup is a signature class: the tuples of the instance sharing one
-// Eq signature. Every hypothesis treats such tuples identically, so
-// informativeness, implied labels, and strategy scores are computed per
-// group, not per tuple (the signature-grouping optimization benched in
-// E7).
-type SigGroup struct {
-	Sig     partition.P
-	Indices []int32 // tuple indices in first-occurrence order
-	Pos     int     // position in State.Groups(), fixed at registration
-}
-
 // State holds the instance and everything the engine knows: explicit
 // and implied labels, the most specific consistent hypothesis M_P, and
 // the maximal antichain of negative signatures.
+//
+// Tuples are grouped into signature classes: the tuples sharing one Eq
+// signature. Every hypothesis treats such tuples identically, so
+// informativeness, implied labels, and strategy scores are computed per
+// class, not per tuple (the signature-grouping optimization benched in
+// E7). A class is named by its position, 0 to ClassCount()-1, fixed at
+// registration.
 type State struct {
 	rel    *relation.Relation
 	n      int // number of attributes
 	labels []Label
 
-	mp   partition.P   // meet of positive signatures; Top initially
-	negs []partition.P // ≤-maximal negative signatures (antichain)
+	mp partition.P // meet of positive signatures; Top initially
+	// negs holds the classes whose signatures are the ≤-maximal negative
+	// signatures (an antichain): every maximal negative is the
+	// signature of a tuple labeled negative, so a class position names
+	// it, and its pair set stays in the class table.
+	negs []int32
 
-	groups  []*SigGroup
-	groupOf []int32 // tuple index -> group position; Sig(i) is its class's Sig
-	// classes maps the hash of a class signature's canonical labels
-	// (partition.HashLabels) to the class position. Distinct signatures
-	// whose hashes collide take the next free hash values in turn, so a
-	// lookup walks h, h+1, … until it finds a class with the wanted
-	// labels or a free value. Classes are never removed, so no probe
-	// sequence is ever cut short.
-	classes map[uint64]int32
+	cls     classTable // the signature classes (classes.go)
+	classOf []int32    // tuple index -> class position
 	counts  [5]int
 
 	// Ingestion scratch, reused so that registering a tuple whose class
 	// already exists allocates nothing: a per-class stamp marking the
 	// classes an Append batch has already classified (classifyArrivals).
 	arrivalMark []int
-	classAdds   []int // per-class member count of a batch (indexMembers)
+	classAdds   []int32 // per-class member count of a batch (indexMembers)
 	// implied lists the tuples the last Apply or Append newly implied:
 	// the public methods return a copy of it, the count-only and view
 	// routes (Session.AnswerView, AppendBatch) read it in place.
 	implied []int
 
 	// Incrementally maintained scoring state (see lattice.go): the
-	// per-class unlabeled counts, the positions of classes that still
-	// hold informative tuples (always sorted), and the pair-bitset
-	// lattice over the registered signature set. Together they let
-	// implied checks and lookahead simulations run without scanning
-	// tuples or allocating partitions.
-	groupUnlabeled []int
-	infGroups      []int
-	lat            lattice
+	// positions of classes that still hold informative tuples (always
+	// sorted) and the pair-bitset view of the hypothesis. With the class
+	// table's unlabeled counts and pair sets they let implied checks and
+	// lookahead simulations run without scanning tuples or allocating
+	// partitions.
+	infClasses []int32
+	lat        lattice
 
 	base             int // instance size at NewState; see BaseLen
 	version          int // bumped on every successful Apply or Append; see Version
@@ -90,19 +81,23 @@ func NewState(rel *relation.Relation) (*State, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: instance needs at least one attribute")
 	}
+	if n > maxAttrs {
+		return nil, fmt.Errorf("core: instance has %d attributes, at most %d are supported", n, maxAttrs)
+	}
 	st := &State{
-		rel:     rel,
-		n:       n,
-		mp:      partition.Top(n).Cached(),
-		classes: make(map[uint64]int32),
-		base:    rel.Len(),
+		rel:  rel,
+		n:    n,
+		mp:   partition.Top(n).Cached(),
+		cls:  newClassTable(n),
+		base: rel.Len(),
 	}
 	st.labels = make([]Label, 0, rel.Len())
-	st.groupOf = make([]int32, 0, rel.Len())
+	st.classOf = make([]int32, 0, rel.Len())
 	rel.EachBatch(st.register)
-	st.infGroups = make([]int, len(st.groups))
-	for gi := range st.groups {
-		st.infGroups[gi] = gi
+	st.classAdds = nil // Append's scratch: a session that never appends keeps none
+	st.infClasses = make([]int32, st.cls.len())
+	for c := range st.infClasses {
+		st.infClasses[c] = int32(c)
 	}
 	st.lat.mp = st.mp.PairSet()
 	st.propagate()
@@ -151,14 +146,15 @@ func (st *State) AppendBatch(b *relation.Batch) (newlyImplied []int, err error) 
 	if b.Arity() != st.n {
 		return nil, fmt.Errorf("%w: appended batch has arity %d, want %d", ErrSchemaMismatch, b.Arity(), st.n)
 	}
-	prevClasses := len(st.groups)
+	prevClasses := st.cls.len()
 	firstNew := len(st.labels)
 	// The per-tuple arrays grow once for the whole batch; the relation
 	// stores the batch as a chunk of its own. Arity is checked above.
 	_ = st.rel.AppendBatch(b)
 	st.labels = reserve(st.labels, b.Len())
-	st.groupOf = reserve(st.groupOf, b.Len())
+	st.classOf = reserve(st.classOf, b.Len())
 	st.register(firstNew, b)
+	st.syncNegatives() // the pair slab may have moved
 	st.classifyArrivals(firstNew, prevClasses)
 	st.version++
 	st.structureVersion++
@@ -182,52 +178,55 @@ func (st *State) impliedCopy() []int {
 // stays informative (the hypothesis did not move), so only new and
 // previously-settled classes are classified.
 func (st *State) classifyArrivals(firstNew, prevClasses int) {
-	var reenter []int // sorted class positions to add to infGroups
+	var reenterBuf [64]int32
+	reenter := reenterBuf[:0] // sorted class positions to add to infClasses
 	// Append bumps StructureVersion once per batch after this call, so
 	// the post-batch version stamps each class at most once per batch.
 	mark := st.structureVersion + 1
-	st.arrivalMark = reserve(st.arrivalMark, len(st.groups)-len(st.arrivalMark))
-	for len(st.arrivalMark) < len(st.groups) {
-		st.arrivalMark = append(st.arrivalMark, 0)
-	}
+	st.arrivalMark = grow(st.arrivalMark, st.cls.len()-len(st.arrivalMark))
 	for i := firstNew; i < len(st.labels); i++ {
-		gi := int(st.groupOf[i])
-		if st.arrivalMark[gi] == mark {
+		c := st.classOf[i]
+		if st.arrivalMark[c] == mark {
 			continue
 		}
-		st.arrivalMark[gi] = mark
-		inIndex := gi < prevClasses && st.inInformativeIndex(gi)
-		if inIndex {
+		st.arrivalMark[c] = mark
+		if int(c) < prevClasses && st.inInformativeIndex(c) {
 			continue // informative class stays informative; counts already updated
 		}
-		implied := st.lat.impliedGroup(gi)
+		implied := st.impliedClass(int(c))
 		if implied == Unlabeled {
-			reenter = append(reenter, gi)
+			reenter = append(reenter, c)
 			continue
 		}
-		for _, j := range st.groups[gi].Indices {
-			if st.labels[j] == Unlabeled {
-				st.setLabel(int(j), implied)
-				st.implied = append(st.implied, int(j))
-			}
-		}
+		st.settle(int(c), implied)
 	}
 	if len(reenter) > 0 {
-		sort.Ints(reenter)
-		st.infGroups = mergeSorted(st.infGroups, reenter)
+		slices.Sort(reenter)
+		st.infClasses = mergeSorted(st.infClasses, reenter)
 	}
 }
 
-// inInformativeIndex reports membership of class gi in the sorted
+// settle gives the unlabeled members of class c the implied label l,
+// listing them in st.implied.
+func (st *State) settle(c int, l Label) {
+	for _, i := range st.cls.members[c] {
+		if st.labels[i] == Unlabeled {
+			st.setLabel(int(i), l)
+			st.implied = append(st.implied, int(i))
+		}
+	}
+}
+
+// inInformativeIndex reports membership of class c in the sorted
 // informative-class index.
-func (st *State) inInformativeIndex(gi int) bool {
-	k := sort.SearchInts(st.infGroups, gi)
-	return k < len(st.infGroups) && st.infGroups[k] == gi
+func (st *State) inInformativeIndex(c int32) bool {
+	_, ok := slices.BinarySearch(st.infClasses, c)
+	return ok
 }
 
 // mergeSorted merges two sorted, disjoint position lists in place of a.
-func mergeSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
+func mergeSorted(a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] < b[j] {
@@ -263,101 +262,78 @@ func reserve[T any](s []T, n int) []T {
 // job (propagate at NewState, classifyArrivals at Append).
 //
 // The batch is registered in two passes. The first classifies every
-// tuple, computing its signature into State-owned scratch and looking
-// it up in the class index, and collects the labels of the batch's new
-// classes end to end — on the stack while they fit, so a session keeps
-// no such scratch. The second, knowing the exact number of new classes
-// and of their members, builds them from slabs sized for the batch: a
-// handful of allocations per batch, however many classes it opens, and
-// none for a batch that opens none.
+// tuple, computing its signature into a stack buffer and looking it up
+// in the class index, and stages the labels of the batch's new classes
+// end to end — on the stack while they fit, so a session keeps no such
+// scratch. The second, knowing the exact number of new classes and of
+// their members, grows each column of the class table once: a handful
+// of allocations per batch, however many classes it opens, and none
+// for a batch that opens none.
 func (st *State) register(first int, b *relation.Batch) {
-	prev, n := len(st.groups), st.n
-	var stack [256]int
-	batch := stack[:0]
-	var sigStack [32]int // a signature's canonical labels
-	sig := sigStack[:min(n, len(sigStack))]
-	if n > len(sigStack) {
-		sig = make([]int, n)
-	}
+	t := &st.cls
+	prev, n := t.len(), st.n
+	var stack [1024]uint8
+	staged := stack[:0]
+	var sigStack [maxAttrs]uint8
+	sig := sigStack[:n]
 	for r := range b.Len() {
 		eqLabels(sig, b, r)
-		var gi int
-		for h := partition.HashLabels(sig); ; h++ {
-			c, ok := st.classes[h]
-			gi = int(c)
-			if !ok {
-				gi = prev + len(batch)/n
-				batch = append(batch, sig...)
-				st.classes[h] = int32(gi)
-				break
-			}
-			if gi < prev && st.groups[gi].Sig.HasLabels(sig) ||
-				gi >= prev && slices.Equal(batch[(gi-prev)*n:(gi-prev+1)*n], sig) {
-				break
-			}
+		h := partition.HashLabels(sig)
+		c := t.find(sig, h, staged)
+		if c < 0 {
+			c = prev + len(staged)/n
+			staged = append(staged, sig...)
+			t.index(c, h, staged)
 		}
-		st.groupOf = append(st.groupOf, int32(gi))
+		st.classOf = append(st.classOf, int32(c))
 		st.labels = append(st.labels, Unlabeled)
 	}
 	st.counts[Unlabeled] += len(st.labels) - first
-
-	sigs := partition.CachedBatch(batch, n)
-	slab := make([]SigGroup, len(sigs))
-	st.groups = reserve(st.groups, len(sigs))
-	st.groupUnlabeled = reserve(st.groupUnlabeled, len(sigs))
-	for j, sig := range sigs {
-		slab[j] = SigGroup{Sig: sig, Pos: prev + j}
-		st.groups = append(st.groups, &slab[j])
-		st.groupUnlabeled = append(st.groupUnlabeled, 0)
-	}
+	t.add(staged)
 	st.indexMembers(first, prev)
-	st.lat.appendClasses(st.groups[prev:])
 }
 
 // indexMembers adds the tuples registered at or after index first to
-// their classes' member lists (SigGroup.Indices) and unlabeled counts,
-// growing each list once: a count pass sizes every list before the
-// fill pass appends. Classes at positions >= prev are the batch's new
-// ones; their lists are cut from one slab, each at full capacity, so a
-// later append to one copies it instead of overwriting its neighbour.
+// their classes' member lists and unlabeled counts, growing each list
+// once: a count pass sizes every list before the fill pass appends.
+// Classes at positions >= prev are the batch's new ones; their lists
+// are cut from one slab, each at full capacity, so a later append to
+// one copies it instead of overwriting its neighbour.
 func (st *State) indexMembers(first, prev int) {
-	adds := reserve(st.classAdds[:0], len(st.groups))[:len(st.groups)]
-	clear(adds)
-	for _, gi := range st.groupOf[first:] {
-		adds[gi]++
+	t := &st.cls
+	adds := grow(st.classAdds[:0], t.len())
+	for _, c := range st.classOf[first:] {
+		adds[c]++
 	}
 	fresh := 0
 	for _, n := range adds[prev:] {
-		fresh += n
+		fresh += int(n)
 	}
 	slab := make([]int32, fresh)
-	for gi, n := range adds {
+	for c, n := range adds {
 		switch {
-		case gi >= prev:
-			st.groups[gi].Indices, slab = slab[:0:n], slab[n:]
+		case c >= prev:
+			t.members[c], slab = slab[:0:n], slab[n:]
 		case n > 0:
-			st.groups[gi].Indices = reserve(st.groups[gi].Indices, n)
+			t.members[c] = reserve(t.members[c], int(n))
 		}
-		st.groupUnlabeled[gi] += n
+		t.unlabeled[c] += n
 	}
-	for i, gi := range st.groupOf[first:] {
-		st.groups[gi].Indices = append(st.groups[gi].Indices, int32(first+i))
+	for i, c := range st.classOf[first:] {
+		t.members[c] = append(t.members[c], int32(first+i))
 	}
 	st.classAdds = adds
 }
 
-// lookup returns the position of the class whose signature is sig, or
-// -1.
+// lookup returns the position of the class whose signature is sig, a
+// partition of the state's attributes, or -1.
 func (st *State) lookup(sig partition.P) int {
-	for h := sig.Hash(); ; h++ {
-		gi, ok := st.classes[h]
-		if !ok {
-			return -1
-		}
-		if st.groups[gi].Sig.Equal(sig) {
-			return int(gi)
-		}
+	var buf [maxAttrs]uint8
+	labels := buf[:st.n]
+	for i := range labels {
+		labels[i] = uint8(sig.BlockOf(i))
 	}
+	return st.cls.find(labels, partition.HashLabels(labels), nil)
 }
 
 // eqLabels writes the canonical block labels of the Eq signature of
@@ -368,7 +344,7 @@ func (st *State) lookup(sig partition.P) int {
 // within a row); two numeric cells otherwise — a float against a float
 // or an int — are decided by values.Equal on the materialised cells;
 // every other pair (NULL, or kinds that never compare equal) differs.
-func eqLabels(labels []int, b *relation.Batch, r int) {
+func eqLabels(labels []uint8, b *relation.Batch, r int) {
 	kinds, words := b.Row(r)
 	blocks := 0
 	for i := range labels {
@@ -383,7 +359,7 @@ func eqLabels(labels []int, b *relation.Batch, r int) {
 				eq = b.Cell(r, j).Equal(b.Cell(r, i))
 			}
 			if eq {
-				l = labels[j]
+				l = int(labels[j])
 				break
 			}
 		}
@@ -391,7 +367,7 @@ func eqLabels(labels []int, b *relation.Batch, r int) {
 			l = blocks
 			blocks++
 		}
-		labels[i] = l
+		labels[i] = uint8(l)
 	}
 }
 
@@ -409,10 +385,8 @@ func (st *State) Relation() *relation.Relation { return st.rel }
 // AttrCount returns the number of attributes.
 func (st *State) AttrCount() int { return st.n }
 
-// Sig returns the Eq signature of tuple i: its class's cached
-// signature, so every lattice question about the tuple hits the
-// memoized bitset.
-func (st *State) Sig(i int) partition.P { return st.groups[st.groupOf[i]].Sig }
+// Sig returns the Eq signature of tuple i: ClassSig of its class.
+func (st *State) Sig(i int) partition.P { return st.ClassSig(int(st.classOf[i])) }
 
 // Label returns the current label of tuple i.
 func (st *State) Label(i int) Label { return st.labels[i] }
@@ -423,44 +397,48 @@ func (st *State) Label(i int) Label { return st.labels[i] }
 func (st *State) MP() partition.P { return st.mp }
 
 // Negatives returns the ≤-maximal negative signatures (the sufficient
-// statistic for the negative examples). The caller must not mutate it.
-func (st *State) Negatives() []partition.P { return st.negs }
-
-// Groups returns the signature classes of the instance. The caller
-// must not mutate them.
-func (st *State) Groups() []*SigGroup { return st.groups }
-
-// GroupOf returns the signature class containing tuple i.
-func (st *State) GroupOf(i int) *SigGroup { return st.groups[st.groupOf[i]] }
-
-// impliedPositive reports whether every consistent hypothesis selects
-// tuples with the given signature.
-func (st *State) impliedPositive(sig partition.P) bool {
-	return st.mp.LessEq(sig)
-}
-
-// impliedNegative reports whether no consistent hypothesis selects
-// tuples with the given signature.
-func (st *State) impliedNegative(sig partition.P) bool {
-	m := st.mp.Meet(sig)
-	for _, neg := range st.negs {
-		if m.LessEq(neg) {
-			return true
-		}
+// statistic for the negative examples), built afresh on every call.
+func (st *State) Negatives() []partition.P {
+	out := make([]partition.P, len(st.negs))
+	for k, c := range st.negs {
+		out[k] = st.ClassSig(int(c))
 	}
-	return false
+	return out
 }
+
+// ClassCount returns the number of signature classes of the instance.
+func (st *State) ClassCount() int { return st.cls.len() }
+
+// ClassOf returns the position of the signature class containing tuple
+// i.
+func (st *State) ClassOf(i int) int { return int(st.classOf[i]) }
+
+// ClassMembers returns the tuple indices of class c in first-occurrence
+// order. The caller must not mutate them; an Append may move them.
+func (st *State) ClassMembers(c int) []int32 { return st.cls.members[c] }
+
+// ClassSig returns the Eq signature of class c, built afresh from the
+// class table (with a lazy cache, see partition.P.Cached) on every
+// call: the form explanations, reference strategies and tests read.
+// The hot paths ask their lattice questions of the class's pair set
+// instead.
+func (st *State) ClassSig(c int) partition.P {
+	return partition.FromCanonical(st.cls.labelsOf(c, nil)).Cached()
+}
+
+// ClassPairs returns the pair set of class c's signature, a view of the
+// class table the caller must not mutate.
+func (st *State) ClassPairs(c int) partition.PairSet { return st.cls.sig(c) }
 
 // ImpliedLabel returns the label forced on the given signature by the
 // current examples, or Unlabeled if the signature is informative.
 func (st *State) ImpliedLabel(sig partition.P) Label {
-	if st.impliedPositive(sig) {
-		return ImpliedPositive
+	if sig.N() == st.n {
+		return st.lat.implied(sig.PairSet())
 	}
-	if st.impliedNegative(sig) {
-		return ImpliedNegative
-	}
-	return Unlabeled
+	// A foreign size takes the definitional path, which fails on it as
+	// it always has.
+	return st.Hypo().ImpliedLabel(sig)
 }
 
 // Informative reports whether tuple i is informative: unlabeled and
@@ -469,26 +447,24 @@ func (st *State) Informative(i int) bool {
 	return st.labels[i] == Unlabeled
 }
 
-// InformativeGroups returns the signature classes that still contain
-// informative tuples, in stable order.
-func (st *State) InformativeGroups() []*SigGroup {
-	return st.AppendInformativeGroups(nil)
+// InformativeClasses returns the positions of the signature classes
+// that still contain informative tuples, ascending.
+func (st *State) InformativeClasses() []int32 {
+	return st.AppendInformativeClasses(nil)
 }
 
-// AppendInformativeGroups appends the informative signature classes to
-// buf, in stable order, and returns the extended slice. Hot loops pass
-// a reused buffer (buf[:0]) so per-pick selection allocates nothing.
-func (st *State) AppendInformativeGroups(buf []*SigGroup) []*SigGroup {
-	for _, gi := range st.infGroups {
-		buf = append(buf, st.groups[gi])
-	}
-	return buf
+// AppendInformativeClasses appends the positions of the informative
+// signature classes to buf, ascending, and returns the extended slice.
+// Hot loops pass a reused buffer (buf[:0]) so per-pick selection
+// allocates nothing.
+func (st *State) AppendInformativeClasses(buf []int32) []int32 {
+	return append(buf, st.infClasses...)
 }
 
 // InformativeGroupCount returns the number of signature classes that
 // still contain informative tuples — the natural candidate-list size
 // for top-k ranking (one proposal per class is ever useful).
-func (st *State) InformativeGroupCount() int { return len(st.infGroups) }
+func (st *State) InformativeGroupCount() int { return len(st.infClasses) }
 
 // InformativeIndices returns the informative tuple indices in order.
 func (st *State) InformativeIndices() []int {
@@ -506,9 +482,8 @@ func (st *State) AppendInformativeIndices(buf []int) []int {
 	return buf
 }
 
-// GroupUnlabeled returns the number of unlabeled tuples in the class
-// at position gi of Groups().
-func (st *State) GroupUnlabeled(gi int) int { return st.groupUnlabeled[gi] }
+// GroupUnlabeled returns the number of unlabeled tuples in class c.
+func (st *State) GroupUnlabeled(c int) int { return int(st.cls.unlabeled[c]) }
 
 // InformativeCount returns the number of informative tuples.
 func (st *State) InformativeCount() int { return st.counts[Unlabeled] }
@@ -527,8 +502,8 @@ func (st *State) Result() partition.P { return st.mp }
 // contradicting labels, so it returns true unless internal state was
 // corrupted.
 func (st *State) IsConsistent() bool {
-	for _, neg := range st.negs {
-		if st.mp.LessEq(neg) {
+	for _, neg := range st.lat.negs {
+		if st.lat.mp.SubsetOf(neg) {
 			return false
 		}
 	}
@@ -562,12 +537,14 @@ func (st *State) apply(i int, l Label) error {
 	if st.labels[i].IsExplicit() {
 		return fmt.Errorf("%w: tuple %d is %v", ErrAlreadyLabeled, i, st.labels[i])
 	}
-	sig := st.Sig(i)
-	// Contradiction checks (state not yet mutated).
-	if l == Positive && st.impliedNegative(sig) {
+	// Contradiction checks (state not yet mutated), on the class's pair
+	// set. The state is consistent, so at most one implication holds.
+	c := int(st.classOf[i])
+	implied := st.impliedClass(c)
+	if l == Positive && implied == ImpliedNegative {
 		return fmt.Errorf("%w: tuple %d labeled +, but no consistent query selects it", ErrInconsistent, i)
 	}
-	if l == Negative && st.impliedPositive(sig) {
+	if l == Negative && implied == ImpliedPositive {
 		return fmt.Errorf("%w: tuple %d labeled -, but every consistent query selects it", ErrInconsistent, i)
 	}
 
@@ -577,18 +554,13 @@ func (st *State) apply(i int, l Label) error {
 		// M_P moves only when the new positive's signature does not
 		// already refine above it; leaving it untouched keeps the
 		// M_P-conditioned strategy scores (MPVersion) valid.
-		if !st.mp.LessEq(sig) {
-			st.mp = st.mp.Meet(sig).Cached()
+		if implied != ImpliedPositive {
+			st.mp = st.mp.Meet(partition.FromCanonical(st.cls.labelsOf(c, nil))).Cached()
 			st.mpVersion++
 			st.lat.mp = st.mp.PairSet()
 		}
 	case Negative:
-		if st.addNegative(sig) {
-			st.lat.negs = st.lat.negs[:0]
-			for _, n := range st.negs {
-				st.lat.negs = append(st.lat.negs, n.PairSet())
-			}
-		}
+		st.addNegative(c)
 	}
 	st.version++
 	st.propagate()
@@ -620,24 +592,34 @@ func (st *State) BaseLen() int { return st.base }
 // Appended returns how many tuples arrived via Append after creation.
 func (st *State) Appended() int { return st.rel.Len() - st.base }
 
-// addNegative inserts sig into the maximal antichain of negative
-// signatures: a signature refined by an existing one is redundant
-// (Q ≰ coarser implies Q ≰ finer), so only ≤-maximal elements are
-// kept. It reports whether the antichain changed.
-func (st *State) addNegative(sig partition.P) bool {
-	for _, neg := range st.negs {
-		if sig.LessEq(neg) {
-			return false // dominated: the new constraint is already implied
+// addNegative inserts the signature of class c into the maximal
+// antichain of negative signatures: a signature refined by an existing
+// one is redundant (Q ≰ coarser implies Q ≰ finer), so only ≤-maximal
+// elements are kept.
+func (st *State) addNegative(c int) {
+	sig := st.cls.sig(c)
+	for _, neg := range st.lat.negs {
+		if sig.SubsetOf(neg) {
+			return // dominated: the new constraint is already implied
 		}
 	}
 	kept := st.negs[:0]
-	for _, neg := range st.negs {
-		if !neg.LessEq(sig) {
+	for k, neg := range st.negs {
+		if !st.lat.negs[k].SubsetOf(sig) {
 			kept = append(kept, neg)
 		}
 	}
-	st.negs = append(kept, sig)
-	return true
+	st.negs = append(kept, int32(c))
+	st.syncNegatives()
+}
+
+// syncNegatives points the lattice's negative pair sets at the class
+// table's pair slab.
+func (st *State) syncNegatives() {
+	st.lat.negs = st.lat.negs[:0]
+	for _, c := range st.negs {
+		st.lat.negs = append(st.lat.negs, st.cls.sig(int(c)))
+	}
 }
 
 // propagate reclassifies the classes that might have changed status —
@@ -647,24 +629,19 @@ func (st *State) addNegative(sig partition.P) bool {
 // candidate listing stay O(informative classes), never O(tuples).
 func (st *State) propagate() {
 	st.implied = st.implied[:0]
-	kept := st.infGroups[:0]
-	for _, gi := range st.infGroups {
-		if st.groupUnlabeled[gi] == 0 {
+	kept := st.infClasses[:0]
+	for _, c := range st.infClasses {
+		if st.cls.unlabeled[c] == 0 {
 			continue // settled by the explicit label this round
 		}
-		implied := st.lat.impliedGroup(gi)
+		implied := st.impliedClass(int(c))
 		if implied == Unlabeled {
-			kept = append(kept, gi)
+			kept = append(kept, c)
 			continue
 		}
-		for _, i := range st.groups[gi].Indices {
-			if st.labels[i] == Unlabeled {
-				st.setLabel(int(i), implied)
-				st.implied = append(st.implied, int(i))
-			}
-		}
+		st.settle(int(c), implied)
 	}
-	st.infGroups = kept
+	st.infClasses = kept
 }
 
 func (st *State) setLabel(i int, l Label) {
@@ -673,7 +650,7 @@ func (st *State) setLabel(i int, l Label) {
 	st.labels[i] = l
 	st.counts[l]++
 	if old == Unlabeled {
-		st.groupUnlabeled[st.groupOf[i]]--
+		st.cls.unlabeled[st.classOf[i]]--
 	}
 }
 
@@ -684,8 +661,9 @@ func (st *State) setLabel(i int, l Label) {
 // (tests, the optimal strategy, and demo statistics).
 func (st *State) ConsistentQueries(limit int) []partition.P {
 	var out []partition.P
+	negs := st.Negatives()
 	partition.EnumerateRefinementsOf(st.mp, func(q partition.P) bool {
-		for _, neg := range st.negs {
+		for _, neg := range negs {
 			if q.LessEq(neg) {
 				return true // inconsistent with neg; keep enumerating
 			}
@@ -700,9 +678,10 @@ func (st *State) ConsistentQueries(limit int) []partition.P {
 // the same cost caveat as ConsistentQueries.
 func (st *State) CountConsistent() int {
 	n := 0
+	negs := st.Negatives()
 	partition.EnumerateRefinementsOf(st.mp, func(q partition.P) bool {
 		consistent := true
-		for _, neg := range st.negs {
+		for _, neg := range negs {
 			if q.LessEq(neg) {
 				consistent = false
 				break
@@ -773,33 +752,61 @@ func (st *State) CheckInvariants() error {
 		return fmt.Errorf("core: M_P %v refines a negative signature", st.mp)
 	}
 	// Antichain property of negatives.
-	for i := range st.negs {
-		for j := range st.negs {
-			if i != j && st.negs[i].LessEq(st.negs[j]) {
-				return fmt.Errorf("core: negative %v dominated by %v", st.negs[i], st.negs[j])
+	negs := st.Negatives()
+	for i := range negs {
+		for j := range negs {
+			if i != j && negs[i].LessEq(negs[j]) {
+				return fmt.Errorf("core: negative %v dominated by %v", negs[i], negs[j])
 			}
 		}
 	}
+	// impliedNegative is the definitional implied-negative test, with
+	// partition meets: the lattice's word operations are held to it.
+	impliedNegative := func(sig partition.P) bool {
+		m := st.mp.Meet(sig)
+		for _, neg := range negs {
+			if m.LessEq(neg) {
+				return true
+			}
+		}
+		return false
+	}
+	definitional := func(sig partition.P) Label {
+		switch {
+		case st.mp.LessEq(sig):
+			return ImpliedPositive
+		case impliedNegative(sig):
+			return ImpliedNegative
+		}
+		return Unlabeled
+	}
 	// Registration arrays must cover the (possibly grown) instance, and
 	// every tuple's class must carry the tuple's own Eq signature.
-	if len(st.labels) != st.rel.Len() || len(st.groupOf) != st.rel.Len() {
-		return fmt.Errorf("core: registration arrays (%d labels, %d groupOf) drifted from instance size %d",
-			len(st.labels), len(st.groupOf), st.rel.Len())
+	if len(st.labels) != st.rel.Len() || len(st.classOf) != st.rel.Len() {
+		return fmt.Errorf("core: registration arrays (%d labels, %d classOf) drifted from instance size %d",
+			len(st.labels), len(st.classOf), st.rel.Len())
+	}
+	if err := st.cls.check(); err != nil {
+		return err
+	}
+	sigs := make([]partition.P, st.cls.len())
+	for c := range sigs {
+		sigs[c] = st.ClassSig(c)
 	}
 	var counts [5]int
 	for i, l := range st.labels {
 		counts[l]++
-		if gi := int(st.groupOf[i]); gi < 0 || gi >= len(st.groups) {
-			return fmt.Errorf("core: tuple %d mapped to class %d of %d", i, gi, len(st.groups))
+		if c := int(st.classOf[i]); c < 0 || c >= len(sigs) {
+			return fmt.Errorf("core: tuple %d mapped to class %d of %d", i, c, len(sigs))
 		}
 		t := st.rel.Tuple(i)
-		sig := st.Sig(i)
+		sig := sigs[st.classOf[i]]
 		if want := partition.FromEqual(st.n, func(a, b int) bool { return t[a].Equal(t[b]) }); !sig.Equal(want) {
 			return fmt.Errorf("core: tuple %d has signature %v, its class carries %v", i, want, sig)
 		}
 		switch l {
 		case Unlabeled:
-			if implied := st.ImpliedLabel(sig); implied != Unlabeled {
+			if implied := definitional(sig); implied != Unlabeled {
 				return fmt.Errorf("core: tuple %d unlabeled but implied %v", i, implied)
 			}
 		case Positive, ImpliedPositive:
@@ -808,7 +815,7 @@ func (st *State) CheckInvariants() error {
 				return fmt.Errorf("core: tuple %d labeled %v but M_P does not select it", i, l)
 			}
 		case Negative, ImpliedNegative:
-			if !st.impliedNegative(sig) {
+			if !impliedNegative(sig) {
 				return fmt.Errorf("core: tuple %d labeled %v but some consistent query selects it", i, l)
 			}
 		}
@@ -816,57 +823,41 @@ func (st *State) CheckInvariants() error {
 	if counts != st.counts {
 		return fmt.Errorf("core: label counts %v drifted from cache %v", counts, st.counts)
 	}
-	if len(st.lat.sigs) != len(st.groups) {
-		return fmt.Errorf("core: lattice tracks %d classes, state has %d", len(st.lat.sigs), len(st.groups))
+	if len(st.lat.negs) != len(negs) {
+		return fmt.Errorf("core: lattice tracks %d negatives, state has %d", len(st.lat.negs), len(negs))
 	}
-	if len(st.classes) != len(st.groups) {
-		return fmt.Errorf("core: class index has %d entries for %d classes", len(st.classes), len(st.groups))
-	}
-	for gi, g := range st.groups {
-		if got := st.lookup(g.Sig); got != gi {
-			return fmt.Errorf("core: class index finds class %d for the signature %v of class %d", got, g.Sig, gi)
+	for k, neg := range negs {
+		held, want := st.lat.negs[k], st.cls.sig(int(st.negs[k]))
+		if !slices.Equal(held, neg.PairSet()) || len(want) > 0 && &held[0] != &want[0] {
+			return fmt.Errorf("core: lattice pairs of negative %v drifted from the class table", neg)
 		}
 	}
 	// Incremental scoring state: per-class unlabeled counts, the
 	// informative-class index, and the lattice's view of implied
 	// status must all agree with a from-scratch recount.
-	inf := map[int]bool{}
-	for _, gi := range st.infGroups {
-		if inf[gi] {
-			return fmt.Errorf("core: class %d listed twice in informative index", gi)
-		}
-		inf[gi] = true
-	}
-	prev := -1
-	for _, gi := range st.infGroups {
-		if gi <= prev {
-			return fmt.Errorf("core: informative index not sorted: %v", st.infGroups)
-		}
-		prev = gi
+	if !slices.IsSorted(st.infClasses) || len(slices.Compact(slices.Clone(st.infClasses))) != len(st.infClasses) {
+		return fmt.Errorf("core: informative index not sorted and distinct: %v", st.infClasses)
 	}
 	members := 0
-	for gi, g := range st.groups {
-		if g.Pos != gi {
-			return fmt.Errorf("core: class %d carries Pos %d", gi, g.Pos)
-		}
-		members += len(g.Indices)
+	for c, sig := range sigs {
+		members += len(st.cls.members[c])
 		n := 0
-		for _, i := range g.Indices {
-			if int(st.groupOf[i]) != gi {
-				return fmt.Errorf("core: class %d lists tuple %d, which maps to class %d", gi, i, st.groupOf[i])
+		for _, i := range st.cls.members[c] {
+			if int(st.classOf[i]) != c {
+				return fmt.Errorf("core: class %d lists tuple %d, which maps to class %d", c, i, st.classOf[i])
 			}
 			if st.labels[i] == Unlabeled {
 				n++
 			}
 		}
-		if n != st.groupUnlabeled[gi] {
-			return fmt.Errorf("core: class %d unlabeled count %d drifted from cache %d", gi, n, st.groupUnlabeled[gi])
+		if n != int(st.cls.unlabeled[c]) {
+			return fmt.Errorf("core: class %d unlabeled count %d drifted from cache %d", c, n, st.cls.unlabeled[c])
 		}
-		if inf[gi] != (n > 0) {
-			return fmt.Errorf("core: class %d informative-index membership %v with %d unlabeled", gi, inf[gi], n)
+		if st.inInformativeIndex(int32(c)) != (n > 0) {
+			return fmt.Errorf("core: class %d informative-index membership %v with %d unlabeled", c, !(n > 0), n)
 		}
-		if got, want := st.lat.impliedGroup(gi), st.ImpliedLabel(g.Sig); got != want {
-			return fmt.Errorf("core: class %d lattice implied %v, definitional %v", gi, got, want)
+		if got, want := st.impliedClass(c), definitional(sig); got != want {
+			return fmt.Errorf("core: class %d lattice implied %v, definitional %v", c, got, want)
 		}
 	}
 	if members != len(st.labels) {

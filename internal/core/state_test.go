@@ -258,17 +258,17 @@ func TestNegativeAntichainMaintenance(t *testing.T) {
 func TestSignatureGroups(t *testing.T) {
 	st := newTravelState(t)
 	// Tuples (3) and (4) share Eq = Q2; (7) also has {From,City},{Airline,Discount}.
-	g3 := st.GroupOf(paperIdx(3))
-	g4 := st.GroupOf(paperIdx(4))
+	g3 := st.ClassOf(paperIdx(3))
+	g4 := st.ClassOf(paperIdx(4))
 	if g3 != g4 {
 		t.Error("tuples (3) and (4) should share a signature group")
 	}
-	if !reflect.DeepEqual(g3.Indices, []int32{int32(paperIdx(3)), int32(paperIdx(4))}) {
-		t.Errorf("group indices = %v", g3.Indices)
+	if !reflect.DeepEqual(st.ClassMembers(g3), []int32{int32(paperIdx(3)), int32(paperIdx(4))}) {
+		t.Errorf("group indices = %v", st.ClassMembers(g3))
 	}
 	total := 0
-	for _, g := range st.Groups() {
-		total += len(g.Indices)
+	for c := range st.ClassCount() {
+		total += len(st.ClassMembers(c))
 	}
 	if total != st.Relation().Len() {
 		t.Errorf("groups cover %d tuples, want %d", total, st.Relation().Len())

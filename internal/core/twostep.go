@@ -26,11 +26,11 @@ import (
 type TwoStepScratch struct {
 	mp1       partition.PairSet
 	mp2       partition.PairSet
-	remaining []int
+	remaining []int32
 }
 
 // TwoStepWorst returns the guaranteed two-step pruning of asking about
-// the signature class at position gi of Groups():
+// the signature class at position gi:
 //
 //	min over answer l of [ prune(g,l) + max_g' min_l' prune'(g',l') ]
 //
@@ -40,8 +40,8 @@ type TwoStepScratch struct {
 // GroupCounts) exactly; the differential tests hold the two together.
 // The state is not modified.
 func (st *State) TwoStepWorst(gi int, sc *TwoStepScratch) int {
-	if gi < 0 || gi >= len(st.groups) {
-		panic(fmt.Sprintf("core: TwoStepWorst class %d not in [0,%d)", gi, len(st.groups)))
+	if gi < 0 || gi >= st.cls.len() {
+		panic(fmt.Sprintf("core: TwoStepWorst class %d not in [0,%d)", gi, st.cls.len()))
 	}
 	pos, neg := st.SimulatePrunesGroup(gi)
 	return min(pos+st.bestSecondStep(gi, Positive, sc), neg+st.bestSecondStep(gi, Negative, sc))
@@ -59,7 +59,7 @@ func (st *State) TwoStepWorst(gi int, sc *TwoStepScratch) int {
 // and any class below a dominated element is below its dominator too,
 // so the extra member changes no answer.
 func (st *State) bestSecondStep(gi int, l Label, sc *TwoStepScratch) int {
-	g := st.lat.sigs[gi]
+	g := st.cls.sig(gi)
 	var mp1, extraNeg partition.PairSet
 	if l == Positive {
 		sc.mp1 = partition.IntersectInto(sc.mp1, st.lat.mp, g)
@@ -73,8 +73,8 @@ func (st *State) bestSecondStep(gi int, l Label, sc *TwoStepScratch) int {
 	// the second question and the population it can prune are the same
 	// list (asking about a settled class is never useful).
 	sc.remaining = sc.remaining[:0]
-	for _, hi := range st.infGroups {
-		h := st.lat.sigs[hi]
+	for _, hi := range st.infClasses {
+		h := st.cls.sig(int(hi))
 		if mp1.SubsetOf(h) {
 			continue // implied positive under the refined meet
 		}
@@ -95,13 +95,13 @@ func (st *State) bestSecondStep(gi int, l Label, sc *TwoStepScratch) int {
 
 	best := 0
 	for _, g2i := range sc.remaining {
-		g2 := st.lat.sigs[g2i]
+		g2 := st.cls.sig(int(g2i))
 		// Negative second answer: the meet stands, g2 joins the
 		// antichain, so a remaining class h settles iff (mp1 ∧ h) ≤ g2.
 		cntN := 0
 		for _, hi := range sc.remaining {
-			if partition.IntersectSubset(mp1, st.lat.sigs[hi], g2) {
-				cntN += st.groupUnlabeled[hi]
+			if partition.IntersectSubset(mp1, st.cls.sig(int(hi)), g2) {
+				cntN += int(st.cls.unlabeled[hi])
 			}
 		}
 		if cntN <= best {
@@ -111,7 +111,7 @@ func (st *State) bestSecondStep(gi int, l Label, sc *TwoStepScratch) int {
 		sc.mp2 = partition.IntersectInto(sc.mp2, mp1, g2)
 		cntP := 0
 		for _, hi := range sc.remaining {
-			h := st.lat.sigs[hi]
+			h := st.cls.sig(int(hi))
 			pruned := sc.mp2.SubsetOf(h)
 			if !pruned {
 				for _, neg := range st.lat.negs {
@@ -125,7 +125,7 @@ func (st *State) bestSecondStep(gi int, l Label, sc *TwoStepScratch) int {
 				pruned = true
 			}
 			if pruned {
-				cntP += st.groupUnlabeled[hi]
+				cntP += int(st.cls.unlabeled[hi])
 			}
 		}
 		if m := min(cntP, cntN); m > best {

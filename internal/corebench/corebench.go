@@ -193,7 +193,7 @@ func Run(w io.Writer, cfg Config) (*Report, error) {
 			Workload: wl,
 			Tuples:   rel.Len(),
 			Attrs:    rel.Schema().Len(),
-			Classes:  len(st.Groups()),
+			Classes:  st.ClassCount(),
 		}
 		for _, name := range cfg.Strategies {
 			sr := StrategyReport{Strategy: name}

@@ -128,7 +128,7 @@ func (ungroupedLookahead) Name() string { return "lookahead-maxmin-ungrouped" }
 func (ungroupedLookahead) Pick(st *core.State) (int, bool) {
 	best, bestScore := -1, -1.0
 	for _, i := range st.InformativeIndices() {
-		p, n := st.SimulatePrunes(st.Sig(i))
+		p, n := st.SimulatePrunesGroup(st.ClassOf(i))
 		score := float64(min(p, n))*1e6 + float64(p+n)
 		if score > bestScore {
 			best, bestScore = i, score
@@ -162,7 +162,7 @@ func runScalability(opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sigCount := len(st.Groups())
+		sigCount := st.ClassCount()
 
 		eng := core.NewEngine(st, strategy.LookaheadMaxMin(), oracle.Goal(goal))
 		start := time.Now()

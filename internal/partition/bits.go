@@ -28,9 +28,9 @@ import (
 // instance (all signatures of a relation share its attribute count).
 type PairSet []uint64
 
-// pairWordCount returns the number of 64-bit words needed for the pair
-// bitset of an n-element partition.
-func pairWordCount(n int) int { return (n*(n-1)/2 + 63) / 64 }
+// PairWords returns the number of 64-bit words in the pair bitset of
+// an n-element partition: zero for one element, one up to eleven.
+func PairWords(n int) int { return (n*(n-1)/2 + 63) / 64 }
 
 // SubsetOf reports a ⊆ b. The sets must come from partitions of the
 // same size.
@@ -119,9 +119,9 @@ type pCache struct {
 }
 
 // Cached returns p carrying a lazy cache for Key, PairCount, and
-// PairSet. Use it on long-lived partitions that hot paths interrogate
-// repeatedly — tuple signatures, the hypothesis M_P, the negative
-// antichain. Transient partitions (intermediate meets, enumeration
+// PairSet. Use it on long-lived partitions that are interrogated
+// repeatedly — the hypothesis M_P, the class signatures a reference
+// computation probes over and over. Transient partitions (intermediate meets, enumeration
 // output) should stay uncached: attaching a cache costs an allocation
 // that would never pay for itself. If p already carries a cache it is
 // returned unchanged.
@@ -132,67 +132,29 @@ func (p P) Cached() P {
 	return p
 }
 
-// CachedBatch returns the Cached partitions of k label vectors laid
-// end to end in labels, n labels each, with every pair bitset already
-// computed: the signature classes core registers in one batch. Each
-// vector must be canonical (restricted-growth, as EqualLabels writes
-// it); CachedBatch panics otherwise. labels is copied, so the caller
-// may reuse it. The labels, caches and bitsets of the whole batch share
-// four allocations, however many partitions it holds.
-func CachedBatch(labels []int, n int) []P {
-	k := len(labels) / n
-	if k == 0 {
-		return nil
-	}
-	own := make([]int, k*n)
-	copy(own, labels)
-	words := pairWordCount(n)
-	sets := make([]uint64, k*words)
-	caches := make([]struct {
-		c    pCache
-		info pairsInfo
-	}, k)
-	ps := make([]P, k)
-	for i := range ps {
-		l := own[i*n : (i+1)*n : (i+1)*n]
-		blocks := 0
-		for _, b := range l {
-			if b > blocks || b < 0 {
-				panic(fmt.Sprintf("partition: labels %v are not canonical", l))
-			}
-			if b == blocks {
-				blocks++
-			}
-		}
-		c := &caches[i]
-		c.info.set = sets[i*words : (i+1)*words : (i+1)*words]
-		c.info.fill(l)
-		c.c.pairs.Store(&c.info)
-		ps[i] = P{labels: l, blocks: blocks, cache: &c.c}
-	}
-	return ps
-}
-
 // computePairs builds the pair bitset of p.
 func (p P) computePairs() *pairsInfo {
-	info := &pairsInfo{set: make(PairSet, pairWordCount(len(p.labels)))}
-	info.fill(p.labels)
+	info := &pairsInfo{set: make(PairSet, PairWords(len(p.labels)))}
+	info.count = FillPairs(info.set, p.labels)
 	return info
 }
 
-// fill sets the bits of info.set, zeroed and sized for len(labels)
-// elements, for the pairs the labels place in a common block.
-func (info *pairsInfo) fill(labels []int) {
-	idx := 0
+// FillPairs sets the bits of set, zeroed and PairWords(len(labels))
+// long, for the pairs the labels place in a common block, and returns
+// how many it set: the pair bitset of the partition with those labels,
+// written where the caller keeps it.
+func FillPairs[L Label](set PairSet, labels []L) int {
+	idx, count := 0, 0
 	for i, li := range labels {
 		for _, lj := range labels[i+1:] {
 			if li == lj {
-				info.set[idx>>6] |= 1 << (idx & 63)
-				info.count++
+				set[idx>>6] |= 1 << (idx & 63)
+				count++
 			}
 			idx++
 		}
 	}
+	return count
 }
 
 // pairs returns p's pair bitset, memoizing it when p is Cached.

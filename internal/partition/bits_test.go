@@ -151,39 +151,32 @@ func TestCachedConcurrent(t *testing.T) {
 	}
 }
 
-// TestCachedBatchMatchesNew holds CachedBatch to New: each partition
-// of a batch has New's labels, blocks and pair bitset, whatever the
-// size (no pair word at one element, several past eleven), and
-// labels that are not canonical panic.
-func TestCachedBatchMatchesNew(t *testing.T) {
+// TestFromCanonicalMatchesNew holds FromCanonical and FillPairs to New:
+// byte and int labels give New's labels, blocks, hash and pair bitset,
+// whatever the size (no pair word at one element, several past eleven),
+// and labels that are not canonical panic.
+func TestFromCanonicalMatchesNew(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
-		n, k := 1+r.Intn(16), r.Intn(6)
-		var labels []int
-		var want []P
-		for i := 0; i < k; i++ {
-			p := Uniform(r, n)
-			want = append(want, p)
-			labels = append(labels, p.labels...)
+		want := Uniform(r, 1+r.Intn(16))
+		bytes := make([]uint8, want.N())
+		for i, l := range want.labels {
+			bytes[i] = uint8(l)
 		}
-		got := CachedBatch(labels, n)
-		clear(labels) // the batch must own its labels
-		if len(got) != k {
-			t.Fatalf("%d partitions from %d vectors", len(got), k)
+		for _, p := range []P{FromCanonical(want.labels), FromCanonical(bytes)} {
+			if !p.Equal(want) || p.BlockCount() != want.BlockCount() || HashLabels(p.labels) != HashLabels(bytes) {
+				t.Fatalf("FromCanonical = %v (%d blocks), want %v", p, p.BlockCount(), want)
+			}
 		}
-		for i, p := range got {
-			if !p.Equal(want[i]) || p.BlockCount() != want[i].BlockCount() || p.cache == nil {
-				t.Fatalf("partition %d = %v (%d blocks), want %v", i, p, p.BlockCount(), want[i])
-			}
-			if ws := want[i].PairSet(); !slices.Equal(p.readyPairs().set, ws) || p.PairCount() != want[i].PairCount() {
-				t.Fatalf("partition %d pairs %v, want %v", i, p.readyPairs().set, ws)
-			}
+		set := make(PairSet, PairWords(want.N()))
+		if n := FillPairs(set, bytes); !slices.Equal(set, want.PairSet()) || n != want.PairCount() {
+			t.Fatalf("FillPairs(%v) = %v (%d pairs), want %v (%d)", bytes, set, n, want.PairSet(), want.PairCount())
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("CachedBatch accepted non-canonical labels")
+			t.Fatal("FromCanonical accepted non-canonical labels")
 		}
 	}()
-	CachedBatch([]int{0, 2, 1}, 3)
+	FromCanonical([]int{0, 2, 1})
 }

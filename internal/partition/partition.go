@@ -21,7 +21,6 @@ package partition
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -161,10 +160,16 @@ func EqualLabels(labels []int, eq func(i, j int) bool) int {
 	return blocks
 }
 
+// Label is the element type of a canonical label vector: int as
+// EqualLabels writes it, or a byte per element where a table of many
+// partitions stores them compactly.
+type Label interface{ ~int | ~uint8 }
+
 // HashLabels hashes the canonical labels of a partition (FNV-1a over
-// the label values): equal partitions hash equally, so an index of
-// partitions can key on the hash and confirm with HasLabels.
-func HashLabels(labels []int) uint64 {
+// the label values): equal partitions hash equally, whichever Label
+// type holds the labels, so an index of partitions can key on the hash
+// and confirm by comparing labels.
+func HashLabels[L Label](labels []L) uint64 {
 	h := uint64(14695981039346656037)
 	for _, l := range labels {
 		h = (h ^ uint64(l)) * 1099511628211
@@ -172,11 +177,24 @@ func HashLabels(labels []int) uint64 {
 	return h
 }
 
-// Hash is HashLabels of p's canonical labels.
-func (p P) Hash() uint64 { return HashLabels(p.labels) }
-
-// HasLabels reports whether p's canonical labels are exactly labels.
-func (p P) HasLabels(labels []int) bool { return slices.Equal(p.labels, labels) }
+// FromCanonical builds the partition whose canonical labels are labels
+// (restricted-growth form, as EqualLabels writes them), copying them.
+// It panics on labels that are not canonical.
+func FromCanonical[L Label](labels []L) P {
+	own := make([]int, len(labels))
+	blocks := 0
+	for i, l := range labels {
+		b := int(l)
+		if b > blocks {
+			panic(fmt.Sprintf("partition: labels %v are not canonical", labels))
+		}
+		if b == blocks {
+			blocks++
+		}
+		own[i] = b
+	}
+	return P{labels: own, blocks: blocks}
+}
 
 // N returns the number of elements partitioned.
 func (p P) N() int { return len(p.labels) }

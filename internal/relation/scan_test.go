@@ -154,10 +154,12 @@ func TestRelationHeapIsPointerFree(t *testing.T) {
 
 // BenchmarkFleetGC times one forced full collection with a fleet of
 // 200 full bulk-wire instances (5,000×6 synthetic integers) live: the
-// collector's cost of the sessions a server holds, which pointer-free
-// chunks keep near that of an empty heap. Measured on 2 cores: 0.44–
-// 0.56 ms per collection with columnar chunks, 48–59 ms with chunks of
-// Values and tuple headers.
+// collector's cost of the relations a server's sessions hold, which
+// pointer-free chunks keep near that of an empty heap. It covers the
+// relations only; the strategy package's BenchmarkSessionFleetGC adds
+// the States over them. Measured on 2 cores: 0.44–0.56 ms per
+// collection with columnar chunks, 48–59 ms with chunks of Values and
+// tuple headers.
 func BenchmarkFleetGC(b *testing.B) {
 	fleet := readFleet(b, benchInstanceCSV(b, "synthetic", 5000), 200)
 	runtime.GC()

@@ -638,13 +638,24 @@ func (hb *httpBuf) encoder() jsonWriter { return jsonWriter{b: hb.b[:0]} }
 // it.
 var jsonContentType = []string{"application/json"}
 
+// chunkingBuffer is net/http's buffer before chunking
+// (bufferBeforeChunkingSize): a reply no longer than it stays buffered
+// until the handler returns, and net/http then sets its Content-Length
+// itself; a longer one streams out, chunked unless the handler set the
+// header.
+const chunkingBuffer = 2048
+
 // send finishes enc's reply and writes it with the headers writeJSON
-// sets.
+// sets. Content-Length is set here only for replies net/http would
+// otherwise chunk: formatting and storing the header costs two
+// allocations, and the short replies of a dialogue get it for free.
 func (hb *httpBuf) send(w http.ResponseWriter, status int, enc *jsonWriter) {
 	hb.b = append(enc.b, '\n')
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
-	h.Set("Content-Length", strconv.Itoa(len(hb.b)))
+	if len(hb.b) > chunkingBuffer {
+		h.Set("Content-Length", strconv.Itoa(len(hb.b)))
+	}
 	w.WriteHeader(status)
 	_, _ = w.Write(hb.b)
 }

@@ -611,6 +611,14 @@ func (c *committer) compact(id string) error {
 	if err := os.RemoveAll(c.sessionDir(id)); err != nil {
 		return fmt.Errorf("store: removing session: %w", err)
 	}
+	// With Fsync the removal is durable before the delete is
+	// acknowledged: an unsynced sessions/ entry could bring the session
+	// back after a power loss.
+	if c.d.fsync {
+		if err := c.d.syncDir(filepath.Join(c.d.dir, "sessions")); err != nil {
+			return fmt.Errorf("store: syncing sessions directory: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -765,12 +773,26 @@ func (c *committer) closeAll() {
 	}
 }
 
+// removeStaleTemps removes the temporary files a crash inside
+// replaceFile leaves in a session directory. Nothing reads them.
+func removeStaleTemps(dir string) error {
+	for _, name := range []string{snapBinFile + tmpSuffix, walFile + tmpSuffix} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("removing stale %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// tmpSuffix names replaceFile's temporary sibling of a file.
+const tmpSuffix = ".tmp"
+
 // replaceFile atomically replaces path with data: it writes a
 // temporary sibling and renames it over path. With sync the temporary
 // file is fsynced before the rename and the directory after it, so a
 // crash leaves either the old file or the complete new one, durably.
 func (d *Disk) replaceFile(path string, data []byte, sync bool) error {
-	tmp := path + ".tmp"
+	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err

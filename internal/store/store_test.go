@@ -2,9 +2,11 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -240,6 +242,42 @@ func TestDiskCompactRemovesSession(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "sessions", "s1")); !os.IsNotExist(err) {
 		t.Fatalf("s1 directory still present: %v", err)
+	}
+}
+
+// TestDiskCompactSyncsSessionsDir: with Fsync, a delete is acknowledged
+// only once the sessions directory is synced after the removal, so the
+// session cannot come back after a power loss; a failed sync fails the
+// Compact, and a retry with syncs working completes it.
+func TestDiskCompactSyncsSessionsDir(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir, true)
+	defer d.Close()
+	if _, err := d.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Snapshot("s1", Snapshot{Session: json.RawMessage(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	sessions := filepath.Join(dir, "sessions")
+	sess := filepath.Join(sessions, "s1")
+	boom := errors.New("injected dir sync failure")
+	d.syncDir = func(path string) error {
+		if _, err := os.Stat(sess); path == sessions && !os.IsNotExist(err) {
+			t.Errorf("sessions directory synced before the session was removed (%v)", err)
+		}
+		return boom
+	}
+	if err := d.Compact("s1"); !errors.Is(err, boom) {
+		t.Fatalf("compact with failing dir sync = %v, want the injected failure", err)
+	}
+	var synced []string
+	d.syncDir = func(path string) error { synced = append(synced, path); return fsyncDir(path) }
+	if err := d.Compact("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(synced, []string{sessions}) {
+		t.Fatalf("compact synced %v, want the sessions directory", synced)
 	}
 }
 

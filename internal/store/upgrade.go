@@ -21,10 +21,14 @@ const snapFile = "snap.json"
 var errV1WAL = errors.New("wal is format v1")
 
 // loadOrUpgrade is loadSession for LoadAll: a directory that still
-// holds a v1 file is upgraded in place first. Beyond the files
-// loadSession reads, a v2 directory costs one lstat of snap.json.
+// holds a v1 file is upgraded in place first, and stale temporary
+// files go. Beyond the files loadSession reads, a v2 directory costs
+// one lstat of snap.json and two removes.
 func (c *committer) loadOrUpgrade(id string) (Saved, error) {
 	dir := c.sessionDir(id)
+	if err := removeStaleTemps(dir); err != nil {
+		return Saved{ID: id}, err
+	}
 	sv, err := c.loadSession(id)
 	if err == nil {
 		if _, err := os.Lstat(filepath.Join(dir, snapFile)); errors.Is(err, os.ErrNotExist) {

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -147,7 +149,7 @@ func TestUpgradeV1InterruptedStates(t *testing.T) {
 				if wal == nil {
 					want = []Saved{{ID: id, Snapshot: want[0].Snapshot}}
 				}
-				files := map[string][]byte{walFile: wal, walFile + ".tmp": []byte("torn")}
+				files := map[string][]byte{walFile: wal, walFile + ".tmp": []byte("torn"), snapBinFile + ".tmp": []byte("torn")}
 				for _, name := range snapFiles {
 					files[name] = v1[name]
 					if name == snapBinFile {
@@ -164,13 +166,76 @@ func TestUpgradeV1InterruptedStates(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("pass %d: loaded %+v, want %+v", pass, got, want)
 					}
-					// A v2 log is not rewritten, so its stale temporary
-					// file stays: harmless, as no load reads it.
-					os.Remove(filepath.Join(sess, walFile+".tmp"))
+					for _, name := range []string{walFile + ".tmp", snapBinFile + ".tmp"} {
+						if _, err := os.Lstat(filepath.Join(sess, name)); !errors.Is(err, os.ErrNotExist) {
+							t.Fatalf("pass %d: stale %s survived LoadAll (%v)", pass, name, err)
+						}
+					}
 					requirePureV2(t, sess)
 				}
 			})
 		}
+	}
+}
+
+// TestLoadAllRemovesStaleTemps plants the temporary files a crash
+// inside replaceFile leaves (snap.bin.tmp and wal.log.tmp) in a v2 and
+// in a v1 session directory: LoadAll removes them, and each session
+// loads as it does without them.
+func TestLoadAllRemovesStaleTemps(t *testing.T) {
+	src := t.TempDir()
+	d := openDisk(t, src, false)
+	if _, err := d.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Snapshot("s0002", Snapshot{Strategy: "random", Session: json.RawMessage(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AppendEvent("s0002", Event{Op: OpClear}); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	v2 := map[string][]byte{}
+	for _, name := range []string{snapBinFile, walFile} {
+		data, err := os.ReadFile(filepath.Join(src, "sessions", "s0002", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2[name] = data
+	}
+	sessions := map[string]map[string][]byte{"s0001": v1Fixture(t), "s0002": v2}
+
+	ref := t.TempDir()
+	for id, files := range sessions {
+		writeSession(t, ref, id, files)
+	}
+	want, err := loadOnce(t, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	temps := []string{snapBinFile + ".tmp", walFile + ".tmp"}
+	for id, files := range sessions {
+		planted := maps.Clone(files)
+		for _, name := range temps {
+			planted[name] = []byte("torn")
+		}
+		writeSession(t, dir, id, planted)
+	}
+	got, err := loadOnce(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %+v, want %+v", got, want)
+	}
+	for id := range sessions {
+		for _, name := range temps {
+			if _, err := os.Lstat(filepath.Join(dir, "sessions", id, name)); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("session %s: stale %s survived LoadAll (%v)", id, name, err)
+			}
+		}
+		requirePureV2(t, filepath.Join(dir, "sessions", id))
 	}
 }
 

@@ -3,6 +3,7 @@ package strategy
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -142,4 +143,40 @@ func BenchmarkPickFanOut(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkSessionFleetGC is the session-fleet sibling of the
+// relation package's BenchmarkFleetGC: it times one forced full
+// collection with 200 live States over full bulk-wire instances
+// (5,000×6 synthetic integers), each with the default strategy's first
+// proposal served, so the fleet holds the class tables, the projection
+// tables and the strategies' score caches a server's sessions hold,
+// not only their relations.
+func BenchmarkSessionFleetGC(b *testing.B) {
+	rel, _, err := workload.Instance("synthetic", workload.InstanceConfig{Tuples: 5000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type session struct {
+		st     *core.State
+		picker core.Picker
+	}
+	fleet := make([]session, 200)
+	for i := range fleet {
+		st, err := core.NewState(rel.Clone())
+		if err != nil {
+			b.Fatal(err)
+		}
+		fleet[i] = session{st, LookaheadMaxMin()}
+		if _, ok := fleet[i].picker.Pick(st); !ok {
+			b.Fatal("no informative tuple")
+		}
+	}
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	b.StopTimer()
+	runtime.KeepAlive(fleet)
 }

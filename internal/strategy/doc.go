@@ -7,9 +7,10 @@
 // exists but is impractical (implemented in this package for tiny
 // instances as an ablation).
 //
-// All strategies operate on signature classes (core.SigGroup): tuples
-// with the same Eq signature are interchangeable for every hypothesis,
-// so scoring classes instead of tuples is an exact optimization.
+// All strategies operate on signature classes, named by their position
+// in the state's class table (core.State.ClassCount): tuples with the
+// same Eq signature are interchangeable for every hypothesis, so
+// scoring classes instead of tuples is an exact optimization.
 //
 // # Incremental scoring
 //

@@ -42,7 +42,7 @@ type l2cache struct {
 
 	oneStep []int  // class position -> min(p, n)
 	inBeam  []bool // class position -> beam membership
-	infBuf  []*core.SigGroup
+	infBuf  []int32
 	scratch core.TwoStepScratch
 }
 
@@ -53,9 +53,9 @@ func (c *l2cache) refresh(st *core.State) {
 	c.st = st
 	c.version = st.Version()
 	c.structVersion = st.StructureVersion()
-	c.infBuf = st.AppendInformativeGroups(c.infBuf[:0])
+	c.infBuf = st.AppendInformativeClasses(c.infBuf[:0])
 
-	total := len(st.Groups())
+	total := st.ClassCount()
 	if cap(c.oneStep) < total {
 		c.oneStep = make([]int, total)
 		c.inBeam = make([]bool, total)
@@ -66,32 +66,32 @@ func (c *l2cache) refresh(st *core.State) {
 		c.inBeam[i] = false
 	}
 	for _, g := range c.infBuf {
-		p, n := st.SimulatePrunesGroup(g.Pos)
-		c.oneStep[g.Pos] = min(p, n)
+		p, n := st.SimulatePrunesGroup(int(g))
+		c.oneStep[g] = min(p, n)
 	}
 	// Select the beam: top lookahead2Beam by one-step score, ties to
 	// the earlier class (the pre-refactor iteration order).
 	for b := 0; b < lookahead2Beam && b < len(c.infBuf); b++ {
 		best := -1
 		for _, g := range c.infBuf {
-			if c.inBeam[g.Pos] {
+			if c.inBeam[g] {
 				continue
 			}
-			if best == -1 || c.oneStep[g.Pos] > c.oneStep[best] {
-				best = g.Pos
+			if best == -1 || c.oneStep[g] > c.oneStep[best] {
+				best = int(g)
 			}
 		}
 		c.inBeam[best] = true
 	}
 }
 
-func (c *l2cache) score(st *core.State, g *core.SigGroup) float64 {
+func (c *l2cache) score(st *core.State, g int) float64 {
 	c.refresh(st)
-	base := float64(c.oneStep[g.Pos])
-	if !c.inBeam[g.Pos] {
+	base := float64(c.oneStep[g])
+	if !c.inBeam[g] {
 		return base // outside the beam: one-step score only
 	}
-	worst := st.TwoStepWorst(g.Pos, &c.scratch)
+	worst := st.TwoStepWorst(g, &c.scratch)
 	// Two-step worst case dominates; one-step maxmin breaks ties.
 	return float64(worst)*1e3 + base
 }

@@ -33,30 +33,30 @@ import (
 func Naive(name string, seed int64) (core.KPicker, error) {
 	switch name {
 	case "random":
-		return &naiveRanked{name: "random", score: func(st *core.State, g *core.SigGroup) float64 {
-			return randomScore(seed, st, g)
+		return &naiveRanked{name: "random", score: func(st *core.State, sigs []partition.P, c int) float64 {
+			return randomScore(seed, st, c)
 		}}, nil
 	case "local-most-specific":
-		return &naiveRanked{name: name, score: func(st *core.State, g *core.SigGroup) float64 {
-			return float64(st.MP().Meet(g.Sig).PairCount()) + float64(len(g.Indices))*1e-6
+		return &naiveRanked{name: name, score: func(st *core.State, sigs []partition.P, c int) float64 {
+			return float64(st.MP().Meet(sigs[c]).PairCount()) + float64(len(st.ClassMembers(c)))*1e-6
 		}}, nil
 	case "local-least-specific":
-		return &naiveRanked{name: name, score: func(st *core.State, g *core.SigGroup) float64 {
-			return -float64(st.MP().Meet(g.Sig).PairCount()) + float64(len(g.Indices))*1e-6
+		return &naiveRanked{name: name, score: func(st *core.State, sigs []partition.P, c int) float64 {
+			return -float64(st.MP().Meet(sigs[c]).PairCount()) + float64(len(st.ClassMembers(c)))*1e-6
 		}}, nil
 	case "lookahead-maxmin":
-		return &naiveRanked{name: name, score: func(st *core.State, g *core.SigGroup) float64 {
-			p, n := naivePrune(st, g.Sig, core.Positive), naivePrune(st, g.Sig, core.Negative)
+		return &naiveRanked{name: name, score: func(st *core.State, sigs []partition.P, c int) float64 {
+			p, n := naivePrune(st, sigs, sigs[c], core.Positive), naivePrune(st, sigs, sigs[c], core.Negative)
 			return float64(min(p, n))*1e6 + float64(p+n)
 		}}, nil
 	case "lookahead-expected":
-		return &naiveRanked{name: name, score: func(st *core.State, g *core.SigGroup) float64 {
-			p, n := naivePrune(st, g.Sig, core.Positive), naivePrune(st, g.Sig, core.Negative)
+		return &naiveRanked{name: name, score: func(st *core.State, sigs []partition.P, c int) float64 {
+			p, n := naivePrune(st, sigs, sigs[c], core.Positive), naivePrune(st, sigs, sigs[c], core.Negative)
 			return float64(p+n) / 2
 		}}, nil
 	case "lookahead-entropy":
-		return &naiveRanked{name: name, score: func(st *core.State, g *core.SigGroup) float64 {
-			p, n := naivePrune(st, g.Sig, core.Positive), naivePrune(st, g.Sig, core.Negative)
+		return &naiveRanked{name: name, score: func(st *core.State, sigs []partition.P, c int) float64 {
+			p, n := naivePrune(st, sigs, sigs[c], core.Positive), naivePrune(st, sigs, sigs[c], core.Negative)
 			total := p + n
 			if total == 0 {
 				return 0
@@ -105,44 +105,57 @@ func RebuildFromScratch(st *core.State) (*core.State, error) {
 
 // naiveRanked is the pre-refactor ranked scaffolding: fresh candidate
 // list and fresh scores on every call, selection by repeated scan.
+// Each call builds the partitions of every class once, and score
+// reads them from sigs, indexed by class position.
 type naiveRanked struct {
 	name  string
-	score func(st *core.State, g *core.SigGroup) float64
+	score func(st *core.State, sigs []partition.P, c int) float64
 }
 
 func (s *naiveRanked) Name() string { return s.name }
 
 func (s *naiveRanked) Pick(st *core.State) (int, bool) {
-	groups := st.InformativeGroups()
-	if len(groups) == 0 {
+	classes := st.InformativeClasses()
+	if len(classes) == 0 {
 		return 0, false
 	}
+	sigs := classSigs(st)
 	best := -1
 	bestScore := math.Inf(-1)
-	for gi, g := range groups {
-		if sc := s.score(st, g); sc > bestScore {
-			best, bestScore = gi, sc
+	for _, c := range classes {
+		if sc := s.score(st, sigs, int(c)); sc > bestScore {
+			best, bestScore = int(c), sc
 		}
 	}
-	return firstUnlabeled(st, groups[best]), true
+	return firstUnlabeled(st, best), true
+}
+
+// classSigs returns the signature of every class, by position.
+func classSigs(st *core.State) []partition.P {
+	sigs := make([]partition.P, st.ClassCount())
+	for c := range sigs {
+		sigs[c] = st.ClassSig(c)
+	}
+	return sigs
 }
 
 // PickK is the old O(k·C) stable selection sort, kept as the ordering
 // oracle for the heap-based partial sort.
 func (s *naiveRanked) PickK(st *core.State, k int) []int {
-	groups := st.InformativeGroups()
-	if len(groups) == 0 {
+	classes := st.InformativeClasses()
+	if len(classes) == 0 {
 		return nil
 	}
-	scores := make([]float64, len(groups))
-	for gi, g := range groups {
-		scores[gi] = s.score(st, g)
+	sigs := classSigs(st)
+	scores := make([]float64, len(classes))
+	for i, c := range classes {
+		scores[i] = s.score(st, sigs, int(c))
 	}
-	out := make([]int, 0, min(max(k, 0), len(groups)))
-	used := make([]bool, len(groups))
+	out := make([]int, 0, min(max(k, 0), len(classes)))
+	used := make([]bool, len(classes))
 	for len(out) < k {
 		best := -1
-		for i := range groups {
+		for i := range classes {
 			if used[i] {
 				continue
 			}
@@ -154,32 +167,40 @@ func (s *naiveRanked) PickK(st *core.State, k int) []int {
 			break
 		}
 		used[best] = true
-		out = append(out, firstUnlabeled(st, groups[best]))
+		out = append(out, firstUnlabeled(st, int(classes[best])))
 	}
 	return out
 }
 
 // naivePrune is the definitional SimulatePrune: apply the label to a
-// snapshot of the hypothesis, then reclassify every class with
-// Meet/LessEq, counting its unlabeled tuples by scanning labels.
-func naivePrune(st *core.State, sig partition.P, l core.Label) int {
+// snapshot of the hypothesis, then reclassify every class (sigs, by
+// position) with Meet/LessEq, counting its unlabeled tuples by
+// scanning labels.
+func naivePrune(st *core.State, sigs []partition.P, sig partition.P, l core.Label) int {
 	mp, negs := naiveApply(st.MP(), st.Negatives(), sig, l)
 	count := 0
-	for _, g := range st.Groups() {
-		c := 0
-		for _, i := range g.Indices {
-			if st.Label(int(i)) == core.Unlabeled {
-				c++
-			}
-		}
-		if c == 0 {
+	for c, csig := range sigs {
+		n := naiveUnlabeled(st, c)
+		if n == 0 {
 			continue
 		}
-		if naiveImplied(mp, negs, g.Sig) != core.Unlabeled {
-			count += c
+		if naiveImplied(mp, negs, csig) != core.Unlabeled {
+			count += n
 		}
 	}
 	return count
+}
+
+// naiveUnlabeled counts the unlabeled members of class c by scanning
+// their labels.
+func naiveUnlabeled(st *core.State, c int) int {
+	n := 0
+	for _, i := range st.ClassMembers(c) {
+		if st.Label(int(i)) == core.Unlabeled {
+			n++
+		}
+	}
+	return n
 }
 
 // naiveApply refines a (M_P, negative antichain) hypothesis by one
@@ -228,7 +249,7 @@ type naiveL2 struct {
 	inBeam  map[string]bool
 }
 
-func (c *naiveL2) refresh(st *core.State) {
+func (c *naiveL2) refresh(st *core.State, sigs []partition.P) {
 	if c.st == st && c.version == st.Version() && c.oneStep != nil {
 		return
 	}
@@ -237,15 +258,9 @@ func (c *naiveL2) refresh(st *core.State) {
 	c.mp = st.MP()
 	c.negs = append([]partition.P(nil), st.Negatives()...)
 	c.groups = nil
-	for _, g := range st.Groups() {
-		n := 0
-		for _, i := range g.Indices {
-			if st.Label(int(i)) == core.Unlabeled {
-				n++
-			}
-		}
-		if n > 0 {
-			c.groups = append(c.groups, core.GroupCount{Sig: g.Sig, Count: n})
+	for k, sig := range sigs {
+		if n := naiveUnlabeled(st, k); n > 0 {
+			c.groups = append(c.groups, core.GroupCount{Sig: sig, Count: n})
 		}
 	}
 	c.oneStep = make(map[string]int)
@@ -255,10 +270,11 @@ func (c *naiveL2) refresh(st *core.State) {
 		val int
 	}
 	var all []scored
-	for _, g := range st.InformativeGroups() {
-		p := naivePrune(st, g.Sig, core.Positive)
-		n := naivePrune(st, g.Sig, core.Negative)
-		key := g.Sig.Key()
+	for _, k := range st.InformativeClasses() {
+		sig := sigs[k]
+		p := naivePrune(st, sigs, sig, core.Positive)
+		n := naivePrune(st, sigs, sig, core.Negative)
+		key := sig.Key()
 		c.oneStep[key] = min(p, n)
 		all = append(all, scored{key: key, val: min(p, n)})
 	}
@@ -277,17 +293,18 @@ func (c *naiveL2) refresh(st *core.State) {
 	}
 }
 
-func (c *naiveL2) score(st *core.State, g *core.SigGroup) float64 {
-	c.refresh(st)
-	key := g.Sig.Key()
+func (c *naiveL2) score(st *core.State, sigs []partition.P, k int) float64 {
+	c.refresh(st, sigs)
+	sig := sigs[k]
+	key := sig.Key()
 	base := float64(c.oneStep[key])
 	if !c.inBeam[key] {
 		return base
 	}
 	worst := math.Inf(1)
 	for _, l := range []core.Label{core.Positive, core.Negative} {
-		immediate := naivePrune(st, g.Sig, l)
-		nmp, nnegs := naiveApply(c.mp, c.negs, g.Sig, l)
+		immediate := naivePrune(st, sigs, sig, l)
+		nmp, nnegs := naiveApply(c.mp, c.negs, sig, l)
 		best := naiveBestOneStep(nmp, nnegs, c.groups)
 		if total := float64(immediate + best); total < worst {
 			worst = total

@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -112,8 +111,8 @@ func (s simState) labelNegative(sig partition.P) simState {
 // Pick implements core.Picker: it returns the tuple minimizing the
 // worst-case number of further questions.
 func (o *OptimalStrategy) Pick(st *core.State) (int, bool) {
-	groups := st.InformativeGroups()
-	if len(groups) == 0 {
+	classes := st.InformativeClasses()
+	if len(classes) == 0 {
 		return 0, false
 	}
 	if o.fallback == nil {
@@ -122,54 +121,48 @@ func (o *OptimalStrategy) Pick(st *core.State) (int, bool) {
 	o.memo = make(map[string]int)
 	o.explored = 0
 
-	sigs := distinctSigs(st)
+	sigs := classSigs(st)
 	s := simState{mp: st.MP(), negs: append([]partition.P(nil), st.Negatives()...)}
 
-	bestGroup, bestCost := -1, -1
-	for gi, g := range groups {
-		cost, ok := o.questionCost(s, g.Sig, sigs)
+	bestClass, bestCost := -1, -1
+	for _, c := range classes {
+		cost, ok := o.questionCost(s, sigs[c], sigs)
 		if !ok {
 			o.fallbacks++
 			return o.fallback.Pick(st)
 		}
 		if bestCost == -1 || cost < bestCost {
-			bestGroup, bestCost = gi, cost
+			bestClass, bestCost = int(c), cost
 		}
 	}
-	g := groups[bestGroup]
-	for _, i := range g.Indices {
-		if st.Label(int(i)) == core.Unlabeled {
-			return int(i), true
-		}
-	}
-	panic(fmt.Sprintf("strategy: optimal chose settled group %v", g.Sig))
+	return firstUnlabeled(st, bestClass), true
 }
 
 // PickK implements core.KPicker by ranking groups on worst-case cost.
 func (o *OptimalStrategy) PickK(st *core.State, k int) []int {
 	// For the optimal strategy top-k ranking is rarely needed; rank by
 	// ascending minimax cost, falling back wholesale on budget blowout.
-	groups := st.InformativeGroups()
-	if len(groups) == 0 {
+	classes := st.InformativeClasses()
+	if len(classes) == 0 {
 		return nil
 	}
 	if o.fallback == nil {
 		o.fallback = LookaheadMaxMin()
 	}
 	o.memo = make(map[string]int)
-	sigs := distinctSigs(st)
+	sigs := classSigs(st)
 	s := simState{mp: st.MP(), negs: append([]partition.P(nil), st.Negatives()...)}
-	type gc struct {
-		gi, cost int
+	type cc struct {
+		c, cost int
 	}
-	costs := make([]gc, 0, len(groups))
-	for gi, g := range groups {
-		cost, ok := o.questionCost(s, g.Sig, sigs)
+	costs := make([]cc, 0, len(classes))
+	for _, c := range classes {
+		cost, ok := o.questionCost(s, sigs[c], sigs)
 		if !ok {
 			o.fallbacks++
 			return o.fallback.PickK(st, k)
 		}
-		costs = append(costs, gc{gi: gi, cost: cost})
+		costs = append(costs, cc{c: int(c), cost: cost})
 	}
 	sort.SliceStable(costs, func(a, b int) bool { return costs[a].cost < costs[b].cost })
 	// k arrives unbounded from clients; one tuple per class is the most
@@ -179,12 +172,7 @@ func (o *OptimalStrategy) PickK(st *core.State, k int) []int {
 		if len(out) == k {
 			break
 		}
-		for _, i := range groups[c.gi].Indices {
-			if st.Label(int(i)) == core.Unlabeled {
-				out = append(out, int(i))
-				break
-			}
-		}
+		out = append(out, firstUnlabeled(st, c.c))
 	}
 	return out
 }
@@ -232,13 +220,4 @@ func (o *OptimalStrategy) value(s simState, sigs []partition.P) (int, bool) {
 	}
 	o.memo[key] = best
 	return best, true
-}
-
-func distinctSigs(st *core.State) []partition.P {
-	groups := st.Groups()
-	sigs := make([]partition.P, len(groups))
-	for i, g := range groups {
-		sigs[i] = g.Sig
-	}
-	return sigs
 }

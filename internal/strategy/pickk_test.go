@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/workload"
 )
 
@@ -35,22 +36,21 @@ func TestPickKHeapMatchesSelectionSort(t *testing.T) {
 		t.Fatalf("want >= 8 classes for a meaningful test, got %d", classes)
 	}
 	r := rand.New(rand.NewSource(4))
-	scoreFns := map[string]func(st *core.State, g *core.SigGroup) float64{
-		"all-tied":     func(st *core.State, g *core.SigGroup) float64 { return 1 },
-		"grouped-ties": func(st *core.State, g *core.SigGroup) float64 { return float64(g.Pos % 3) },
-		"decreasing":   func(st *core.State, g *core.SigGroup) float64 { return -float64(g.Pos) },
-		"random":       func(st *core.State, g *core.SigGroup) float64 { return float64(r.Intn(5)) },
+	scoreFns := map[string]func(c int) float64{
+		"all-tied":     func(c int) float64 { return 1 },
+		"grouped-ties": func(c int) float64 { return float64(c % 3) },
+		"decreasing":   func(c int) float64 { return -float64(c) },
+		"random":       func(c int) float64 { return float64(r.Intn(5)) },
 	}
 	for shape, fn := range scoreFns {
 		// The random shape must hand both pickers identical scores, so
 		// freeze them per class position first.
-		frozen := make([]float64, len(st.Groups()))
-		for _, g := range st.Groups() {
-			frozen[g.Pos] = fn(st, g)
+		frozen := make([]float64, st.ClassCount())
+		for c := range frozen {
+			frozen[c] = fn(c)
 		}
-		score := func(st *core.State, g *core.SigGroup) float64 { return frozen[g.Pos] }
-		fast := &ranked{name: "test", score: score}
-		slow := &naiveRanked{name: "test", score: score}
+		fast := &ranked{name: "test", score: func(_ *core.State, c int) float64 { return frozen[c] }}
+		slow := &naiveRanked{name: "test", score: func(_ *core.State, _ []partition.P, c int) float64 { return frozen[c] }}
 		for _, k := range []int{0, 1, 2, 3, classes - 1, classes, classes + 10, 10 * classes} {
 			got := fast.PickK(st, k)
 			want := slow.PickK(st, k)
@@ -76,17 +76,17 @@ func TestPickKTiesPreferEarlierClass(t *testing.T) {
 	st := newTestState(t, 9)
 	tied := &ranked{
 		name:  "tied",
-		score: func(st *core.State, g *core.SigGroup) float64 { return 42 },
+		score: func(st *core.State, c int) float64 { return 42 },
 	}
-	groups := st.InformativeGroups()
+	classes := st.InformativeClasses()
 	got := tied.PickK(st, 4)
 	if len(got) != 4 {
 		t.Fatalf("PickK(4) returned %d tuples", len(got))
 	}
 	for i, tuple := range got {
-		want := int(groups[i].Indices[0])
+		want := int(st.ClassMembers(int(classes[i]))[0])
 		if tuple != want {
-			t.Errorf("tied rank %d = tuple %d, want first tuple %d of class %d", i, tuple, want, groups[i].Pos)
+			t.Errorf("tied rank %d = tuple %d, want first tuple %d of class %d", i, tuple, want, classes[i])
 		}
 	}
 }
@@ -150,12 +150,12 @@ func TestPickKHugeK(t *testing.T) {
 		if len(got) == 0 || len(got) > st.InformativeGroupCount() {
 			t.Errorf("%s: %d tuples for %d informative classes", name, len(got), st.InformativeGroupCount())
 		}
-		seen := map[*core.SigGroup]bool{}
+		seen := map[int]bool{}
 		for _, i := range got {
-			if st.Label(i) != core.Unlabeled || seen[st.GroupOf(i)] {
+			if st.Label(i) != core.Unlabeled || seen[st.ClassOf(i)] {
 				t.Errorf("%s: tuple %d is labeled or repeats a class in %v", name, i, got)
 			}
-			seen[st.GroupOf(i)] = true
+			seen[st.ClassOf(i)] = true
 		}
 	}
 }

@@ -111,12 +111,12 @@ func (p *scorePool) worker() {
 // (the instance is serialized per session, so the generations cannot
 // overlap).
 type scoreJob struct {
-	st     *core.State
-	groups []*core.SigGroup
-	score  func(*core.State, *core.SigGroup) float64
-	out    []float64    // score per class position, shared by workers
-	next   atomic.Int64 // chunk claim cursor into groups
-	wg     sync.WaitGroup
+	st      *core.State
+	classes []int32
+	score   func(*core.State, int) float64
+	out     []float64    // score per class position, shared by workers
+	next    atomic.Int64 // chunk claim cursor into classes
+	wg      sync.WaitGroup
 }
 
 // run scores chunks of the candidate list until none remain. Scores
@@ -129,19 +129,16 @@ func (j *scoreJob) run() {
 	var local [scoreChunk]float64
 	for {
 		start := int(j.next.Add(scoreChunk)) - scoreChunk
-		if start >= len(j.groups) {
+		if start >= len(j.classes) {
 			return
 		}
-		end := start + scoreChunk
-		if end > len(j.groups) {
-			end = len(j.groups)
+		end := min(start+scoreChunk, len(j.classes))
+		chunk := j.classes[start:end]
+		for i, c := range chunk {
+			local[i] = j.score(j.st, int(c))
 		}
-		chunk := j.groups[start:end]
-		for i, g := range chunk {
-			local[i] = j.score(j.st, g)
-		}
-		for i, g := range chunk {
-			j.out[g.Pos] = local[i]
+		for i, c := range chunk {
+			j.out[c] = local[i]
 		}
 	}
 }
@@ -149,5 +146,5 @@ func (j *scoreJob) run() {
 // release drops the job's references to per-rescore state so a cached
 // ranked instance does not pin a dead State between picks.
 func (j *scoreJob) release() {
-	j.st, j.groups, j.score, j.out = nil, nil, nil, nil
+	j.st, j.classes, j.score, j.out = nil, nil, nil, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 )
 
 // parallelThreshold is the scoring work above which a parallel-safe
@@ -33,8 +34,8 @@ const scoreChunk = 32
 // stateful pickers.
 type ranked struct {
 	name string
-	// score returns the priority of asking about group g now.
-	score func(st *core.State, g *core.SigGroup) float64
+	// score returns the priority of asking about class c now.
+	score func(st *core.State, c int) float64
 	// parallel marks score as safe to call concurrently (pure reads of
 	// the state, no shared mutable captures such as RNGs or caches).
 	parallel bool
@@ -50,15 +51,15 @@ type ranked struct {
 	cmpVersion     int         // State.MPVersion likewise
 	cstructVersion int         // State.StructureVersion likewise
 	cvalid         bool
-	scores         []float64        // score per class position
-	infBuf         []*core.SigGroup // reusable informative-class list
+	scores         []float64 // score per class position
+	infBuf         []int32   // reusable informative-class list
 
 	// Per-instance scratch, reused so the steady-state pick path is
 	// 0 allocs/op: the fan-out job handed to the scoring pool, the
 	// partial-sort heap of PickK, and PickK's result buffer (returned
 	// to the caller; see PickK for the ownership contract).
 	job    scoreJob
-	topBuf []*core.SigGroup
+	topBuf []int32
 	outBuf []int
 }
 
@@ -71,7 +72,7 @@ func (s *ranked) Name() string { return s.name }
 // add classes, grow class sizes, and shift unlabeled populations, so
 // rankings conditioned on the old class set invalidate exactly when
 // the structure changes.
-func (s *ranked) refresh(st *core.State) []*core.SigGroup {
+func (s *ranked) refresh(st *core.State) []int32 {
 	if s.cvalid && s.cst == st && s.cstructVersion == st.StructureVersion() {
 		if s.cversion == st.Version() {
 			return s.infBuf
@@ -80,16 +81,16 @@ func (s *ranked) refresh(st *core.State) []*core.SigGroup {
 			// Scores depend only on (M_P, signature) pairs that did not
 			// move; only the candidate list shrank. (Appends are excluded
 			// above: they change class sizes, which the tiebreak reads.)
-			s.infBuf = st.AppendInformativeGroups(s.infBuf[:0])
+			s.infBuf = st.AppendInformativeClasses(s.infBuf[:0])
 			s.cversion = st.Version()
 			return s.infBuf
 		}
 	}
-	s.infBuf = st.AppendInformativeGroups(s.infBuf[:0])
-	if cap(s.scores) < len(st.Groups()) {
-		s.scores = make([]float64, len(st.Groups()))
+	s.infBuf = st.AppendInformativeClasses(s.infBuf[:0])
+	if cap(s.scores) < st.ClassCount() {
+		s.scores = make([]float64, st.ClassCount())
 	}
-	s.scores = s.scores[:len(st.Groups())]
+	s.scores = s.scores[:st.ClassCount()]
 	s.rescore(st, s.infBuf)
 	s.cst, s.cversion, s.cmpVersion, s.cstructVersion, s.cvalid =
 		st, st.Version(), st.MPVersion(), st.StructureVersion(), true
@@ -102,19 +103,19 @@ func (s *ranked) refresh(st *core.State) []*core.SigGroup {
 // scores too — helpers only shorten the tail — so a saturated pool
 // costs throughput, never progress. Nothing here allocates: the job is
 // a reused instance field and the workers are persistent.
-func (s *ranked) rescore(st *core.State, groups []*core.SigGroup) {
+func (s *ranked) rescore(st *core.State, classes []int32) {
 	helpers := 0
-	if s.parallel && s.work(st, len(groups)) >= parallelThreshold {
-		helpers = (len(groups)+scoreChunk-1)/scoreChunk - 1 // caller takes one chunk
+	if s.parallel && s.work(st, len(classes)) >= parallelThreshold {
+		helpers = (len(classes)+scoreChunk-1)/scoreChunk - 1 // caller takes one chunk
 	}
 	if helpers <= 0 {
-		for _, g := range groups {
-			s.scores[g.Pos] = s.score(st, g)
+		for _, c := range classes {
+			s.scores[c] = s.score(st, int(c))
 		}
 		return
 	}
 	j := &s.job
-	j.st, j.groups, j.score, j.out = st, groups, s.score, s.scores
+	j.st, j.classes, j.score, j.out = st, classes, s.score, s.scores
 	j.next.Store(0)
 	pool.dispatch(j, helpers)
 	j.run()
@@ -134,18 +135,18 @@ func (s *ranked) work(st *core.State, n int) int {
 
 // Pick returns the first tuple of the best-scoring informative class.
 func (s *ranked) Pick(st *core.State) (int, bool) {
-	groups := s.refresh(st)
-	if len(groups) == 0 {
+	classes := s.refresh(st)
+	if len(classes) == 0 {
 		return 0, false
 	}
 	best := -1
 	bestScore := math.Inf(-1)
-	for gi, g := range groups {
-		if sc := s.scores[g.Pos]; sc > bestScore {
-			best, bestScore = gi, sc
+	for _, c := range classes {
+		if sc := s.scores[c]; sc > bestScore {
+			best, bestScore = int(c), sc
 		}
 	}
-	return firstUnlabeled(st, groups[best]), true
+	return firstUnlabeled(st, best), true
 }
 
 // PickK returns up to k informative tuples, best class first, at most
@@ -164,35 +165,36 @@ func (s *ranked) PickK(st *core.State, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	groups := s.refresh(st)
-	if len(groups) == 0 {
+	classes := s.refresh(st)
+	if len(classes) == 0 {
 		return nil
 	}
-	s.topBuf = topKGroups(s.topBuf, groups, s.scores, k)
+	s.topBuf = topKClasses(s.topBuf, classes, s.scores, k)
 	s.outBuf = s.outBuf[:0]
-	for _, g := range s.topBuf {
-		s.outBuf = append(s.outBuf, firstUnlabeled(st, g))
+	for _, c := range s.topBuf {
+		s.outBuf = append(s.outBuf, firstUnlabeled(st, int(c)))
 	}
 	return s.outBuf
 }
 
-// topKGroups selects the k best classes by (score desc, Pos asc) into
-// buf, reusing its backing array, and returns it. The heap comparator
-// is a strict total order (class positions are unique), so the
-// closure-free heapsort below reproduces the stable full sort exactly.
-func topKGroups(buf, groups []*core.SigGroup, scores []float64, k int) []*core.SigGroup {
-	if k > len(groups) {
-		k = len(groups)
+// topKClasses selects the k best classes by (score desc, position asc)
+// into buf, reusing its backing array, and returns it. The heap
+// comparator is a strict total order (class positions are unique), so
+// the closure-free heapsort below reproduces the stable full sort
+// exactly.
+func topKClasses(buf, classes []int32, scores []float64, k int) []int32 {
+	if k > len(classes) {
+		k = len(classes)
 	}
-	h := append(buf[:0], groups[:k]...)
+	h := append(buf[:0], classes[:k]...)
 	// Min-root heap of the k best so far: the worst kept candidate at
 	// the root, displaced whenever a better one arrives.
 	for i := k/2 - 1; i >= 0; i-- {
 		siftWorstDown(h, scores, i, k)
 	}
-	for _, g := range groups[k:] {
-		if groupBetter(scores, g, h[0]) {
-			h[0] = g
+	for _, c := range classes[k:] {
+		if classBetter(scores, c, h[0]) {
+			h[0] = c
 			siftWorstDown(h, scores, 0, k)
 		}
 	}
@@ -205,26 +207,26 @@ func topKGroups(buf, groups []*core.SigGroup, scores []float64, k int) []*core.S
 	return h
 }
 
-// groupBetter is the ranking order: score descending, ties to the
+// classBetter is the ranking order: score descending, ties to the
 // earlier class position.
-func groupBetter(scores []float64, a, b *core.SigGroup) bool {
-	sa, sb := scores[a.Pos], scores[b.Pos]
+func classBetter(scores []float64, a, b int32) bool {
+	sa, sb := scores[a], scores[b]
 	if sa != sb {
 		return sa > sb
 	}
-	return a.Pos < b.Pos
+	return a < b
 }
 
 // siftWorstDown restores the min-root heap property (parent no better
 // than its children) for h[:n] starting at i.
-func siftWorstDown(h []*core.SigGroup, scores []float64, i, n int) {
+func siftWorstDown(h []int32, scores []float64, i, n int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		worst := i
-		if l < n && groupBetter(scores, h[worst], h[l]) {
+		if l < n && classBetter(scores, h[worst], h[l]) {
 			worst = l
 		}
-		if r < n && groupBetter(scores, h[worst], h[r]) {
+		if r < n && classBetter(scores, h[worst], h[r]) {
 			worst = r
 		}
 		if worst == i {
@@ -235,14 +237,15 @@ func siftWorstDown(h []*core.SigGroup, scores []float64, i, n int) {
 	}
 }
 
-func firstUnlabeled(st *core.State, g *core.SigGroup) int {
-	for _, i := range g.Indices {
+// firstUnlabeled returns the first unlabeled member of class c.
+func firstUnlabeled(st *core.State, c int) int {
+	for _, i := range st.ClassMembers(c) {
 		if st.Label(int(i)) == core.Unlabeled {
 			return int(i)
 		}
 	}
-	// Unreachable for informative groups; fail loudly if violated.
-	panic(fmt.Sprintf("strategy: informative group %v has no unlabeled tuple", g.Sig))
+	// Unreachable for informative classes; fail loudly if violated.
+	panic(fmt.Sprintf("strategy: informative class %d (%v) has no unlabeled tuple", c, st.ClassSig(c)))
 }
 
 // Random returns the paper's baseline strategy: a uniformly random
@@ -265,8 +268,8 @@ func Random(seed int64) core.KPicker {
 	return &ranked{
 		name:     "random",
 		parallel: true,
-		score: func(st *core.State, g *core.SigGroup) float64 {
-			return randomScore(seed, st, g)
+		score: func(st *core.State, c int) float64 {
+			return randomScore(seed, st, c)
 		},
 	}
 }
@@ -277,10 +280,10 @@ func Random(seed int64) core.KPicker {
 // version counters, which depend on the construction path: a state
 // rebuilt from a snapshot (one big Append) must draw exactly like the
 // live state it mirrors (many small ones).
-func randomScore(seed int64, st *core.State, g *core.SigGroup) float64 {
+func randomScore(seed int64, st *core.State, c int) float64 {
 	p := st.Progress()
-	u := hashUnit(uint64(seed), uint64(p.Explicit), uint64(p.Total), uint64(g.Pos))
-	return math.Pow(u, 1/float64(len(g.Indices)))
+	u := hashUnit(uint64(seed), uint64(p.Explicit), uint64(p.Total), uint64(c))
+	return math.Pow(u, 1/float64(len(st.ClassMembers(c))))
 }
 
 // hashUnit mixes its words through SplitMix64 finalizers into a
@@ -307,9 +310,9 @@ func LocalMostSpecific() core.KPicker {
 		name:     "local-most-specific",
 		parallel: true,
 		mpOnly:   true,
-		score: func(st *core.State, g *core.SigGroup) float64 {
-			overlap := st.MP().MeetPairCount(g.Sig)
-			return float64(overlap) + float64(len(g.Indices))*1e-6
+		score: func(st *core.State, c int) float64 {
+			overlap := partition.IntersectCount(st.MP().PairSet(), st.ClassPairs(c))
+			return float64(overlap) + float64(len(st.ClassMembers(c)))*1e-6
 		},
 	}
 }
@@ -323,9 +326,9 @@ func LocalLeastSpecific() core.KPicker {
 		name:     "local-least-specific",
 		parallel: true,
 		mpOnly:   true,
-		score: func(st *core.State, g *core.SigGroup) float64 {
-			overlap := st.MP().MeetPairCount(g.Sig)
-			return -float64(overlap) + float64(len(g.Indices))*1e-6
+		score: func(st *core.State, c int) float64 {
+			overlap := partition.IntersectCount(st.MP().PairSet(), st.ClassPairs(c))
+			return -float64(overlap) + float64(len(st.ClassMembers(c)))*1e-6
 		},
 	}
 }
@@ -338,8 +341,8 @@ func LookaheadMaxMin() core.KPicker {
 		name:        "lookahead-maxmin",
 		parallel:    true,
 		tableScored: true,
-		score: func(st *core.State, g *core.SigGroup) float64 {
-			p, n := st.SimulatePrunesGroup(g.Pos)
+		score: func(st *core.State, c int) float64 {
+			p, n := st.SimulatePrunesGroup(c)
 			lo := min(p, n)
 			return float64(lo)*1e6 + float64(p+n)
 		},
@@ -353,8 +356,8 @@ func LookaheadExpected() core.KPicker {
 		name:        "lookahead-expected",
 		parallel:    true,
 		tableScored: true,
-		score: func(st *core.State, g *core.SigGroup) float64 {
-			p, n := st.SimulatePrunesGroup(g.Pos)
+		score: func(st *core.State, c int) float64 {
+			p, n := st.SimulatePrunesGroup(c)
 			return float64(p+n) / 2
 		},
 	}
@@ -369,8 +372,8 @@ func LookaheadEntropy() core.KPicker {
 		name:        "lookahead-entropy",
 		parallel:    true,
 		tableScored: true,
-		score: func(st *core.State, g *core.SigGroup) float64 {
-			p, n := st.SimulatePrunesGroup(g.Pos)
+		score: func(st *core.State, c int) float64 {
+			p, n := st.SimulatePrunesGroup(c)
 			total := p + n
 			if total == 0 {
 				return 0

@@ -139,8 +139,8 @@ func TestLookaheadMaxMinIsGreedyOptimal(t *testing.T) {
 	// achieving the true maximum over min(prunedIfPos, prunedIfNeg).
 	st := travelState(t)
 	best := -1
-	for _, g := range st.InformativeGroups() {
-		p, n := st.SimulatePrunes(g.Sig)
+	for _, c := range st.InformativeClasses() {
+		p, n := st.SimulatePrunesGroup(int(c))
 		if m := min(p, n); m > best {
 			best = m
 		}
@@ -162,12 +162,12 @@ func TestPickKProperties(t *testing.T) {
 		if len(got) == 0 || len(got) > 4 {
 			t.Fatalf("%s PickK(4) = %v", s.Name(), got)
 		}
-		seenGroup := map[*core.SigGroup]bool{}
+		seenGroup := map[int]bool{}
 		for _, i := range got {
 			if !st.Informative(i) {
 				t.Errorf("%s proposed uninformative tuple %d", s.Name(), i)
 			}
-			g := st.GroupOf(i)
+			g := st.ClassOf(i)
 			if seenGroup[g] {
 				t.Errorf("%s proposed two tuples of one signature class", s.Name())
 			}
@@ -175,9 +175,9 @@ func TestPickKProperties(t *testing.T) {
 		}
 		// Requesting more than available caps at the number of classes.
 		all := s.PickK(st, 100)
-		if len(all) != len(st.InformativeGroups()) {
+		if len(all) != st.InformativeGroupCount() {
 			t.Errorf("%s PickK(100) returned %d, want %d classes",
-				s.Name(), len(all), len(st.InformativeGroups()))
+				s.Name(), len(all), st.InformativeGroupCount())
 		}
 	}
 }

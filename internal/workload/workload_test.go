@@ -235,8 +235,8 @@ func TestWithDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Groups()) > base.Len() {
-		t.Errorf("groups = %d, want <= %d", len(st.Groups()), base.Len())
+	if st.ClassCount() > base.Len() {
+		t.Errorf("groups = %d, want <= %d", st.ClassCount(), base.Len())
 	}
 	if _, err := workload.WithDuplicates(base, 5, 1); err == nil {
 		t.Error("total below source accepted")

@@ -395,57 +395,180 @@ func BenchmarkApplyAndPropagate(b *testing.B) {
 	}
 }
 
-// Lookahead pick latency on a 10k-tuple zipf instance: the incremental
-// signature-lattice scorer vs the naive from-scratch reference
-// (DESIGN.md §6). Each iteration scores a cold strategy against a
-// mid-session state, i.e. exactly the work one pick costs after a new
-// label arrives. jimbench -core measures the same comparison over full
-// sessions and records it in BENCH_core.json.
-func BenchmarkPickZipf10k(b *testing.B) {
-	rel, goal, err := workload.Instance("zipf", workload.InstanceConfig{Tuples: 10000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := jim.NewState(rel)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Advance a few questions so the hypothesis is non-trivial.
-	warm := strategy.LookaheadMaxMin()
-	for q := 0; q < 4 && !st.Done(); q++ {
-		i, ok := warm.Pick(st)
+// coreWorkloads are the instances the incremental-vs-naive
+// comparisons run on at 10,000 tuples: the generators that scale.
+var coreWorkloads = []string{"zipf", "synthetic", "star"}
+
+// answer is one oracle-labelled question of a benchmark dialogue.
+type answer struct {
+	index int
+	label core.Label
+}
+
+// ask lets picker choose up to n questions on st, labels each by goal
+// and applies it; it stops early once nothing is informative.
+func ask(b *testing.B, st *core.State, picker core.Picker, goal partition.P, n int) []answer {
+	b.Helper()
+	var out []answer
+	for len(out) < n {
+		i, ok := picker.Pick(st)
 		if !ok {
 			break
 		}
-		l := core.Negative
-		if core.Selects(goal, rel.Tuple(i)) {
-			l = core.Positive
+		a := answer{i, core.Negative}
+		if core.Selects(goal, st.Relation().Tuple(i)) {
+			a.label = core.Positive
 		}
-		if _, err := st.Apply(i, l); err != nil {
+		if _, err := st.Apply(a.index, a.label); err != nil {
+			b.Fatal(err)
+		}
+		out = append(out, a)
+	}
+	return out
+}
+
+// replay applies answers recorded by ask to st.
+func replay(b *testing.B, st *core.State, answers []answer) {
+	b.Helper()
+	for _, a := range answers {
+		if _, err := st.Apply(a.index, a.label); err != nil {
 			b.Fatal(err)
 		}
 	}
-	paths := []struct {
+}
+
+// Lookahead pick latency on 10k-tuple instances: the incremental
+// signature-lattice scorer vs the naive from-scratch reference
+// (DESIGN.md §6), the paper's claim that picks stay interactive at
+// this scale. The state is mid-session: it holds the first half of
+// the answers of a full default-strategy dialogue. Each iteration
+// scores a cold strategy against it, i.e. exactly the work one pick
+// costs after a new label arrives. Before any timing, both paths must
+// pick the same tuple (the differential tests in internal/strategy
+// use instances of at most 120 tuples), and every timed
+// pick is held to it too, so each -cpu value checks its own scorer.
+// Run with -count 10 -cpu 1,2 -timeout 30m for medians and spread.
+func BenchmarkPick10k(b *testing.B) {
+	strategies := []struct {
 		name string
-		mk   func() core.Picker
+		mk   func() core.KPicker
 	}{
-		{"incremental", func() core.Picker { return strategy.LookaheadMaxMin() }},
-		{"naive", func() core.Picker { return strategy.MustNaive("lookahead-maxmin", 0) }},
+		{"lookahead-maxmin", strategy.LookaheadMaxMin},
+		{"lookahead-expected", strategy.LookaheadExpected},
+		{"lookahead-entropy", strategy.LookaheadEntropy},
 	}
-	for _, path := range paths {
-		b.Run(path.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok := path.mk().Pick(st); !ok {
-					b.Fatal("no informative tuple left")
-				}
+	for _, wl := range coreWorkloads {
+		b.Run(wl, func(b *testing.B) {
+			rel, goal, err := workload.Instance(wl, workload.InstanceConfig{Tuples: 10000, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			full, err := jim.NewState(rel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dialogue := ask(b, full, strategy.LookaheadMaxMin(), goal, rel.Len())
+			st, err := jim.NewState(rel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			replay(b, st, dialogue[:len(dialogue)/2])
+			for _, s := range strategies {
+				b.Run(s.name, func(b *testing.B) {
+					paths := []struct {
+						name string
+						mk   func() core.KPicker
+					}{
+						{"incremental", s.mk},
+						{"naive", func() core.KPicker { return strategy.MustNaive(s.name, 0) }},
+					}
+					want, ok := paths[1].mk().Pick(st)
+					if got, gotOK := paths[0].mk().Pick(st); !ok || !gotOK || got != want {
+						b.Fatalf("incremental picked %d (%v), naive %d (%v)", got, gotOK, want, ok)
+					}
+					for _, path := range paths {
+						b.Run(path.name, func(b *testing.B) {
+							b.ReportAllocs()
+							for i := 0; i < b.N; i++ {
+								if got, _ := path.mk().Pick(st); got != want {
+									b.Fatalf("picked %d, want %d", got, want)
+								}
+							}
+						})
+					}
+				})
 			}
 		})
 	}
 }
 
-// Full 10k-tuple zipf sessions end to end on the incremental path —
-// the session-throughput side of the -core benchmark.
+// Streaming ingestion on 10k-tuple instances (DESIGN.md §7): a quarter
+// of each instance is present at creation and the rest arrives in 16
+// batches; one op is the whole stream. "append" times every
+// State.Append; "rebuild" times strategy.RebuildFromScratch at the
+// same batch points, the fresh state plus label replay a build-once
+// stack would pay per batch. Before each batch the dialogue answers
+// three questions of the default strategy, so arrivals are classified
+// against a non-trivial hypothesis. The answers come from one
+// reference run and are replayed, so no pick and no state build is
+// timed.
+func BenchmarkAppend10k(b *testing.B) {
+	for _, wl := range coreWorkloads {
+		b.Run(wl, func(b *testing.B) {
+			stream, err := workload.NewStream(wl, workload.StreamConfig{Tuples: 10000, Batches: 16, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// answers[k] are given before batch k lands.
+			answers := make([][]answer, len(stream.Batches))
+			ref, err := core.NewState(stream.Initial.Clone())
+			if err != nil {
+				b.Fatal(err)
+			}
+			picker := strategy.LookaheadMaxMin()
+			for k, batch := range stream.Batches {
+				answers[k] = ask(b, ref, picker, stream.Goal, 3)
+				if _, err := ref.Append(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, path := range []string{"append", "rebuild"} {
+				b.Run(path, func(b *testing.B) {
+					b.ReportAllocs()
+					b.StopTimer()
+					for i := 0; i < b.N; i++ {
+						st, err := core.NewState(stream.Initial.Clone())
+						if err != nil {
+							b.Fatal(err)
+						}
+						for k, batch := range stream.Batches {
+							replay(b, st, answers[k])
+							if path == "append" {
+								b.StartTimer()
+							}
+							_, err := st.Append(batch)
+							b.StopTimer()
+							if err != nil {
+								b.Fatal(err)
+							}
+							if path == "rebuild" {
+								b.StartTimer()
+								_, err = strategy.RebuildFromScratch(st)
+								b.StopTimer()
+								if err != nil {
+									b.Fatal(err)
+								}
+							}
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// Full 10k-tuple zipf sessions end to end on the incremental path: the
+// session-throughput side of BenchmarkPick10k.
 func BenchmarkSessionZipf10k(b *testing.B) {
 	rel, goal, err := workload.Instance("zipf", workload.InstanceConfig{Tuples: 10000, Seed: 1})
 	if err != nil {

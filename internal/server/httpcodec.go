@@ -645,19 +645,24 @@ var jsonContentType = []string{"application/json"}
 // header.
 const chunkingBuffer = 2048
 
-// send finishes enc's reply and writes it with the headers writeJSON
-// sets. Content-Length is set here only for replies net/http would
-// otherwise chunk: formatting and storing the header costs two
-// allocations, and the short replies of a dialogue get it for free.
-func (hb *httpBuf) send(w http.ResponseWriter, status int, enc *jsonWriter) {
-	hb.b = append(enc.b, '\n')
+// writeReply writes a finished JSON reply body; every reply body the
+// server writes goes through it. Content-Length is set here only for
+// replies net/http would otherwise chunk: formatting and storing the
+// header costs two allocations, and short replies get it for free.
+func writeReply(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
-	if len(hb.b) > chunkingBuffer {
-		h.Set("Content-Length", strconv.Itoa(len(hb.b)))
+	if len(body) > chunkingBuffer {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
 	}
 	w.WriteHeader(status)
-	_, _ = w.Write(hb.b)
+	_, _ = w.Write(body)
+}
+
+// send finishes enc's reply and writes it.
+func (hb *httpBuf) send(w http.ResponseWriter, status int, enc *jsonWriter) {
+	hb.b = append(enc.b, '\n')
+	writeReply(w, status, hb.b)
 }
 
 func (enc *jsonWriter) open(c byte) {

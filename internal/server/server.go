@@ -516,15 +516,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		// Unreachable for the server's own response types; keep the
 		// envelope shape anyway rather than emitting a truncated body.
 		jsonBufPool.Put(b)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, "{\"error\":{\"code\":%q,\"message\":\"encoding response\"}}\n", jim.CodeInternal)
+		writeReply(w, http.StatusInternalServerError,
+			fmt.Appendf(nil, "{\"error\":{\"code\":%q,\"message\":\"encoding response\"}}\n", jim.CodeInternal))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(b.buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(b.buf.Bytes())
+	writeReply(w, status, b.buf.Bytes())
 	if b.buf.Cap() <= jsonBufMaxCap {
 		jsonBufPool.Put(b)
 	}

@@ -359,7 +359,8 @@ func TestHTTPStepAllocs(t *testing.T) {
 // shortcut to a real server: replies on both sides of net/http's
 // 2,048-byte chunking buffer carry a Content-Length equal to their
 // body, and none is chunked. The sessions' tuples pad the /next reply
-// across the boundary a few bytes at a time.
+// across the boundary a few bytes at a time; a short and a long reply
+// encoded by writeJSON close the sweep.
 func TestRepliesCarryContentLength(t *testing.T) {
 	ts := httptest.NewServer(server.New().Handler())
 	defer ts.Close()
@@ -401,6 +402,14 @@ func TestRepliesCarryContentLength(t *testing.T) {
 	}
 	if below == 0 || above == 0 {
 		t.Fatalf("%d replies at most 2,048 bytes and %d above: the sweep missed the boundary", below, above)
+	}
+	// Replies encoded by writeJSON follow the same rule: the strategy
+	// list is short, and the listing of the sessions above is long.
+	if n := len(check(http.Get(ts.URL + "/v1/strategies"))); n > 2048 {
+		t.Fatalf("strategies reply of %d bytes, want at most 2,048", n)
+	}
+	if n := len(check(http.Get(ts.URL + "/v1/sessions?limit=100"))); n <= 2048 {
+		t.Fatalf("sessions listing of %d bytes, want more than 2,048", n)
 	}
 }
 

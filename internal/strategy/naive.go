@@ -18,8 +18,8 @@ import (
 //     the same tuple sequence as these definitional rescorers on
 //     randomized workloads — the safety net under the whole
 //     incremental-scoring refactor;
-//   - jimbench -core and the pick benchmarks use them as the baseline
-//     the incremental path is measured against.
+//   - the pick benchmarks (BenchmarkPick10k in the module root) use
+//     them as the baseline the incremental path is measured against.
 //
 // They intentionally keep the old cost profile — O(classes²) partition
 // meets plus O(tuples) label scans per pick — so benchmark speedups

@@ -399,6 +399,74 @@ func BenchmarkApplyAndPropagate(b *testing.B) {
 // comparisons run on at 10,000 tuples: the generators that scale.
 var coreWorkloads = []string{"zipf", "synthetic", "star"}
 
+// coreStrategies are the lookahead strategies those comparisons time,
+// each with the constructor of its incremental scorer.
+var coreStrategies = []struct {
+	name string
+	mk   func() core.KPicker
+}{
+	{"lookahead-maxmin", strategy.LookaheadMaxMin},
+	{"lookahead-expected", strategy.LookaheadExpected},
+	{"lookahead-entropy", strategy.LookaheadEntropy},
+}
+
+// TestCoreWorkloadsIncrementalMatchesNaive runs whole sessions of
+// every strategy BenchmarkPick10k times on the instances it times,
+// built by the same generator config at 500 tuples: the incremental
+// scorer must pick, tuple for tuple, what the naive rescorer picks,
+// so both ask the same number of questions and infer the same query.
+// The benchmark holds one mid-session pick to this at 10,000 tuples.
+func TestCoreWorkloadsIncrementalMatchesNaive(t *testing.T) {
+	for _, wl := range coreWorkloads {
+		t.Run(wl, func(t *testing.T) {
+			rel, goal, err := workload.Instance(wl, workload.InstanceConfig{Tuples: 500, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range coreStrategies {
+				t.Run(s.name, func(t *testing.T) {
+					inc, naive := s.mk(), strategy.MustNaive(s.name, 0)
+					stInc, err := jim.NewState(rel)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stNaive, err := jim.NewState(rel)
+					if err != nil {
+						t.Fatal(err)
+					}
+					questions := 0
+					for ; ; questions++ {
+						if questions > rel.Len() {
+							t.Fatal("no convergence")
+						}
+						want, ok := naive.Pick(stNaive)
+						got := ask(t, stInc, inc, goal, 1)
+						if !ok || len(got) == 0 {
+							if ok || len(got) != 0 {
+								t.Fatalf("question %d: incremental asked %v, naive ok=%v", questions, got, ok)
+							}
+							break
+						}
+						if got[0].index != want {
+							t.Fatalf("question %d: incremental picked %d, naive %d", questions, got[0].index, want)
+						}
+						replay(t, stNaive, got)
+					}
+					if questions == 0 {
+						t.Fatal("session asked no questions")
+					}
+					if !stInc.Done() || !stNaive.Done() {
+						t.Fatalf("incremental done=%v, naive done=%v", stInc.Done(), stNaive.Done())
+					}
+					if !stInc.Result().Equal(stNaive.Result()) {
+						t.Fatalf("results diverged: %v vs %v", stInc.Result(), stNaive.Result())
+					}
+				})
+			}
+		})
+	}
+}
+
 // answer is one oracle-labelled question of a benchmark dialogue.
 type answer struct {
 	index int
@@ -407,8 +475,8 @@ type answer struct {
 
 // ask lets picker choose up to n questions on st, labels each by goal
 // and applies it; it stops early once nothing is informative.
-func ask(b *testing.B, st *core.State, picker core.Picker, goal partition.P, n int) []answer {
-	b.Helper()
+func ask(tb testing.TB, st *core.State, picker core.Picker, goal partition.P, n int) []answer {
+	tb.Helper()
 	var out []answer
 	for len(out) < n {
 		i, ok := picker.Pick(st)
@@ -420,7 +488,7 @@ func ask(b *testing.B, st *core.State, picker core.Picker, goal partition.P, n i
 			a.label = core.Positive
 		}
 		if _, err := st.Apply(a.index, a.label); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		out = append(out, a)
 	}
@@ -428,11 +496,11 @@ func ask(b *testing.B, st *core.State, picker core.Picker, goal partition.P, n i
 }
 
 // replay applies answers recorded by ask to st.
-func replay(b *testing.B, st *core.State, answers []answer) {
-	b.Helper()
+func replay(tb testing.TB, st *core.State, answers []answer) {
+	tb.Helper()
 	for _, a := range answers {
 		if _, err := st.Apply(a.index, a.label); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -449,14 +517,6 @@ func replay(b *testing.B, st *core.State, answers []answer) {
 // pick is held to it too, so each -cpu value checks its own scorer.
 // Run with -count 10 -cpu 1,2 -timeout 30m for medians and spread.
 func BenchmarkPick10k(b *testing.B) {
-	strategies := []struct {
-		name string
-		mk   func() core.KPicker
-	}{
-		{"lookahead-maxmin", strategy.LookaheadMaxMin},
-		{"lookahead-expected", strategy.LookaheadExpected},
-		{"lookahead-entropy", strategy.LookaheadEntropy},
-	}
 	for _, wl := range coreWorkloads {
 		b.Run(wl, func(b *testing.B) {
 			rel, goal, err := workload.Instance(wl, workload.InstanceConfig{Tuples: 10000, Seed: 1})
@@ -473,7 +533,7 @@ func BenchmarkPick10k(b *testing.B) {
 				b.Fatal(err)
 			}
 			replay(b, st, dialogue[:len(dialogue)/2])
-			for _, s := range strategies {
+			for _, s := range coreStrategies {
 				b.Run(s.name, func(b *testing.B) {
 					paths := []struct {
 						name string

@@ -32,20 +32,33 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.BoolVar(&o.list, "list", false, "list available experiments")
-	flag.StringVar(&o.exp, "exp", "", "experiment id to run (see -list)")
-	flag.BoolVar(&o.all, "all", false, "run every experiment")
-	seed := flag.Int64("seed", 1, "random seed")
-	trials := flag.Int("trials", 0, "trials per randomized measurement (0 = default)")
-	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-	flag.Parse()
-	o.expOpts = experiments.Options{Seed: *seed, Trials: *trials, Quick: *quick}
-
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "jimbench:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags parses the command line; usage and errors go to errOut.
+func parseFlags(args []string, errOut io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("jimbench", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.BoolVar(&o.list, "list", false, "list available experiments")
+	fs.StringVar(&o.exp, "exp", "", "experiment id to run (see -list)")
+	fs.BoolVar(&o.all, "all", false, "run every experiment")
+	seed := fs.Int64("seed", 1, "random seed")
+	trials := fs.Int("trials", 0, "trials per randomized measurement (0 = default)")
+	quick := fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
+	err := fs.Parse(args)
+	o.expOpts = experiments.Options{Seed: *seed, Trials: *trials, Quick: *quick}
+	return o, err
 }
 
 func run(w io.Writer, o options) error {

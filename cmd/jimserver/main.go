@@ -226,12 +226,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "jimserver: restore:", err)
 	}
 	if cfg.storeBackend != "mem" {
-		format := "v1"
-		if f, ok := st.(interface{ Format() string }); ok {
-			format = f.Format()
-		}
 		fmt.Printf("jimserver restored %d sessions from %s (format %s, %.1fms)\n",
-			restored, cfg.dataDir, format, float64(time.Since(t0))/float64(time.Millisecond))
+			restored, cfg.dataDir, store.FormatV2, float64(time.Since(t0))/float64(time.Millisecond))
 	}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "jimserver: "+format+"\n", args...)

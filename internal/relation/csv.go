@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/values"
 )
@@ -307,6 +309,49 @@ func ParseRows(schema *Schema, ty *Typing, rows [][]string) (*Batch, error) {
 	return bb.batch(), nil
 }
 
+// ParseTagged parses rows in tagged-value encoding (values.Tag), one
+// cell per schema column, into a batch: the decoder of AppendTagged,
+// in which session files and WAL append events store rows. As with
+// ParseRows, nothing the batch or an error holds points into rows, and
+// a row of the wrong width fails with ErrRowWidth.
+func ParseTagged(schema *Schema, rows [][]string) (*Batch, error) {
+	width := schema.Len()
+	bb := newBatchBuilder(width, len(rows))
+	for ri, row := range rows {
+		if len(row) != width {
+			return nil, fmt.Errorf("%w: row %d has %d cells, schema %v has %d", ErrRowWidth, ri, len(row), schema, width)
+		}
+		if col, err := bb.parseTagged(row); err != nil {
+			return nil, fmt.Errorf("relation: row %d column %q: %w", ri, schema.Name(col), err)
+		}
+	}
+	return bb.batch(), nil
+}
+
+// AppendTagged appends the rows of b to dst in tagged-value encoding,
+// one values.Tag string per cell: the encoder ParseTagged reads. Every
+// cell views one buffer and every row, at full capacity, one cell
+// array, so the allocation count does not grow with the batch.
+func (b *Batch) AppendTagged(dst [][]string) [][]string {
+	ncells := b.rows * b.arity
+	// 24 bytes hold any non-string tag but a long float's, and the arena
+	// holds a string tag's text.
+	buf := make([]byte, 0, len(b.arena)+24*ncells)
+	cells := make([]string, ncells)
+	for j := range cells {
+		start := len(buf)
+		buf = values.AppendTag(buf, b.cell(j))
+		// Appends write past len(buf) and growth leaves the old array as
+		// it was, so a view's bytes never change; no tag is empty.
+		cells[j] = unsafe.String(&buf[start], len(buf)-start)
+	}
+	dst = slices.Grow(dst, b.rows)
+	for r := range b.rows {
+		dst = append(dst, cells[r*b.arity:(r+1)*b.arity:(r+1)*b.arity])
+	}
+	return dst
+}
+
 // parseRow parses rec into the builder's next row under ty (infer: ty
 // types no column, so every cell goes to values.Parse). On failure it
 // returns the column and the error of the first bad cell, and the
@@ -327,6 +372,21 @@ func (bb *batchBuilder) parseRow(rec []string, ty *Typing, infer bool) (int, err
 			}
 			bb.set(start, i, v)
 		}
+	}
+	return 0, nil
+}
+
+// parseTagged decodes row, one values.Tag string per cell, into the
+// builder's next row. On failure it returns the column and the error
+// of the first bad tag, and the builder must not be used again.
+func (bb *batchBuilder) parseTagged(row []string) (int, error) {
+	start := bb.next()
+	for i, tag := range row {
+		v, err := values.FromTag(tag)
+		if err != nil {
+			return i, err
+		}
+		bb.set(start, i, v)
 	}
 	return 0, nil
 }

@@ -3,6 +3,10 @@ package relation
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -278,6 +282,96 @@ func TestCSVRoundTrip(t *testing.T) {
 	for i := 0; i < r.Len(); i++ {
 		if !back.Tuple(i).Identical(r.Tuple(i)) {
 			t.Errorf("tuple %d changed: %v vs %v", i, back.Tuple(i), r.Tuple(i))
+		}
+	}
+}
+
+// tagPool is every cell kind in the shapes a tagged round trip can
+// lose: NULL, both bools, the int extremes, NaN and −0, the empty
+// string, and strings that read as numbers, bools or tags.
+var tagPool = []values.Value{
+	values.Null(), values.Bool(true), values.Bool(false), values.Int(-7), values.Int(math.MaxInt64),
+	values.Float(2.5), values.Float(math.NaN()), values.Float(math.Copysign(0, -1)),
+	values.Str(""), values.Str("Paris"), values.Str("a,\"b\"\nc"), values.Str("ünï ✓"),
+	values.Str("42"), values.Str("-0"), values.Str("2.5"), values.Str("NaN"), values.Str("true"), values.Str("i:1"),
+}
+
+// exactCell is Value.Identical made exact for floats: same kind and
+// payload word, and for strings the same text, so NaN matches NaN and
+// −0 does not match +0.
+func exactCell(a, b values.Value) bool {
+	if a.Kind() == values.KindString {
+		return a.Identical(b)
+	}
+	return a.Kind() == b.Kind() && a.Word() == b.Word()
+}
+
+// TestAppendEventBytesMatchTagBuilt holds the tagged-row codec to the
+// per-cell construction: AppendTagged yields one values.Tag string per
+// cell and one row per tuple, so the session files and WAL append
+// events built from its rows are unchanged byte for byte, and
+// ParseTagged reads every cell of them back exactly.
+func TestAppendEventBytesMatchTagBuilt(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		width := 1 + r.Intn(7)
+		tuples := make([]Tuple, 1+r.Intn(40))
+		want := make([][]string, len(tuples))
+		for i := range tuples {
+			tu := make(Tuple, width)
+			row := make([]string, width)
+			for c := range tu {
+				if r.Intn(3) == 0 {
+					tu[c] = values.Int(r.Int63n(1 << 40))
+				} else {
+					tu[c] = tagPool[r.Intn(len(tagPool))]
+				}
+				row[c] = tu[c].Tag()
+			}
+			tuples[i], want[i] = tu, row
+		}
+		b, err := BatchOf(width, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := b.AppendTagged([][]string{{"kept"}})
+		if len(got) == 0 || !reflect.DeepEqual(got[0], []string{"kept"}) {
+			t.Fatalf("trial %d: AppendTagged lost dst's rows: %q", trial, got)
+		}
+		if got = got[1:]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: AppendTagged rows %q, want %q", trial, got, want)
+		}
+		// Rows never alias: growing one row must not write into the next.
+		if len(got) > 1 {
+			next := got[1][0]
+			_ = append(got[0], "x")
+			if got[1][0] != next {
+				t.Fatalf("trial %d: appending to row 0 overwrote row 1", trial)
+			}
+		}
+		names := make([]string, width)
+		for c := range names {
+			names[c] = fmt.Sprintf("c%d", c)
+		}
+		back, err := ParseTagged(MustSchema(names...), got)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for i, tu := range tuples {
+			for c, v := range tu {
+				if w := back.Cell(i, c); !exactCell(w, v) {
+					t.Fatalf("trial %d: cell %d,%d decodes as %#v, want %#v", trial, i, c, w, v)
+				}
+			}
+		}
+	}
+	schema := MustSchema("a", "b")
+	if _, err := ParseTagged(schema, [][]string{{"i:1"}}); !errors.Is(err, ErrRowWidth) {
+		t.Errorf("ragged row: %v, want ErrRowWidth", err)
+	}
+	for _, bad := range []string{"zz", "i:x", "n:1", "q:1"} {
+		if _, err := ParseTagged(schema, [][]string{{"i:1", bad}}); err == nil {
+			t.Errorf("tag %q accepted", bad)
 		}
 	}
 }

@@ -15,16 +15,15 @@ import (
 	"repro/internal/relation"
 	"repro/internal/session"
 	"repro/internal/store"
-	"repro/internal/values"
 )
 
 // This file is the bridge between the request handlers and the
 // durable store: event construction after each in-memory apply,
 // snapshot construction (the session-format-v2 file wrapped in the
 // store envelope), and the startup replay that turns snapshots + WAL
-// suffixes back into live sessions. Replay goes through the ordinary
-// jim.Session methods — the exact code paths the live request took —
-// so recovery can never drift from the inference semantics, and it
+// suffixes back into live sessions. Replay goes through the code paths
+// the live request took (replayEvent), so recovery can never drift
+// from the inference semantics, and it
 // never touches the request metrics: replayed labels and appends are
 // not new traffic (the ingest counters would otherwise double-count
 // every restart and eviction round-trip).
@@ -114,33 +113,11 @@ func clearEvent() store.Event {
 	return store.Event{Op: store.OpClear}
 }
 
-// appendEvent builds the WAL record of one arrival batch, cells in
-// tagged-value encoding so replay parses them exactly. The whole batch
-// is tagged into one string, which every cell slices, and the rows
-// slice one cell array, so the allocation count does not grow with the
-// number of cells.
+// appendEvent builds the WAL record of one arrival batch, its rows in
+// tagged-value encoding (relation.Batch.AppendTagged) so replay parses
+// them exactly.
 func appendEvent(b *relation.Batch) store.Event {
-	width := b.Arity()
-	ncells := b.Len() * width
-	buf := make([]byte, 0, 8*ncells)
-	ends := make([]int, ncells)
-	for r := range b.Len() {
-		for c := range width {
-			buf = values.AppendTag(buf, b.Cell(r, c))
-			ends[r*width+c] = len(buf)
-		}
-	}
-	tags := string(buf)
-	cells := make([]string, ncells)
-	rows := make([][]string, b.Len())
-	start := 0
-	for k, end := range ends {
-		cells[k], start = tags[start:end], end
-	}
-	for r := range rows {
-		rows[r] = cells[r*width : (r+1)*width : (r+1)*width]
-	}
-	return store.Event{Op: store.OpAppend, Rows: rows}
+	return store.Event{Op: store.OpAppend, Rows: b.AppendTagged(nil)}
 }
 
 // buildSnapshot serializes a session into the store envelope: the
@@ -149,7 +126,7 @@ func appendEvent(b *relation.Batch) store.Event {
 // Caller holds ls.mu in either mode AND pickMu: Propose mutates the
 // skip set under the read lock, so without pickMu a concurrent /next
 // could clear skips between this capture and the snapshot's sequence
-// stamping (see snapshotLive).
+// stamping (see withSnapshot).
 func buildSnapshot(ls *liveSession) (store.Snapshot, error) {
 	var buf bytes.Buffer
 	meta := session.Meta{Strategy: ls.sess.Strategy(), CreatedAt: ls.createdAt}
@@ -194,26 +171,48 @@ func (s *Server) purge(id string, ls *liveSession) error {
 	return nil
 }
 
-// snapshotSession folds a session's current state into the store under
-// the session's read lock (writers are excluded, concurrent reads
-// proceed). The lock is held across the Store.Snapshot call so the
-// stamped sequence number cannot run ahead of the captured state.
+// snapshotSession folds a session's current state into the store and
+// ships it to the follower, with the session's read lock and pickMu
+// held across the Store.Snapshot call (withSnapshot).
 func (s *Server) snapshotSession(id string, ls *liveSession) error {
-	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	return s.snapshotLive(id, ls)
+	err := withSnapshot(ls, func(snap store.Snapshot) error {
+		if s.durable {
+			if err := s.cfg.Store.Snapshot(id, snap); err != nil {
+				return err
+			}
+			now := s.now().UnixNano()
+			ls.walEvents.Store(0)
+			ls.lastSnapshot.Store(now)
+			s.persist.snapshots.Add(1)
+			s.persist.lastSnapshot.Store(now)
+		}
+		if ship := s.shipperFor(); ship != nil {
+			ship.ShipSnapshot(id, snap)
+		}
+		return nil
+	})
+	if err == errSessionDeleted {
+		return nil // DELETE won the race; do not re-create its state
+	}
+	return err
 }
 
-// snapshotLive is snapshotSession for callers already holding ls.mu.
-// pickMu is held from the state capture through the Store.Snapshot
-// call: the store stamps the snapshot with the last assigned sequence,
-// and the only events that can be appended under a read lock are skip
-// clears (handleNext), which also take pickMu — so a stamped sequence
-// can never cover a clear the captured skip set does not reflect.
-// Write-path events are excluded by ls.mu itself.
-func (s *Server) snapshotLive(id string, ls *liveSession) error {
+// errSessionDeleted marks a snapshot capture that lost the race with
+// a purge — nothing to store or ship, not a failure.
+var errSessionDeleted = errors.New("server: session deleted")
+
+// withSnapshot is the one snapshot capture: it builds ls's snapshot,
+// stamped with its replication watermark, and hands it to use, or
+// returns errSessionDeleted for a purged session. ls.mu (read) and
+// pickMu are held until use returns: the only events appended under a
+// read lock are skip clears (handleNext), which also take pickMu, and
+// ls.mu excludes the rest — so neither the watermark nor a sequence the
+// store stamps inside use can cover an event the capture misses.
+func withSnapshot(ls *liveSession, use func(store.Snapshot) error) error {
+	ls.mu.RLock()
+	defer ls.mu.RUnlock()
 	if ls.deleted {
-		return nil // DELETE won the race; do not re-create its state
+		return errSessionDeleted
 	}
 	ls.pickMu.Lock()
 	defer ls.pickMu.Unlock()
@@ -221,24 +220,8 @@ func (s *Server) snapshotLive(id string, ls *liveSession) error {
 	if err != nil {
 		return err
 	}
-	if s.durable {
-		if err := s.cfg.Store.Snapshot(id, snap); err != nil {
-			return err
-		}
-		now := s.now().UnixNano()
-		ls.walEvents.Store(0)
-		ls.lastSnapshot.Store(now)
-		s.persist.snapshots.Add(1)
-		s.persist.lastSnapshot.Store(now)
-	}
-	if ship := s.shipperFor(); ship != nil {
-		// Captured under pickMu, so the watermark read here covers
-		// exactly the events folded into the snapshot: clear events take
-		// pickMu and write-path events are excluded by ls.mu.
-		snap.Seq = ls.replSeq.Load()
-		ship.ShipSnapshot(id, snap)
-	}
-	return nil
+	snap.Seq = ls.replSeq.Load()
+	return use(snap)
 }
 
 // SnapshotAll folds every live session into the store — the graceful-
@@ -262,10 +245,10 @@ func (s *Server) SnapshotAll() error {
 }
 
 // Restore loads every session the store persisted and rebuilds it as a
-// live session: the snapshot's session file loads through session.Load
+// live session: the snapshot's session file loads through session.LoadBytes
 // (labels replayed through the core), the envelope's skips re-apply,
-// and the WAL suffix replays through the same jim.Session methods the
-// original requests used. It returns how many sessions came back.
+// and the WAL suffix replays through the code paths the original
+// requests took (replayEvent). It returns how many sessions came back.
 //
 // Call it once, after NewWith and before serving traffic. Sessions
 // that fail to rebuild are reported in the joined error but do not
@@ -391,8 +374,9 @@ func (s *Server) rebuild(sv store.Saved) (*liveSession, error) {
 	return ls, nil
 }
 
-// replayEvent applies one WAL event through the session's public
-// methods — the identical code path the original request took.
+// replayEvent applies one WAL event, on restore or to a replica, through
+// the code path the original request took: an append decodes into one
+// batch for appendBatch, as in applyAppend.
 func replayEvent(sess *jim.Session, ev store.Event) error {
 	switch ev.Op {
 	case store.OpLabel:
@@ -408,19 +392,11 @@ func replayEvent(sess *jim.Session, ev store.Event) error {
 		sess.Core().ClearSkips()
 		return nil
 	case store.OpAppend:
-		tuples := make([]jim.Tuple, len(ev.Rows))
-		for ri, row := range ev.Rows {
-			t := make(jim.Tuple, len(row))
-			for c, tag := range row {
-				v, err := values.FromTag(tag)
-				if err != nil {
-					return fmt.Errorf("row %d column %d: %w", ri, c, err)
-				}
-				t[c] = v
-			}
-			tuples[ri] = t
+		b, err := relation.ParseTagged(sess.Relation().Schema(), ev.Rows)
+		if err != nil {
+			return err
 		}
-		_, err := sess.Append(tuples)
+		_, err = appendBatch(sess, b)
 		return err
 	}
 	return fmt.Errorf("unknown op %q", ev.Op)

@@ -1,96 +1,127 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
-	"math/rand"
-	"reflect"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
-	jim "repro"
+	"repro/internal/cluster"
 	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/values"
 )
 
-// tagBuiltAppendEvent is the reference append event: one Tag() string
-// per cell and one row slice per tuple.
-func tagBuiltAppendEvent(tuples []jim.Tuple) store.Event {
-	rows := make([][]string, len(tuples))
-	for i, t := range tuples {
-		row := make([]string, len(t))
-		for c, v := range t {
-			row[c] = v.Tag()
-		}
-		rows[i] = row
+// exactCell is Value.Identical made exact for floats: same kind and
+// payload word, and for strings the same text, so NaN matches NaN and
+// −0 does not match +0.
+func exactCell(a, b values.Value) bool {
+	if a.Kind() == values.KindString {
+		return a.Identical(b)
 	}
-	return store.Event{Op: store.OpAppend, Rows: rows}
+	return a.Kind() == b.Kind() && a.Word() == b.Word()
 }
 
-// TestAppendEventBytesMatchTagBuilt holds the batch-tagged append event
-// to the per-cell Tag() construction: same rows, and byte-identical
-// binary payloads (the v2 WAL record and the replication frame body
-// share this encoding) and JSON lines (the v1 WAL format), so durable
-// and shipped appends are unchanged on the wire and on disk.
-func TestAppendEventBytesMatchTagBuilt(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	pool := []jim.Value{
-		values.Null(), values.Bool(true), values.Int(-7), values.Int(math.MaxInt64),
-		values.Float(2.5), values.Float(math.NaN()), values.Float(math.Copysign(0, -1)),
-		values.Str(""), values.Str("Paris"), values.Str("a,\"b\"\nc"), values.Str("ünï ✓"),
+// TestAppendedCellsSurviveRestoreAndReplica sends every cell kind, in
+// the shapes a tagged round trip can lose, through the two decoders of
+// a WAL append event: an append to a disk-backed session replays from
+// its WAL on Restore, and the same event applies to a replica through
+// ApplyEvent. Each path must rebuild every appended cell exactly.
+func TestAppendedCellsSurviveRestoreAndReplica(t *testing.T) {
+	pool := []values.Value{
+		values.Null(), values.Bool(true), values.Bool(false), values.Int(math.MaxInt64),
+		values.Float(math.NaN()), values.Float(math.Copysign(0, -1)), values.Str(""),
+		values.Str("42"), values.Str("-0"), values.Str("2.5"), values.Str("NaN"), values.Str("true"),
 	}
-	for trial := 0; trial < 50; trial++ {
-		width := 1 + r.Intn(7)
-		tuples := make([]jim.Tuple, 1+r.Intn(40))
-		for i := range tuples {
-			tu := make(jim.Tuple, width)
-			for c := range tu {
-				if r.Intn(3) == 0 {
-					tu[c] = values.Int(r.Int63n(1 << 40))
-				} else {
-					tu[c] = pool[r.Intn(len(pool))]
+	var rows []relation.Tuple
+	for k := range pool {
+		rows = append(rows, relation.Tuple{pool[k], pool[(k+5)%len(pool)], pool[(k+7)%len(pool)]})
+	}
+
+	dir := t.TempDir()
+	ds, err := store.NewDisk(store.DiskOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := NewWith(Config{Store: ds})
+	rec := httptest.NewRecorder()
+	owner.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions",
+		strings.NewReader(`{"csv":"a,b,c\n1,2,3\n"}`)))
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil || rec.Code != 201 {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	ls, _ := owner.sessions.get(created.ID)
+
+	// The follower holds the session as a replica: its id must hash to
+	// the other node, or ApplySnapshot adopts it as live instead.
+	follower := NewWith(Config{})
+	if err := follower.EnableCluster(ClusterOptions{Self: "n2", Peers: []cluster.Node{
+		{ID: "n1", HTTP: "127.0.0.1:1"}, {ID: "n2", HTTP: "127.0.0.1:2"},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	replicaID := ""
+	for k := 0; replicaID == ""; k++ {
+		if id := fmt.Sprintf("r%d", k); !follower.ownsID(id) {
+			replicaID = id
+		}
+	}
+	snap, err := captureSnapshot(ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.ApplySnapshot(replicaID, &snap); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := relation.BatchOf(3, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := appendEvent(b)
+	ls.mu.Lock()
+	_, err = owner.applyAppend(created.ID, ls, b)
+	ls.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.Seq = snap.Seq + 1
+	if err := follower.ApplyEvent(replicaID, ev); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds2, err := store.NewDisk(store.DiskOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds2.Close()
+	restarted := NewWith(Config{Store: ds2})
+	if n, err := restarted.Restore(); err != nil || n != 1 {
+		t.Fatalf("restore = %d, %v", n, err)
+	}
+	restored, _ := restarted.sessions.get(created.ID)
+	follower.cluster.repMu.Lock()
+	replica := follower.cluster.replicas[replicaID]
+	follower.cluster.repMu.Unlock()
+
+	for path, got := range map[string]*liveSession{"restore": restored, "replica": replica} {
+		rel := got.sess.Relation()
+		if rel.Len() != 1+len(rows) {
+			t.Fatalf("%s: %d tuples, want %d", path, rel.Len(), 1+len(rows))
+		}
+		for i, tu := range rows {
+			for c, v := range tu {
+				if cell := rel.Cell(1+i, c); !exactCell(cell, v) {
+					t.Errorf("%s: tuple %d column %d is %#v, want %#v", path, 1+i, c, cell, v)
 				}
-			}
-			tuples[i] = tu
-		}
-		b, err := relation.BatchOf(width, tuples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := appendEvent(b), tagBuiltAppendEvent(tuples)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: appendEvent rows %q, want %q", trial, got.Rows, want.Rows)
-		}
-		got.Seq, want.Seq = uint64(trial+1), uint64(trial+1)
-		gotBin, err := store.AppendEventPayload(nil, got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBin, err := store.AppendEventPayload(nil, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotBin, wantBin) {
-			t.Fatalf("trial %d: binary payload differs:\n got %x\nwant %x", trial, gotBin, wantBin)
-		}
-		gotJSON, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantJSON, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Fatalf("trial %d: JSON line differs:\n got %s\nwant %s", trial, gotJSON, wantJSON)
-		}
-		// Rows never alias: growing one row must not write into the next.
-		if len(got.Rows) > 1 {
-			next := got.Rows[1][0]
-			_ = append(got.Rows[0], "x")
-			if got.Rows[1][0] != next {
-				t.Fatalf("trial %d: appending to row 0 overwrote row 1", trial)
 			}
 		}
 	}

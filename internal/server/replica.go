@@ -27,26 +27,13 @@ func (s *Server) resyncShip(ship func(id string, snap store.Snapshot)) {
 	})
 }
 
-// errSessionDeleted marks a snapshot capture that lost the race with
-// a purge — nothing to ship, not a failure.
-var errSessionDeleted = errors.New("server: session deleted")
-
-// captureSnapshot captures one live session plus its replication
-// watermark: buildSnapshot under RLock+pickMu is exactly the
-// snapshotLive capture discipline, and Seq is read under the same
-// locks, so the snapshot and its watermark agree.
-func captureSnapshot(ls *liveSession) (store.Snapshot, error) {
-	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	if ls.deleted {
-		return store.Snapshot{}, errSessionDeleted
-	}
-	ls.pickMu.Lock()
-	snap, err := buildSnapshot(ls)
-	if err == nil {
-		snap.Seq = ls.replSeq.Load()
-	}
-	ls.pickMu.Unlock()
+// captureSnapshot returns one live session's snapshot and its
+// replication watermark, captured by withSnapshot so the two agree.
+func captureSnapshot(ls *liveSession) (snap store.Snapshot, err error) {
+	err = withSnapshot(ls, func(s store.Snapshot) error {
+		snap = s
+		return nil
+	})
 	return snap, err
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/relation"
-	"repro/internal/values"
 )
 
 // FormatVersion identifies the session file layout being written.
@@ -37,16 +36,16 @@ type LabelEntry struct {
 	Label string `json:"label"` // "+" or "-"
 }
 
-// File is the on-disk session layout. Tuples are stored with tagged
-// value encoding (values.Tag) so reloading never re-infers cell kinds
-// and Eq signatures survive the round trip exactly.
+// File is the on-disk session layout. Rows are stored in tagged-value
+// encoding (relation.ParseTagged) so reloading never re-infers cell
+// kinds and Eq signatures survive the round trip exactly.
 type File struct {
 	Version int      `json:"version"`
 	Meta    Meta     `json:"meta"`
 	Schema  []string `json:"schema"`
 	// BaseRows is how many leading Rows were present at session
 	// creation; the rest arrived via streaming appends and are replayed
-	// through State.Append on load. In a v2 file, 0 (the omitted
+	// through State.AppendBatch on load. In a v2 file, 0 (the omitted
 	// default) means the session was created over an empty instance
 	// and every row streamed in; v1 files have no appends, so the
 	// whole instance reads as present at creation.
@@ -62,7 +61,7 @@ type File struct {
 // identical state because explicit-label application commutes for
 // consistent label sets. Sessions whose instance grew after creation
 // round-trip: BaseRows records the creation-time prefix, and Load
-// streams the remainder back in through State.Append.
+// streams the remainder back in through State.AppendBatch.
 func Save(w io.Writer, st *core.State, meta Meta) error {
 	rel := st.Relation()
 	f := File{
@@ -71,20 +70,16 @@ func Save(w io.Writer, st *core.State, meta Meta) error {
 		Schema:   rel.Schema().Names(),
 		BaseRows: st.BaseLen(),
 	}
-	f.Rows = make([][]string, rel.Len())
-	rel.Each(func(i int, t relation.Tuple) {
-		row := make([]string, len(t))
-		for c, v := range t {
-			row[c] = v.Tag()
-		}
-		f.Rows[i] = row
+	f.Rows = make([][]string, 0, rel.Len())
+	rel.EachBatch(func(_ int, b *relation.Batch) { f.Rows = b.AppendTagged(f.Rows) })
+	for i := range rel.Len() {
 		switch st.Label(i) {
 		case core.Positive:
 			f.Labels = append(f.Labels, LabelEntry{Index: i, Label: "+"})
 		case core.Negative:
 			f.Labels = append(f.Labels, LabelEntry{Index: i, Label: "-"})
 		}
-	})
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(f); err != nil {
@@ -104,8 +99,8 @@ func Load(r io.Reader) (*core.State, Meta, error) {
 }
 
 // LoadBytes reconstructs the inference state from a session file held
-// in memory: the creation-time prefix rebuilds through NewState, rows
-// that arrived later stream back in through State.Append, and the
+// in memory: the creation-time rows decode into the relation NewState
+// builds on, later rows into one batch for State.AppendBatch, and the
 // explicit labels replay on top. The file must hold exactly one JSON
 // value, as json.Unmarshal requires; trailing data is an error.
 func LoadBytes(b []byte) (*core.State, Meta, error) {
@@ -121,35 +116,28 @@ func LoadBytes(b []byte) (*core.State, Meta, error) {
 	if err != nil {
 		return nil, Meta{}, fmt.Errorf("session: decoding schema: %w", err)
 	}
-	tuples := make([]relation.Tuple, 0, len(f.Rows))
-	for ri, row := range f.Rows {
-		if len(row) != schema.Len() {
-			return nil, Meta{}, fmt.Errorf("session: row %d has %d cells, schema has %d", ri, len(row), schema.Len())
-		}
-		t := make(relation.Tuple, len(row))
-		for c, tag := range row {
-			v, err := values.FromTag(tag)
-			if err != nil {
-				return nil, Meta{}, fmt.Errorf("session: row %d column %d: %w", ri, c, err)
-			}
-			t[c] = v
-		}
-		tuples = append(tuples, t)
-	}
 	base := f.BaseRows
 	if f.Version < 2 {
-		base = len(tuples) // v1 file: the whole instance was present at creation
+		base = len(f.Rows) // v1 file: the whole instance was present at creation
 	}
-	if base < 0 || base > len(tuples) {
-		return nil, Meta{}, fmt.Errorf("session: base_rows %d out of range [0,%d]", f.BaseRows, len(tuples))
+	if base < 0 || base > len(f.Rows) {
+		return nil, Meta{}, fmt.Errorf("session: base_rows %d out of range [0,%d]", f.BaseRows, len(f.Rows))
+	}
+	created, err := relation.ParseTagged(schema, f.Rows[:base])
+	if err != nil {
+		return nil, Meta{}, fmt.Errorf("session: %w", err)
+	}
+	appended, err := relation.ParseTagged(schema, f.Rows[base:])
+	if err != nil {
+		return nil, Meta{}, fmt.Errorf("session: rows after the first %d: %w", base, err)
 	}
 	rel := relation.New(schema)
-	rel.MustAppend(tuples[:base]...)
+	_ = rel.AppendBatch(created) // parsed under schema: the arity matches
 	st, err := core.NewState(rel)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	if _, err := st.Append(tuples[base:]); err != nil {
+	if _, err := st.AppendBatch(appended); err != nil {
 		return nil, Meta{}, fmt.Errorf("session: replaying appended rows: %w", err)
 	}
 	for _, e := range f.Labels {

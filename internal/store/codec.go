@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/codec"
 )
@@ -28,6 +29,13 @@ import (
 //   - Records are a fraction of the JSON size (no field names, no
 //     base-10 integers), which shrinks both fsync payloads and the
 //     bytes recovery must replay.
+//
+// The cluster replication stream ("shipping", internal/cluster) reuses
+// the exact payload encodings below, minus file magic and CRC framing
+// — the transport adds its own length-prefixed frames, and TCP already
+// checksums the path. Sharing the encoders keeps a shipped event
+// byte-identical to the WAL record the owner committed, which is what
+// makes the follower proposal-exact after promotion.
 
 // File magics. Exactly 4 bytes each; a v1 file can never start with
 // them (JSON opens with '{').
@@ -47,9 +55,9 @@ const (
 	opByteClear  = 4
 )
 
-// appendEventPayload encodes one event into dst (without framing) and
+// AppendEventPayload encodes one event into dst (without framing) and
 // returns the extended slice. Allocation-free once dst has capacity.
-func appendEventPayload(dst []byte, ev Event) ([]byte, error) {
+func AppendEventPayload(dst []byte, ev Event) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, ev.Seq)
 	switch ev.Op {
 	case OpLabel:
@@ -89,10 +97,11 @@ func appendEventPayload(dst []byte, ev Event) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeEventPayload decodes one framed event payload. The payload
-// has already passed its CRC, so any failure here is a hard format
-// error (an encoder bug or deliberate corruption), never a torn tail.
-func decodeEventPayload(payload []byte) (Event, error) {
+// DecodeEventPayload decodes a payload produced by AppendEventPayload.
+// A WAL frame's payload has already passed its CRC, so any failure
+// here is a hard format error (an encoder bug or deliberate
+// corruption), never a torn tail.
+func DecodeEventPayload(payload []byte) (Event, error) {
 	var ev Event
 	c := codec.Cursor{B: payload}
 	seq, err := c.Uvarint()
@@ -161,10 +170,9 @@ func decodeEventPayload(payload []byte) (Event, error) {
 	return ev, c.Done()
 }
 
-// appendSnapshotPayload encodes the snapshot envelope (without magic
-// or CRC framing) into payload and returns the extended slice. Shared
-// by the on-disk snapshot file and the replication stream (ship.go).
-func appendSnapshotPayload(payload []byte, snap Snapshot) []byte {
+// AppendSnapshotPayload encodes the snapshot envelope (without magic
+// or CRC framing) into payload and returns the extended slice.
+func AppendSnapshotPayload(payload []byte, snap Snapshot) []byte {
 	payload = binary.AppendUvarint(payload, snap.Seq)
 	payload = codec.AppendString(payload, snap.Strategy)
 	payload = binary.AppendVarint(payload, snap.Seed)
@@ -186,11 +194,74 @@ func appendSnapshotPayload(payload []byte, snap Snapshot) []byte {
 	return payload
 }
 
+// DecodeSnapshotPayload decodes a payload produced by
+// AppendSnapshotPayload.
+func DecodeSnapshotPayload(payload []byte) (*Snapshot, error) {
+	snap := &Snapshot{}
+	c := codec.Cursor{B: payload}
+	var err error
+	if snap.Seq, err = c.Uvarint(); err != nil {
+		return nil, err
+	}
+	if snap.Strategy, err = c.Str(); err != nil {
+		return nil, err
+	}
+	if snap.Seed, err = c.Varint(); err != nil {
+		return nil, err
+	}
+	nanos, err := c.Varint()
+	if err != nil {
+		return nil, err
+	}
+	if nanos != 0 {
+		snap.CreatedAt = time.Unix(0, nanos)
+	}
+	ntyping, err := c.Count(1)
+	if err != nil {
+		return nil, err
+	}
+	if ntyping > 0 {
+		snap.Typing = make([]string, 0, ntyping)
+		for i := 0; i < ntyping; i++ {
+			t, err := c.Str()
+			if err != nil {
+				return nil, err
+			}
+			snap.Typing = append(snap.Typing, t)
+		}
+	}
+	nskips, err := c.Count(1)
+	if err != nil {
+		return nil, err
+	}
+	if nskips > 0 {
+		snap.Skips = make([]int, 0, nskips)
+		for i := 0; i < nskips; i++ {
+			idx, err := c.Sint()
+			if err != nil {
+				return nil, err
+			}
+			snap.Skips = append(snap.Skips, idx)
+		}
+	}
+	session, err := c.Bytes()
+	if err != nil {
+		return nil, err
+	}
+	if len(session) > 0 {
+		snap.Session = append(snap.Session[:0], session...)
+	}
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("snapshot payload: %w", err)
+	}
+	return snap, nil
+}
+
 // appendSnapshotFile encodes a complete v2 snapshot file into dst:
 // magic, then one CRC frame around the envelope payload. payload is a
 // scratch slice reused across calls.
 func appendSnapshotFile(dst, payload []byte, snap Snapshot) (file, scratch []byte) {
-	payload = appendSnapshotPayload(payload[:0], snap)
+	payload = AppendSnapshotPayload(payload[:0], snap)
 	dst = append(dst[:0], snapMagic...)
 	dst = codec.AppendFrame(dst, payload)
 	return dst, payload
@@ -236,7 +307,7 @@ func decodeWAL(frames []byte) ([]Event, error) {
 		if err != nil {
 			return out, fmt.Errorf("wal frame starting %d bytes before the end: %w", len(frames), err)
 		}
-		ev, err := decodeEventPayload(payload)
+		ev, err := DecodeEventPayload(payload)
 		if err != nil {
 			// CRC passed, so the bytes are what was written: a format
 			// error, not a torn tail.

@@ -24,7 +24,7 @@ func TestEventPayloadRoundTrip(t *testing.T) {
 		{Seq: 1 << 40, Op: OpClear},
 	}
 	for _, want := range events {
-		payload, err := appendEventPayload(nil, want)
+		payload, err := AppendEventPayload(nil, want)
 		if err != nil {
 			t.Fatalf("%+v: encode: %v", want, err)
 		}
@@ -37,7 +37,7 @@ func TestEventPayloadRoundTrip(t *testing.T) {
 		if frame := codec.AppendFrame(nil, payload); len(frame) >= len(v1)+1 {
 			t.Errorf("%+v: v2 frame %d bytes, v1 line %d", want, len(frame), len(v1)+1)
 		}
-		got, err := decodeEventPayload(payload)
+		got, err := DecodeEventPayload(payload)
 		if err != nil {
 			t.Fatalf("%+v: decode: %v", want, err)
 		}
@@ -52,20 +52,20 @@ func TestEventPayloadRoundTrip(t *testing.T) {
 }
 
 func TestEventPayloadRejects(t *testing.T) {
-	if _, err := appendEventPayload(nil, Event{Op: OpLabel, Index: -1, Label: "+"}); err == nil {
+	if _, err := AppendEventPayload(nil, Event{Op: OpLabel, Index: -1, Label: "+"}); err == nil {
 		t.Fatal("negative index encoded")
 	}
-	if _, err := appendEventPayload(nil, Event{Op: Op("bogus")}); err == nil {
+	if _, err := AppendEventPayload(nil, Event{Op: Op("bogus")}); err == nil {
 		t.Fatal("unknown op encoded")
 	}
-	if _, err := appendEventPayload(nil, Event{Op: OpLabel, Index: 1, Label: "?"}); err == nil {
+	if _, err := AppendEventPayload(nil, Event{Op: OpLabel, Index: 1, Label: "?"}); err == nil {
 		t.Fatal("label other than + or - encoded")
 	}
-	if _, err := decodeEventPayload([]byte{}); !errors.Is(err, codec.ErrMalformed) {
+	if _, err := DecodeEventPayload([]byte{}); !errors.Is(err, codec.ErrMalformed) {
 		t.Fatalf("empty payload err = %v", err)
 	}
-	payload, _ := appendEventPayload(nil, Event{Seq: 1, Op: OpClear})
-	if _, err := decodeEventPayload(append(payload, 0)); !errors.Is(err, codec.ErrMalformed) {
+	payload, _ := AppendEventPayload(nil, Event{Seq: 1, Op: OpClear})
+	if _, err := DecodeEventPayload(append(payload, 0)); !errors.Is(err, codec.ErrMalformed) {
 		t.Fatalf("trailing byte err = %v", err)
 	}
 }
@@ -324,7 +324,7 @@ func TestWALAppendEncodeZeroAlloc(t *testing.T) {
 		ev := ev
 		if n := testing.AllocsPerRun(200, func() {
 			var err error
-			es.payload, err = appendEventPayload(es.payload[:0], ev)
+			es.payload, err = AppendEventPayload(es.payload[:0], ev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -342,7 +342,7 @@ func FuzzDecodeEvent(f *testing.F) {
 		{Seq: 3, Op: OpAppend, Rows: [][]string{{"1", "a"}}},
 		{Seq: 4, Op: OpClear},
 	} {
-		payload, err := appendEventPayload(nil, ev)
+		payload, err := AppendEventPayload(nil, ev)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -351,11 +351,11 @@ func FuzzDecodeEvent(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// Must never panic; on success the event must re-encode.
-		ev, err := decodeEventPayload(payload)
+		ev, err := DecodeEventPayload(payload)
 		if err != nil {
 			return
 		}
-		if _, err := appendEventPayload(nil, ev); err != nil {
+		if _, err := AppendEventPayload(nil, ev); err != nil {
 			t.Fatalf("decoded event does not re-encode: %+v: %v", ev, err)
 		}
 	})

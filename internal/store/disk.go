@@ -532,7 +532,7 @@ func (c *committer) appendEvent(id string, ev Event) (*os.File, error) {
 	}
 	ev.Seq = c.seq(id)
 	es := c.getEnc()
-	es.payload, err = appendEventPayload(es.payload[:0], ev)
+	es.payload, err = AppendEventPayload(es.payload[:0], ev)
 	if err != nil {
 		c.putEnc(es)
 		c.unassign(id) // the sequence was never written

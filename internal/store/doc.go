@@ -7,9 +7,11 @@
 // wrapped in an envelope carrying the run configuration (strategy,
 // seed, pinned typing, active skips) that the file format does not
 // record. Recovery is snapshot + log suffix: internal/server rebuilds
-// each live session by loading the snapshot through session.Load and
-// replaying the remaining events through the ordinary jim.Session
-// methods, so replay can never desynchronize from the inference logic.
+// each live session by loading the snapshot through session.LoadBytes
+// and replaying the remaining events through the code paths the live
+// requests took (labels and skips through the jim.Session methods, an
+// append decoded into one batch the session adopts), so replay can
+// never desynchronize from the inference logic.
 //
 // Two backends implement the Store interface:
 //

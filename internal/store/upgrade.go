@@ -81,7 +81,7 @@ func (c *committer) upgradeV1(dir string, hasBin bool) error {
 		}
 		walBin = []byte(walMagic)
 		for _, ev := range events {
-			payload, err := appendEventPayload(nil, ev)
+			payload, err := AppendEventPayload(nil, ev)
 			if err != nil {
 				return fmt.Errorf("converting wal event %d: %w", ev.Seq, err)
 			}

@@ -60,10 +60,11 @@ NYC,Paris,AA,Lille,AF
 	// To=City
 }
 
-// ExampleSession_Append shows streaming ingestion: tuples arriving
-// mid-session are parsed under the session's pinned typing and
-// classified against the current hypothesis the moment they land —
-// arrivals whose label is already implied never reach the user.
+// ExampleSession_Append shows streaming ingestion: rows arriving
+// mid-session are parsed into a batch under the session's pinned
+// typing, and Append adopts the batch and classifies its tuples
+// against the current hypothesis the moment they land — arrivals
+// whose label is already implied never reach the user.
 func ExampleSession_Append() {
 	rel, typing, err := jim.ReadCSVTyped(strings.NewReader("a,b,c\n1,1,2\n1,2,2\n"), jim.CSVOptions{})
 	if err != nil {
@@ -80,13 +81,14 @@ func ExampleSession_Append() {
 	if _, err := sess.Answer(1, jim.Negative); err != nil {
 		panic(err)
 	}
-	// More data arrives. ParseRows decodes it exactly like the
-	// creation CSV; Append classifies it on landing.
-	tuples, err := sess.ParseRows([][]string{{"3", "3", "4"}, {"3", "4", "4"}})
+	// More data arrives. ParseRows decodes it into a batch exactly
+	// like the creation CSV; Append adopts the batch and classifies it
+	// on landing.
+	batch, err := sess.ParseRows([][]string{{"3", "3", "4"}, {"3", "4", "4"}})
 	if err != nil {
 		panic(err)
 	}
-	implied, err := sess.Append(tuples)
+	implied, err := sess.Append(batch)
 	if err != nil {
 		panic(err)
 	}

@@ -249,7 +249,11 @@ func (d *driver) drive(base string, stopAt int) {
 				rows[bi] = row
 			}
 			doJSON(t, "POST", base+"/tuples", map[string]any{"rows": rows}, http.StatusOK, nil)
-			if _, err := d.ref.Append(batch); err != nil {
+			b, err := relation.BatchOf(d.refSt.Relation().Schema().Len(), batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.ref.Append(b); err != nil {
 				t.Fatal(err)
 			}
 			d.nextBatch++

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/partition"
@@ -182,17 +181,10 @@ type AnswerOutcome struct {
 // convergence — it pins an implied label down explicitly (interaction
 // modes 1–2) — and reports Outcome.Wasted. An accepted answer clears
 // the skip set — fresh information may unblock skipped classes — and
-// resets the re-offer budget.
+// resets the re-offer budget. Outcome.NewlyImplied is a view of
+// State-owned scratch, valid until the next answer or append; a caller
+// that keeps it clones it.
 func (s *Session) Answer(i int, l Label) (AnswerOutcome, error) {
-	out, err := s.AnswerView(i, l)
-	out.NewlyImplied = slices.Clone(out.NewlyImplied)
-	return out, err
-}
-
-// AnswerView is Answer returning NewlyImplied as a view of State-owned
-// scratch, valid until the next answer or append: the route of a
-// caller that only counts the list, or encodes it at once.
-func (s *Session) AnswerView(i int, l Label) (AnswerOutcome, error) {
 	if i < 0 || i >= s.st.Relation().Len() {
 		return AnswerOutcome{}, fmt.Errorf("%w: %d not in [0,%d)", ErrOutOfRange, i, s.st.Relation().Len())
 	}
@@ -262,26 +254,14 @@ func (s *Session) Skips() []int {
 	return out
 }
 
-// Append streams new tuples into the live session (State.Append) and
-// clears the skip set — arrivals may make skipped classes worth
-// re-asking about. It returns the indices of arrivals whose labels
-// were implied on landing. Wrong-arity tuples fail the whole batch
-// with ErrSchemaMismatch, leaving the state untouched.
-func (s *Session) Append(tuples []relation.Tuple) (newlyImplied []int, err error) {
-	newly, err := s.st.Append(tuples)
-	if err != nil {
-		return nil, err
-	}
-	if len(tuples) > 0 {
-		s.deferred = nil
-	}
-	return newly, nil
-}
-
-// AppendBatch is Append taking ownership of a parsed batch
-// (State.AppendBatch): the caller must not use b afterwards, and the
-// returned indices are a view valid until the next answer or append.
-func (s *Session) AppendBatch(b *relation.Batch) (newlyImplied []int, err error) {
+// Append streams a parsed batch into the live session and clears the
+// skip set — arrivals may make skipped classes worth re-asking about.
+// The instance adopts b as it is (State.AppendBatch), so the caller
+// must not use b afterwards. It returns the indices of arrivals whose
+// labels were implied on landing, as a view valid until the next
+// answer or append. A wrong-arity batch fails whole with
+// ErrSchemaMismatch, leaving the state untouched.
+func (s *Session) Append(b *relation.Batch) (newlyImplied []int, err error) {
 	newly, err := s.st.AppendBatch(b)
 	if err != nil {
 		return nil, err

@@ -178,7 +178,11 @@ func TestSessionTypedErrors(t *testing.T) {
 func TestSessionAppendSchemaMismatch(t *testing.T) {
 	sess := newTravelSession(t)
 	before := sess.State().Relation().Len()
-	if _, err := sess.Append([]relation.Tuple{make(relation.Tuple, 2)}); !errors.Is(err, core.ErrSchemaMismatch) {
+	b, err := relation.BatchOf(2, []relation.Tuple{make(relation.Tuple, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Append(b); !errors.Is(err, core.ErrSchemaMismatch) {
 		t.Errorf("bad-arity append: %v", err)
 	}
 	if sess.State().Relation().Len() != before {

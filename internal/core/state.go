@@ -52,8 +52,8 @@ type State struct {
 	arrivalMark []int
 	classAdds   []int32 // per-class member count of a batch (indexMembers)
 	// implied lists the tuples the last Apply or Append newly implied:
-	// the public methods return a copy of it, the count-only and view
-	// routes (Session.AnswerView, AppendBatch) read it in place.
+	// Apply and Append return a copy of it, AppendBatch and
+	// Session.Answer hand it out as a view.
 	implied []int
 
 	// Incrementally maintained scoring state (see lattice.go): the

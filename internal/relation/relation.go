@@ -430,7 +430,8 @@ func (r *Relation) MustAppend(ts ...Tuple) {
 
 // EachBatch calls fn for every stored chunk in order, with the index of
 // its first tuple: the batch-at-a-time walk of the relation. b is the
-// relation's own storage; fn must not mutate or keep it.
+// relation's own storage: fn must not mutate it, and may keep it only
+// when the relation is discarded after the walk.
 func (r *Relation) EachBatch(fn func(first int, b *Batch)) {
 	for k := range r.chunks {
 		fn(r.chunks[k].first, &r.chunks[k].Batch)

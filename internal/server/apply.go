@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	jim "repro"
-	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/sqlgen"
 	"repro/internal/wire"
@@ -133,9 +132,9 @@ func (s *Server) register(ls *liveSession) (string, summary, error) {
 // the wire step op. label is a defined wire.Label: the HTTP codec
 // (parseLabel) and the wire decoder reject anything else. It returns
 // the newly implied tuple indices (nil for a skip) as a view valid
-// until the session's next answer or append, so a transport that only
-// counts them allocates nothing for them (core.Session.AnswerView).
-// The caller holds the session's write lock.
+// until the session's next answer or append (jim.Session.Answer), so a
+// transport that only counts them allocates nothing for them. The
+// caller holds the session's write lock.
 func (s *Server) applyAnswer(id string, ls *liveSession, index int, label wire.Label) ([]int, error) {
 	if label == wire.Skip {
 		if err := ls.sess.Skip(index); err != nil {
@@ -147,9 +146,9 @@ func (s *Server) applyAnswer(id string, ls *liveSession, index int, label wire.L
 	if label == wire.Positive {
 		l = jim.Positive
 	}
-	out, err := ls.sess.Core().AnswerView(index, l)
+	out, err := ls.sess.Answer(index, l)
 	if err != nil {
-		return nil, answerError(err)
+		return nil, err
 	}
 	if err := s.persistEvent(id, ls, labelEvent(index, l)); err != nil {
 		return nil, err
@@ -215,7 +214,7 @@ func (s *Server) rankK(ls *liveSession, k int) ([]int, error) {
 // applyAppend streams a parsed arrival batch into the session and
 // persists it. The session adopts b, so the caller must not use it
 // afterwards. The returned indices are a view valid until the
-// session's next answer or append (core.Session.AppendBatch). The
+// session's next answer or append (jim.Session.Append). The
 // caller holds the session's write lock. An empty batch (a header-only
 // CSV, an empty row list) carries no arrivals and fails without metric,
 // skip-state or WAL side effects. The batch's event — every cell
@@ -225,7 +224,7 @@ func (s *Server) applyAppend(id string, ls *liveSession, b *relation.Batch) ([]i
 	if b.Len() == 0 {
 		return nil, &jim.Error{Code: jim.CodeBadInput, Message: "empty append: no tuples in body"}
 	}
-	newly, err := appendBatch(ls.sess, b)
+	newly, err := ls.sess.Append(b)
 	if err != nil {
 		return nil, err
 	}
@@ -237,59 +236,6 @@ func (s *Server) applyAppend(id string, ls *liveSession, b *relation.Batch) ([]i
 	s.metrics.appends.Add(1)
 	s.metrics.tuplesAppended.Add(int64(b.Len()))
 	return newly, nil
-}
-
-// appendBatch streams a freshly parsed batch into sess, which adopts
-// it (core.Session.AppendBatch). Every batch reaching it was built for
-// this one append, by parseRows or parseCSV. A batch that does not fit
-// the schema fails whole with CodeSchemaMismatch.
-func appendBatch(sess *jim.Session, b *relation.Batch) ([]int, error) {
-	newly, err := sess.Core().AppendBatch(b)
-	if err != nil {
-		return nil, &jim.Error{Code: jim.CodeSchemaMismatch, Message: err.Error()}
-	}
-	return newly, nil
-}
-
-// parseRows parses an append's raw rows under the session's pinned
-// typing straight into the batch the session will adopt: the parse of
-// jim.Session.ParseRows, with its error codes, minus the copy into
-// tuples. Parsing reads only the session's immutable schema and
-// typing, so it needs no session lock. Rows that fail are parsed again
-// by the facade, whose error carries the code and the cause chain.
-func parseRows(sess *jim.Session, rows [][]string) (*relation.Batch, error) {
-	b, err := relation.ParseRows(sess.Relation().Schema(), sess.Typing(), rows)
-	if err != nil {
-		_, err = sess.ParseRows(rows)
-		return nil, err
-	}
-	return b, nil
-}
-
-// parseCSV parses a CSV append body into a batch under the session's
-// pinned typing (jim.Session.ParseCSV, copied into a batch).
-func parseCSV(sess *jim.Session, csv string) (*relation.Batch, error) {
-	tuples, err := sess.ParseCSV(csv)
-	if err != nil {
-		return nil, err
-	}
-	return relation.BatchOf(sess.Relation().Schema().Len(), tuples)
-}
-
-// answerError lifts an error of core.Session.AnswerView into the jim
-// taxonomy as jim.Session.Answer does: the code its sentinel maps to,
-// the engine's message.
-func answerError(err error) error {
-	code := jim.CodeBadInput
-	switch {
-	case errors.Is(err, core.ErrInconsistent):
-		code = jim.CodeInconsistent
-	case errors.Is(err, core.ErrAlreadyLabeled):
-		code = jim.CodeAlreadyLabeled
-	case errors.Is(err, core.ErrOutOfRange):
-		code = jim.CodeOutOfRange
-	}
-	return &jim.Error{Code: code, Message: err.Error()}
 }
 
 // result reads the inferred query: the predicate and its SQL. The

@@ -202,7 +202,11 @@ func TestDifferentialFullProtocol(t *testing.T) {
 					}
 					var ar appendResp
 					doJSON(t, "POST", base+"/tuples", map[string]any{"rows": rows}, http.StatusOK, &ar)
-					refNewly, err := ref.Append(batch)
+					b, err := relation.BatchOf(refSt.Relation().Schema().Len(), batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refNewly, err := ref.Append(b)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -376,7 +376,7 @@ func (s *Server) rebuild(sv store.Saved) (*liveSession, error) {
 
 // replayEvent applies one WAL event, on restore or to a replica, through
 // the code path the original request took: an append decodes into one
-// batch for appendBatch, as in applyAppend.
+// batch the session adopts, as in applyAppend.
 func replayEvent(sess *jim.Session, ev store.Event) error {
 	switch ev.Op {
 	case store.OpLabel:
@@ -396,7 +396,7 @@ func replayEvent(sess *jim.Session, ev store.Event) error {
 		if err != nil {
 			return err
 		}
-		_, err = appendBatch(sess, b)
+		_, err = sess.Append(b)
 		return err
 	}
 	return fmt.Errorf("unknown op %q", ev.Op)

@@ -115,7 +115,11 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 							rows[bi] = row
 						}
 						doJSON(t, "POST", base+"/tuples", map[string]any{"rows": rows}, http.StatusOK, nil)
-						if _, err := ref.Append(batch); err != nil {
+						b, err := relation.BatchOf(refSt.Relation().Schema().Len(), batch)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := ref.Append(b); err != nil {
 							t.Fatal(err)
 						}
 						nextBatch++

@@ -281,9 +281,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, jim.CodeBadInput, "pass csv or rows, not both")
 		return
 	case req.CSV != "":
-		b, err = parseCSV(ls.sess, req.CSV)
+		b, err = ls.sess.ParseCSV(req.CSV)
 	case req.Rows != nil:
-		b, err = parseRows(ls.sess, req.Rows)
+		b, err = ls.sess.ParseRows(req.Rows)
 	default:
 		writeError(w, jim.CodeBadInput, "empty append: pass csv or rows")
 		return

@@ -416,7 +416,7 @@ func TestRepliesCarryContentLength(t *testing.T) {
 // TestWireStepAllocs pins the allocations of one server-side wire step
 // that answers a tuple, implies others, and proposes the next. The
 // reply carries only the count of implied tuples, so the answer reads
-// the engine's implied list in place (core.Session.AnswerView) instead
+// the engine's implied list in place (jim.Session.Answer) instead
 // of copying it. Every measured run answers the second proposal of its
 // own fresh, identically warmed bulk-wire-shaped session: the first
 // answer, unmeasured, sizes the session's scratch as a dialogue's

@@ -65,7 +65,7 @@ func (s *Server) WireStep(id string, answers []wire.Answer, k int, out *wire.Ste
 
 // WireAppend implements wire.Backend: POST /tuples semantics with the
 // rows encoding (cells parsed under the session's pinned typing). The
-// rows are views into the connection's frame buffer; parseRows copies
+// rows are views into the connection's frame buffer; ParseRows copies
 // what the session keeps into the batch it adopts. Parsing reads only
 // the session's immutable schema and typing, so it runs before the
 // write lock is taken.
@@ -74,7 +74,7 @@ func (s *Server) WireAppend(id string, rows [][]string) (wire.AppendResult, erro
 	if err != nil {
 		return wire.AppendResult{}, err
 	}
-	b, err := parseRows(ls.sess, rows)
+	b, err := ls.sess.ParseRows(rows)
 	if err != nil {
 		return wire.AppendResult{}, err
 	}

@@ -394,6 +394,10 @@ func TestWireFusedStepMatchesHTTPStep(t *testing.T) {
 // twin sessions created from the same CSV, strategy and seed, must
 // fail with the same jim.ErrorCode and the same message. Both
 // transports call the one apply layer, so only the framing differs.
+// An append body is also parsed by a library jim.Session over the same
+// CSV: where that parse fails, the transports fail with its code and
+// message; where it succeeds, the batch is empty and the failure is the
+// server's empty-append rule.
 func TestWireErrorsMatchHTTP(t *testing.T) {
 	srv := server.NewWith(server.Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -415,17 +419,33 @@ func TestWireErrorsMatchHTTP(t *testing.T) {
 		}
 		return s.ID, wid
 	}
+	const typedCSV = "n:int,s\n1,a\n2,b\n"
 	hid, wid := twins(travelCSV)
 	doneHID, doneWID := twins("a,b\n1,1\n") // converged at creation
+	typedHID, typedWID := twins(typedCSV)
+	// facade opens a library session over csv, pinning its typing as
+	// the server does.
+	facade := func(csv string) *jim.Session {
+		rel, typing, err := relation.ReadCSVString(csv, relation.CSVOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := jim.NewSession(rel, jim.WithTyping(typing))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	travel, typed := facade(travelCSV), facade(typedCSV)
 	answer := func(id string, index int, l wire.Label) func() error {
 		return func() error {
 			_, err := c.Step(id, []wire.Answer{{Index: index, Label: l}}, 0)
 			return err
 		}
 	}
-	appendRows := func(rows [][]string) func() error {
+	appendRows := func(id string, rows [][]string) func() error {
 		return func() error {
-			_, err := c.Append(wid, rows)
+			_, err := c.Append(id, rows)
 			return err
 		}
 	}
@@ -444,23 +464,32 @@ func TestWireErrorsMatchHTTP(t *testing.T) {
 		path string
 		body any
 		wire func() error
+		// parse is the library parse of an append's body; nil for
+		// other requests.
+		parse func() (*jim.Batch, error)
 	}{
 		{"out of range", jim.CodeOutOfRange, hid + "/label",
-			map[string]any{"index": 99, "label": "+"}, answer(wid, 99, wire.Positive)},
+			map[string]any{"index": 99, "label": "+"}, answer(wid, 99, wire.Positive), nil},
 		{"already labeled", jim.CodeAlreadyLabeled, hid + "/label",
-			map[string]any{"index": 11, "label": "-"}, answer(wid, 11, wire.Negative)},
+			map[string]any{"index": 11, "label": "-"}, answer(wid, 11, wire.Negative), nil},
 		{"inconsistent label", jim.CodeInconsistent, hid + "/label",
-			map[string]any{"index": 2, "label": "-"}, answer(wid, 2, wire.Negative)},
+			map[string]any{"index": 2, "label": "-"}, answer(wid, 2, wire.Negative), nil},
 		{"skip after done", jim.CodeSessionDone, doneHID + "/label",
-			map[string]any{"index": 0, "label": "skip"}, answer(doneWID, 0, wire.Skip)},
+			map[string]any{"index": 0, "label": "skip"}, answer(doneWID, 0, wire.Skip), nil},
 		{"empty append", jim.CodeBadInput, hid + "/tuples",
-			map[string]any{"rows": [][]string{}}, appendRows([][]string{})},
+			map[string]any{"rows": [][]string{}}, appendRows(wid, [][]string{}),
+			func() (*jim.Batch, error) { return travel.ParseRows([][]string{}) }},
 		{"empty append, header-only csv", jim.CodeBadInput, hid + "/tuples",
-			map[string]any{"csv": "From,To,Airline,City,Discount\n"}, appendRows([][]string{})},
+			map[string]any{"csv": "From,To,Airline,City,Discount\n"}, appendRows(wid, [][]string{}),
+			func() (*jim.Batch, error) { return travel.ParseCSV("From,To,Airline,City,Discount\n") }},
 		{"append row of the wrong arity", jim.CodeSchemaMismatch, hid + "/tuples",
-			map[string]any{"rows": [][]string{{"just", "two"}}}, appendRows([][]string{{"just", "two"}})},
+			map[string]any{"rows": [][]string{{"just", "two"}}}, appendRows(wid, [][]string{{"just", "two"}}),
+			func() (*jim.Batch, error) { return travel.ParseRows([][]string{{"just", "two"}}) }},
+		{"append unparsable typed cell", jim.CodeBadInput, typedHID + "/tuples",
+			map[string]any{"rows": [][]string{{"3", "c"}, {"four", "d"}}}, appendRows(typedWID, [][]string{{"3", "c"}, {"four", "d"}}),
+			func() (*jim.Batch, error) { return typed.ParseRows([][]string{{"3", "c"}, {"four", "d"}}) }},
 		{"unknown session", jim.CodeNotFound, "nope/step",
-			map[string]any{"k": 1}, func() error { _, err := c.Step("nope", nil, 1); return err }},
+			map[string]any{"k": 1}, func() error { _, err := c.Step("nope", nil, 1); return err }, nil},
 	}
 	for _, tc := range cases {
 		var je *jim.Error
@@ -472,6 +501,20 @@ func TestWireErrorsMatchHTTP(t *testing.T) {
 		doJSON(t, "POST", ts.URL+"/v1/sessions/"+tc.path, tc.body, je.Code.HTTPStatus(), &e)
 		if e.Error.Code != string(je.Code) || e.Error.Message != je.Message {
 			t.Errorf("%s: HTTP %s %q, wire %s %q", tc.name, e.Error.Code, e.Error.Message, je.Code, je.Message)
+		}
+		if tc.parse == nil {
+			continue
+		}
+		var fe *jim.Error
+		switch b, err := tc.parse(); {
+		case errors.As(err, &fe):
+			if fe.Code != je.Code || fe.Message != je.Message {
+				t.Errorf("%s: library parse %s %q, wire %s %q", tc.name, fe.Code, fe.Message, je.Code, je.Message)
+			}
+		case err != nil:
+			t.Errorf("%s: library parse error %v is not a *jim.Error", tc.name, err)
+		case b.Len() != 0:
+			t.Errorf("%s: library parse accepted %d tuples the server refused", tc.name, b.Len())
 		}
 	}
 

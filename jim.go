@@ -54,6 +54,9 @@ type (
 	Schema = relation.Schema
 	// Relation is an in-memory relation with bag semantics.
 	Relation = relation.Relation
+	// Batch is a run of parsed tuples in a relation's columnar layout,
+	// as Session.ParseRows and ParseCSV return and Session.Append adopts.
+	Batch = relation.Batch
 	// Predicate is an equi-join predicate, canonically a partition of
 	// the attribute set: attributes in one block must be equal.
 	Predicate = partition.P
@@ -141,10 +144,7 @@ func WriteCSV(w io.Writer, rel *Relation) error { return relation.WriteCSV(w, re
 // NewState indexes a denormalized instance for inference.
 func NewState(rel *Relation) (*State, error) {
 	st, err := core.NewState(rel)
-	if err != nil {
-		return nil, wrapCoreErr(err)
-	}
-	return st, nil
+	return st, wrapCoreErr(err)
 }
 
 // NewEngine builds an interactive engine over a state, a strategy, and

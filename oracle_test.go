@@ -90,11 +90,11 @@ func converge(t *testing.T, full *relation.Relation, goal partition.P, strategy 
 			}
 			rows = append(rows, row)
 		}
-		tuples, err := sess.ParseRows(overWire(t, rows))
+		b, err := sess.ParseRows(overWire(t, rows))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.Append(tuples); err != nil {
+		if _, err := sess.Append(b); err != nil {
 			t.Fatal(err)
 		}
 	}

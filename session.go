@@ -73,10 +73,10 @@ func WithConflictPolicy(p ConflictPolicy) SessionOption {
 	}
 }
 
-// WithTyping pins the per-column parsing rules used by ParseRows and
-// ParseCSV, normally the typing of the CSV the session was created
-// from (ReadCSVTyped). Without it, cells of streamed-in rows parse by
-// per-cell inference.
+// WithTyping pins the per-column parsing rules ParseRows and ParseCSV
+// parse arrival batches under, normally the typing of the CSV the
+// session was created from (ReadCSVTyped). Without it, cells of
+// streamed-in rows parse by per-cell inference.
 func WithTyping(t *Typing) SessionOption {
 	return func(c *sessionConfig) error { c.typing = t; return nil }
 }
@@ -182,51 +182,45 @@ func (s *Session) TopK(k int) ([]int, error) {
 // reported as Outcome.Conflict instead of an error. Consistently
 // labeling an uninformative tuple is allowed (it pins an implied label
 // down explicitly) and reports Outcome.Wasted.
+//
+// Outcome.NewlyImplied is a view of session-owned scratch, valid until
+// the next Answer or Append; a caller that keeps the list clones it.
 func (s *Session) Answer(index int, label Label) (AnswerOutcome, error) {
 	if !label.IsExplicit() {
 		return AnswerOutcome{}, newError(CodeBadInput, nil, "Answer requires an explicit label, got %v", label)
 	}
 	out, err := s.sess.Answer(index, label)
-	if err != nil {
-		return AnswerOutcome{}, wrapCoreErr(err)
-	}
-	return out, nil
+	return out, wrapCoreErr(err)
 }
 
 // Skip defers the signature class of the tuple at index: Propose stops
 // offering it until a new label or arrival batch clears the skip set,
 // or every informative class is skipped and a re-offer round starts.
 // Skipping a converged session fails with CodeSessionDone.
-func (s *Session) Skip(index int) error {
-	if err := s.sess.Skip(index); err != nil {
-		return wrapCoreErr(err)
-	}
-	return nil
-}
+func (s *Session) Skip(index int) error { return wrapCoreErr(s.sess.Skip(index)) }
 
-// Append streams new tuples into the live instance; arrivals are
-// classified against the current hypothesis the moment they land, and
-// the indices of arrivals whose labels were implied on arrival are
-// returned. A batch that does not fit the schema fails whole with
+// Append streams a parsed batch (ParseRows, ParseCSV) into the live
+// instance, which adopts it: the caller must not use b afterwards.
+// Arrivals are classified against the current hypothesis the moment
+// they land, and the indices of arrivals whose labels were implied on
+// arrival are returned, as a view valid until the next Answer or
+// Append. A batch that does not fit the schema fails whole with
 // CodeSchemaMismatch, leaving the session untouched.
-func (s *Session) Append(tuples []Tuple) (newlyImplied []int, err error) {
-	newly, err := s.sess.Append(tuples)
-	if err != nil {
-		return nil, wrapCoreErr(err)
-	}
-	return newly, nil
+func (s *Session) Append(b *Batch) (newlyImplied []int, err error) {
+	newly, err := s.sess.Append(b)
+	return newly, wrapCoreErr(err)
 }
 
-// ParseRows parses raw string rows into tuples under the session's
+// ParseRows parses raw string rows into a batch under the session's
 // pinned typing, without touching the state: the decode half of a
 // streaming append. Rows whose cell count does not match the schema
 // fail with CodeSchemaMismatch; unparsable cells with CodeBadInput.
+// It reads only the session's immutable schema and typing, so it may
+// run concurrently with the session's other methods.
 //
 // Nothing returned points into rows, so they may be views into a
-// buffer the caller reuses. The batch's cells share one backing
-// array; each tuple is sliced at full capacity, so appending to one
-// tuple copies it instead of overwriting its neighbour.
-func (s *Session) ParseRows(rows [][]string) ([]Tuple, error) {
+// buffer the caller reuses.
+func (s *Session) ParseRows(rows [][]string) (*Batch, error) {
 	b, err := relation.ParseRows(s.Relation().Schema(), s.typing, rows)
 	switch {
 	case errors.Is(err, relation.ErrRowWidth):
@@ -234,17 +228,19 @@ func (s *Session) ParseRows(rows [][]string) ([]Tuple, error) {
 	case err != nil:
 		return nil, newError(CodeBadInput, err, "%v", err)
 	}
-	return b.Tuples(), nil
+	return b, nil
 }
 
-// ParseCSV parses a CSV arrival payload (header included) into tuples
+// ParseCSV parses a CSV arrival payload (header included) into a batch
 // under the session's pinned typing, without touching the state. The
 // header must carry the session schema exactly; mismatches fail with
-// CodeSchemaMismatch, unparsable payloads with CodeBadInput.
-func (s *Session) ParseCSV(csv string) ([]Tuple, error) {
+// CodeSchemaMismatch, unparsable payloads with CodeBadInput. Like
+// ParseRows, it may run concurrently with the session's other methods.
+func (s *Session) ParseCSV(csv string) (*Batch, error) {
 	if strings.TrimSpace(csv) == "" {
 		return nil, newError(CodeBadInput, nil, "empty csv")
 	}
+	schema := s.Relation().Schema()
 	arrivals, _, err := relation.ReadCSVString(csv, relation.CSVOptions{Typing: s.typing})
 	if errors.Is(err, relation.ErrTypingMismatch) {
 		// Column-count drift from the session schema: same contract as
@@ -254,24 +250,26 @@ func (s *Session) ParseCSV(csv string) ([]Tuple, error) {
 	if err != nil {
 		return nil, newError(CodeBadInput, err, "%v", err)
 	}
-	if !arrivals.Schema().Equal(s.Relation().Schema()) {
+	if !arrivals.Schema().Equal(schema) {
 		return nil, newError(CodeSchemaMismatch, nil,
-			"arrival schema %v does not match session schema %v", arrivals.Schema(), s.Relation().Schema())
+			"arrival schema %v does not match session schema %v", arrivals.Schema(), schema)
 	}
-	tuples := make([]Tuple, 0, arrivals.Len())
-	arrivals.EachBatch(func(_ int, b *relation.Batch) { tuples = append(tuples, b.Tuples()...) })
-	return tuples, nil
+	// Hand over the one batch ReadCSVString parsed, arrivals' only
+	// chunk (none for a header-only payload).
+	var b *relation.Batch
+	arrivals.EachBatch(func(_ int, c *relation.Batch) { b = c })
+	if b == nil {
+		b, _ = relation.ParseRows(schema, s.typing, nil)
+	}
+	return b, nil
 }
 
 // Explain justifies the current label of the tuple at index.
 func (s *Session) Explain(index int) (Explanation, error) {
 	e, err := s.sess.Explain(index)
-	if err != nil {
-		return Explanation{}, wrapCoreErr(err)
-	}
-	return e, nil
+	return e, wrapCoreErr(err)
 }
 
-// Core returns the underlying core session, for callers mixing the
-// facade with the internal engine packages.
+// Core returns the underlying core session, for the skip-set hooks a
+// durable transport persists (Skips, SkipClears, ClearSkips).
 func (s *Session) Core() *core.Session { return s.sess }

@@ -3,10 +3,14 @@ package jim_test
 import (
 	"errors"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	jim "repro"
+	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 const sessionTestCSV = `From,To,Airline,City,Discount
@@ -167,37 +171,50 @@ func TestSessionErrorTaxonomy(t *testing.T) {
 }
 
 // TestParseRowsTuplesIndependent pins the aliasing contract of
-// ParseRows: the tuples of a batch share one backing array, sliced at
-// full capacity.
+// ParseRows: nothing the returned batch holds points into rows, so the
+// rows may be views into a buffer the caller reuses. The rows here view
+// one buffer, as a transport's frame does, and overwriting it after
+// the parse changes no cell, parsed or appended.
 func TestParseRowsTuplesIndependent(t *testing.T) {
 	s := travelSession(t)
-	rows := [][]string{
+	want := [][]string{
 		{"Lyon", "Nice", "AF", "Nice", "AF"},
 		{"Oslo", "Rome", "SK", "Rome", "SK"},
 		{"Kiev", "Riga", "PS", "Riga", "BT"},
 	}
-	tuples, err := s.ParseRows(rows)
+	buf := []byte(strings.Join(slices.Concat(want...), ""))
+	rows := make([][]string, len(want))
+	off := 0
+	for r, row := range want {
+		for _, cell := range row {
+			rows[r] = append(rows[r], unsafe.String(&buf[off], len(cell)))
+			off += len(cell)
+		}
+	}
+	b, err := s.ParseRows(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]jim.Tuple, len(tuples))
-	for i, tu := range tuples {
-		want[i] = tu.Clone()
-	}
-	// The tuples share one backing array; growing one must copy it, not
-	// spill into the next tuple's cells.
-	grown := append(tuples[0], jim.Value{})
-	grown[0] = jim.Value{}
-	for i, tu := range tuples {
-		for c := range tu {
-			if !tu[c].Identical(want[i][c]) {
-				t.Fatalf("appending to tuple 0 changed tuple %d column %d: %#v, want %#v", i, c, tu[c], want[i][c])
+	// check overwrites the buffer, then compares every cell as cell
+	// reads it with want.
+	check := func(what string, cell func(r, c int) jim.Value) {
+		for i := range buf {
+			buf[i]++
+		}
+		for r, row := range want {
+			for c, w := range row {
+				if got := relation.EncodeCell(cell(r, c)); got != w {
+					t.Fatalf("after reusing the rows buffer, %s row %d column %d = %q, want %q", what, r, c, got, w)
+				}
 			}
 		}
-		if cap(tu) != len(tu) {
-			t.Errorf("tuple %d has spare capacity %d", i, cap(tu)-len(tu))
-		}
 	}
+	check("parsed", b.Cell)
+	base := s.Relation().Len()
+	if _, err := s.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	check("appended", func(r, c int) jim.Value { return s.Relation().Cell(base+r, c) })
 }
 
 // TestSessionSkipAndAppend exercises skip routing and streaming
@@ -216,11 +233,11 @@ func TestSessionSkipAndAppend(t *testing.T) {
 		t.Errorf("after skip Propose = (%d,%v), skipped %d", j, ok, i)
 	}
 
-	rows, err := s.ParseRows([][]string{{"Lyon", "Nice", "AF", "Nice", "AF"}})
+	b, err := s.ParseRows([][]string{{"Lyon", "Nice", "AF", "Nice", "AF"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(rows); err != nil {
+	if _, err := s.Append(b); err != nil {
 		t.Fatal(err)
 	}
 	if s.Relation().Len() != 13 {
@@ -236,11 +253,11 @@ func TestSessionSkipAndAppend(t *testing.T) {
 	if _, err := s.ParseCSV("  "); jim.CodeOf(err) != jim.CodeBadInput {
 		t.Errorf("empty csv: %v", err)
 	}
-	tuples, err := s.ParseCSV("From,To,Airline,City,Discount\nOslo,Rome,SK,Rome,SK\n")
+	b, err = s.ParseCSV("From,To,Airline,City,Discount\nOslo,Rome,SK,Rome,SK\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(tuples); err != nil {
+	if _, err := s.Append(b); err != nil {
 		t.Fatal(err)
 	}
 	if s.Relation().Len() != 14 {
@@ -263,5 +280,78 @@ func TestSessionExplain(t *testing.T) {
 	}
 	if _, err := s.Explain(-1); !errors.Is(err, jim.ErrOutOfRange) {
 		t.Errorf("explain out of range: %v", err)
+	}
+}
+
+// TestSessionAppendAllocs pins the facade's batch route: ParseRows
+// makes a constant number of allocations however many rows it parses,
+// and a warm ParseRows + Append of a bulk-wire-sized batch (940×6,
+// landing in existing signature classes) makes exactly as many as the
+// engine's own route — relation.ParseRows, then State.AppendBatch on a
+// twin session with the same history — at 94 rows and at 940. The
+// parsed batch is adopted as it is: no per-tuple Value slab, no copy
+// back into a batch. The engine route's count still grows with the
+// rows (member lists of the classes a batch lands in regrow), so it is
+// the twin, not a constant, that bounds the facade.
+func TestSessionAppendAllocs(t *testing.T) {
+	const baseRows, batchRows = 60, 940
+	rel, _, err := workload.Instance("synthetic", workload.InstanceConfig{Tuples: baseRows + batchRows, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]string, 0, batchRows)
+	base := jim.NewRelation(rel.Schema())
+	rel.Each(func(i int, tu jim.Tuple) {
+		if i < baseRows {
+			base.MustAppend(tu.Clone())
+			return
+		}
+		row := make([]string, len(tu))
+		for c, v := range tu {
+			row[c] = relation.EncodeCell(v)
+		}
+		rows = append(rows, row)
+	})
+	for _, n := range []int{batchRows / 10, batchRows} {
+		facade, err := jim.NewSession(base.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine, err := jim.NewSession(base.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first (unmeasured) run of each registers the batch's new
+		// signature classes; the measured runs land in existing ones.
+		parse := testing.AllocsPerRun(20, func() {
+			if _, err := facade.ParseRows(rows[:n]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		got := testing.AllocsPerRun(20, func() {
+			b, err := facade.ParseRows(rows[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := facade.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want := testing.AllocsPerRun(20, func() {
+			b, err := relation.ParseRows(rel.Schema(), facade.Typing(), rows[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := engine.State().AppendBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d rows: parse %.0f allocations, parse + append %.0f, engine route %.0f", n, parse, got, want)
+		if parse > 4 {
+			t.Errorf("%d-row ParseRows made %.0f allocations, want <= 4 (the batch and its columns)", n, parse)
+		}
+		if got > want {
+			t.Errorf("%d-row ParseRows + Append made %.0f allocations, the engine route %.0f", n, got, want)
+		}
 	}
 }

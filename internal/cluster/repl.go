@@ -19,7 +19,8 @@ import (
 
 // Replication stream: the owner dials its designated follower's
 // -repl-addr and pushes uvarint-length-prefixed frames (the same
-// framing discipline as internal/wire; no CRC — TCP checksums the
+// functions as internal/wire: codec.ReadStreamFrame, WriteStreamFrame
+// and the codec.Listener accept loop; no CRC — TCP checksums the
 // path, and the payloads reuse the store's v2 codec byte-for-byte).
 //
 //	owner -> follower:  "JRP1", hello(sender id), then a stream of
@@ -70,38 +71,6 @@ func appendReplMsg(enc []byte, m shipMsg) ([]byte, error) {
 	}
 }
 
-func writeReplFrame(bw *bufio.Writer, payload []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := bw.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := bw.Write(payload)
-	return err
-}
-
-// readReplFrame reads one length-prefixed frame, reusing buf.
-func readReplFrame(br *bufio.Reader, max int, buf []byte) (payload, scratch []byte, err error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, buf, err
-	}
-	if n > uint64(max) {
-		return nil, buf, fmt.Errorf("%w: repl frame of %d bytes (cap %d)", codec.ErrTooLarge, n, max)
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	b := buf[:n]
-	if _, err := io.ReadFull(br, b); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, buf, err
-	}
-	return b, buf, nil
-}
-
 // Applier is the follower side of the stream: the server applies
 // shipped state into its replica set through the same restore path
 // that crash recovery uses. Apply errors do not kill the stream — the
@@ -123,11 +92,7 @@ type ReplServer struct {
 	Heartbeat func(from string)
 	MaxFrame  int // per-frame byte cap; 0 = default 64 MiB
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	l codec.Listener
 }
 
 func (s *ReplServer) logf(format string, args ...any) {
@@ -137,64 +102,19 @@ func (s *ReplServer) logf(format string, args ...any) {
 }
 
 // Serve accepts streams on ln until Close. It returns nil after a
-// clean Close, or the accept error otherwise.
+// clean Close (also when Close came first), or the accept error
+// otherwise.
 func (s *ReplServer) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("cluster: repl server closed")
+	if err := s.l.Serve(ln, s.serveConn); err != codec.ErrListenerClosed {
+		return err
 	}
-	s.ln = ln
-	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
-	}
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-			conn.Close()
-		}()
-	}
+	return nil
 }
 
 // Close stops the listener, closes live streams, and waits for
 // per-connection goroutines to drain.
 func (s *ReplServer) Close() {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
+	s.l.Shutdown(context.Background(), 0)
 }
 
 func (s *ReplServer) serveConn(conn net.Conn) {
@@ -209,7 +129,8 @@ func (s *ReplServer) serveConn(conn net.Conn) {
 		s.logf("cluster: repl conn %s: bad magic", conn.RemoteAddr())
 		return
 	}
-	payload, buf, err := readReplFrame(br, max, nil)
+	var buf []byte
+	payload, err := codec.ReadStreamFrame(br, max, &buf)
 	if err != nil {
 		s.logf("cluster: repl conn %s: hello: %v", conn.RemoteAddr(), err)
 		return
@@ -225,7 +146,7 @@ func (s *ReplServer) serveConn(conn net.Conn) {
 	}
 	var ackBuf []byte
 	for {
-		payload, buf, err = readReplFrame(br, max, buf)
+		payload, err = codec.ReadStreamFrame(br, max, &buf)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("cluster: repl stream from %s: %v", from, err)
@@ -295,7 +216,7 @@ func (s *ReplServer) handleFrame(from string, payload []byte, bw *bufio.Writer, 
 			return true, fmt.Errorf("%w: malformed sync frame", codec.ErrMalformed)
 		}
 		*ackBuf = binary.AppendUvarint((*ackBuf)[:0], tok)
-		if err := writeReplFrame(bw, *ackBuf); err != nil {
+		if err := codec.WriteStreamFrame(bw, *ackBuf); err != nil {
 			return true, err
 		}
 		if err := bw.Flush(); err != nil {
@@ -340,11 +261,11 @@ type ShipperOptions struct {
 	// Overflow never blocks the serving path: the message is dropped
 	// and a resync is scheduled.
 	Buffer int
-	// HeartbeatEvery, when > 0, enqueues a heartbeat frame on that
-	// period so the follower's failure detector sees lease renewals
-	// even when no sessions are mutating. Heartbeats are best-effort:
-	// one dropped on a full queue is not a loss (the stream itself
-	// carrying other frames proves liveness just as well).
+	// HeartbeatEvery, when > 0, makes the pump write a heartbeat frame
+	// on that period while connected, so the follower's failure
+	// detector sees lease renewals. The follower renews the lease only
+	// on the hello and on heartbeat frames, so heartbeats bypass the
+	// queue: a busy queue neither delays nor drops them.
 	HeartbeatEvery time.Duration
 }
 
@@ -389,30 +310,7 @@ func NewShipper(opts ShipperOptions) *Shipper {
 	}
 	sh.wg.Add(1)
 	go sh.pump()
-	if opts.HeartbeatEvery > 0 {
-		sh.wg.Add(1)
-		go sh.heartbeatLoop(opts.HeartbeatEvery)
-	}
 	return sh
-}
-
-func (sh *Shipper) heartbeatLoop(every time.Duration) {
-	defer sh.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-sh.done:
-			return
-		case <-t.C:
-			// Best-effort enqueue: a heartbeat lost to a full queue
-			// must not schedule a resync the way a state frame would.
-			select {
-			case sh.queue <- shipMsg{kind: msgHeartbeat}:
-			default:
-			}
-		}
-	}
 }
 
 func (sh *Shipper) logf(format string, args ...any) {
@@ -601,7 +499,7 @@ func (sh *Shipper) runConn(conn net.Conn, encBuf []byte) []byte {
 		return encBuf
 	}
 	encBuf = codec.AppendString(encBuf[:0], sh.opts.Self)
-	if err := writeReplFrame(bw, encBuf); err != nil {
+	if err := codec.WriteStreamFrame(bw, encBuf); err != nil {
 		return encBuf
 	}
 	shipSnap := func(id string, snap store.Snapshot) {
@@ -611,7 +509,7 @@ func (sh *Shipper) runConn(conn net.Conn, encBuf []byte) []byte {
 			sh.logf("cluster: encode resync snapshot %q: %v", id, err)
 			return
 		}
-		if werr := writeReplFrame(bw, encBuf); werr == nil {
+		if werr := codec.WriteStreamFrame(bw, encBuf); werr == nil {
 			sh.shipSnaps.Add(1)
 		}
 	}
@@ -633,8 +531,7 @@ func (sh *Shipper) runConn(conn net.Conn, encBuf []byte) []byte {
 		br := bufio.NewReaderSize(conn, 4<<10)
 		var buf []byte
 		for {
-			payload, b, err := readReplFrame(br, 64, buf)
-			buf = b
+			payload, err := codec.ReadStreamFrame(br, 64, &buf)
 			if err != nil {
 				return
 			}
@@ -659,6 +556,12 @@ func (sh *Shipper) runConn(conn net.Conn, encBuf []byte) []byte {
 		<-ackDone
 	}()
 
+	var heartbeat <-chan time.Time
+	if sh.opts.HeartbeatEvery > 0 {
+		t := time.NewTicker(sh.opts.HeartbeatEvery)
+		defer t.Stop()
+		heartbeat = t.C
+	}
 	for {
 		if sh.needResync.Load() {
 			// Queue overflowed while connected: at least one message
@@ -681,6 +584,8 @@ func (sh *Shipper) runConn(conn net.Conn, encBuf []byte) []byte {
 			return encBuf
 		case <-ackDone:
 			return encBuf
+		case <-heartbeat:
+			m.kind = msgHeartbeat
 		case m = <-sh.queue:
 		}
 		if m.kind == msgEvent {
@@ -692,7 +597,7 @@ func (sh *Shipper) runConn(conn net.Conn, encBuf []byte) []byte {
 			sh.logf("cluster: encode repl message: %v", err)
 			continue
 		}
-		if err := writeReplFrame(bw, encBuf); err != nil {
+		if err := codec.WriteStreamFrame(bw, encBuf); err != nil {
 			return encBuf
 		}
 		switch m.kind {
@@ -702,8 +607,9 @@ func (sh *Shipper) runConn(conn net.Conn, encBuf []byte) []byte {
 			sh.shipSnaps.Add(1)
 		}
 		// Flush when the queue is momentarily empty — batches bursts
-		// into one syscall without adding latency at the tail.
-		if len(sh.queue) == 0 {
+		// into one syscall without adding latency at the tail. A
+		// heartbeat goes out at once, however busy the queue.
+		if len(sh.queue) == 0 || m.kind == msgHeartbeat {
 			if err := bw.Flush(); err != nil {
 				return encBuf
 			}

@@ -6,9 +6,11 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/store"
 )
 
@@ -334,5 +336,115 @@ func TestParsePeersRoundTripWithMembership(t *testing.T) {
 	}
 	if seen["n1"] == 0 || seen["n2"] == 0 {
 		t.Errorf("ownership split = %v, want both nodes represented", seen)
+	}
+}
+
+// listenLocal opens a loopback listener on a free port.
+func listenLocal(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// Close must wait for every stream it accepted: the Heartbeat hook,
+// which a stream runs on its hello, never fires once Close returned.
+// The window is narrow; under -race the detector also flags a
+// WaitGroup Add that is not ordered before Close's Wait.
+func TestReplServerCloseWaitsForStreams(t *testing.T) {
+	hello := codec.AppendString(nil, "n1")
+	open := append(append([]byte(replMagic), byte(len(hello))), hello...)
+	var late atomic.Int64
+	for i := 0; i < 200; i++ {
+		ln := listenLocal(t)
+		var closed atomic.Bool
+		srv := &ReplServer{Applier: fuzzApplier{}, Heartbeat: func(string) {
+			if closed.Load() {
+				late.Add(1)
+			}
+		}}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.Serve(ln)
+		}()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(open); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		closed.Store(true)
+		<-done
+		conn.Close()
+	}
+	time.Sleep(50 * time.Millisecond) // let a straggling stream report
+	if n := late.Load(); n > 0 {
+		t.Fatalf("the Heartbeat hook ran %d times after Close returned", n)
+	}
+}
+
+// A full queue must not starve heartbeats: the pump writes them on its
+// own ticker, so a stream whose tiny queue a writer keeps full still
+// renews the follower's lease at a steady rate.
+func TestHeartbeatsBypassFullQueue(t *testing.T) {
+	const every, run = 50 * time.Millisecond, 2 * time.Second
+	ln := listenLocal(t)
+	var mu sync.Mutex
+	var beats []time.Time
+	srv := &ReplServer{Applier: fuzzApplier{}, Heartbeat: func(string) {
+		mu.Lock()
+		beats = append(beats, time.Now())
+		mu.Unlock()
+	}}
+	go srv.Serve(ln)
+	defer srv.Close()
+	sh := NewShipper(ShipperOptions{Self: "n1", Target: ln.Addr().String(), Buffer: 4, HeartbeatEvery: every})
+	defer sh.Close()
+	for deadline := time.Now().Add(5 * time.Second); !sh.Stats().Connected; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("shipper never connected")
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for seq := uint64(1); ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sh.ShipEvent("s0001", store.Event{Seq: seq, Op: store.OpClear})
+		}
+	}()
+	mu.Lock()
+	start := len(beats) // the hello renews too
+	mu.Unlock()
+	begin := time.Now()
+	time.Sleep(run)
+	close(stop)
+	wg.Wait()
+	mu.Lock()
+	got := beats[start:]
+	mu.Unlock()
+	gap, last := time.Duration(0), begin
+	for _, b := range got {
+		gap, last = max(gap, b.Sub(last)), b
+	}
+	gap = max(gap, begin.Add(run).Sub(last))
+	t.Logf("%d heartbeats in %v at a %v period under a full queue (%d messages dropped); longest gap %v",
+		len(got), run, every, sh.Stats().DroppedMessages, gap)
+	if want := int(run / every * 3 / 4); len(got) < want {
+		t.Errorf("%d heartbeats in %v, want at least %d", len(got), run, want)
+	}
+	if gap > 4*every {
+		t.Errorf("longest gap between heartbeats %v, want at most %v", gap, 4*every)
 	}
 }

@@ -1,9 +1,11 @@
 // Package codec holds the binary encoding primitives shared by the
-// wire protocol (internal/wire) and the durable store's on-disk
-// format v2 (internal/store): LEB128 varint cursors with
-// hostile-input bounds checking, allocation-free append helpers, and
-// CRC32C-framed records for media that — unlike TCP — have no
-// checksum of their own.
+// wire protocol (internal/wire), the replication stream
+// (internal/cluster) and the durable store's on-disk format v2
+// (internal/store): LEB128 varint cursors with hostile-input bounds
+// checking, allocation-free append helpers, CRC32C-framed records for
+// media that — unlike TCP — have no checksum of their own, and (in
+// stream.go) the uvarint-length stream frames and accept loop that
+// both TCP protocols serve through.
 //
 // Everything here follows two contracts the consumers are pinned to
 // in CI:

@@ -14,7 +14,9 @@ import (
 // The codec: hand-rolled encode/decode over length-prefixed frames,
 // allocation-free in steady state, built on the shared varint cursor
 // primitives of internal/codec (the same primitives that frame the
-// store's on-disk format v2). A Reader owns one reusable frame buffer
+// store's on-disk format v2). Frames are read and written by
+// codec.ReadStreamFrame and codec.WriteStreamFrame, the functions the
+// replication stream uses too. A Reader owns one reusable frame buffer
 // and decodes requests into a caller-held Request whose slices are
 // reused; a Writer assembles each payload in one reusable scratch
 // slice. The session id, the append rows and a create's CSV are views
@@ -39,13 +41,6 @@ type Reader struct {
 	cells []string
 }
 
-// maxRetainedFrame is the largest frame whose buffer and decode
-// scratch a Reader keeps for the next frame. A larger frame gets a
-// buffer of its own that lives only as long as what was decoded from
-// it, so one huge request does not leave its connection holding up to
-// the frame cap for good. 1 MiB is far above a bulk append batch.
-const maxRetainedFrame = 1 << 20
-
 // NewReader wraps r with a frame cap (<= 0 means DefaultMaxFrame).
 func NewReader(r io.Reader, maxFrame int) *Reader {
 	if maxFrame <= 0 {
@@ -58,41 +53,6 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 // the connection handler's flush heuristic: respond-and-flush when 0,
 // keep filling the write buffer while more pipelined frames wait.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
-
-// frame reads one length-prefixed payload into the reusable buffer,
-// or into a buffer of its own above maxRetainedFrame. The returned
-// slice is valid until the next frame call. io.EOF is returned only at
-// a clean frame boundary; a stream ending mid-frame is ErrTruncated.
-// The declared length is checked against the cap before any
-// allocation, so a hostile length cannot balloon memory.
-func (r *Reader) frame() ([]byte, error) {
-	if _, err := r.br.Peek(1); err != nil {
-		return nil, err // clean EOF (or the transport's own error)
-	}
-	n, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: length varint cut short", ErrTruncated)
-		}
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	if n > uint64(r.max) {
-		return nil, fmt.Errorf("%w: %d bytes declared, cap %d", ErrFrameTooLarge, n, r.max)
-	}
-	b := r.buf
-	switch {
-	case n > maxRetainedFrame:
-		b = make([]byte, n)
-	case uint64(cap(b)) < n:
-		r.buf = make([]byte, n)
-		b = r.buf
-	}
-	b = b[:n]
-	if _, err := io.ReadFull(r.br, b); err != nil {
-		return nil, fmt.Errorf("%w: %d payload bytes declared, stream ended early", ErrTruncated, n)
-	}
-	return b, nil
-}
 
 // Request is one decoded request frame. A single Request is reused
 // across ReadRequest calls: ID, CSV and the cells of Rows alias the
@@ -119,7 +79,7 @@ type Request struct {
 // ReadRequest decodes the next request frame into req (reusing its
 // slices). io.EOF means the peer closed cleanly between frames.
 func (r *Reader) ReadRequest(req *Request) error {
-	b, err := r.frame()
+	b, err := codec.ReadStreamFrame(r.br, r.max, &r.buf)
 	if err != nil {
 		return err
 	}
@@ -236,7 +196,7 @@ func (r *Reader) decodeRows(size int, c *codec.Cursor) ([][]string, error) {
 	// buffer is kept too, and only while it has at most one entry per
 	// two frame bytes, so a frame of tiny cells cannot leave the
 	// connection holding a scratch far larger than its buffer.
-	if size <= maxRetainedFrame && cap(cells)+cap(rows) <= cap(r.buf)/2 {
+	if size <= codec.MaxRetainedFrame && cap(cells)+cap(rows) <= cap(r.buf)/2 {
 		r.rows, r.cells = rows, cells
 	} else {
 		r.rows, r.cells = nil, nil
@@ -252,10 +212,6 @@ type Writer struct {
 	bw      *bufio.Writer
 	max     int
 	scratch []byte
-	// hdr is the frame-length varint scratch. A field, not a local:
-	// a local array passed to bufio's Write escapes (the underlying
-	// io.Writer is an interface), costing one allocation per frame.
-	hdr [binary.MaxVarintLen64]byte
 }
 
 // NewWriter wraps w with a frame cap (<= 0 means DefaultMaxFrame).
@@ -274,12 +230,7 @@ func (w *Writer) frame(payload []byte) error {
 	if len(payload) > w.max {
 		return fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, len(payload), w.max)
 	}
-	n := binary.PutUvarint(w.hdr[:], uint64(len(payload)))
-	if _, err := w.bw.Write(w.hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.bw.Write(payload)
-	return err
+	return codec.WriteStreamFrame(w.bw, payload)
 }
 
 func boolByte(v bool) byte {
@@ -411,7 +362,7 @@ func (w *Writer) WriteOK() error {
 // error frame is decoded into a *jim.Error; an ok frame returns its
 // body cursor.
 func (r *Reader) response() (codec.Cursor, error) {
-	b, err := r.frame()
+	b, err := codec.ReadStreamFrame(r.br, r.max, &r.buf)
 	if err != nil {
 		return codec.Cursor{}, err
 	}

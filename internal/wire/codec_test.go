@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	jim "repro"
+	"repro/internal/codec"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -535,12 +536,14 @@ func (r *Reader) retained() int {
 	return cap(r.buf) + cap(r.cells)*int(unsafe.Sizeof("")) + cap(r.rows)*int(unsafe.Sizeof([]string{}))
 }
 
-// TestReaderReleasesLargeFrames: a frame above maxRetainedFrame is read
-// into a buffer of its own and decoded without keeping scratch, so a
-// connection that once received a 4 MiB append keeps no more than
-// maxRetainedFrame once the next frame is read; frames at most that
-// size keep the buffer and scratch for the next frame.
-func TestReaderReleasesLargeFrames(t *testing.T) {
+// TestRowScratchReleasesLargeFrames: the frame buffer's retention is
+// codec.ReadStreamFrame's (TestReaderReleasesLargeFrames in
+// internal/codec); this holds the append decode's row scratch to the
+// same bound, so a connection that once received a 4 MiB append keeps
+// no more than codec.MaxRetainedFrame once the next frame is read;
+// frames at most that size keep the buffer and scratch for the next
+// frame.
+func TestRowScratchReleasesLargeFrames(t *testing.T) {
 	cell := strings.Repeat("c", 63)
 	big := make([][]string, 0, 4<<20/(6*64))
 	for len(big) < cap(big) {
@@ -570,8 +573,8 @@ func TestReaderReleasesLargeFrames(t *testing.T) {
 		}
 		got := r.retained()
 		t.Logf("after frame %d the reader retains %d bytes", i, got)
-		if got > maxRetainedFrame {
-			t.Errorf("after frame %d the reader retains %d bytes, want <= %d", i, got, maxRetainedFrame)
+		if got > codec.MaxRetainedFrame {
+			t.Errorf("after frame %d the reader retains %d bytes, want <= %d", i, got, codec.MaxRetainedFrame)
 		}
 		if i != 1 && (cap(r.buf) == 0 || cap(r.cells) == 0) {
 			t.Errorf("after small frame %d the reader dropped its buffer or scratch", i)

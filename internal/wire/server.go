@@ -5,10 +5,10 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	jim "repro"
+	"repro/internal/codec"
 )
 
 // ErrServerClosed is returned by Serve after Shutdown, mirroring
@@ -28,55 +28,16 @@ type Server struct {
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	l codec.Listener
 }
 
 // Serve accepts connections on ln until Shutdown. Always returns a
 // non-nil error; after Shutdown it returns ErrServerClosed.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return ErrServerClosed
+	if err := s.l.Serve(ln, s.serveConn); err != codec.ErrListenerClosed {
+		return err
 	}
-	s.ln = ln
-	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
-	}
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return ErrServerClosed
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return ErrServerClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
+	return ErrServerClosed
 }
 
 // shutdownGrace is how long a connection may keep serving after
@@ -91,33 +52,7 @@ const shutdownGrace = 250 * time.Millisecond
 // connections to drain (up to ctx). A frame half-sent at the grace
 // cutoff is abandoned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	grace := time.Now().Add(shutdownGrace)
-	for c := range s.conns {
-		c.SetReadDeadline(grace)
-	}
-	s.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		return ctx.Err()
-	}
+	return s.l.Shutdown(ctx, shutdownGrace)
 }
 
 // idCache converts the frame-buffer id view to a string without
@@ -144,7 +79,6 @@ func (s *Server) logf(format string, args ...any) {
 // and flushed only when the read side has no more pipelined frames
 // waiting, so a burst of N requests costs one syscall each way.
 func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
 	r := NewReader(conn, s.MaxFrame)
 	// MaxFrame guards against hostile *inbound* lengths; responses are
 	// server-authored, so they get the default bound — a tight inbound

@@ -252,9 +252,10 @@ type ShipperOptions struct {
 	// until SetTarget provides one.
 	Target string
 	// Resync is invoked on every (re)connect and after a queue
-	// overflow: it must ship a current snapshot of every live session
-	// through the provided callback. Combined with seq dedup on the
-	// follower this makes the stream self-healing.
+	// overflow, once the queue has drained since the last resync: it
+	// must ship a current snapshot of every live session through the
+	// provided callback. Combined with seq dedup on the follower this
+	// makes the stream self-healing.
 	Resync func(ship func(id string, snap store.Snapshot))
 	Logf   func(format string, args ...any)
 	// Buffer is the queue capacity in messages (default 8192).
@@ -562,11 +563,19 @@ func (sh *Shipper) runConn(conn net.Conn, encBuf []byte) []byte {
 		defer t.Stop()
 		heartbeat = t.C
 	}
+	// A resync is due once the queue overflowed, but a new one starts
+	// only after the pump has taken a full queue's worth of messages
+	// since the last: the queue was full at the drop, so that is when
+	// it has drained since. Under a sustained overflow every message
+	// drops again while a resync runs, and re-shipping each time the
+	// flag is set would leave the stream doing little but resyncs.
+	taken := 0
 	for {
-		if sh.needResync.Load() {
+		if sh.needResync.Load() && taken >= cap(sh.queue) {
 			// Queue overflowed while connected: at least one message
 			// is gone, so re-ship snapshots before continuing.
 			sh.needResync.Store(false)
+			taken = 0
 			if sh.opts.Resync != nil {
 				sh.opts.Resync(shipSnap)
 			}
@@ -587,6 +596,7 @@ func (sh *Shipper) runConn(conn net.Conn, encBuf []byte) []byte {
 		case <-heartbeat:
 			m.kind = msgHeartbeat
 		case m = <-sh.queue:
+			taken++
 		}
 		if m.kind == msgEvent {
 			sh.lag.Add(-1)

@@ -320,6 +320,87 @@ func TestShipperOverflowSchedulesResync(t *testing.T) {
 	}
 }
 
+// A sustained overflow must not turn the stream into back-to-back
+// resyncs: a writer spinning on a 64-message queue drops messages all
+// the time, and each resync re-ships every session, so the shipper
+// starts a new one only after the queue drained since the last. At
+// least a queue's worth of events ships per overflow resync, and once
+// the writer stops the follower converges on every session's last seq.
+func TestShipperOverflowResyncBounded(t *testing.T) {
+	const buffer, sessions = 64, 10
+	var (
+		seqs     [sessions]atomic.Uint64
+		resyncs  atomic.Int64
+		stopping atomic.Bool
+	)
+	id := func(k int) string { return fmt.Sprintf("s%04d", k) }
+	resync := func(ship func(id string, snap store.Snapshot)) {
+		resyncs.Add(1)
+		for k := range seqs {
+			ship(id(k), store.Snapshot{Seq: seqs[k].Load(), Strategy: "greedy", Session: []byte(`{}`)})
+		}
+	}
+	a := newMemApplier()
+	addr, stop := startRepl(t, a)
+	defer stop()
+	sh := NewShipper(ShipperOptions{Self: "n1", Target: addr, Resync: resync, Buffer: buffer, Logf: t.Logf})
+	defer sh.Close()
+	for deadline := time.Now().Add(5 * time.Second); !sh.Stats().Connected; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("shipper never connected")
+		}
+	}
+	connect := resyncs.Load() // the connection's own resync ships no event before it
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := 0; !stopping.Load(); k = (k + 1) % sessions {
+			sh.ShipEvent(id(k), store.Event{Seq: seqs[k].Add(1), Op: store.OpClear})
+		}
+	}()
+	time.Sleep(500 * time.Millisecond)
+	stopping.Store(true)
+	<-done
+	st := sh.Stats()
+	if st.DroppedMessages == 0 {
+		t.Fatal("the spinning writer never overflowed the queue")
+	}
+	if n := resyncs.Load() - connect; st.ShippedEvents < buffer*n {
+		t.Errorf("%d events shipped over %d overflow resyncs (%d dropped): want at least %d per resync", st.ShippedEvents, n, st.DroppedMessages, buffer)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sh.Sync(ctx); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	// The last drops leave a resync due, which runs once the queue is
+	// empty: every session's replica reaches its last seq.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		behind := 0
+		a.mu.Lock()
+		for k := range seqs {
+			var last uint64
+			if evs := a.events[id(k)]; len(evs) > 0 {
+				last = evs[len(evs)-1].Seq
+			}
+			if snaps := a.snaps[id(k)]; len(snaps) > 0 {
+				last = max(last, snaps[len(snaps)-1].Seq)
+			}
+			if last != seqs[k].Load() {
+				behind++
+			}
+		}
+		a.mu.Unlock()
+		if behind == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d sessions never converged on the follower", behind, sessions)
+		}
+	}
+	t.Logf("%d events shipped over %d resyncs, %d messages dropped", st.ShippedEvents, resyncs.Load(), st.DroppedMessages)
+}
+
 func TestParsePeersRoundTripWithMembership(t *testing.T) {
 	spec := "n1=127.0.0.1:1|127.0.0.1:2|127.0.0.1:3,n2=127.0.0.1:4|127.0.0.1:5|127.0.0.1:6"
 	nodes, err := ParsePeers(spec)

@@ -13,21 +13,27 @@ import (
 
 // FuzzSimulatePrunes holds both prune counts of every informative class
 // to the definitional recount on states built from the input: byte 0
-// picks the attribute count (1–13), byte 1 the tuple count (1–32), the
-// next n bytes per tuple its signature as a restricted-growth string,
-// and every remaining byte one label — the low bit the answer, the
-// rest which informative tuple gets it. Any explicit label on an
-// informative tuple is consistent, so every input is a valid dialogue.
-// The counts are checked after every label, and at the start. The
-// committed corpus covers 1, 2, 11 (the largest one-word pair set), 12
-// and 13 attributes, an antichain of 0, 1 and many maximal negatives,
-// and classes of several tuples (projections of weight > 1).
+// picks the attribute count (1–13), byte 1 the tuple count (1 + byte
+// below 32, twice the byte from 32: up to 510), the next n bytes per
+// tuple its signature as a restricted-growth string (all zeros once the
+// bytes run out), and every remaining byte one label — the low bit the
+// answer, the rest which informative tuple gets it. Any explicit label
+// on an informative tuple is consistent, so every input is a valid
+// dialogue. The counts are checked after every label, and at the
+// start. The committed corpus covers 1, 2, 11 (the largest one-word
+// pair set), 12 and 13 attributes, an antichain of 0, 1 and many
+// maximal negatives, classes of several tuples (projections of weight
+// > 1), and at 6 and 12 attributes a table of over 128 entries (three
+// entry words) with a class of 257 tuples (a ninth weight plane).
 func FuzzSimulatePrunes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		n, count := 1+int(data[0])%13, 1+int(data[1])%32
+		n, count := 1+int(data[0])%13, 1+int(data[1])
+		if data[1] >= 32 {
+			count = 2 * int(data[1])
+		}
 		data = data[2:]
 		rel := relation.New(relation.MustSchema(attrNames(n)...))
 		for k := 0; k < count; k++ {

@@ -104,23 +104,71 @@ func naivePrune(st *State, sig partition.P, l Label) int {
 	return count
 }
 
-// TestSimulatePruneGroupMatchesNaive cross-checks the fused prune-count
-// kernel against the definitional recount for every informative class
-// and a random signature, at every step of random sessions with
-// appends interleaved between labels. The attribute counts span an
-// empty pair set (1), one pair-word (2–11; 11 is the largest that
-// fits) and two (12 and 13). Appends grow the class set after a table
-// was built, so the rebuild-per-Version policy is covered, and
-// CheckInvariants recomputes the built table after every step. The
-// test also asserts it reached every branch of the kernel: an
-// antichain of 0, 1 and several maximal negatives, and a projection
-// carrying more than one unlabeled tuple, at each pair-set width.
+// TestSimulatePruneGroupMatchesNaive cross-checks the bit-sliced
+// prune-count kernel against the definitional recount for every
+// informative class and a random signature, at every step of random
+// sessions with appends interleaved between labels. The attribute
+// counts span an empty pair set (1), one pair-word (2–11; 11 is the
+// largest that fits) and two (12 and 13). Appends grow the class set
+// after a table was built, so the rebuild-per-Version policy is
+// covered, and CheckInvariants recomputes the built table after every
+// step. The test also asserts it reached every shape of table at each
+// pair-set width: an antichain of 0, 1 and several maximal negatives,
+// and a projection carrying more than one unlabeled tuple. At 8 and 12
+// attributes it then drives states of 530 distinct signatures and one
+// class of 260 tuples, checking every 16th class, so the table holds
+// more than one, two and eight entry words (a second stack block of
+// the kernel) and a ninth weight plane, with and without a negative.
 func TestSimulatePruneGroupMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	var (
 		negsSeen  [2][3]bool // per width (one word, more): 0, 1, ≥2 maximal negatives
 		heavySeen [2]bool    // per width: a projection of weight > 1
+		sizeSeen  [2][4]bool // per width: D > 64, D > 128, D > 512, a weight ≥ 256
 	)
+	for _, n := range []int{8, 12} {
+		wide := 0
+		if n > 11 {
+			wide = 1
+		}
+		st, goal := largeTableState(t, r, n, 530, 260)
+		for step := 0; step < 3 && !st.Done(); step++ {
+			// Every 16th class: the naive recount is quadratic in classes.
+			var sample []int32
+			for k, c := range st.InformativeClasses() {
+				if k%16 == 0 {
+					sample = append(sample, c)
+				}
+			}
+			checkPrunesOf(t, st, fmt.Sprintf("large n=%d step %d", n, step), sample, partition.Uniform(r, n).Cached())
+			if err := st.CheckInvariants(); err != nil {
+				t.Fatalf("large n=%d step %d: %v", n, step, err)
+			}
+			d := st.lat.proj.d
+			weight, planes := tableReach(st)
+			for k, reached := range []bool{d > 64, d > 128, d > 512, weight >= 256 && planes > 8} {
+				sizeSeen[wide][k] = sizeSeen[wide][k] || reached
+			}
+			// A negative first (M_P stays Top, so D stays large), then
+			// whatever the goal says.
+			inf := st.InformativeIndices()
+			i, l := inf[len(inf)-1], Negative
+			if step > 0 || goal.LessEq(st.Sig(i)) {
+				i = inf[r.Intn(len(inf))]
+				if goal.LessEq(st.Sig(i)) {
+					l = Positive
+				}
+			}
+			if _, err := st.Apply(i, l); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for wide, seen := range sizeSeen {
+		if seen != [4]bool{true, true, true, true} {
+			t.Errorf("width %d: table sizes reached: D > 64, > 128, > 512, weight ≥ 256: %v", wide, seen)
+		}
+	}
 	for _, n := range []int{1, 2, 4, 5, 6, 11, 12, 13} {
 		wide := 0
 		if n > 11 {
@@ -148,9 +196,8 @@ func TestSimulatePruneGroupMatchesNaive(t *testing.T) {
 					break
 				}
 				negsSeen[wide][min(len(st.lat.negs), 2)] = true
-				for _, w := range st.lat.proj.weight {
-					heavySeen[wide] = heavySeen[wide] || w > 1
-				}
+				weight, _ := tableReach(st)
+				heavySeen[wide] = heavySeen[wide] || weight > 1
 				if step%3 == 2 && serial < 60 {
 					if _, err := st.Append(randomTuples(r, n, 1+r.Intn(6), &serial)); err != nil {
 						t.Fatal(err)
@@ -176,10 +223,65 @@ func TestSimulatePruneGroupMatchesNaive(t *testing.T) {
 	}
 }
 
+// tableReach returns the weight of the heaviest projection in st's
+// built table (the first entry: the table orders them by weight length)
+// and the most weight planes a row of it holds.
+func tableReach(st *State) (weight, planes int) {
+	t := &st.lat.proj
+	if t.d == 0 {
+		return 0, 0
+	}
+	_, weight = t.entry(len(st.lat.mp), 0)
+	for _, row := range t.rows {
+		planes = max(planes, int(row.planes))
+	}
+	return weight, planes
+}
+
+// largeTableState returns a state over n attributes with distinct
+// random signature classes of one tuple each, plus a class of heavy
+// tuples equal on the first half of the attributes and on the rest,
+// and a random goal.
+func largeTableState(t *testing.T, r *rand.Rand, n, distinct, heavy int) (*State, partition.P) {
+	t.Helper()
+	rel := relation.New(relation.MustSchema(attrNames(n)...))
+	for k := 0; k < heavy; k++ {
+		tu := make(relation.Tuple, n)
+		for i := range tu {
+			tu[i] = values.Int(int64(k)<<8 + int64(2*i/n))
+		}
+		rel.MustAppend(tu)
+	}
+	seen := map[string]bool{SigOf(rel.Tuple(0)).Key(): true}
+	for len(seen) <= distinct {
+		sig := partition.Uniform(r, n)
+		if seen[sig.Key()] {
+			continue
+		}
+		seen[sig.Key()] = true
+		tu := make(relation.Tuple, n)
+		for i := range tu {
+			tu[i] = values.Int(int64(heavy+len(seen))<<8 + int64(sig.BlockOf(i)))
+		}
+		rel.MustAppend(tu)
+	}
+	st, err := NewState(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, partition.RandomGoal(r, n, 2)
+}
+
 // checkPrunes holds both counts of every informative class, and of the
 // signature foreign (not necessarily a class of st), to naivePrune,
 // through the pair kernels and their single-label selectors.
 func checkPrunes(t testing.TB, st *State, at string, foreign partition.P) {
+	t.Helper()
+	checkPrunesOf(t, st, at, st.InformativeClasses(), foreign)
+}
+
+// checkPrunesOf is checkPrunes for the given informative classes.
+func checkPrunesOf(t testing.TB, st *State, at string, classes []int32, foreign partition.P) {
 	t.Helper()
 	check := func(sig partition.P, pos, neg int) {
 		t.Helper()
@@ -190,7 +292,7 @@ func checkPrunes(t testing.TB, st *State, at string, foreign partition.P) {
 			t.Fatalf("%s: %v answered -: %d pruned, naive %d", at, sig, neg, want)
 		}
 	}
-	for _, c := range st.InformativeClasses() {
+	for _, c := range classes {
 		sig := st.ClassSig(int(c))
 		pos, neg := st.SimulatePrunesGroup(int(c))
 		check(sig, pos, neg)

@@ -63,8 +63,9 @@ func mallocs(f func()) uint64 {
 // projection table: once its buffers are sized, the rebuild that the
 // first simulation after an Apply or an Append performs allocates
 // nothing, at one (6 attributes) and two (12) pair-words per set.
-// Labels only shrink the informative population, and arrivals into
-// existing classes add no projection, so neither outgrows the buffers.
+// Labels only shrink the informative population and merge projections
+// into fewer rows, and arrivals into existing classes add no
+// projection, so neither outgrows the buffers.
 // (The labels are positive: a negative one may grow the antichain past
 // its high-water mark, which is amortized growth, not steady state.)
 func TestProjectionTableRebuildZeroAlloc(t *testing.T) {

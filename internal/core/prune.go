@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/partition"
 )
@@ -21,16 +22,16 @@ func (st *State) SimulatePrunes(sig partition.P) (pos, neg int) {
 	if gi := st.lookup(sig); gi >= 0 {
 		return st.SimulatePrunesGroup(gi)
 	}
-	return st.projections().prunes(sig.PairSet(), st.lat.mp)
+	return st.projections().prunes(sig.PairSet(), st.lat.mp, st.lat.negs)
 }
 
 // SimulatePrunesGroup is SimulatePrunes for the signature class at
-// position gi. It is the strategies' inner loop: one pass
-// over the distinct M_P-projections of the informative classes (see
-// projTable), a few word operations per entry, safe to call from
-// parallel scorers.
+// position gi. It is the strategies' inner loop: set algebra over the
+// bit-sliced table of the distinct M_P-projections of the informative
+// classes (see projTable), a few word operations per column, safe to
+// call from parallel scorers.
 func (st *State) SimulatePrunesGroup(gi int) (pos, neg int) {
-	return st.projections().prunes(st.cls.sig(gi), st.lat.mp)
+	return st.projections().prunes(st.cls.sig(gi), st.lat.mp, st.lat.negs)
 }
 
 // SimulatePrune is the count of SimulatePrunes for one explicit label.
@@ -47,11 +48,18 @@ func (st *State) SimulatePruneGroup(gi int, l Label) int {
 }
 
 // ProjectionCount returns the number of distinct M_P-projections of
-// the informative classes at the current version — the entries every
-// SimulatePrunesGroup call walks, so a full rescore costs about
-// InformativeGroupCount()·ProjectionCount() entry tests. It builds the
-// projection table if the version has none yet.
-func (st *State) ProjectionCount() int { return len(st.projections().first) }
+// the informative classes at the current version: the entries of the
+// projection table. It builds the table if the version has none yet.
+func (st *State) ProjectionCount() int { return st.projections().d }
+
+// ProjectionWords returns the words of the projection table a
+// SimulatePrunesGroup call reads at the current version: a word per 64
+// entries for each mixed pair (one some but not all entries hold), and
+// the weight planes (a column of G again per maximal negative is not
+// counted). A full rescore costs about
+// InformativeGroupCount()·ProjectionWords() word operations. It builds
+// the table if the version has none yet.
+func (st *State) ProjectionWords() int { return st.projections().reads }
 
 func pruneFor(l Label, pos, neg int) int {
 	switch l {
@@ -75,88 +83,76 @@ func (st *State) countImplied(next Hypo) int {
 	return count
 }
 
-// isZero is 1 if x == 0 and 0 otherwise, without a branch: x-1 sets
-// the top bit that x lacks only when x is zero.
-func isZero(x uint64) uint64 { return ((x - 1) &^ x) >> 63 }
-
-// prunes is the fused prune-count kernel: both answers for a class with
-// pair set g in one pass over the projection table. For an entry with
-// projection H (see projTable), writing G = M_P ∧ g:
+// prunes is the bit-sliced prune-count kernel: both answers for a class
+// with pair set g, as set algebra over the table's columns (see
+// projTable). Writing G = M_P ∧ g, an entry with projection H settles
 //
-//	negative: settles iff H ≤ g                  — h &^ g is empty
-//	positive: settles iff G ≤ H                  — G &^ h is empty
-//	          or g ∧ H ≤ some maximal negative n — g & h &^ n is empty
+//	negative: iff H ≤ g     — it is in no column of M_P ∖ g
+//	positive: iff G ≤ H     — it is in every column of G
+//	          or g ∧ H ≤ n  — it is in no column of G ∖ n, for some maximal negative n
 //
-// Every test is a mask from isZero, and an entry's weight is added as
-// w & -mask, so the loop carries no data-dependent branch. The word
-// count (one up to 11 attributes) and the antichain size (0, 1 or
-// more) are fixed per table, so the choice between the specialized
-// loops is made once, outside them.
-func (t *projTable) prunes(g, mp partition.PairSet) (pos, neg int) {
-	if t.tail != 0 {
-		return t.prunesWide(g, mp)
+// The table is walked a row of 64 entries at a time, and a call's
+// scratch is one word per set for the current row: the row's columns
+// of M_P ∖ g are ORed into out, those of G ANDed into in, those of
+// each G ∖ n ORed and complemented into in; cut to the row's entries,
+// the two settled sets' weights are base·|set| plus a popcount per
+// plane. Only the mixed pairs' columns are read: a pair every entry
+// holds, or none does, has the same word in every row and is folded
+// in once per call. Nothing branches on an entry, and the one loop
+// serves every pair-set width, table size and antichain size. The
+// table is read-only here, so parallel scorers share it.
+func (t *projTable) prunes(g, mp partition.PairSet, negs []partition.PairSet) (pos, neg int) {
+	g = g[:len(mp)]
+	common, mixed := t.pairs[:len(mp)], t.pairs[len(mp):2*len(mp)]
+	// The pairs every entry holds, or none does, have the same column
+	// word in every row: a common pair outside g puts every entry in
+	// out, a pair of G that no entry holds leaves none in in.
+	var full, empty uint64
+	for w, m := range mp {
+		full |= common[w] &^ g[w]
+		empty |= m & g[w] &^ (common[w] | mixed[w])
 	}
-	g0, _ := split(g)
-	mp0, _ := split(mp)
-	a0, notG := mp0&g0, ^g0
-	first := t.first
-	weight := t.weight[:len(first)]
-	switch negs := t.negFirst; len(negs) {
-	case 0:
-		for d, h := range first {
-			w := int(weight[d])
-			pos += w & -int(isZero(a0&^h))
-			neg += w & -int(isZero(h&notG))
-		}
-	case 1:
-		c := g0 &^ negs[0]
-		for d, h := range first {
-			w := int(weight[d])
-			pos += w & -int(isZero(a0&^h)|isZero(h&c))
-			neg += w & -int(isZero(h&notG))
-		}
-	default:
-		for d, h := range first {
-			m, gh := isZero(a0&^h), g0&h
-			for _, n := range negs {
-				m |= isZero(gh &^ n)
+	full, empty = -nonZero(full), -nonZero(empty)
+	for i := range t.rows {
+		row := &t.rows[i]
+		r := t.sets[row.at : int(row.at)+t.cols+int(row.planes)]
+		out := full  // entries in some column of M_P ∖ g
+		in := ^empty // entries in every column of G, or in no column of some G ∖ n
+		for w, m := range mixed {
+			for x := m &^ g[w]; x != 0; x &= x - 1 {
+				out |= r[w<<6|bits.TrailingZeros64(x)]
 			}
-			w := int(weight[d])
-			pos += w & -int(m)
-			neg += w & -int(isZero(h&notG))
+			for x := m & g[w]; x != 0; x &= x - 1 {
+				in &= r[w<<6|bits.TrailingZeros64(x)]
+			}
 		}
+		for _, n := range negs {
+			n = n[:len(mp)]
+			var cut uint64 // entries in some column of G ∖ n
+			for w, m := range mixed {
+				cut |= -nonZero(common[w] & g[w] &^ n[w])
+				for x := m & g[w] &^ n[w]; x != 0; x &= x - 1 {
+					cut |= r[w<<6|bits.TrailingZeros64(x)]
+				}
+			}
+			in |= ^cut
+		}
+		p, n := row.weigh(r[t.cols:], in&row.valid, row.valid&^out)
+		pos, neg = pos+p, neg+n
 	}
 	return pos, neg
 }
 
-// prunesWide is prunes for pair sets of more than one word: each test
-// ORs its words' residues before one isZero, so the rest words are
-// read unconditionally instead of behind a first-word branch.
-func (t *projTable) prunesWide(g, mp partition.PairSet) (pos, neg int) {
-	tail := t.tail
-	g0, gRest := split(g)
-	mp0, mpRest := split(mp)
-	gRest, mpRest = gRest[:tail], mpRest[:tail]
-	a0 := mp0 & g0
-	weight := t.weight[:len(t.first)]
-	for d, h := range t.first {
-		r := t.rest[d*tail : (d+1)*tail]
-		vp, vn := a0&^h, h&^g0
-		for w, x := range r {
-			vp |= mpRest[w] & gRest[w] &^ x
-			vn |= x &^ gRest[w]
-		}
-		m := isZero(vp)
-		for k, n := range t.negFirst {
-			v := g0 & h &^ n
-			for w, x := range t.negRestOf(k) {
-				v |= gRest[w] & r[w] &^ x
-			}
-			m |= isZero(v)
-		}
-		w := int(weight[d])
-		pos += w & -int(m)
-		neg += w & -int(isZero(vn))
+// nonZero is 1 if x != 0 and 0 otherwise, without a branch.
+func nonZero(x uint64) uint64 { return (x | -x) >> 63 }
+
+// weigh sums the weights of the row's entries in two sets, given the
+// row's planes.
+func (row *projRow) weigh(planes []uint64, a, b uint64) (wa, wb int) {
+	wa, wb = int(row.base)*bits.OnesCount64(a), int(row.base)*bits.OnesCount64(b)
+	for p, v := range planes {
+		wa += bits.OnesCount64(v&a) << (p & 63)
+		wb += bits.OnesCount64(v&b) << (p & 63)
 	}
-	return pos, neg
+	return wa, wb
 }

@@ -16,21 +16,28 @@ import (
 
 // benchPick times a full rescore-and-pick of s: it alternates between
 // two identical states, so the ranked cache (keyed on the state)
-// misses on every call. It reports the informative class count and
-// the projection-table entries each class's score walks too.
+// misses on every call. Before timing it holds s's pick to the naive
+// reference's on the same state, and every timed pick to that tuple,
+// so a fast wrong kernel fails here rather than reporting a number. It
+// reports the informative class count, the projection-table entries
+// (D) and the table words each class's score reads too.
 func benchPick(b *testing.B, s core.Picker, st [2]*core.State) {
 	b.Helper()
-	s.Pick(st[0])
+	want, wantOK := MustNaive(s.Name(), 0).Pick(st[0])
+	if got, ok := s.Pick(st[0]); !ok || !wantOK || got != want {
+		b.Fatalf("%s picked %d (%v), naive %d (%v)", s.Name(), got, ok, want, wantOK)
+	}
 	s.Pick(st[1])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.Pick(st[i&1]); !ok {
-			b.Fatal("no informative tuple")
+		if got, _ := s.Pick(st[i&1]); got != want {
+			b.Fatalf("picked %d, want %d", got, want)
 		}
 	}
 	b.ReportMetric(float64(st[0].InformativeGroupCount()), "classes")
 	b.ReportMetric(float64(st[0].ProjectionCount()), "entries")
+	b.ReportMetric(float64(st[0].ProjectionWords()), "words")
 }
 
 // BenchmarkPickDialogueTurns times the default strategy's pick at
@@ -85,9 +92,9 @@ func BenchmarkPickDialogueTurns(b *testing.B) {
 // informative classes (distinct random signatures over 8 attributes),
 // at turn 0 (M_P = Top, so every class is its own projection: the
 // costliest pick) and after one positive label (projections merged).
-// The work the threshold gates is classes × entries, from about 10k to
-// 262k entry tests here. Run with -cpu 2 to give the fan-out a second
-// core.
+// The work the threshold gates is classes × (words + callWords), from
+// about 9k to 135k table words here. Run with -cpu 2 to give the
+// fan-out a second core.
 func BenchmarkPickFanOut(b *testing.B) {
 	const attrs = 8
 	for _, classes := range []int{128, 256, 512} {

@@ -11,12 +11,21 @@ import (
 
 // parallelThreshold is the scoring work above which a parallel-safe
 // strategy fans its scoring out across CPUs, counted in projection-table
-// entry tests: a lookahead class costs State.ProjectionCount() of them,
-// any other class one. Below it, goroutine handoff costs more than the
-// scoring: on two cores BenchmarkPickFanOut loses with the fan-out up
-// to ~32k entry tests and wins from ~65k (the table is in DESIGN.md
-// §5). Variable so tests can force both paths.
+// words (see ranked.work): a lookahead class costs
+// State.ProjectionWords()+callWords of them, any other class one. Below
+// it, goroutine handoff costs more than the scoring: on two cores
+// BenchmarkPickFanOut loses with the fan-out up to ~18k words, breaks
+// even around 40k and wins at ~135k (the table is in DESIGN.md §5); the
+// threshold sits past the break-even, since on a busy server the
+// second core is another request's. Variable so tests can force both
+// paths.
 var parallelThreshold = 1 << 16
+
+// callWords is the fixed cost of one prune-count call in table words:
+// BenchmarkPickFanOut's sequential picks cost about 70 ns per class
+// plus 2 ns per word read, so a call is worth about 40 words before it
+// reads any.
+const callWords = 40
 
 // scoreChunk is the number of classes a scoring worker claims per
 // atomic fetch. Chunking replaces the old one-unbuffered-channel-send
@@ -42,8 +51,9 @@ type ranked struct {
 	// mpOnly marks score as a function of M_P and the class signature
 	// alone: cached scores stay valid while State.MPVersion stands.
 	mpOnly bool
-	// tableScored marks score as one walk of the state's projection
-	// table, so a class costs State.ProjectionCount() entry tests.
+	// tableScored marks score as one prune-count call over the state's
+	// projection table, so a class costs State.ProjectionWords() table
+	// words plus callWords.
 	tableScored bool
 
 	cst            *core.State // state the cache belongs to
@@ -123,12 +133,13 @@ func (s *ranked) rescore(st *core.State, classes []int32) {
 	j.release()
 }
 
-// work estimates a rescore of n classes in entry tests. For a
-// table-scored strategy it builds the projection table up front, which
-// the first score would do anyway — before any helper can wait on it.
+// work estimates a rescore of n classes in projection-table words. For
+// a table-scored strategy it builds the projection table up front,
+// which the first score would do anyway — before any helper can wait
+// on it.
 func (s *ranked) work(st *core.State, n int) int {
 	if s.tableScored {
-		return n * st.ProjectionCount()
+		return n * (st.ProjectionWords() + callWords)
 	}
 	return n
 }

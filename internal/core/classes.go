@@ -16,17 +16,27 @@ const maxAttrs = 256
 // classTable is the signature-class registry of one State (DESIGN.md
 // §6): every class the instance holds, in one flat table indexed by
 // class position. Positions are fixed at registration and classes are
-// never removed. Apart from the member lists, nothing in it holds a
-// pointer per class, so a session's classes cost the collector a few
-// slab headers however many there are.
+// never removed. Nothing in it holds a pointer per class, so a
+// session's classes cost the collector a few slab headers however many
+// there are.
 type classTable struct {
 	n     int // canonical labels per class: the attribute count
 	words int // pair-set words per class: partition.PairWords(n)
 
-	labels    []uint8   // canonical labels, n per class
-	pairs     []uint64  // pair-set words, words per class
-	members   [][]int32 // tuple indices per class, in first-occurrence order
-	unlabeled []int32   // unlabeled members per class
+	labels    []uint8  // canonical labels, n per class
+	pairs     []uint64 // pair-set words, words per class
+	unlabeled []int32  // unlabeled members per class
+	// tuples holds every class's members, a run per class (runs): the
+	// refinable-partition layout, where a block is a range of one
+	// array. A run lists its class's tuple indices in ascending order.
+	// NewState lays the runs out end to end, exactly sized; an Append
+	// fills a run in place while it has room and moves a full one to
+	// the end of the array with room for as many members again. dead
+	// counts the slots moved runs left behind (extend).
+	tuples []int32
+	runs   []memberRun
+	dead   int
+	adds   []int32 // per-class arrivals of the batch extend indexes: scratch
 	// slots is the open-addressing index over the classes: a slot holds
 	// a class position plus one, 0 when free. A signature's probe starts
 	// at the slot the high bits of its partition.HashLabels pick and
@@ -35,6 +45,19 @@ type classTable struct {
 	// are never removed, so no probe sequence is ever cut short.
 	slots []int32
 }
+
+// memberRun is where a class's members sit in classTable.tuples: len
+// tuple indices from at, in room for cap.
+type memberRun struct{ at, len, cap int32 }
+
+// roomFor reports whether the run takes a more members in place.
+func (r memberRun) roomFor(a int32) bool { return r.len+a <= r.cap }
+
+// grown is the room a run that must take a more members moves to: its
+// members, the arrivals, and as many members again as it holds, so a
+// run is copied again only after it has doubled. A class the batch
+// opens gets exactly its arrivals.
+func (r memberRun) grown(a int32) int32 { return 2*r.len + a }
 
 func newClassTable(n int) classTable {
 	return classTable{n: n, words: partition.PairWords(n)}
@@ -103,8 +126,8 @@ func (t *classTable) place(c int, h uint64) {
 }
 
 // add appends the classes whose canonical labels staged holds, end to
-// end, computing their pair sets; their member lists and unlabeled
-// counts start empty. Each column of the table grows once.
+// end, computing their pair sets; their runs and unlabeled counts
+// start empty. Each column of the table grows once.
 func (t *classTable) add(staged []uint8) {
 	k, c := len(staged)/t.n, t.len()
 	if k == 0 {
@@ -113,10 +136,107 @@ func (t *classTable) add(staged []uint8) {
 	t.labels = append(reserve(t.labels, len(staged)), staged...)
 	t.pairs = grow(t.pairs, k*t.words)
 	t.unlabeled = grow(t.unlabeled, k)
-	t.members = grow(t.members, k)
+	t.runs = grow(t.runs, k)
 	for j := range k {
 		partition.FillPairs(t.sig(c+j), staged[j*t.n:(j+1)*t.n])
 	}
+}
+
+// members returns the tuple indices of class c in ascending order: a
+// view of the member array, capped at the run's end.
+func (t *classTable) members(c int) []int32 {
+	r := t.runs[c]
+	return t.tuples[r.at : r.at+r.len : r.at+r.len]
+}
+
+// layout indexes every tuple of classOf as a member of its class, which
+// has none yet: one counting sort lays the runs out end to end in class
+// order, each sized exactly, and lists each run's members in ascending
+// order. NewState's index.
+func (t *classTable) layout(classOf []int32) {
+	for _, c := range classOf {
+		t.runs[c].cap++
+	}
+	at := int32(0)
+	for c := range t.runs {
+		r := &t.runs[c]
+		r.at, at = at, at+r.cap
+		t.unlabeled[c] += r.cap
+	}
+	t.tuples = make([]int32, len(classOf))
+	for i, c := range classOf {
+		r := &t.runs[c]
+		t.tuples[r.at+r.len] = int32(i)
+		r.len++
+	}
+}
+
+// extend indexes the tuples classOf[first:], the arrivals of one
+// Append, as members of their classes. A count pass finds the runs
+// without room for their arrivals; each of those moves to the end of
+// the array with the room grown gives it, leaving its old slots dead.
+// When the array lacks the capacity for the moves, one pass instead
+// copies every run into a new array, end to end in class order, each
+// with its room, and the dead slots are gone; the new array keeps a
+// quarter again as much capacity for later moves. Only that pass
+// allocates, at most once per batch, and the fill pass appends each
+// arrival to its run, so runs stay in ascending tuple order. Every
+// slot copied is paid for by arrivals: a run moves only after it
+// doubled (or, the first time, from NewState's exact layout), and a
+// relayout copies at most four times the slots the moves before it
+// used.
+func (t *classTable) extend(classOf []int32, first int) {
+	adds := grow(t.adds[:0], t.len())
+	for _, c := range classOf[first:] {
+		adds[c]++
+	}
+	moved, freed := 0, 0
+	for c, a := range adds {
+		if r := t.runs[c]; !r.roomFor(a) {
+			moved += int(r.grown(a))
+			freed += int(r.cap)
+		}
+	}
+	if len(t.tuples)+moved > cap(t.tuples) {
+		t.relayout(adds, len(t.tuples)-t.dead-freed+moved)
+	} else {
+		for c, a := range adds {
+			if r := &t.runs[c]; !r.roomFor(a) {
+				at := int32(len(t.tuples))
+				t.tuples = append(t.tuples, t.tuples[r.at:r.at+r.len]...)
+				t.tuples = t.tuples[:at+r.grown(a)]
+				r.at, r.cap = at, r.grown(a)
+			}
+		}
+		t.dead += freed
+	}
+	for i, c := range classOf[first:] {
+		r := &t.runs[c]
+		t.tuples[r.at+r.len] = int32(first + i)
+		r.len++
+	}
+	for c, a := range adds {
+		t.unlabeled[c] += a
+	}
+	t.adds = adds
+}
+
+// relayout copies every run into a new member array of size slots, end
+// to end in class order, with capacity for a quarter as many again: a
+// run without room for its adds gets the room grown gives it, the
+// others keep theirs.
+func (t *classTable) relayout(adds []int32, size int) {
+	tuples := make([]int32, size, size+size/4)
+	at := int32(0)
+	for c := range t.runs {
+		r := &t.runs[c]
+		copy(tuples[at:], t.tuples[r.at:r.at+r.len])
+		if !r.roomFor(adds[c]) {
+			r.cap = r.grown(adds[c])
+		}
+		r.at, at = at, at+r.cap
+	}
+	t.tuples, t.dead = tuples, 0
 }
 
 // grow extends s by n zero elements, growing it as reserve does.
@@ -132,9 +252,12 @@ func grow[T any](s []T, n int) []T {
 // position, so no two classes share a signature.
 func (t *classTable) check() error {
 	k := t.len()
-	if len(t.labels) != k*t.n || len(t.pairs) != k*t.words || len(t.members) != k {
-		return fmt.Errorf("core: class table columns hold %d labels, %d pair words and %d member lists for %d classes",
-			len(t.labels), len(t.pairs), len(t.members), k)
+	if len(t.labels) != k*t.n || len(t.pairs) != k*t.words || len(t.runs) != k {
+		return fmt.Errorf("core: class table columns hold %d labels, %d pair words and %d member runs for %d classes",
+			len(t.labels), len(t.pairs), len(t.runs), k)
+	}
+	if err := t.checkRuns(); err != nil {
+		return err
 	}
 	used := 0
 	for _, s := range t.slots {
@@ -159,6 +282,32 @@ func (t *classTable) check() error {
 		if got := t.find(labels, partition.HashLabels(labels), nil); got != c {
 			return fmt.Errorf("core: class index finds class %d for the labels %v of class %d", got, labels, c)
 		}
+	}
+	return nil
+}
+
+// checkRuns verifies the member array: every run lies inside it, holds
+// at most its room and its members in ascending order, no two runs
+// overlap, and the slots no run holds are the dead ones.
+func (t *classTable) checkRuns() error {
+	byAt := make([]int, len(t.runs))
+	for c := range byAt {
+		byAt[c] = c
+	}
+	slices.SortFunc(byAt, func(a, b int) int { return int(t.runs[a].at) - int(t.runs[b].at) })
+	end, held := int32(0), 0
+	for _, c := range byAt {
+		r := t.runs[c]
+		if r.at < end || r.len < 0 || r.len > r.cap || int(r.at+r.cap) > len(t.tuples) {
+			return fmt.Errorf("core: class %d run %+v overlaps the run ending at %d or leaves the %d-slot member array", c, r, end, len(t.tuples))
+		}
+		if m := t.members(c); !slices.IsSorted(m) || len(slices.Compact(slices.Clone(m))) != len(m) {
+			return fmt.Errorf("core: class %d members %v are not ascending", c, m)
+		}
+		end, held = r.at+r.cap, held+int(r.cap)
+	}
+	if held+t.dead != len(t.tuples) {
+		return fmt.Errorf("core: runs hold %d of %d member slots, %d counted dead", held, len(t.tuples), t.dead)
 	}
 	return nil
 }

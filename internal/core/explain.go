@@ -61,7 +61,7 @@ func (st *State) Explain(i int) (Explanation, error) {
 // explicitNegativeIn finds a tuple of class c explicitly labeled
 // negative, or -1.
 func (st *State) explicitNegativeIn(c int) int {
-	for _, i := range st.cls.members[c] {
+	for _, i := range st.cls.members(c) {
 		if st.labels[i] == Negative {
 			return int(i)
 		}

@@ -13,7 +13,8 @@ import (
 
 // FuzzSimulatePrunes holds both prune counts of every informative class
 // to the definitional recount on states built from the input: byte 0
-// picks the attribute count (1–13), byte 1 the tuple count (1 + byte
+// picks the attribute count (1–13 below 0xc0, 14 + twice the byte past
+// 0xc0 from there: up to 140), byte 1 the tuple count (1 + byte
 // below 32, twice the byte from 32: up to 510), the next n bytes per
 // tuple its signature as a restricted-growth string (all zeros once the
 // bytes run out), and every remaining byte one label — the low bit the
@@ -23,14 +24,19 @@ import (
 // start. The committed corpus covers 1, 2, 11 (the largest one-word
 // pair set), 12 and 13 attributes, an antichain of 0, 1 and many
 // maximal negatives, classes of several tuples (projections of weight
-// > 1), and at 6 and 12 attributes a table of over 128 entries (three
-// entry words) with a class of 257 tuples (a ninth weight plane).
+// > 1), at 6 and 12 attributes a table of over 128 entries (three
+// entry words) with a class of 257 tuples (a ninth weight plane), and
+// at 40 attributes (13 pair words) a table of five entries that vary
+// in 3 of the 780 pairs.
 func FuzzSimulatePrunes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		n, count := 1+int(data[0])%13, 1+int(data[1])
+		if data[0] >= 0xc0 {
+			n = 14 + 2*int(data[0]-0xc0) // wide: 14 to 140
+		}
 		if data[1] >= 32 {
 			count = 2 * int(data[1])
 		}

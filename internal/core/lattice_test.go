@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -41,7 +43,7 @@ func buildMidDialogue(t testing.TB, attrs int, seed int64, steps int) *State {
 }
 
 func firstUnlabeledIn(st *State, gi int32) int {
-	for _, i := range st.cls.members[gi] {
+	for _, i := range st.cls.members(int(gi)) {
 		if st.labels[i] == Unlabeled {
 			return int(i)
 		}
@@ -138,5 +140,61 @@ func TestProjectionTableConcurrentBuild(t *testing.T) {
 			}
 		}
 		wg.Wait()
+	}
+}
+
+// TestProjectionTableWideSchema drives dialogues over 40 and 100
+// attributes (780 and 4,950 pairs) to convergence, checking after every
+// label that each row of the projection table holds one column per
+// mixed pair and its planes, no column per pair of the schema, and that
+// every entry reads back (CheckInvariants runs checkProjections). Once
+// the informative population varies in under a tenth of the pairs, the
+// prune counts are held to the definitional recount too; the dialogue
+// must reach that regime with a table of several entries.
+func TestProjectionTableWideSchema(t *testing.T) {
+	for _, attrs := range []int{40, 100} {
+		rel, goal, err := workload.Synthetic(workload.SynthConfig{
+			Attrs: attrs, Tuples: 300, Seed: int64(attrs), GoalAtoms: 12, ExtraMerges: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewState(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, fewest := attrs*(attrs-1)/2, attrs*attrs
+		for step := 0; len(st.infClasses) > 0; step++ {
+			st.SimulatePrunesGroup(int(st.infClasses[0])) // builds the table
+			tab := &st.lat.proj
+			mixed := partition.PairSet(tab.pairs[len(st.lat.mp):]).Count()
+			planes := 0
+			for _, row := range tab.rows {
+				planes = max(planes, int(row.planes))
+			}
+			if len(tab.sets) > len(tab.rows)*(mixed+planes) {
+				t.Fatalf("%d attrs step %d: %d rows of %d mixed pairs and up to %d planes hold %d words",
+					attrs, step, len(tab.rows), mixed, planes, len(tab.sets))
+			}
+			if err := st.CheckInvariants(); err != nil {
+				t.Fatalf("%d attrs step %d: %v", attrs, step, err)
+			}
+			if 10*mixed <= pairs && tab.d > 1 {
+				checkPrunes(t, st, fmt.Sprintf("%d attrs step %d", attrs, step), partition.Bottom(attrs))
+				fewest = min(fewest, mixed)
+			}
+			idx := firstUnlabeledIn(st, st.infClasses[0])
+			l := Negative
+			if goal.LessEq(st.Sig(idx)) {
+				l = Positive
+			}
+			if _, err := st.Apply(idx, l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("%d attrs: a table of several entries varied in as few as %d of %d pairs", attrs, fewest, pairs)
+		if 10*fewest > pairs {
+			t.Fatalf("%d attrs: no table of several entries varied in under a tenth of the %d pairs", attrs, pairs)
+		}
 	}
 }

@@ -96,11 +96,12 @@ func (st *State) countImplied(next Hypo) int {
 // of M_P ∖ g are ORed into out, those of G ANDed into in, those of
 // each G ∖ n ORed and complemented into in; cut to the row's entries,
 // the two settled sets' weights are base·|set| plus a popcount per
-// plane. Only the mixed pairs' columns are read: a pair every entry
-// holds, or none does, has the same word in every row and is folded
-// in once per call. Nothing branches on an entry, and the one loop
-// serves every pair-set width, table size and antichain size. The
-// table is read-only here, so parallel scorers share it.
+// plane. Only the mixed pairs have columns (projTable.col finds a
+// pair's): a pair every entry holds, or none does, has the same word in
+// every row and is folded in once per call. Nothing branches on an
+// entry, and the one loop serves every pair-set width, table size and
+// antichain size. The table is read-only here, so parallel scorers
+// share it.
 func (t *projTable) prunes(g, mp partition.PairSet, negs []partition.PairSet) (pos, neg int) {
 	g = g[:len(mp)]
 	common, mixed := t.pairs[:len(mp)], t.pairs[len(mp):2*len(mp)]
@@ -119,11 +120,12 @@ func (t *projTable) prunes(g, mp partition.PairSet, negs []partition.PairSet) (p
 		out := full  // entries in some column of M_P ∖ g
 		in := ^empty // entries in every column of G, or in no column of some G ∖ n
 		for w, m := range mixed {
+			col := t.col[w<<6:]
 			for x := m &^ g[w]; x != 0; x &= x - 1 {
-				out |= r[w<<6|bits.TrailingZeros64(x)]
+				out |= r[col[bits.TrailingZeros64(x)]]
 			}
 			for x := m & g[w]; x != 0; x &= x - 1 {
-				in &= r[w<<6|bits.TrailingZeros64(x)]
+				in &= r[col[bits.TrailingZeros64(x)]]
 			}
 		}
 		for _, n := range negs {
@@ -131,8 +133,9 @@ func (t *projTable) prunes(g, mp partition.PairSet, negs []partition.PairSet) (p
 			var cut uint64 // entries in some column of G ∖ n
 			for w, m := range mixed {
 				cut |= -nonZero(common[w] & g[w] &^ n[w])
+				col := t.col[w<<6:]
 				for x := m & g[w] &^ n[w]; x != 0; x &= x - 1 {
-					cut |= r[w<<6|bits.TrailingZeros64(x)]
+					cut |= r[col[bits.TrailingZeros64(x)]]
 				}
 			}
 			in |= ^cut

@@ -50,7 +50,6 @@ type State struct {
 	// already exists allocates nothing: a per-class stamp marking the
 	// classes an Append batch has already classified (classifyArrivals).
 	arrivalMark []int
-	classAdds   []int32 // per-class member count of a batch (indexMembers)
 	// implied lists the tuples the last Apply or Append newly implied:
 	// Apply and Append return a copy of it, AppendBatch and
 	// Session.Answer hand it out as a view.
@@ -94,7 +93,7 @@ func NewState(rel *relation.Relation) (*State, error) {
 	st.labels = make([]Label, 0, rel.Len())
 	st.classOf = make([]int32, 0, rel.Len())
 	rel.EachBatch(st.register)
-	st.classAdds = nil // Append's scratch: a session that never appends keeps none
+	st.cls.layout(st.classOf)
 	st.infClasses = make([]int32, st.cls.len())
 	for c := range st.infClasses {
 		st.infClasses[c] = int32(c)
@@ -154,6 +153,7 @@ func (st *State) AppendBatch(b *relation.Batch) (newlyImplied []int, err error) 
 	st.labels = reserve(st.labels, b.Len())
 	st.classOf = reserve(st.classOf, b.Len())
 	st.register(firstNew, b)
+	st.cls.extend(st.classOf, firstNew)
 	st.syncNegatives() // the pair slab may have moved
 	st.classifyArrivals(firstNew, prevClasses)
 	st.version++
@@ -209,7 +209,7 @@ func (st *State) classifyArrivals(firstNew, prevClasses int) {
 // settle gives the unlabeled members of class c the implied label l,
 // listing them in st.implied.
 func (st *State) settle(c int, l Label) {
-	for _, i := range st.cls.members[c] {
+	for _, i := range st.cls.members(c) {
 		if st.labels[i] == Unlabeled {
 			st.setLabel(int(i), l)
 			st.implied = append(st.implied, int(i))
@@ -259,16 +259,18 @@ func reserve[T any](s []T, n int) []T {
 // one batch at Append. Each tuple gets its Eq signature's class, a new
 // one when no registered class has that signature, and starts
 // Unlabeled; classification against the hypothesis is the caller's
-// job (propagate at NewState, classifyArrivals at Append).
+// job (propagate at NewState, classifyArrivals at Append), and so is
+// listing the tuples as their classes' members (classTable.layout at
+// NewState, classTable.extend at Append).
 //
 // The batch is registered in two passes. The first classifies every
 // tuple, computing its signature into a stack buffer and looking it up
 // in the class index, and stages the labels of the batch's new classes
 // end to end — on the stack while they fit, so a session keeps no such
-// scratch. The second, knowing the exact number of new classes and of
-// their members, grows each column of the class table once: a handful
-// of allocations per batch, however many classes it opens, and none
-// for a batch that opens none.
+// scratch. The second, knowing the exact number of new classes, grows
+// each column of the class table once: a handful of allocations per
+// batch, however many classes it opens, and none for a batch that
+// opens none.
 func (st *State) register(first int, b *relation.Batch) {
 	t := &st.cls
 	prev, n := t.len(), st.n
@@ -290,39 +292,6 @@ func (st *State) register(first int, b *relation.Batch) {
 	}
 	st.counts[Unlabeled] += len(st.labels) - first
 	t.add(staged)
-	st.indexMembers(first, prev)
-}
-
-// indexMembers adds the tuples registered at or after index first to
-// their classes' member lists and unlabeled counts, growing each list
-// once: a count pass sizes every list before the fill pass appends.
-// Classes at positions >= prev are the batch's new ones; their lists
-// are cut from one slab, each at full capacity, so a later append to
-// one copies it instead of overwriting its neighbour.
-func (st *State) indexMembers(first, prev int) {
-	t := &st.cls
-	adds := grow(st.classAdds[:0], t.len())
-	for _, c := range st.classOf[first:] {
-		adds[c]++
-	}
-	fresh := 0
-	for _, n := range adds[prev:] {
-		fresh += int(n)
-	}
-	slab := make([]int32, fresh)
-	for c, n := range adds {
-		switch {
-		case c >= prev:
-			t.members[c], slab = slab[:0:n], slab[n:]
-		case n > 0:
-			t.members[c] = reserve(t.members[c], int(n))
-		}
-		t.unlabeled[c] += n
-	}
-	for i, c := range st.classOf[first:] {
-		t.members[c] = append(t.members[c], int32(first+i))
-	}
-	st.classAdds = adds
 }
 
 // lookup returns the position of the class whose signature is sig, a
@@ -415,7 +384,7 @@ func (st *State) ClassOf(i int) int { return int(st.classOf[i]) }
 
 // ClassMembers returns the tuple indices of class c in first-occurrence
 // order. The caller must not mutate them; an Append may move them.
-func (st *State) ClassMembers(c int) []int32 { return st.cls.members[c] }
+func (st *State) ClassMembers(c int) []int32 { return st.cls.members(c) }
 
 // ClassSig returns the Eq signature of class c, built afresh from the
 // class table (with a lazy cache, see partition.P.Cached) on every
@@ -840,9 +809,9 @@ func (st *State) CheckInvariants() error {
 	}
 	members := 0
 	for c, sig := range sigs {
-		members += len(st.cls.members[c])
+		members += len(st.cls.members(c))
 		n := 0
-		for _, i := range st.cls.members[c] {
+		for _, i := range st.cls.members(c) {
 			if int(st.classOf[i]) != c {
 				return fmt.Errorf("core: class %d lists tuple %d, which maps to class %d", c, i, st.classOf[i])
 			}

@@ -6,6 +6,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -13,29 +14,43 @@ import (
 	"repro/internal/values"
 )
 
-// Schema is an ordered list of distinct attribute names.
+// Schema is an ordered list of distinct attribute names. It keeps the
+// names and nothing else: a lookup by name scans them, which for the
+// few attributes of a join instance costs less than hashing and leaves
+// a session's schema one slice. No caller looks names up per tuple.
 type Schema struct {
 	names []string
-	index map[string]int
 }
 
 // NewSchema builds a schema, rejecting empty or duplicate names.
+// Duplicates are found in a sorted copy of the names, which lives on
+// the stack for schemas of up to 16 attributes.
 func NewSchema(names ...string) (*Schema, error) {
-	s := &Schema{
-		names: make([]string, len(names)),
-		index: make(map[string]int, len(names)),
-	}
 	for i, n := range names {
 		if n == "" {
 			return nil, fmt.Errorf("relation: empty attribute name at position %d", i)
 		}
-		if _, dup := s.index[n]; dup {
-			return nil, fmt.Errorf("relation: duplicate attribute %q", n)
-		}
-		s.names[i] = n
-		s.index[n] = i
 	}
-	return s, nil
+	var buf [16]string
+	sorted := append(buf[:0], names...)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return nil, fmt.Errorf("relation: duplicate attribute %q", firstRepeat(names))
+		}
+	}
+	return &Schema{names: append([]string(nil), names...)}, nil
+}
+
+// firstRepeat returns the first name of names that repeats an earlier
+// one, or "".
+func firstRepeat(names []string) string {
+	for i, n := range names {
+		if slices.Contains(names[:i], n) {
+			return n
+		}
+	}
+	return ""
 }
 
 // MustSchema is NewSchema that panics on error; for statically-known
@@ -63,13 +78,17 @@ func (s *Schema) Names() []string {
 
 // Index returns the position of the named attribute.
 func (s *Schema) Index(name string) (int, bool) {
-	i, ok := s.index[name]
-	return i, ok
+	for i, n := range s.names {
+		if n == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // MustIndex is Index that panics if the attribute is absent.
 func (s *Schema) MustIndex(name string) int {
-	i, ok := s.index[name]
+	i, ok := s.Index(name)
 	if !ok {
 		panic(fmt.Sprintf("relation: no attribute %q in schema %v", name, s.names))
 	}
@@ -80,7 +99,7 @@ func (s *Schema) MustIndex(name string) int {
 func (s *Schema) Indexes(names ...string) ([]int, error) {
 	out := make([]int, len(names))
 	for k, n := range names {
-		i, ok := s.index[n]
+		i, ok := s.Index(n)
 		if !ok {
 			return nil, fmt.Errorf("relation: no attribute %q in schema %v", n, s.names)
 		}

@@ -99,25 +99,45 @@ func AttrNames(n int) []string {
 }
 
 // coarsen applies a geometric number of random block merges (mean
-// approximately extra) on top of base.
+// approximately extra) on top of base. The merges relabel a copy of
+// base's labels in place; the result is canonicalized once at the end.
 func coarsen(rng *rand.Rand, base partition.P, extra float64) partition.P {
-	p := base
+	n := base.N()
+	labels := make([]int, 2*n)
+	labels, remap := labels[:n], labels[n:]
+	for i := range labels {
+		labels[i] = base.BlockOf(i)
+	}
+	blocks := base.BlockCount()
 	// Geometric stopping with success probability 1/(1+extra) gives
 	// mean `extra` merges.
 	stop := 1 / (1 + extra)
-	for !p.IsTop() && rng.Float64() >= stop {
-		n := p.N()
+	for blocks > 1 && rng.Float64() >= stop {
 		i, j := rng.Intn(n), rng.Intn(n)
-		if p.SameBlock(i, j) {
+		from, to := labels[j], labels[i]
+		if from == to {
 			continue
 		}
-		merged, err := partition.FromPairs(n, append(p.Atoms(), [2]int{i, j}))
-		if err != nil {
-			panic(err) // unreachable: indices in range
+		for k, l := range labels {
+			if l == from {
+				labels[k] = to
+			}
 		}
-		p = merged
+		blocks--
 	}
-	return p
+	// Relabel by first occurrence: the canonical form.
+	for k := range remap {
+		remap[k] = -1
+	}
+	next := 0
+	for k, l := range labels {
+		if remap[l] < 0 {
+			remap[l] = next
+			next++
+		}
+		labels[k] = remap[l]
+	}
+	return partition.FromCanonical(labels)
 }
 
 // TupleWithSig builds a tuple whose Eq signature is exactly sig: block

@@ -3,6 +3,7 @@ package jim_test
 import (
 	"errors"
 	"net/http"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -290,11 +291,14 @@ func TestSessionExplain(t *testing.T) {
 // engine's own route — relation.ParseRows, then State.AppendBatch on a
 // twin session with the same history — at 94 rows and at 940. The
 // parsed batch is adopted as it is: no per-tuple Value slab, no copy
-// back into a batch. The engine route's count still grows with the
-// rows (member lists of the classes a batch lands in regrow), so it is
-// the twin, not a constant, that bounds the facade.
+// back into a batch. The engine route's count still carries amortized
+// growth (the per-tuple arrays, the member array), so it is the twin,
+// not a constant, that bounds the facade. The collector is paused
+// while they are counted: a collection cycle's own allocations would
+// land in one route's count and not the other's.
 func TestSessionAppendAllocs(t *testing.T) {
 	const baseRows, batchRows = 60, 940
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rel, _, err := workload.Instance("synthetic", workload.InstanceConfig{Tuples: baseRows + batchRows, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -31,12 +31,14 @@ type classTable struct {
 	// array. A run lists its class's tuple indices in ascending order.
 	// NewState lays the runs out end to end, exactly sized; an Append
 	// fills a run in place while it has room and moves a full one to
-	// the end of the array with room for as many members again. dead
-	// counts the slots moved runs left behind (extend).
+	// the end of the array with room for as many members again
+	// (extend).
 	tuples []int32
 	runs   []memberRun
-	dead   int
-	adds   []int32 // per-class arrivals of the batch extend indexes: scratch
+	// adds is Append's scratch, reused so that registering a tuple whose
+	// class already exists allocates nothing: per class, the arrivals of
+	// the batch extend indexes, which classifyArrivals then clears.
+	adds []int32
 	// slots is the open-addressing index over the classes: a slot holds
 	// a class position plus one, 0 when free. A signature's probe starts
 	// at the slot the high bits of its partition.HashLabels pick and
@@ -175,30 +177,27 @@ func (t *classTable) layout(classOf []int32) {
 // Append, as members of their classes. A count pass finds the runs
 // without room for their arrivals; each of those moves to the end of
 // the array with the room grown gives it, leaving its old slots dead.
-// When the array lacks the capacity for the moves, one pass instead
-// copies every run into a new array, end to end in class order, each
-// with its room, and the dead slots are gone; the new array keeps a
-// quarter again as much capacity for later moves. Only that pass
-// allocates, at most once per batch, and the fill pass appends each
-// arrival to its run, so runs stay in ascending tuple order. Every
-// slot copied is paid for by arrivals: a run moves only after it
-// doubled (or, the first time, from NewState's exact layout), and a
-// relayout copies at most four times the slots the moves before it
-// used.
+// When the array lacks the capacity for the moves, relayout copies
+// every run into a new array instead, and the dead slots are gone.
+// Only a relayout allocates, at most once per batch, and the fill pass
+// appends each arrival to its run, so runs stay in ascending tuple
+// order. Every slot copied is paid for by arrivals: a run moves only
+// after it doubled (or, the first time, from NewState's exact layout),
+// and a relayout copies at most five times the slots the moves since
+// the last one used.
 func (t *classTable) extend(classOf []int32, first int) {
 	adds := grow(t.adds[:0], t.len())
 	for _, c := range classOf[first:] {
 		adds[c]++
 	}
-	moved, freed := 0, 0
+	moved := 0
 	for c, a := range adds {
 		if r := t.runs[c]; !r.roomFor(a) {
 			moved += int(r.grown(a))
-			freed += int(r.cap)
 		}
 	}
 	if len(t.tuples)+moved > cap(t.tuples) {
-		t.relayout(adds, len(t.tuples)-t.dead-freed+moved)
+		t.relayout(adds)
 	} else {
 		for c, a := range adds {
 			if r := &t.runs[c]; !r.roomFor(a) {
@@ -208,7 +207,6 @@ func (t *classTable) extend(classOf []int32, first int) {
 				r.at, r.cap = at, r.grown(a)
 			}
 		}
-		t.dead += freed
 	}
 	for i, c := range classOf[first:] {
 		r := &t.runs[c]
@@ -221,22 +219,26 @@ func (t *classTable) extend(classOf []int32, first int) {
 	t.adds = adds
 }
 
-// relayout copies every run into a new member array of size slots, end
-// to end in class order, with capacity for a quarter as many again: a
-// run without room for its adds gets the room grown gives it, the
-// others keep theirs.
-func (t *classTable) relayout(adds []int32, size int) {
+// relayout copies every run into a new member array, end to end in
+// class order, with capacity for a quarter as many slots again: a run
+// without room for its adds gets the room grown gives it, the others
+// keep theirs.
+func (t *classTable) relayout(adds []int32) {
+	size := 0
+	for c, r := range t.runs {
+		if !r.roomFor(adds[c]) {
+			t.runs[c].cap = r.grown(adds[c])
+		}
+		size += int(t.runs[c].cap)
+	}
 	tuples := make([]int32, size, size+size/4)
 	at := int32(0)
 	for c := range t.runs {
 		r := &t.runs[c]
 		copy(tuples[at:], t.tuples[r.at:r.at+r.len])
-		if !r.roomFor(adds[c]) {
-			r.cap = r.grown(adds[c])
-		}
 		r.at, at = at, at+r.cap
 	}
-	t.tuples, t.dead = tuples, 0
+	t.tuples = tuples
 }
 
 // grow extends s by n zero elements, growing it as reserve does.
@@ -287,15 +289,15 @@ func (t *classTable) check() error {
 }
 
 // checkRuns verifies the member array: every run lies inside it, holds
-// at most its room and its members in ascending order, no two runs
-// overlap, and the slots no run holds are the dead ones.
+// at most its room and its members in ascending order, and no two runs
+// overlap.
 func (t *classTable) checkRuns() error {
 	byAt := make([]int, len(t.runs))
 	for c := range byAt {
 		byAt[c] = c
 	}
 	slices.SortFunc(byAt, func(a, b int) int { return int(t.runs[a].at) - int(t.runs[b].at) })
-	end, held := int32(0), 0
+	end := int32(0)
 	for _, c := range byAt {
 		r := t.runs[c]
 		if r.at < end || r.len < 0 || r.len > r.cap || int(r.at+r.cap) > len(t.tuples) {
@@ -304,10 +306,7 @@ func (t *classTable) checkRuns() error {
 		if m := t.members(c); !slices.IsSorted(m) || len(slices.Compact(slices.Clone(m))) != len(m) {
 			return fmt.Errorf("core: class %d members %v are not ascending", c, m)
 		}
-		end, held = r.at+r.cap, held+int(r.cap)
-	}
-	if held+t.dead != len(t.tuples) {
-		return fmt.Errorf("core: runs hold %d of %d member slots, %d counted dead", held, len(t.tuples), t.dead)
+		end = r.at + r.cap
 	}
 	return nil
 }

@@ -46,10 +46,6 @@ type State struct {
 	classOf []int32    // tuple index -> class position
 	counts  [5]int
 
-	// Ingestion scratch, reused so that registering a tuple whose class
-	// already exists allocates nothing: a per-class stamp marking the
-	// classes an Append batch has already classified (classifyArrivals).
-	arrivalMark []int
 	// implied lists the tuples the last Apply or Append newly implied:
 	// Apply and Append return a copy of it, AppendBatch and
 	// Session.Answer hand it out as a view.
@@ -180,16 +176,16 @@ func (st *State) impliedCopy() []int {
 func (st *State) classifyArrivals(firstNew, prevClasses int) {
 	var reenterBuf [64]int32
 	reenter := reenterBuf[:0] // sorted class positions to add to infClasses
-	// Append bumps StructureVersion once per batch after this call, so
-	// the post-batch version stamps each class at most once per batch.
-	mark := st.structureVersion + 1
-	st.arrivalMark = grow(st.arrivalMark, st.cls.len()-len(st.arrivalMark))
+	// The class table's arrival counts (classTable.extend) mark the
+	// classes the batch touched; each is cleared once its class is
+	// classified.
+	adds := st.cls.adds
 	for i := firstNew; i < len(st.labels); i++ {
 		c := st.classOf[i]
-		if st.arrivalMark[c] == mark {
+		if adds[c] == 0 {
 			continue
 		}
-		st.arrivalMark[c] = mark
+		adds[c] = 0
 		if int(c) < prevClasses && st.inInformativeIndex(c) {
 			continue // informative class stays informative; counts already updated
 		}

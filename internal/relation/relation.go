@@ -36,21 +36,10 @@ func NewSchema(names ...string) (*Schema, error) {
 	slices.Sort(sorted)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
-			return nil, fmt.Errorf("relation: duplicate attribute %q", firstRepeat(names))
+			return nil, fmt.Errorf("relation: duplicate attribute %q", sorted[i])
 		}
 	}
 	return &Schema{names: append([]string(nil), names...)}, nil
-}
-
-// firstRepeat returns the first name of names that repeats an earlier
-// one, or "".
-func firstRepeat(names []string) string {
-	for i, n := range names {
-		if slices.Contains(names[:i], n) {
-			return n
-		}
-	}
-	return ""
 }
 
 // MustSchema is NewSchema that panics on error; for statically-known

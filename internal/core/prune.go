@@ -120,12 +120,11 @@ func (t *projTable) prunes(g, mp partition.PairSet, negs []partition.PairSet) (p
 		out := full  // entries in some column of M_P ∖ g
 		in := ^empty // entries in every column of G, or in no column of some G ∖ n
 		for w, m := range mixed {
-			col := t.col[w<<6:]
 			for x := m &^ g[w]; x != 0; x &= x - 1 {
-				out |= r[col[bits.TrailingZeros64(x)]]
+				out |= r[t.col[w<<6|bits.TrailingZeros64(x)]]
 			}
 			for x := m & g[w]; x != 0; x &= x - 1 {
-				in &= r[col[bits.TrailingZeros64(x)]]
+				in &= r[t.col[w<<6|bits.TrailingZeros64(x)]]
 			}
 		}
 		for _, n := range negs {
@@ -133,9 +132,8 @@ func (t *projTable) prunes(g, mp partition.PairSet, negs []partition.PairSet) (p
 			var cut uint64 // entries in some column of G ∖ n
 			for w, m := range mixed {
 				cut |= -nonZero(common[w] & g[w] &^ n[w])
-				col := t.col[w<<6:]
 				for x := m & g[w] &^ n[w]; x != 0; x &= x - 1 {
-					cut |= r[col[bits.TrailingZeros64(x)]]
+					cut |= r[t.col[w<<6|bits.TrailingZeros64(x)]]
 				}
 			}
 			in |= ^cut

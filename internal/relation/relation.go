@@ -15,9 +15,9 @@ import (
 )
 
 // Schema is an ordered list of distinct attribute names. It keeps the
-// names and nothing else: a lookup by name scans them, which for the
-// few attributes of a join instance costs less than hashing and leaves
-// a session's schema one slice. No caller looks names up per tuple.
+// names and no index over them, so a session's schema is one slice: a
+// lookup by name scans the names, and no caller looks names up per
+// tuple.
 type Schema struct {
 	names []string
 }

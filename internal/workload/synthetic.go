@@ -100,11 +100,10 @@ func AttrNames(n int) []string {
 
 // coarsen applies a geometric number of random block merges (mean
 // approximately extra) on top of base. The merges relabel a copy of
-// base's labels in place; the result is canonicalized once at the end.
+// base's labels in place; partition.New canonicalizes the result.
 func coarsen(rng *rand.Rand, base partition.P, extra float64) partition.P {
 	n := base.N()
-	labels := make([]int, 2*n)
-	labels, remap := labels[:n], labels[n:]
+	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = base.BlockOf(i)
 	}
@@ -125,19 +124,7 @@ func coarsen(rng *rand.Rand, base partition.P, extra float64) partition.P {
 		}
 		blocks--
 	}
-	// Relabel by first occurrence: the canonical form.
-	for k := range remap {
-		remap[k] = -1
-	}
-	next := 0
-	for k, l := range labels {
-		if remap[l] < 0 {
-			remap[l] = next
-			next++
-		}
-		labels[k] = remap[l]
-	}
-	return partition.FromCanonical(labels)
+	return partition.New(labels)
 }
 
 // TupleWithSig builds a tuple whose Eq signature is exactly sig: block

@@ -60,8 +60,8 @@ func TestStateHeapIsPointerFree(t *testing.T) {
 // layout and grow the per-tuple arrays once, a cost proportional to
 // the session, paid once. After that, runs that fill in place and move
 // only when they double keep an append's cost to its own rows;
-// relaying out every member on each append costs ten times more at the
-// larger size.
+// relaying out every member on each append allocated 8.6 times as much
+// at the larger size.
 func TestAppendOneRowStreamBytesScale(t *testing.T) {
 	const appends = 1000
 	stream := func(size int) uint64 {

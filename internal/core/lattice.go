@@ -37,28 +37,25 @@ type lattice struct {
 //
 // Layout: bit-sliced, after bit-sliced indexes and BitWeaving. The
 // table keeps no pair set per entry. It cuts the entries into rows of
-// 64, and a row holds one word per column (bit k set iff the row's k-th
-// entry's projection holds the column's pair) and then its weight
-// planes (bit k of plane p set iff bit p of the k-th entry's weight
-// above the row's base is). A pair's column words across the rows are
-// the D-bit set of the entries holding it, so the kernel's tests
-// become ORs and ANDs of column words, and a weighted count over a set
-// of entries is one popcount per plane word. The entries are ordered
-// by weight length, longest first, and each row counts weights from
-// its least one (projRow.base): the few heavy entries share the first
-// row, the later rows carry a plane or two, and a row of equal weights
-// none.
+// 64, and a row holds one word per pair of the attribute count (a
+// column word: bit k set iff the row's k-th entry's projection holds
+// that pair; P = n(n-1)/2 of them, whether or not M_P holds the pair)
+// and then its weight planes (bit k of plane p set iff bit p of the
+// k-th entry's weight above the row's base is). A pair's column words
+// across the rows are the D-bit set of the entries holding it, so the
+// kernel's tests become ORs and ANDs of column words, and a weighted
+// count over a set of entries is one popcount per plane word. The
+// entries are ordered by weight length, longest first, and each row
+// counts weights from its least one (projRow.base): the few heavy
+// entries share the first row, the later rows carry a plane or two,
+// and a row of equal weights none.
 //
-// Only the mixed pairs have columns. A pair of M_P that every entry
-// holds (common), or that none does, would have the same word in every
-// row, so the table keeps the two pair sets instead, and a row holds
-// one column per mixed pair, in pair order: a mixed pair's column is
-// its rank among the mixed pairs, which the table keeps per pair (col,
-// two bytes a pair, once per table) so the kernel finds a column with
-// one load. A row is as wide as the population's variety, not as the
-// schema: late in a dialogue two of the 105 pairs of a 15-attribute
-// table of four entries vary, and a row of a 100-attribute table holds
-// its few mixed columns, not 4,950.
+// A pair that every entry holds, or that none does, has the same
+// column word in every row, so the table also keeps which pairs of M_P
+// are common to all entries and which are mixed; only the columns of
+// the mixed pairs are filled in and read, the others stay zero. Late in a dialogue most pairs
+// are constant: two of the 105 pairs of a 15-attribute table of four
+// entries vary.
 //
 // The first simulation after an Apply or Append builds the table (never
 // NewState or Append: they must not pay for scoring that may not
@@ -69,19 +66,14 @@ type projTable struct {
 	built atomic.Int64 // State.Version+1 the table holds; 0 = never built
 
 	d     int       // entries: distinct projections
-	cols  int       // columns per row: the mixed pairs
-	reads int       // words a prunes call reads: every row's columns and planes
+	cols  int       // columns per row: the pairs of the attribute count
+	reads int       // words a prunes call reads: the mixed columns and the planes
 	rows  []projRow // one per 64 entries
 	sets  []uint64  // row by row: cols columns, then the row's planes
 	// pairs holds two pair sets of len(M_P) words: the pairs every
 	// entry holds (common), then those some but not all hold (mixed).
-	// Only mixed pairs have a column.
+	// Only mixed pairs have a column worth reading.
 	pairs []uint64
-	// col maps a pair to its column: col[p] is the rank of mixed pair
-	// p among the mixed pairs, P entries; those of other pairs are
-	// stale. A rank computed per visited pair (a popcount) made the
-	// kernel about 10% slower than this load.
-	col []uint16
 }
 
 // projRow describes a row of 64 entries of a projTable: every entry's
@@ -109,9 +101,10 @@ var buildScratch struct {
 
 // build fills the table from the informative classes inf of cls:
 // equal projections merge through the open-addressing index into
-// row-wise scratch, which is then transposed into the mixed pairs'
-// columns of the sets. The sets are sized exactly, so a build grows
-// the buffers at most once.
+// row-wise scratch, which is then transposed into the sets (only the
+// mixed pairs' columns are written: no simulation reads the others).
+// The sets are sized exactly, so a build grows the buffers at most
+// once.
 func (t *projTable) build(lat *lattice, cls *classTable, inf []int32) {
 	mp := lat.mp
 	wp := len(mp)
@@ -172,7 +165,7 @@ func (t *projTable) build(lat *lattice, cls *classTable, inf []int32) {
 	}
 	buildScratch.slots, buildScratch.rows, buildScratch.weight, buildScratch.order = slots, rows, weight, order
 
-	t.d, t.cols = len(weight), partition.PairSet(mixed).Count()
+	t.d, t.cols = len(weight), cls.n*(cls.n-1)/2
 	t.rows = reserve(t.rows[:0], (t.d+63)/64)
 	n := 0
 	for lo := 0; lo < t.d; lo += 64 {
@@ -185,22 +178,14 @@ func (t *projTable) build(lat *lattice, cls *classTable, inf []int32) {
 		t.rows = append(t.rows, projRow{^uint64(0) >> (64 - len(row)), int32(n), base, int32(planes)})
 		n += t.cols + planes
 	}
-	t.reads = n
-	t.col = reserve(t.col[:0], cls.n*(cls.n-1)/2)[:cls.n*(cls.n-1)/2]
-	c := uint16(0)
-	for w, m := range mixed {
-		for x := m; x != 0; x &= x - 1 {
-			t.col[w<<6|bits.TrailingZeros64(x)] = c
-			c++
-		}
-	}
+	t.reads = n - len(t.rows)*(t.cols-partition.PairSet(mixed).Count())
 	t.sets = reserve(t.sets[:0], n)[:n]
 	clear(t.sets)
 	for r, e := range order {
 		at, bit := int(t.rows[r>>6].at), uint64(1)<<(r&63)
 		for w, x := range rows[int(e)*wp : (int(e)+1)*wp] {
 			for x &= mixed[w]; x != 0; x &= x - 1 {
-				t.sets[at+int(t.col[w<<6|bits.TrailingZeros64(x)])] |= bit
+				t.sets[at+(w<<6|bits.TrailingZeros64(x))] |= bit
 			}
 		}
 		for x := uint32(weight[e] - t.rows[r>>6].base); x != 0; x &= x - 1 {
@@ -231,18 +216,15 @@ func (st *State) projections() *projTable {
 // and the mixed ones its columns hold) and its weight.
 func (t *projTable) entry(words, r int) (partition.PairSet, int) {
 	row, bit := t.rows[r>>6], uint64(1)<<(r&63)
+	at := int(row.at)
 	h := slices.Clone(t.pairs[:words])
-	col := t.sets[row.at : int(row.at)+t.cols]
-	for w, m := range t.pairs[words : 2*words] {
-		for x := m; x != 0; x &= x - 1 {
-			if col[0]&bit != 0 {
-				h[w] |= x & -x
-			}
-			col = col[1:]
+	for c, v := range t.sets[at : at+t.cols] {
+		if v&bit != 0 {
+			h[c>>6] |= 1 << (c & 63)
 		}
 	}
 	weight := int(row.base)
-	for p, v := range t.sets[int(row.at)+t.cols : int(row.at)+t.cols+int(row.planes)] {
+	for p, v := range t.sets[at+t.cols : at+t.cols+int(row.planes)] {
 		if v&bit != 0 {
 			weight += 1 << p
 		}
@@ -302,10 +284,6 @@ func (st *State) checkProjections() error {
 	}
 	if !slices.Equal(t.pairs, append(common, mixed...)) {
 		return fmt.Errorf("core: projection table keeps common and mixed pairs %v, want %v and %v", t.pairs, common, mixed)
-	}
-	if t.cols != mixed.Count() || t.reads != len(t.sets) {
-		return fmt.Errorf("core: projection table rows of %d columns read %d words, for %d mixed pairs and %d words",
-			t.cols, t.reads, mixed.Count(), len(t.sets))
 	}
 	return nil
 }

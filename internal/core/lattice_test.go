@@ -144,13 +144,12 @@ func TestProjectionTableConcurrentBuild(t *testing.T) {
 }
 
 // TestProjectionTableWideSchema drives dialogues over 40 and 100
-// attributes (780 and 4,950 pairs) to convergence, checking after every
-// label that each row of the projection table holds one column per
-// mixed pair and its planes, no column per pair of the schema, and that
-// every entry reads back (CheckInvariants runs checkProjections). Once
-// the informative population varies in under a tenth of the pairs, the
-// prune counts are held to the definitional recount too; the dialogue
-// must reach that regime with a table of several entries.
+// attributes (780 and 4,950 pairs, 13 and 78 pair words) to
+// convergence, checking after every label that every entry of the
+// projection table reads back (CheckInvariants runs checkProjections).
+// Once the informative population varies in under a tenth of the
+// pairs, the prune counts are held to the definitional recount too;
+// the dialogue must reach that regime with a table of several entries.
 func TestProjectionTableWideSchema(t *testing.T) {
 	for _, attrs := range []int{40, 100} {
 		rel, goal, err := workload.Synthetic(workload.SynthConfig{
@@ -168,14 +167,6 @@ func TestProjectionTableWideSchema(t *testing.T) {
 			st.SimulatePrunesGroup(int(st.infClasses[0])) // builds the table
 			tab := &st.lat.proj
 			mixed := partition.PairSet(tab.pairs[len(st.lat.mp):]).Count()
-			planes := 0
-			for _, row := range tab.rows {
-				planes = max(planes, int(row.planes))
-			}
-			if len(tab.sets) > len(tab.rows)*(mixed+planes) {
-				t.Fatalf("%d attrs step %d: %d rows of %d mixed pairs and up to %d planes hold %d words",
-					attrs, step, len(tab.rows), mixed, planes, len(tab.sets))
-			}
 			if err := st.CheckInvariants(); err != nil {
 				t.Fatalf("%d attrs step %d: %v", attrs, step, err)
 			}

@@ -96,12 +96,11 @@ func (st *State) countImplied(next Hypo) int {
 // of M_P ∖ g are ORed into out, those of G ANDed into in, those of
 // each G ∖ n ORed and complemented into in; cut to the row's entries,
 // the two settled sets' weights are base·|set| plus a popcount per
-// plane. Only the mixed pairs have columns (projTable.col finds a
-// pair's): a pair every entry holds, or none does, has the same word in
-// every row and is folded in once per call. Nothing branches on an
-// entry, and the one loop serves every pair-set width, table size and
-// antichain size. The table is read-only here, so parallel scorers
-// share it.
+// plane. Only the mixed pairs' columns are read: a pair every entry
+// holds, or none does, has the same word in every row and is folded
+// in once per call. Nothing branches on an entry, and the one loop
+// serves every pair-set width, table size and antichain size. The
+// table is read-only here, so parallel scorers share it.
 func (t *projTable) prunes(g, mp partition.PairSet, negs []partition.PairSet) (pos, neg int) {
 	g = g[:len(mp)]
 	common, mixed := t.pairs[:len(mp)], t.pairs[len(mp):2*len(mp)]
@@ -121,10 +120,10 @@ func (t *projTable) prunes(g, mp partition.PairSet, negs []partition.PairSet) (p
 		in := ^empty // entries in every column of G, or in no column of some G ∖ n
 		for w, m := range mixed {
 			for x := m &^ g[w]; x != 0; x &= x - 1 {
-				out |= r[t.col[w<<6|bits.TrailingZeros64(x)]]
+				out |= r[w<<6|bits.TrailingZeros64(x)]
 			}
 			for x := m & g[w]; x != 0; x &= x - 1 {
-				in &= r[t.col[w<<6|bits.TrailingZeros64(x)]]
+				in &= r[w<<6|bits.TrailingZeros64(x)]
 			}
 		}
 		for _, n := range negs {
@@ -133,7 +132,7 @@ func (t *projTable) prunes(g, mp partition.PairSet, negs []partition.PairSet) (p
 			for w, m := range mixed {
 				cut |= -nonZero(common[w] & g[w] &^ n[w])
 				for x := m & g[w] &^ n[w]; x != 0; x &= x - 1 {
-					cut |= r[t.col[w<<6|bits.TrailingZeros64(x)]]
+					cut |= r[w<<6|bits.TrailingZeros64(x)]
 				}
 			}
 			in |= ^cut

@@ -23,23 +23,35 @@ type Schema struct {
 }
 
 // NewSchema builds a schema, rejecting empty or duplicate names.
-// Duplicates are found in a sorted copy of the names, which lives on
-// the stack for schemas of up to 16 attributes.
+// Both are found in a sorted copy of the names, which lives on the
+// stack for schemas of up to 16 attributes; only a rejected header is
+// scanned again, in column order, for the error (schemaError).
 func NewSchema(names ...string) (*Schema, error) {
-	for i, n := range names {
-		if n == "" {
-			return nil, fmt.Errorf("relation: empty attribute name at position %d", i)
-		}
-	}
 	var buf [16]string
 	sorted := append(buf[:0], names...)
 	slices.Sort(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return nil, fmt.Errorf("relation: duplicate attribute %q", sorted[i])
+	for i := range sorted {
+		if sorted[i] == "" || i > 0 && sorted[i] == sorted[i-1] {
+			return nil, schemaError(names)
 		}
 	}
 	return &Schema{names: append([]string(nil), names...)}, nil
+}
+
+// schemaError names the first fault of a rejected header in column
+// order: an empty name, or a name that repeats an earlier one.
+func schemaError(names []string) error {
+	seen := make(map[string]bool, len(names))
+	for i, n := range names {
+		if n == "" {
+			return fmt.Errorf("relation: empty attribute name at position %d", i)
+		}
+		if seen[n] {
+			return fmt.Errorf("relation: duplicate attribute %q", n)
+		}
+		seen[n] = true
+	}
+	panic("relation: schemaError on a valid header")
 }
 
 // MustSchema is NewSchema that panics on error; for statically-known

@@ -35,6 +35,32 @@ func TestNewSchema(t *testing.T) {
 	}
 }
 
+// TestSchemaErrorNamesFirstFault holds NewSchema's error to the first
+// fault in column order, whatever the sorted order of the names: the
+// text reaches clients in create replies.
+func TestSchemaErrorNamesFirstFault(t *testing.T) {
+	wide := make([]string, 20)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("z%02d", i)
+	}
+	wide[17], wide[19] = "m", "b"
+	wide = append(wide, "b", "m")
+	for _, tc := range []struct {
+		names []string
+		want  string
+	}{
+		{[]string{"b", "a", "b", "a"}, `relation: duplicate attribute "b"`},
+		{[]string{"a", "a", ""}, `relation: duplicate attribute "a"`},
+		{[]string{"b", "", "b"}, "relation: empty attribute name at position 1"},
+		{wide, `relation: duplicate attribute "b"`},
+	} {
+		_, err := NewSchema(tc.names...)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("NewSchema(%q) = %v, want %s", tc.names, err, tc.want)
+		}
+	}
+}
+
 func TestSchemaIndexes(t *testing.T) {
 	s := MustSchema("a", "b", "c")
 	idx, err := s.Indexes("c", "a")

@@ -60,7 +60,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/store"
-	"repro/internal/strategy"
 	"repro/internal/wire"
 )
 
@@ -77,7 +76,6 @@ type config struct {
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 	idleTimeout  time.Duration
-	scoreWorkers int
 
 	storeBackend   string
 	dataDir        string
@@ -106,7 +104,6 @@ func parseFlags(args []string) (config, error) {
 	fs.DurationVar(&cfg.readTimeout, "read-timeout", 30*time.Second, "max duration for reading an entire request, body included (0 = unlimited)")
 	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "max duration for writing a response (0 = unlimited)")
 	fs.DurationVar(&cfg.idleTimeout, "idle-timeout", 2*time.Minute, "max keep-alive idle time before a connection is closed (0 = unlimited)")
-	fs.IntVar(&cfg.scoreWorkers, "score-workers", 0, "cap on background scoring workers shared by all sessions (0 = GOMAXPROCS-1)")
 	fs.StringVar(&cfg.storeBackend, "store", "mem", "session store backend: mem (no durability) or disk (WAL + snapshots under -data-dir)")
 	fs.StringVar(&cfg.dataDir, "data-dir", "jim-data", "data directory for -store disk")
 	fs.BoolVar(&cfg.fsync, "fsync", true, "fsync WAL appends and snapshots (group-committed); off trades machine-crash durability for latency")
@@ -128,15 +125,15 @@ func parseFlags(args []string) (config, error) {
 	if cfg.sessionTTL < 0 {
 		return cfg, fmt.Errorf("-session-ttl must be >= 0, got %v", cfg.sessionTTL)
 	}
+	if cfg.sweepEvery <= 0 {
+		return cfg, fmt.Errorf("-sweep-every must be > 0, got %v", cfg.sweepEvery)
+	}
 	if cfg.maxBodyBytes < 0 {
 		return cfg, fmt.Errorf("-max-body-bytes must be >= 0, got %d", cfg.maxBodyBytes)
 	}
 	if cfg.readTimeout < 0 || cfg.writeTimeout < 0 || cfg.idleTimeout < 0 {
 		return cfg, fmt.Errorf("timeouts must be >= 0, got read=%v write=%v idle=%v",
 			cfg.readTimeout, cfg.writeTimeout, cfg.idleTimeout)
-	}
-	if cfg.scoreWorkers < 0 {
-		return cfg, fmt.Errorf("-score-workers must be >= 0, got %d", cfg.scoreWorkers)
 	}
 	switch cfg.storeBackend {
 	case "mem", "disk":
@@ -306,10 +303,6 @@ func main() {
 		stop := svc.StartJanitor(cfg.sweepEvery)
 		defer stop()
 	}
-
-	// Bound the pool of scoring helpers all sessions share; 0 keeps the
-	// GOMAXPROCS-1 default.
-	strategy.SetMaxWorkers(cfg.scoreWorkers)
 
 	srv := &http.Server{
 		Addr:              cfg.addr,

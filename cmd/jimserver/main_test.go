@@ -40,7 +40,6 @@ func TestParseFlags(t *testing.T) {
 	full.readTimeout = time.Minute
 	full.writeTimeout = 45 * time.Second
 	full.idleTimeout = 5 * time.Minute
-	full.scoreWorkers = 2
 	disk := base()
 	disk.storeBackend = "disk"
 	disk.dataDir = "/var/lib/jim"
@@ -65,7 +64,7 @@ func TestParseFlags(t *testing.T) {
 		},
 		{
 			name: "full",
-			args: []string{"-addr", ":9090", "-max-sessions", "100", "-session-ttl", "30m", "-sweep-every", "10s", "-max-body-bytes", "1024", "-read-timeout", "1m", "-write-timeout", "45s", "-idle-timeout", "5m", "-score-workers", "2"},
+			args: []string{"-addr", ":9090", "-max-sessions", "100", "-session-ttl", "30m", "-sweep-every", "10s", "-max-body-bytes", "1024", "-read-timeout", "1m", "-write-timeout", "45s", "-idle-timeout", "5m"},
 			want: full,
 		},
 		{
@@ -88,7 +87,9 @@ func TestParseFlags(t *testing.T) {
 		{name: "negative read timeout", args: []string{"-read-timeout", "-1s"}, wantErr: true},
 		{name: "negative write timeout", args: []string{"-write-timeout", "-1s"}, wantErr: true},
 		{name: "negative idle timeout", args: []string{"-idle-timeout", "-1s"}, wantErr: true},
-		{name: "negative score workers", args: []string{"-score-workers", "-1"}, wantErr: true},
+		{name: "zero sweep", args: []string{"-sweep-every", "0"}, wantErr: true},
+		{name: "negative sweep", args: []string{"-sweep-every", "-1s"}, wantErr: true},
+		{name: "removed score-workers", args: []string{"-score-workers", "2"}, wantErr: true},
 		{name: "unknown store", args: []string{"-store", "redis"}, wantErr: true},
 		{name: "disk without dir", args: []string{"-store", "disk", "-data-dir", ""}, wantErr: true},
 		{name: "zero snapshot-every", args: []string{"-snapshot-every", "0"}, wantErr: true},

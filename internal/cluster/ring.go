@@ -30,7 +30,6 @@ type point struct {
 // fall between the affected points — about 1/N of the space when one
 // of N nodes joins or leaves.
 type Ring struct {
-	vnodes int
 	nodes  []string
 	points []point
 }
@@ -88,7 +87,7 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 		}
 		return points[i].node < points[j].node // deterministic tie-break
 	})
-	return &Ring{vnodes: vnodes, nodes: sorted, points: points}, nil
+	return &Ring{nodes: sorted, points: points}, nil
 }
 
 // Owner returns the node id owning key: the first vnode point at or
@@ -105,6 +104,3 @@ func (r *Ring) Owner(key string) string {
 // Nodes returns the member ids in sorted order. Callers must not
 // mutate the returned slice.
 func (r *Ring) Nodes() []string { return r.nodes }
-
-// Vnodes reports the per-node virtual-node count.
-func (r *Ring) Vnodes() int { return r.vnodes }

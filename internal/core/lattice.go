@@ -59,17 +59,16 @@ type lattice struct {
 //
 // The first simulation after an Apply or Append builds the table (never
 // NewState or Append: they must not pay for scoring that may not
-// follow), under mu since parallel scorers race to it, and publishes it
+// follow), under mu since concurrent readers race to it, and publishes it
 // by storing the version stamp. Buffers are reused across rebuilds.
 type projTable struct {
 	mu    sync.Mutex
 	built atomic.Int64 // State.Version+1 the table holds; 0 = never built
 
-	d     int       // entries: distinct projections
-	cols  int       // columns per row: the pairs of the attribute count
-	reads int       // words a prunes call reads: the mixed columns and the planes
-	rows  []projRow // one per 64 entries
-	sets  []uint64  // row by row: cols columns, then the row's planes
+	d    int       // entries: distinct projections
+	cols int       // columns per row: the pairs of the attribute count
+	rows []projRow // one per 64 entries
+	sets []uint64  // row by row: cols columns, then the row's planes
 	// pairs holds two pair sets of len(M_P) words: the pairs every
 	// entry holds (common), then those some but not all hold (mixed).
 	// Only mixed pairs have a column worth reading.
@@ -178,7 +177,6 @@ func (t *projTable) build(lat *lattice, cls *classTable, inf []int32) {
 		t.rows = append(t.rows, projRow{^uint64(0) >> (64 - len(row)), int32(n), base, int32(planes)})
 		n += t.cols + planes
 	}
-	t.reads = n - len(t.rows)*(t.cols-partition.PairSet(mixed).Count())
 	t.sets = reserve(t.sets[:0], n)[:n]
 	clear(t.sets)
 	for r, e := range order {

@@ -29,7 +29,7 @@ func (st *State) SimulatePrunes(sig partition.P) (pos, neg int) {
 // position gi. It is the strategies' inner loop: set algebra over the
 // bit-sliced table of the distinct M_P-projections of the informative
 // classes (see projTable), a few word operations per column, safe to
-// call from parallel scorers.
+// call from concurrent readers.
 func (st *State) SimulatePrunesGroup(gi int) (pos, neg int) {
 	return st.projections().prunes(st.cls.sig(gi), st.lat.mp, st.lat.negs)
 }
@@ -51,15 +51,6 @@ func (st *State) SimulatePruneGroup(gi int, l Label) int {
 // the informative classes at the current version: the entries of the
 // projection table. It builds the table if the version has none yet.
 func (st *State) ProjectionCount() int { return st.projections().d }
-
-// ProjectionWords returns the words of the projection table a
-// SimulatePrunesGroup call reads at the current version: a word per 64
-// entries for each mixed pair (one some but not all entries hold), and
-// the weight planes (a column of G again per maximal negative is not
-// counted). A full rescore costs about
-// InformativeGroupCount()·ProjectionWords() word operations. It builds
-// the table if the version has none yet.
-func (st *State) ProjectionWords() int { return st.projections().reads }
 
 func pruneFor(l Label, pos, neg int) int {
 	switch l {
@@ -100,7 +91,7 @@ func (st *State) countImplied(next Hypo) int {
 // holds, or none does, has the same word in every row and is folded
 // in once per call. Nothing branches on an entry, and the one loop
 // serves every pair-set width, table size and antichain size. The
-// table is read-only here, so parallel scorers share it.
+// table is read-only here, so concurrent readers share it.
 func (t *projTable) prunes(g, mp partition.PairSet, negs []partition.PairSet) (pos, neg int) {
 	g = g[:len(mp)]
 	common, mixed := t.pairs[:len(mp)], t.pairs[len(mp):2*len(mp)]

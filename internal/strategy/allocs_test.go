@@ -18,12 +18,7 @@ import (
 //
 // Alternating Pick between two states forces a full rescore on every
 // call (the ranked cache is keyed on the state identity), which is the
-// worst case: a cache hit trivially allocates nothing. The fan-out
-// threshold is forced to 1 so the parallel dispatch path itself is
-// measured — under testing.AllocsPerRun GOMAXPROCS is 1, so the pool
-// contributes no helpers and the caller scores everything, exercising
-// dispatch bookkeeping plus the sequential kernel. Parallel-execution
-// correctness is covered by the -race differential tests.
+// worst case: a cache hit trivially allocates nothing.
 
 // allocStates builds two warmed states over the same synthetic
 // workload, a few labels into the dialogue so the hypothesis is
@@ -69,10 +64,9 @@ func allocStates(t testing.TB, attrs int, seed int64) (*core.State, *core.State)
 	return build(), build()
 }
 
-// parallelSafe lists the strategies whose steady-state Pick/PickK must
-// be allocation-free, plus lookahead-2: it is not parallel-safe (its
-// cache is shared) but its two-step kernel runs on the same pooled
-// bitset machinery, so it is held to the same bar.
+// zeroAllocStrategies lists the strategies whose steady-state
+// Pick/PickK must be allocation-free: every heuristic, lookahead-2's
+// two-step kernel included.
 func zeroAllocStrategies() map[string]core.KPicker {
 	return map[string]core.KPicker{
 		"random":               Random(7),
@@ -89,22 +83,20 @@ func TestZeroAllocPick(t *testing.T) {
 	for _, attrs := range []int{6, 12} {
 		stA, stB := allocStates(t, attrs, 11)
 		for name, s := range zeroAllocStrategies() {
-			withThreshold(t, 1, func() {
-				// Warm: first calls size every reusable buffer.
-				s.Pick(stA)
-				s.Pick(stB)
-				allocs := testing.AllocsPerRun(50, func() {
-					if _, ok := s.Pick(stA); !ok {
-						t.Fatal("no informative tuple")
-					}
-					if _, ok := s.Pick(stB); !ok {
-						t.Fatal("no informative tuple")
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("%s, %d attrs: steady-state Pick allocates %.1f allocs/op, want 0", name, attrs, allocs/2)
+			// Warm: first calls size every reusable buffer.
+			s.Pick(stA)
+			s.Pick(stB)
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, ok := s.Pick(stA); !ok {
+					t.Fatal("no informative tuple")
+				}
+				if _, ok := s.Pick(stB); !ok {
+					t.Fatal("no informative tuple")
 				}
 			})
+			if allocs != 0 {
+				t.Errorf("%s, %d attrs: steady-state Pick allocates %.1f allocs/op, want 0", name, attrs, allocs/2)
+			}
 		}
 	}
 }
@@ -113,21 +105,19 @@ func TestZeroAllocPickK(t *testing.T) {
 	for _, attrs := range []int{6, 12} {
 		stA, stB := allocStates(t, attrs, 23)
 		for name, s := range zeroAllocStrategies() {
-			withThreshold(t, 1, func() {
-				s.PickK(stA, 8)
-				s.PickK(stB, 8)
-				allocs := testing.AllocsPerRun(50, func() {
-					if got := s.PickK(stA, 8); len(got) == 0 {
-						t.Fatal("no informative tuple")
-					}
-					if got := s.PickK(stB, 8); len(got) == 0 {
-						t.Fatal("no informative tuple")
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("%s, %d attrs: steady-state PickK allocates %.1f allocs/op, want 0", name, attrs, allocs/2)
+			s.PickK(stA, 8)
+			s.PickK(stB, 8)
+			allocs := testing.AllocsPerRun(50, func() {
+				if got := s.PickK(stA, 8); len(got) == 0 {
+					t.Fatal("no informative tuple")
+				}
+				if got := s.PickK(stB, 8); len(got) == 0 {
+					t.Fatal("no informative tuple")
 				}
 			})
+			if allocs != 0 {
+				t.Errorf("%s, %d attrs: steady-state PickK allocates %.1f allocs/op, want 0", name, attrs, allocs/2)
+			}
 		}
 	}
 }

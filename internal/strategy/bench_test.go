@@ -19,8 +19,8 @@ import (
 // misses on every call. Before timing it holds s's pick to the naive
 // reference's on the same state, and every timed pick to that tuple,
 // so a fast wrong kernel fails here rather than reporting a number. It
-// reports the informative class count, the projection-table entries
-// (D) and the table words each class's score reads too.
+// reports the informative class count and the projection-table entries
+// (D) too.
 func benchPick(b *testing.B, s core.Picker, st [2]*core.State) {
 	b.Helper()
 	want, wantOK := MustNaive(s.Name(), 0).Pick(st[0])
@@ -37,7 +37,6 @@ func benchPick(b *testing.B, s core.Picker, st [2]*core.State) {
 	}
 	b.ReportMetric(float64(st[0].InformativeGroupCount()), "classes")
 	b.ReportMetric(float64(st[0].ProjectionCount()), "entries")
-	b.ReportMetric(float64(st[0].ProjectionWords()), "words")
 }
 
 // BenchmarkPickDialogueTurns times the default strategy's pick at
@@ -87,15 +86,12 @@ func BenchmarkPickDialogueTurns(b *testing.B) {
 	}
 }
 
-// BenchmarkPickFanOut compares the sequential and fanned-out lookahead
-// pick around parallelThreshold: states with 128, 256 and 512
-// informative classes (distinct random signatures over 8 attributes),
-// at turn 0 (M_P = Top, so every class is its own projection: the
-// costliest pick) and after one positive label (projections merged).
-// The work the threshold gates is classes × (words + callWords), from
-// about 9k to 135k table words here. Run with -cpu 2 to give the
-// fan-out a second core.
-func BenchmarkPickFanOut(b *testing.B) {
+// BenchmarkPickClasses times the lookahead pick over tables larger
+// than bulk-wire's: states with 128, 256 and 512 informative classes
+// (distinct random signatures over 8 attributes), at turn 0 (M_P =
+// Top, so every class is its own projection: the costliest pick) and
+// after one positive label (projections merged).
+func BenchmarkPickClasses(b *testing.B) {
 	const attrs = 8
 	for _, classes := range []int{128, 256, 512} {
 		r := rand.New(rand.NewSource(int64(classes)))
@@ -136,18 +132,9 @@ func BenchmarkPickFanOut(b *testing.B) {
 				return st
 			}
 			st := [2]*core.State{build(), build()}
-			for _, mode := range []string{"seq", "fanout"} {
-				threshold := 1 << 30
-				if mode == "fanout" {
-					threshold = 1
-				}
-				name := fmt.Sprintf("classes=%d/turn=%d/%s", classes, turn, mode)
-				b.Run(name, func(b *testing.B) {
-					withThreshold(b, threshold, func() {
-						benchPick(b, LookaheadMaxMin(), st)
-					})
-				})
-			}
+			b.Run(fmt.Sprintf("classes=%d/turn=%d", classes, turn), func(b *testing.B) {
+				benchPick(b, LookaheadMaxMin(), st)
+			})
 		}
 	}
 }

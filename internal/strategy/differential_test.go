@@ -242,43 +242,3 @@ func TestStreamingMatchesRebuildPickForPick(t *testing.T) {
 		}
 	}
 }
-
-// TestIncrementalMatchesNaiveUnderParallel repeats a lookahead
-// differential with the parallel fan-out forced on, so chunked
-// concurrent scoring is covered by the same safety net.
-func TestIncrementalMatchesNaiveUnderParallel(t *testing.T) {
-	withThreshold(t, 1, func() {
-		for _, tc := range diffCases(t, 5) {
-			fast := LookaheadMaxMin()
-			naive := MustNaive("lookahead-maxmin", 5)
-			stFast, err := core.NewState(tc.rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stNaive, err := core.NewState(tc.rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for {
-				iF, okF := fast.Pick(stFast)
-				iN, okN := naive.Pick(stNaive)
-				if okF != okN || (okF && iF != iN) {
-					t.Fatalf("%s: parallel pick (%d,%v) vs naive (%d,%v)", tc.workload, iF, okF, iN, okN)
-				}
-				if !okF {
-					break
-				}
-				l := core.Negative
-				if core.Selects(tc.goal, tc.rel.Tuple(iF)) {
-					l = core.Positive
-				}
-				if _, err := stFast.Apply(iF, l); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := stNaive.Apply(iN, l); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	})
-}

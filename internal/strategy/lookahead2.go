@@ -33,8 +33,8 @@ func Lookahead2() core.KPicker {
 // cache entry is valid for one (state, version, structure version)
 // triple — Append bumps both counters, but the structure version is
 // checked explicitly so the cache contract matches ranked's. The
-// shared scratch is why lookahead-2 stays off the parallel scoring
-// path.
+// scratch is shared across the instance's scoring calls, so, like
+// ranked, it is not safe for concurrent use.
 type l2cache struct {
 	st            *core.State
 	version       int

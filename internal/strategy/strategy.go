@@ -9,29 +9,6 @@ import (
 	"repro/internal/partition"
 )
 
-// parallelThreshold is the scoring work above which a parallel-safe
-// strategy fans its scoring out across CPUs, counted in projection-table
-// words (see ranked.work): a lookahead class costs
-// State.ProjectionWords()+callWords of them, any other class one. Below
-// it, goroutine handoff costs more than the scoring: on two cores
-// BenchmarkPickFanOut loses with the fan-out up to ~18k words, breaks
-// even around 40k and wins at ~135k (the table is in DESIGN.md §5); the
-// threshold sits past the break-even, since on a busy server the
-// second core is another request's. Variable so tests can force both
-// paths.
-var parallelThreshold = 1 << 16
-
-// callWords is the fixed cost of one prune-count call in table words:
-// BenchmarkPickFanOut's sequential picks cost about 70 ns per class
-// plus 2 ns per word read, so a call is worth about 40 words before it
-// reads any.
-const callWords = 40
-
-// scoreChunk is the number of classes a scoring worker claims per
-// atomic fetch. Chunking replaces the old one-unbuffered-channel-send
-// per class, which serialized the fan-out on channel handoffs.
-const scoreChunk = 32
-
 // ranked is the common scaffolding: a strategy that totally orders the
 // informative signature classes by a score (higher = asked first).
 // It implements both core.Picker and core.KPicker.
@@ -45,16 +22,9 @@ type ranked struct {
 	name string
 	// score returns the priority of asking about class c now.
 	score func(st *core.State, c int) float64
-	// parallel marks score as safe to call concurrently (pure reads of
-	// the state, no shared mutable captures such as RNGs or caches).
-	parallel bool
 	// mpOnly marks score as a function of M_P and the class signature
 	// alone: cached scores stay valid while State.MPVersion stands.
 	mpOnly bool
-	// tableScored marks score as one prune-count call over the state's
-	// projection table, so a class costs State.ProjectionWords() table
-	// words plus callWords.
-	tableScored bool
 
 	cst            *core.State // state the cache belongs to
 	cversion       int         // State.Version the scores were computed at
@@ -65,10 +35,9 @@ type ranked struct {
 	infBuf         []int32   // reusable informative-class list
 
 	// Per-instance scratch, reused so the steady-state pick path is
-	// 0 allocs/op: the fan-out job handed to the scoring pool, the
-	// partial-sort heap of PickK, and PickK's result buffer (returned
-	// to the caller; see PickK for the ownership contract).
-	job    scoreJob
+	// 0 allocs/op: the partial-sort heap of PickK, and PickK's result
+	// buffer (returned to the caller; see PickK for the ownership
+	// contract).
 	topBuf []int32
 	outBuf []int
 }
@@ -81,7 +50,9 @@ func (s *ranked) Name() string { return s.name }
 // Version catches labels, StructureVersion catches Appends — which
 // add classes, grow class sizes, and shift unlabeled populations, so
 // rankings conditioned on the old class set invalidate exactly when
-// the structure changes.
+// the structure changes. Scoring runs on the caller's goroutine: no
+// benchmark workload's rescore is large enough for a second core to
+// pay for its handoff (DESIGN.md §5).
 func (s *ranked) refresh(st *core.State) []int32 {
 	if s.cvalid && s.cst == st && s.cstructVersion == st.StructureVersion() {
 		if s.cversion == st.Version() {
@@ -101,47 +72,12 @@ func (s *ranked) refresh(st *core.State) []int32 {
 		s.scores = make([]float64, st.ClassCount())
 	}
 	s.scores = s.scores[:st.ClassCount()]
-	s.rescore(st, s.infBuf)
+	for _, c := range s.infBuf {
+		s.scores[c] = s.score(st, int(c))
+	}
 	s.cst, s.cversion, s.cmpVersion, s.cstructVersion, s.cvalid =
 		st, st.Version(), st.MPVersion(), st.StructureVersion(), true
 	return s.infBuf
-}
-
-// rescore evaluates every informative class into s.scores, borrowing
-// helpers from the shared scoring pool when the strategy is
-// parallel-safe and the work makes it worthwhile. The caller always
-// scores too — helpers only shorten the tail — so a saturated pool
-// costs throughput, never progress. Nothing here allocates: the job is
-// a reused instance field and the workers are persistent.
-func (s *ranked) rescore(st *core.State, classes []int32) {
-	helpers := 0
-	if s.parallel && s.work(st, len(classes)) >= parallelThreshold {
-		helpers = (len(classes)+scoreChunk-1)/scoreChunk - 1 // caller takes one chunk
-	}
-	if helpers <= 0 {
-		for _, c := range classes {
-			s.scores[c] = s.score(st, int(c))
-		}
-		return
-	}
-	j := &s.job
-	j.st, j.classes, j.score, j.out = st, classes, s.score, s.scores
-	j.next.Store(0)
-	pool.dispatch(j, helpers)
-	j.run()
-	j.wg.Wait()
-	j.release()
-}
-
-// work estimates a rescore of n classes in projection-table words. For
-// a table-scored strategy it builds the projection table up front,
-// which the first score would do anyway — before any helper can wait
-// on it.
-func (s *ranked) work(st *core.State, n int) int {
-	if s.tableScored {
-		return n * (st.ProjectionWords() + callWords)
-	}
-	return n
 }
 
 // Pick returns the first tuple of the best-scoring informative class.
@@ -268,17 +204,14 @@ func firstUnlabeled(st *core.State, c int) int {
 // Each class's draw u is a hash of (seed, explicit-label count,
 // instance size, class position) rather than a step of a mutable RNG:
 // every labeling step and every arrival batch gets a fresh
-// independent draw,
-// but the draw is a pure function of the state. That keeps
-// re-proposing without new information stable, makes scoring
-// parallel-safe, and — the property the durable session store relies
-// on — lets a session recovered from a snapshot + WAL replay propose
-// exactly the tuples the uninterrupted run would have. naive.go
-// mirrors the formula.
+// independent draw, but the draw is a pure function of the state.
+// That keeps re-proposing without new information stable and — the
+// property the durable session store relies on — lets a session
+// recovered from a snapshot + WAL replay propose exactly the tuples
+// the uninterrupted run would have. naive.go mirrors the formula.
 func Random(seed int64) core.KPicker {
 	return &ranked{
-		name:     "random",
-		parallel: true,
+		name: "random",
 		score: func(st *core.State, c int) float64 {
 			return randomScore(seed, st, c)
 		},
@@ -318,9 +251,8 @@ func hashUnit(words ...uint64) float64 {
 // Ties break toward larger signature classes, then stable order.
 func LocalMostSpecific() core.KPicker {
 	return &ranked{
-		name:     "local-most-specific",
-		parallel: true,
-		mpOnly:   true,
+		name:   "local-most-specific",
+		mpOnly: true,
 		score: func(st *core.State, c int) float64 {
 			overlap := partition.IntersectCount(st.MP().PairSet(), st.ClassPairs(c))
 			return float64(overlap) + float64(len(st.ClassMembers(c)))*1e-6
@@ -334,9 +266,8 @@ func LocalMostSpecific() core.KPicker {
 // signature classes.
 func LocalLeastSpecific() core.KPicker {
 	return &ranked{
-		name:     "local-least-specific",
-		parallel: true,
-		mpOnly:   true,
+		name:   "local-least-specific",
+		mpOnly: true,
 		score: func(st *core.State, c int) float64 {
 			overlap := partition.IntersectCount(st.MP().PairSet(), st.ClassPairs(c))
 			return -float64(overlap) + float64(len(st.ClassMembers(c)))*1e-6
@@ -349,9 +280,7 @@ func LocalLeastSpecific() core.KPicker {
 // breaking ties by total pruning p+n.
 func LookaheadMaxMin() core.KPicker {
 	return &ranked{
-		name:        "lookahead-maxmin",
-		parallel:    true,
-		tableScored: true,
+		name: "lookahead-maxmin",
 		score: func(st *core.State, c int) float64 {
 			p, n := st.SimulatePrunesGroup(c)
 			lo := min(p, n)
@@ -364,9 +293,7 @@ func LookaheadMaxMin() core.KPicker {
 // expected pruning (p+n)/2 under a uniform answer model.
 func LookaheadExpected() core.KPicker {
 	return &ranked{
-		name:        "lookahead-expected",
-		parallel:    true,
-		tableScored: true,
+		name: "lookahead-expected",
 		score: func(st *core.State, c int) float64 {
 			p, n := st.SimulatePrunesGroup(c)
 			return float64(p+n) / 2
@@ -380,9 +307,7 @@ func LookaheadExpected() core.KPicker {
 // the magnitude factor favors questions that settle many tuples.
 func LookaheadEntropy() core.KPicker {
 	return &ranked{
-		name:        "lookahead-entropy",
-		parallel:    true,
-		tableScored: true,
+		name: "lookahead-entropy",
 		score: func(st *core.State, c int) float64 {
 			p, n := st.SimulatePrunesGroup(c)
 			total := p + n

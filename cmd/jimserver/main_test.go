@@ -89,6 +89,7 @@ func TestParseFlags(t *testing.T) {
 		{name: "negative idle timeout", args: []string{"-idle-timeout", "-1s"}, wantErr: true},
 		{name: "zero sweep", args: []string{"-sweep-every", "0"}, wantErr: true},
 		{name: "negative sweep", args: []string{"-sweep-every", "-1s"}, wantErr: true},
+		{name: "negative score workers", args: []string{"-score-workers", "-1"}, wantErr: true},
 		{name: "removed score-workers", args: []string{"-score-workers", "2"}, wantErr: true},
 		{name: "unknown store", args: []string{"-store", "redis"}, wantErr: true},
 		{name: "disk without dir", args: []string{"-store", "disk", "-data-dir", ""}, wantErr: true},

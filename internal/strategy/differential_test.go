@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -238,6 +239,62 @@ func TestStreamingMatchesRebuildPickForPick(t *testing.T) {
 				if err := stInc.CheckInvariants(); err != nil {
 					t.Fatalf("%s/%s seed %d: %v", name, wl, seed, err)
 				}
+			}
+		}
+	}
+}
+
+// TestIncrementalMatchesNaiveUnderParallel runs a lookahead
+// differential with several incremental pickers scoring one shared
+// State at once: the projection table they all read is built by
+// whichever reaches a new Version first, and every picker must still
+// pick, tuple for tuple, what the naive rescorer picks.
+func TestIncrementalMatchesNaiveUnderParallel(t *testing.T) {
+	const pickers = 4
+	for _, tc := range diffCases(t, 5) {
+		fast := make([]core.KPicker, pickers)
+		for w := range fast {
+			fast[w] = LookaheadMaxMin()
+		}
+		naive := MustNaive("lookahead-maxmin", 5)
+		stFast, err := core.NewState(tc.rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stNaive, err := core.NewState(tc.rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			iN, okN := naive.Pick(stNaive)
+			picks := make([]int, pickers)
+			oks := make([]bool, pickers)
+			var wg sync.WaitGroup
+			for w := range fast {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					picks[w], oks[w] = fast[w].Pick(stFast)
+				}()
+			}
+			wg.Wait()
+			for w := range fast {
+				if oks[w] != okN || (okN && picks[w] != iN) {
+					t.Fatalf("%s: picker %d (%d,%v) vs naive (%d,%v)", tc.workload, w, picks[w], oks[w], iN, okN)
+				}
+			}
+			if !okN {
+				break
+			}
+			l := core.Negative
+			if core.Selects(tc.goal, tc.rel.Tuple(iN)) {
+				l = core.Positive
+			}
+			if _, err := stFast.Apply(iN, l); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := stNaive.Apply(iN, l); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
